@@ -21,12 +21,12 @@ from .event_graph import (
 from .model import (
     MODEL2, MODEL3, OBJECTIVES, VARIANTS, BigM, MilpModel, ObjectiveSpec,
     ObjectiveValue, build_model, combine_components, compute_big_m,
-    evaluate_objective, variable_mapping, write_lp, write_mapping, write_mps,
+    variable_mapping, write_lp, write_mapping, write_mps,
 )
 from .solve import (
     ORACLE_LIMIT, Schedule, Solution, ValidationReport, Violation,
-    import_solution, max_acceptance, minimal_schedule, oracle_solve,
-    solution_from_json, solution_to_json, validate_solution,
+    evaluate_objective, import_solution, max_acceptance, minimal_schedule,
+    oracle_solve, solution_from_json, solution_to_json, validate_solution,
 )
 from .backend import (
     MilpResult, ParsedMip, parse_mps, read_assignment, solve_mip,
@@ -45,11 +45,11 @@ __all__ = [
     "build_event_graph", "graph_stats", "node_count_closed_form", "to_dot",
     "MODEL2", "MODEL3", "OBJECTIVES", "VARIANTS", "BigM", "MilpModel",
     "ObjectiveSpec", "ObjectiveValue", "build_model", "combine_components",
-    "compute_big_m", "evaluate_objective", "variable_mapping", "write_lp",
-    "write_mapping", "write_mps",
+    "compute_big_m", "variable_mapping", "write_lp", "write_mapping",
+    "write_mps",
     "ORACLE_LIMIT", "Schedule", "Solution", "ValidationReport", "Violation",
-    "import_solution", "max_acceptance", "minimal_schedule", "oracle_solve",
-    "solution_from_json", "solution_to_json", "validate_solution",
+    "evaluate_objective", "import_solution", "max_acceptance",
+    "minimal_schedule", "oracle_solve", "solution_from_json", "solution_to_json", "validate_solution",
     "MilpResult", "ParsedMip", "parse_mps", "read_assignment", "solve_mip",
     "solve_mps_text", "write_assignment",
     "__version__",

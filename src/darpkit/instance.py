@@ -177,12 +177,9 @@ class Instance:
         return l0 - e0
 
     def request(self, i: int) -> Request:
+        if not 1 <= i <= len(self.requests):
+            raise DataError(f"unknown request id {i}; ids run 1..{self.n}")
         return self.requests[i - 1]
-
-
-def travel(inst: Instance, a: int, b: int) -> tuple[float, float]:
-    """Return (cost, time) of the direct connection from location a to b."""
-    return inst.metric.cost(a, b), inst.metric.time(a, b)
 
 
 # ---------------------------------------------------------------------------

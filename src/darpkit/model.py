@@ -30,19 +30,15 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
 
 from .errors import DataError
 from .event_graph import (
-    DEPOT, DROPOFF, PICKUP,
+    DEPOT, PICKUP,
     DROPOFF_DROPOFF, DROPOFF_PICKUP, LEAVE_DEPOT, PICKUP_DROPOFF,
     PICKUP_PICKUP, RETURN_DEPOT,
     EventGraph,
 )
-from .instance import INBOUND, Instance
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .solve import Solution
+from .instance import INBOUND
 
 MODEL2 = "model2"
 MODEL3 = "model3"
@@ -56,6 +52,18 @@ OBJECTIVES = (
     "cost_max_excess",
     "request_cost_excess",
 )
+
+# objective variant -> weights of (routing cost, total excess, maximal
+# excess, denied requests); a name stands for the ObjectiveSpec weight
+# that fills the slot.  Every objective reading goes through this table.
+_WEIGHTS = {
+    "cost": (1.0, 0.0, 0.0, 0.0),
+    "excess": (0.0, 1.0, 0.0, 0.0),
+    "max_excess": (0.0, 0.0, 1.0, 0.0),
+    "cost_excess": (1.0, "alpha", 0.0, 0.0),
+    "cost_max_excess": (1.0, 0.0, "beta", 0.0),
+    "request_cost_excess": (1.0, "alpha", 0.0, "gamma"),
+}
 
 _TRAVEL_CLASSES = (PICKUP_DROPOFF, PICKUP_PICKUP, DROPOFF_PICKUP, DROPOFF_DROPOFF)
 
@@ -84,31 +92,28 @@ class ObjectiveSpec:
         beta = 3.0 * n / 5.0 if self.beta is None else self.beta
         gamma = 60.0 if self.gamma is None else self.gamma
         out = replace(self, alpha=alpha, beta=beta, gamma=gamma)
-        needed = []
-        if out.variant in ("cost_excess", "request_cost_excess"):
-            needed.append(("alpha", out.alpha))
-        if out.variant == "cost_max_excess":
-            needed.append(("beta", out.beta))
-        if out.variant == "request_cost_excess":
-            needed.append(("gamma", out.gamma))
-        for name, value in needed:
-            if value <= 0:
-                raise DataError(f"objective weight {name} must be positive")
+        for slot in _WEIGHTS[out.variant]:
+            if isinstance(slot, str) and getattr(out, slot) <= 0:
+                raise DataError(f"objective weight {slot} must be positive")
         return out
+
+    def _weights(self) -> tuple[float, float, float, float]:
+        """Weights of (cost, excess, max excess, denied); must be resolved."""
+        return tuple(getattr(self, slot) if isinstance(slot, str) else slot
+                     for slot in _WEIGHTS[self.variant])
 
     @property
     def needs_excess(self) -> bool:
-        return self.variant in (
-            "excess", "max_excess", "cost_excess", "cost_max_excess",
-            "request_cost_excess")
+        _, excess, max_excess, _ = _WEIGHTS[self.variant]
+        return excess != 0 or max_excess != 0
 
     @property
     def needs_max_excess(self) -> bool:
-        return self.variant in ("max_excess", "cost_max_excess")
+        return _WEIGHTS[self.variant][2] != 0
 
     @property
     def needs_denial(self) -> bool:
-        return self.variant == "request_cost_excess"
+        return _WEIGHTS[self.variant][3] != 0
 
 
 @dataclass(frozen=True)
@@ -129,6 +134,13 @@ class ObjectiveValue:
             "f_emax": self.max_excess,
             "f_n": self.denied,
         }
+
+
+def combine_components(obj: ObjectiveSpec, cost: float, excess: float,
+                       max_excess: float, denied: int) -> float:
+    """Total objective value from its components (weights must be resolved)."""
+    return sum(w * c for w, c in zip(obj._weights(),
+                                     (cost, excess, max_excess, denied)) if w)
 
 
 @dataclass(frozen=True)
@@ -371,22 +383,18 @@ def build_model(graph: EventGraph, variant: str,
             model.add_row(f"dmx_{req.id}", "G", 0.0,
                           [(dmax, 1.0), (d[req.id], -1.0)])
 
-    # objective
+    # objective; zero-weight components contribute no terms
+    w_cost, w_excess, w_max, w_denied = obj._weights()
     terms = []
-    if obj.variant in ("cost", "cost_excess", "cost_max_excess", "request_cost_excess"):
-        terms += [(x[a], arc.cost) for a, arc in enumerate(graph.arcs)]
-    if obj.variant == "excess":
-        terms += [(d[req.id], 1.0) for req in inst.requests]
-    elif obj.variant == "cost_excess":
-        terms += [(d[req.id], obj.alpha) for req in inst.requests]
-    elif obj.variant == "max_excess":
-        terms += [(dmax, 1.0)]
-    elif obj.variant == "cost_max_excess":
-        terms += [(dmax, obj.beta)]
-    elif obj.variant == "request_cost_excess":
-        terms += [(d[req.id], obj.alpha) for req in inst.requests]
-        terms += [(p[req.id], -obj.gamma) for req in inst.requests]
-        model.obj_constant = obj.gamma * n
+    if w_cost:
+        terms += [(x[a], w_cost * arc.cost) for a, arc in enumerate(graph.arcs)]
+    if w_excess:
+        terms += [(d[req.id], w_excess) for req in inst.requests]
+    if w_max:
+        terms += [(dmax, w_max)]
+    if w_denied:
+        terms += [(p[req.id], -w_denied) for req in inst.requests]
+        model.obj_constant = w_denied * n
     model.obj_terms = terms
 
     model.census = {
@@ -411,52 +419,6 @@ def build_model(graph: EventGraph, variant: str,
         },
     }
     return model
-
-
-# ---------------------------------------------------------------------------
-# objective evaluation on decoded solutions
-# ---------------------------------------------------------------------------
-
-def combine_components(obj: ObjectiveSpec, cost: float, excess: float,
-                       max_excess: float, denied: int) -> float:
-    """Total objective value from its components (weights must be resolved)."""
-    if obj.variant == "cost":
-        return cost
-    if obj.variant == "excess":
-        return excess
-    if obj.variant == "max_excess":
-        return max_excess
-    if obj.variant == "cost_excess":
-        return cost + obj.alpha * excess
-    if obj.variant == "cost_max_excess":
-        return cost + obj.beta * max_excess
-    return cost + obj.alpha * excess + obj.gamma * denied
-
-
-def evaluate_objective(inst: Instance, sol: "Solution",
-                       objective: ObjectiveSpec) -> ObjectiveValue:
-    """Recompute objective components from tours and schedule times."""
-    obj = objective.resolve(inst.n)
-    cost = 0.0
-    drop_time: dict[int, float] = {}
-    for stops, times in zip(sol.tours, sol.times):
-        prev = inst.depot_loc
-        for (req_id, kind), when in zip(stops, times):
-            req = inst.request(req_id)
-            loc = req.pickup_loc if kind == PICKUP else req.dropoff_loc
-            cost += inst.metric.cost(prev, loc)
-            if kind == DROPOFF:
-                drop_time[req_id] = when
-            prev = loc
-        cost += inst.metric.cost(prev, inst.depot_loc)
-    excess = {i: max(0.0, t - inst.request(i).dropoff_window[0])
-              for i, t in drop_time.items()}
-    f_e = sum(excess.values())
-    f_emax = max(excess.values(), default=0.0)
-    denied = inst.n - len(sol.accepted)
-    total = combine_components(obj, cost, f_e, f_emax, denied)
-    return ObjectiveValue(total=total, cost=cost, excess=f_e,
-                          max_excess=f_emax, denied=denied)
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,14 @@ complete tour gets its componentwise-minimal schedule; since lowering
 any service-start never hurts window, ride-time or duration slack, that
 schedule simultaneously minimizes every per-request dropoff excess, so
 scoring it is exact for every supported objective.  The oracle shares no
-code with the MILP path beyond the instance data.
+code with the MILP formulation beyond the instance data; every plan, from
+the oracle, a decoded assignment or a solution file, is scored by the same
+schedule builder and tour-cost sum.
 
 Solver assignments (variable name -> value) are decoded back into tours
 by walking the selected arcs from the depot; anything that is not a
-set of depot-anchored simple cycles is rejected.  The validator checks
+set of depot-anchored simple cycles is rejected, and each decoded tour
+is re-timed to its minimal schedule.  The validator checks
 decoded or constructed solutions directly against the instance and
 reports typed violations instead of raising.
 """
@@ -20,17 +23,14 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DataError, InfeasibleError, ParseError, SolutionError
 from .event_graph import DROPOFF, PICKUP
 from .instance import Instance
-from .model import (
-    MilpModel, ObjectiveSpec, ObjectiveValue, combine_components,
-    evaluate_objective,
-)
+from .model import MilpModel, ObjectiveSpec, ObjectiveValue, combine_components
 
 Stop = tuple[int, str]
 
@@ -60,7 +60,7 @@ class Solution:
 
 @dataclass(frozen=True)
 class Violation:
-    kind: str              # capacity|pairing|precedence|window|ride_time|duration|fleet
+    kind: str              # capacity|pairing|precedence|window|ride_time|duration|fleet|coverage
     tour: int | None
     stop: int | None
     magnitude: float
@@ -194,6 +194,20 @@ def _tour_makespan(stops: Sequence[Stop], times: Sequence[float],
     return ret - depart
 
 
+def _schedule(tours: Sequence[Sequence[Stop]],
+              times: Sequence[Sequence[float]], inst: Instance) -> Schedule:
+    """Per-request dropoff excess and per-tour makespans of timed tours."""
+    excess = {}
+    for stops, ts in zip(tours, times):
+        for (rid, kind), t in zip(stops, ts):
+            if kind == DROPOFF:
+                excess[rid] = max(0.0, t - inst.request(rid).dropoff_window[0])
+    makespans = tuple(_tour_makespan(stops, ts, inst)
+                      for stops, ts in zip(tours, times))
+    return Schedule(times=tuple(tuple(ts) for ts in times), excess=excess,
+                    makespans=makespans)
+
+
 def minimal_schedule(tour: Sequence[Stop], inst: Instance) -> Schedule | None:
     """Componentwise-minimal schedule of one structurally valid tour."""
     stops = [tuple(st) for st in tour]
@@ -201,10 +215,21 @@ def minimal_schedule(tour: Sequence[Stop], inst: Instance) -> Schedule | None:
     times = _tour_times(stops, inst)
     if times is None:
         return None
-    excess = {rid: max(0.0, t - inst.request(rid).dropoff_window[0])
-              for (rid, kind), t in zip(stops, times) if kind == DROPOFF}
-    return Schedule(times=(tuple(times),), excess=excess,
-                    makespans=(_tour_makespan(stops, times, inst),))
+    return _schedule((stops,), (times,), inst)
+
+
+def evaluate_objective(inst: Instance, sol: Solution,
+                       objective: ObjectiveSpec) -> ObjectiveValue:
+    """Recompute objective components from tours and schedule times."""
+    obj = objective.resolve(inst.n)
+    cost = sum(_tour_cost(stops, inst) for stops in sol.tours)
+    excess = _schedule(sol.tours, sol.times, inst).excess.values()
+    f_e = sum(excess)
+    f_emax = max(excess, default=0.0)
+    denied = inst.n - len(sol.accepted)
+    total = combine_components(obj, cost, f_e, f_emax, denied)
+    return ObjectiveValue(total=total, cost=cost, excess=f_e,
+                          max_excess=f_emax, denied=denied)
 
 
 # ---------------------------------------------------------------------------
@@ -298,9 +323,13 @@ def oracle_solve(inst: Instance, objective: ObjectiveSpec | None = None,
     cache: dict[frozenset, list] = {}
 
     def orderings(block):
+        """Feasible orders of a block as (stops, times, cost, excesses)."""
         key = frozenset(block)
         if key not in cache:
-            cache[key] = _feasible_orderings(block, inst)
+            cache[key] = [
+                (seq, ts, _tour_cost(seq, inst),
+                 tuple(_schedule((seq,), (ts,), inst).excess.values()))
+                for seq, ts in _feasible_orderings(block, inst)]
         return cache[key]
 
     best_key = None
@@ -313,33 +342,24 @@ def oracle_solve(inst: Instance, objective: ObjectiveSpec | None = None,
             if any(not opt for opt in options):
                 continue
             for combo in product(*options):
-                tours = tuple(seq for seq, _ in combo)
-                times = tuple(t for _, t in combo)
-                cost = sum(_tour_cost(seq, inst) for seq in tours)
-                excess = {}
-                for seq, ts in combo:
-                    for (rid, kind), t in zip(seq, ts):
-                        if kind == DROPOFF:
-                            excess[rid] = max(
-                                0.0, t - inst.request(rid).dropoff_window[0])
-                f_e = sum(excess.values())
-                f_emax = max(excess.values(), default=0.0)
+                cost = sum(opt[2] for opt in combo)
+                excess = [e for opt in combo for e in opt[3]]
+                f_e = sum(excess)
+                f_emax = max(excess, default=0.0)
                 total = combine_components(obj, cost, f_e, f_emax, denied)
+                tours = tuple(opt[0] for opt in combo)
                 key = (total, _encoding(tours))
                 if best_key is None or key < best_key:
                     best_key = key
-                    best = (tours, times, cost, f_e, f_emax, denied, excess,
-                            frozenset(accepted))
+                    best = (tours, tuple(opt[1] for opt in combo), cost, f_e,
+                            f_emax, denied, frozenset(accepted))
     if best is None:
         raise InfeasibleError("no feasible solution serves every request")
-    tours, times, cost, f_e, f_emax, denied, excess, accepted = best
-    makespans = tuple(_tour_makespan(seq, ts, inst)
-                      for seq, ts in zip(tours, times))
-    schedule = Schedule(times=times, excess=excess, makespans=makespans)
+    tours, times, cost, f_e, f_emax, denied, accepted = best
     value = ObjectiveValue(total=best_key[0], cost=cost, excess=f_e,
                            max_excess=f_emax, denied=denied)
-    return Solution(tours=tours, schedule=schedule, accepted=accepted,
-                    objective=value)
+    return Solution(tours=tours, schedule=_schedule(tours, times, inst),
+                    accepted=accepted, objective=value)
 
 
 def max_acceptance(inst: Instance, limit: int = ORACLE_LIMIT) -> int:
@@ -376,10 +396,12 @@ def import_solution(model: MilpModel, assignment: Mapping[str, float]) -> Soluti
 
     Selected arcs must form depot-anchored simple cycles; isolated
     cycles, revisited states, fractional binaries and double service are
-    rejected.  Times of active states are carried into the schedule
-    verbatim, and the objective is recomputed from the decoded tours; a
-    mismatch beyond 1e-4 against the assignment's own objective value
-    triggers a warning.
+    rejected.  Only the binaries are read: each decoded tour is re-timed
+    with its componentwise-minimal schedule, so the solver's continuous
+    times, and their tolerance, never reach the plan.  A tour without a
+    feasible schedule is rejected.  The objective is recomputed from the
+    re-timed tours; a mismatch beyond 1e-4 against the assignment's own
+    objective value triggers a warning.
     """
     graph = model.graph
     inst = graph.inst
@@ -412,17 +434,14 @@ def import_solution(model: MilpModel, assignment: Mapping[str, float]) -> Soluti
 
     used: set[int] = set()
     tours: list[tuple[Stop, ...]] = []
-    times: list[tuple[float, ...]] = []
     for a0 in out_sel.get(graph.depot_node, []):
         stops: list[Stop] = []
-        stop_times: list[float] = []
         arc = graph.arcs[a0]
         used.add(a0)
         guard = 0
         while arc.head != graph.depot_node:
             node = graph.nodes[arc.head]
             stops.append((node.request, node.kind))
-            stop_times.append(value(f"B_{arc.head}"))
             nexts = [a for a in out_sel.get(arc.head, []) if a not in used]
             if len(nexts) != 1:
                 raise SolutionError(
@@ -434,7 +453,6 @@ def import_solution(model: MilpModel, assignment: Mapping[str, float]) -> Soluti
             if guard > len(selected) + 1:
                 raise SolutionError("selected arcs do not close at the depot")
         tours.append(tuple(stops))
-        times.append(tuple(stop_times))
     if used != selected:
         raise SolutionError(
             f"{len(selected) - len(used)} selected arcs form cycles not "
@@ -454,19 +472,16 @@ def import_solution(model: MilpModel, assignment: Mapping[str, float]) -> Soluti
             f"acceptance variables {sorted(p_on)} disagree with served "
             f"requests {sorted(accepted)}")
 
-    excess = {}
-    for tour, ts in zip(tours, times):
-        for (rid, kind), t in zip(tour, ts):
-            if kind == DROPOFF:
-                excess[rid] = max(0.0, t - inst.request(rid).dropoff_window[0])
-    makespans = tuple(_tour_makespan(tour, ts, inst)
-                      for tour, ts in zip(tours, times))
-    schedule = Schedule(times=tuple(times), excess=excess, makespans=makespans)
-    sol = Solution(tours=tuple(tours), schedule=schedule, accepted=accepted,
-                   objective=None)
+    times = []
+    for k, tour in enumerate(tours):
+        sched = minimal_schedule(tour, inst)
+        if sched is None:
+            raise SolutionError(f"decoded tour {k} has no feasible schedule")
+        times.append(sched.times[0])
+    sol = Solution(tours=tuple(tours), schedule=_schedule(tours, times, inst),
+                   accepted=accepted, objective=None)
     value_rec = evaluate_objective(inst, sol, model.objective)
-    sol = Solution(tours=sol.tours, schedule=schedule, accepted=accepted,
-                   objective=value_rec)
+    sol = replace(sol, objective=value_rec)
     try:
         claimed = model.objective_value(assignment)
     except KeyError:
@@ -495,16 +510,27 @@ def validate_solution(inst: Instance, sol: Solution,
              f"{len(sol.tours)} tours exceed the fleet of {inst.fleet_size}")
 
     seen_tour: dict[int, int] = {}
+    unknown_in: set[int] = set()
     for t, tour in enumerate(sol.tours):
-        for rid, kind in tour:
+        for k, (rid, kind) in enumerate(tour):
+            if not 1 <= rid <= inst.n:
+                flag("coverage", t, k, 1.0, f"stop names unknown request {rid}")
+                unknown_in.add(t)
             if kind == PICKUP:
                 if rid in seen_tour and seen_tour[rid] != t:
                     flag("pairing", t, None, 1.0,
                          f"request {rid} appears in tours {seen_tour[rid]} and {t}")
                 seen_tour.setdefault(rid, t)
+    served = {rid for tour in sol.tours for rid, _ in tour}
+    if served != sol.accepted:
+        flag("coverage", None, None, float(len(served ^ sol.accepted)),
+             f"tours serve {sorted(served)}, accepted claims "
+             f"{sorted(sol.accepted)}")
 
     e0, l0 = inst.depot_window
     for t, (tour, ts) in enumerate(zip(sol.tours, sol.times)):
+        if t in unknown_in:
+            continue    # per-stop checks need the request's data
         if len(ts) != len(tour):
             flag("pairing", t, None, float(abs(len(ts) - len(tour))),
                  "schedule length disagrees with the stop list")
@@ -608,13 +634,5 @@ def solution_from_json(text: str, inst: Instance) -> Solution:
             denied=int(doc["objective"]["f_n"]))
     except (KeyError, TypeError) as exc:
         raise ParseError(f"solution JSON is missing or mistypes a field: {exc}") from None
-    excess = {}
-    for tour, ts in zip(tours, times):
-        for (rid, kind), t in zip(tour, ts):
-            if kind == DROPOFF:
-                excess[rid] = max(0.0, t - inst.request(rid).dropoff_window[0])
-    makespans = tuple(_tour_makespan(tour, ts, inst)
-                      for tour, ts in zip(tours, times))
-    schedule = Schedule(times=tuple(times), excess=excess, makespans=makespans)
-    return Solution(tours=tuple(tours), schedule=schedule, accepted=accepted,
-                    objective=objective)
+    return Solution(tours=tuple(tours), schedule=_schedule(tours, times, inst),
+                    accepted=accepted, objective=objective)

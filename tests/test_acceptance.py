@@ -179,6 +179,15 @@ def test_criterion_3_oracle_matches_milp(suite):
              + (f", failures {bad[:3]}" if bad else ""))
 
 
+def test_evaluate_objective_matches_oracle_exactly(suite):
+    # the oracle and the scorer share one cost sum and one excess builder
+    differ = [(rec.inst.name, name) for rec in suite for name in FIVE_OBJECTIVES
+              if evaluate_objective(rec.inst, rec.oracle[name],
+                                    ObjectiveSpec(variant=name))
+              != rec.oracle[name].objective]
+    assert not differ, differ[:3]
+
+
 # ---------------------------------------------------------------------------
 # criterion 4: the big-M and activation-window formulations agree
 # ---------------------------------------------------------------------------

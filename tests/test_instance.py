@@ -80,6 +80,15 @@ def test_request_validation(bad):
         _request(**bad)
 
 
+@pytest.mark.parametrize("rid", [0, -1, 2])
+def test_request_lookup_rejects_unknown_ids(rid):
+    inst = Instance(name="a", requests=(_request(),), fleet_size=1,
+                    capacity=2, depot_loc=0, depot_window=(0.0, 100.0),
+                    metric=line_metric((0.0, 1.0, 2.0)))
+    with pytest.raises(DataError, match="unknown request"):
+        inst.request(rid)
+
+
 def test_instance_validation():
     metric = line_metric((0.0, 1.0, 2.0))
     req = _request()

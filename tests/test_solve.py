@@ -350,7 +350,12 @@ def test_import_solution_round_trip(pooling_instance, pooling_model):
     values = _assignment(pooling_model, [(TOUR_A, TIMES_A), (TOUR_B, TIMES_B)])
     sol = import_solution(pooling_model, values)
     assert sol.tours == (((1, P), (2, P), (1, D), (2, D)), ((3, P), (3, D)))
-    assert sol.times == (TIMES_A, TIMES_B)
+    # re-timed to the minimal schedules, not the assignment's B values
+    root2 = math.sqrt(2)
+    assert sol.times[0] == pytest.approx((1.0, 2 + root2, 4 + root2, 5 + 2 * root2))
+    assert sol.times[1] == pytest.approx((2.0, 4.0))
+    assert sol.times == tuple(minimal_schedule(tour, pooling_instance).times[0]
+                              for tour in sol.tours)
     assert sol.accepted == frozenset({1, 2, 3})
     assert validate_solution(pooling_instance, sol).ok
     # objective recomputed from the decoded tours
@@ -413,6 +418,25 @@ def test_import_acceptance_disagreement(pooling_instance):
         import_solution(model, values)
 
 
+def test_import_retimes_solver_tolerance(pooling_instance, pooling_model):
+    # request 3 dropped off 1.5e-6 before service plus travel allow: the
+    # solver's tolerance, beyond the validator's 1e-6
+    values = _assignment(pooling_model, [(TOUR_A, TIMES_A),
+                                         (TOUR_B, (5.0, 7.0 - 1.5e-6))])
+    sol = import_solution(pooling_model, values)
+    assert validate_solution(pooling_instance, sol).ok
+
+
+def test_import_rejects_unschedulable_tour(pooling_instance):
+    # the depot closes before any tour can return
+    inst = replace(pooling_instance, depot_window=(0.0, 3.0))
+    model = build_model(build_event_graph(inst), "model2",
+                        ObjectiveSpec(variant="cost"))
+    values = _assignment(model, [(TOUR_B, TIMES_B)])
+    with pytest.raises(SolutionError, match="no feasible schedule"):
+        import_solution(model, values)
+
+
 def test_import_objective_mismatch_warns(pooling_instance):
     graph = build_event_graph(pooling_instance)
     model = build_model(graph, "model2", ObjectiveSpec(variant="excess"))
@@ -426,7 +450,8 @@ def test_import_objective_mismatch_warns(pooling_instance):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         sol = import_solution(model, values)
-    assert sol.objective.excess == pytest.approx(80.0)  # dropoffs at 30, 40, 10
+    # re-timed dropoffs at 4 + sqrt 2, 5 + 2 sqrt 2 and 4
+    assert sol.objective.excess == pytest.approx(13.0 + 3.0 * math.sqrt(2))
 
 
 # ---------------------------------------------------------------------------
@@ -529,6 +554,24 @@ def test_validate_length_mismatch(pooling_instance):
     assert "pairing" in report.kinds()
 
 
+def test_validate_coverage_unknown_request(pooling_instance):
+    # request 3 relabelled as 0
+    sol = _solution([[(1, P), (2, P), (1, D), (2, D)], [(0, P), (0, D)]],
+                    [TIMES_A, TIMES_B])
+    report = validate_solution(pooling_instance, sol)
+    assert report.kinds() == {"coverage"}
+    assert [v.stop for v in report.violations] == [0, 1]
+
+
+def test_validate_coverage_accepted_not_served(pooling_instance):
+    sol = Solution(tours=(), schedule=Schedule(times=(), excess={},
+                                               makespans=()),
+                   accepted=frozenset({1, 2, 3}), objective=None)
+    report = validate_solution(pooling_instance, sol)
+    assert report.kinds() == {"coverage"}
+    assert report.violations[0].magnitude == 3.0
+
+
 # ---------------------------------------------------------------------------
 # solution JSON
 # ---------------------------------------------------------------------------
@@ -540,9 +583,10 @@ def test_solution_json_round_trip(gen_instances):
     again = solution_from_json(text, inst)
     assert again.tours == sol.tours
     assert again.times == sol.times
+    assert again.schedule.excess == sol.schedule.excess
+    assert again.schedule.makespans == sol.schedule.makespans
     assert again.accepted == sol.accepted
     assert again.objective.total == pytest.approx(sol.objective.total)
-    assert again.schedule.excess == pytest.approx(sol.schedule.excess)
     doc = json.loads(text)
     assert doc["objective"]["f_c"] == pytest.approx(sol.objective.cost)
 
