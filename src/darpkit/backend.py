@@ -57,79 +57,83 @@ def parse_mps(text: str) -> ParsedMip:
 
     section = None
     in_integer = False
-    for raw in text.splitlines():
-        if not raw.strip() or raw.lstrip().startswith("*"):
-            continue
-        if raw[0] not in " \t":
-            fields = raw.split()
-            section = fields[0].upper()
-            if section == "NAME" and len(fields) > 1:
-                name = fields[1]
-            if section == "OBJSENSE" and len(fields) > 1:
-                minimize = fields[1].upper() != "MAX"
-            continue
-        fields = raw.split()
-        if section == "OBJSENSE":
-            minimize = fields[0].upper() != "MAX"
-        elif section == "ROWS":
-            sense, row = fields[0].upper(), fields[1]
-            if sense == "N":
-                if obj_row is None:
-                    obj_row = row
-            elif sense in ("E", "L", "G"):
-                row_sense[row] = sense
-                row_order.append(row)
-            else:
-                raise ParseError(f"unknown row sense {sense!r}")
-        elif section == "COLUMNS":
-            if len(fields) >= 3 and fields[1].strip("'").upper() == "MARKER":
-                flag = fields[2].strip("'").upper()
-                in_integer = flag == "INTORG"
+    try:
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            if not raw.strip() or raw.lstrip().startswith("*"):
                 continue
-            col = fields[0]
-            if col not in col_index:
-                col_index[col] = len(col_names)
-                col_names.append(col)
-            j = col_index[col]
-            if in_integer:
-                integer_cols.add(j)
-            pairs = fields[1:]
-            if len(pairs) % 2:
-                raise ParseError(f"odd COLUMNS entry count for {col}")
-            for pos in range(0, len(pairs), 2):
-                row, val = pairs[pos], float(pairs[pos + 1])
-                if row == obj_row:
-                    obj_coefs[j] = obj_coefs.get(j, 0.0) + val
-                elif row in row_sense:
-                    key = (j, row)
-                    entries[key] = entries.get(key, 0.0) + val
+            if raw[0] not in " \t":
+                fields = raw.split()
+                section = fields[0].upper()
+                if section == "NAME" and len(fields) > 1:
+                    name = fields[1]
+                if section == "OBJSENSE" and len(fields) > 1:
+                    minimize = fields[1].upper() != "MAX"
+                continue
+            fields = raw.split()
+            if section == "OBJSENSE":
+                minimize = fields[0].upper() != "MAX"
+            elif section == "ROWS":
+                sense, row = fields[0].upper(), fields[1]
+                if sense == "N":
+                    if obj_row is None:
+                        obj_row = row
+                elif sense in ("E", "L", "G"):
+                    row_sense[row] = sense
+                    row_order.append(row)
                 else:
-                    raise ParseError(f"COLUMNS references unknown row {row}")
-        elif section == "RHS":
-            pairs = fields[1:]
-            if len(pairs) % 2:
-                raise ParseError("odd RHS entry count")
-            for pos in range(0, len(pairs), 2):
-                row, val = pairs[pos], float(pairs[pos + 1])
-                if row == obj_row:
-                    obj_rhs = val
-                elif row in row_sense:
-                    rhs[row] = val
-                else:
-                    raise ParseError(f"RHS references unknown row {row}")
-        elif section == "RANGES":
-            pairs = fields[1:]
-            for pos in range(0, len(pairs), 2):
-                ranges[pairs[pos]] = float(pairs[pos + 1])
-        elif section == "BOUNDS":
-            btype = fields[0].upper()
-            col = fields[2]
-            val = float(fields[3]) if len(fields) > 3 else None
-            bounds.append((btype, col, val))
-        elif section == "ENDATA":
-            break
-        elif section is None:
-            raise ParseError("MPS data before any section header")
+                    raise ParseError(f"unknown row sense {sense!r}")
+            elif section == "COLUMNS":
+                if len(fields) >= 3 and fields[1].strip("'").upper() == "MARKER":
+                    flag = fields[2].strip("'").upper()
+                    in_integer = flag == "INTORG"
+                    continue
+                col = fields[0]
+                if col not in col_index:
+                    col_index[col] = len(col_names)
+                    col_names.append(col)
+                j = col_index[col]
+                if in_integer:
+                    integer_cols.add(j)
+                pairs = fields[1:]
+                if len(pairs) % 2:
+                    raise ParseError(f"odd COLUMNS entry count for {col}")
+                for pos in range(0, len(pairs), 2):
+                    row, val = pairs[pos], float(pairs[pos + 1])
+                    if row == obj_row:
+                        obj_coefs[j] = obj_coefs.get(j, 0.0) + val
+                    elif row in row_sense:
+                        key = (j, row)
+                        entries[key] = entries.get(key, 0.0) + val
+                    else:
+                        raise ParseError(f"COLUMNS references unknown row {row}")
+            elif section == "RHS":
+                pairs = fields[1:]
+                if len(pairs) % 2:
+                    raise ParseError("odd RHS entry count")
+                for pos in range(0, len(pairs), 2):
+                    row, val = pairs[pos], float(pairs[pos + 1])
+                    if row == obj_row:
+                        obj_rhs = val
+                    elif row in row_sense:
+                        rhs[row] = val
+                    else:
+                        raise ParseError(f"RHS references unknown row {row}")
+            elif section == "RANGES":
+                pairs = fields[1:]
+                for pos in range(0, len(pairs), 2):
+                    ranges[pairs[pos]] = float(pairs[pos + 1])
+            elif section == "BOUNDS":
+                btype = fields[0].upper()
+                col = fields[2]
+                val = float(fields[3]) if len(fields) > 3 else None
+                bounds.append((btype, col, val))
+            elif section == "ENDATA":
+                break
+            elif section is None:
+                raise ParseError("MPS data before any section header")
+    except (IndexError, ValueError):
+        # a missing field or a non-numeric value
+        raise ParseError(f"malformed MPS line {lineno}: {raw.strip()!r}") from None
     if obj_row is None:
         raise ParseError("MPS file declares no objective row")
 
@@ -191,7 +195,7 @@ def parse_mps(text: str) -> ParsedMip:
 
 @dataclass
 class MilpResult:
-    status: str                  # optimal | infeasible | unbounded | unknown
+    status: str                  # optimal | time_limit | infeasible | unbounded | unknown
     objective: float | None
     assignment: dict[str, float]
 
@@ -229,6 +233,8 @@ def solve_mip(mip: ParsedMip, time_limit: float | None = None,
         options=options)
     if res.status == 0:
         status = "optimal"
+    elif res.status == 1:
+        status = "time_limit"
     elif res.status == 2:
         status = "infeasible"
     elif res.status == 3:

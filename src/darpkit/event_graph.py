@@ -24,11 +24,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DataError
-from .instance import Instance
-
-DEPOT = "depot"
-PICKUP = "pickup"
-DROPOFF = "dropoff"
+from .instance import DEPOT, DROPOFF, PICKUP, Instance
 
 PICKUP_DROPOFF = 1
 PICKUP_PICKUP = 2
@@ -89,7 +85,6 @@ class EventGraph:
         self.locations: tuple[int, ...] = tuple(locations)
         self.arcs: tuple[EventArc, ...] = tuple(arcs)
         self.depot_node = 0
-        self.node_index = {node: v for v, node in enumerate(self.nodes)}
         n = inst.n
         self.pickup_nodes = {i: [] for i in range(1, n + 1)}
         self.dropoff_nodes = {i: [] for i in range(1, n + 1)}

@@ -19,13 +19,20 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Mapping
+
+import numpy as np
 
 from .errors import DataError, ParseError
 
 INBOUND = "inbound"
 OUTBOUND = "outbound"
+
+#: event kinds; a stop is a (request id, PICKUP | DROPOFF) pair
+DEPOT = "depot"
+PICKUP = "pickup"
+DROPOFF = "dropoff"
 
 #: fleet sizes used by the synthetic generator, keyed by (capacity, n)
 FLEET_SIZES = {
@@ -39,16 +46,19 @@ class TravelMetric:
     """Pairwise travel costs and travel times between location ids.
 
     Exactly one of ``coords`` / (``cost_matrix``, ``time_matrix``) must be
-    given.  With coordinates the cost between two locations is their
-    Euclidean distance and the travel time is ``time_factor`` times the
-    cost.  Matrices are indexed directly by location id and carry times
-    verbatim.
+    given, covering location ids 0..m-1.  With coordinates the cost
+    between two locations is their Euclidean distance and the travel time
+    is ``time_factor`` times the cost.  Matrices are indexed directly by
+    location id and carry times verbatim.  Both sources are turned into
+    one cost table and one time table when the metric is built.
     """
 
     coords: Mapping[int, tuple[float, float]] | None = None
     cost_matrix: tuple[tuple[float, ...], ...] | None = None
     time_matrix: tuple[tuple[float, ...], ...] | None = None
     time_factor: float = 1.0
+    _cost: dict = field(init=False, repr=False, compare=False)
+    _time: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         has_coords = self.coords is not None
@@ -62,45 +72,48 @@ class TravelMetric:
                 raise DataError("matrix metric needs both a cost and a time matrix")
             self._check_matrix(self.cost_matrix, "cost")
             self._check_matrix(self.time_matrix, "time")
+            if len(self.cost_matrix) != len(self.time_matrix):
+                raise DataError("cost and time matrices differ in size")
+            cost, time = self.cost_matrix, self.time_matrix
+        else:
+            if sorted(self.coords) != list(range(len(self.coords))):
+                raise DataError("coordinates must cover location ids 0..m-1")
+            pts = [self.coords[a] for a in range(len(self.coords))]
+            cost = [[math.hypot(xa - xb, ya - yb) for xb, yb in pts] for xa, ya in pts]
+            time = [[self.time_factor * c for c in row] for row in cost]
+        # {a: {b: value}}: a missing key is an unknown id, negative ones included
+        for name, table in (("_cost", cost), ("_time", time)):
+            object.__setattr__(self, name, {a: dict(enumerate(row))
+                                            for a, row in enumerate(table)})
 
     @staticmethod
     def _check_matrix(mat, label):
         m = len(mat)
         if any(len(row) != m for row in mat):
             raise DataError(f"{label} matrix is not square")
-        for i in range(m):
-            for j in range(m):
-                if mat[i][j] < 0:
-                    raise DataError(f"negative {label} entry at ({i}, {j})")
-        # triangle inequality, direct connections never lose
-        for i in range(m):
-            for j in range(m):
-                for k in range(m):
-                    if mat[i][k] > mat[i][j] + mat[j][k] + 1e-9:
-                        raise DataError(
-                            f"{label} matrix violates the triangle inequality "
-                            f"on ({i}, {j}, {k})")
+        arr = np.array(mat, dtype=float).reshape(m, m)
+        neg = np.argwhere(arr < 0)
+        if len(neg):
+            raise DataError(f"negative {label} entry at ({neg[0][0]}, {neg[0][1]})")
+        # triangle inequality, direct connections never lose:
+        # bad[i, j, k] is arr[i, k] > arr[i, j] + arr[j, k] + 1e-9
+        bad = np.argwhere(arr[:, None, :] > arr[:, :, None] + arr[None, :, :] + 1e-9)
+        if len(bad):
+            i, j, k = bad[0]
+            raise DataError(
+                f"{label} matrix violates the triangle inequality on ({i}, {j}, {k})")
 
     def cost(self, a: int, b: int) -> float:
-        if self.coords is not None:
-            try:
-                xa, ya = self.coords[a]
-                xb, yb = self.coords[b]
-            except KeyError as exc:
-                raise DataError(f"unknown location id {exc.args[0]}") from None
-            return math.hypot(xa - xb, ya - yb)
         try:
-            return self.cost_matrix[a][b]
-        except IndexError:
-            raise DataError(f"unknown location id {a if a >= len(self.cost_matrix) else b}") from None
+            return self._cost[a][b]
+        except KeyError as exc:
+            raise DataError(f"unknown location id {exc.args[0]}") from None
 
     def time(self, a: int, b: int) -> float:
-        if self.coords is not None:
-            return self.time_factor * self.cost(a, b)
         try:
-            return self.time_matrix[a][b]
-        except IndexError:
-            raise DataError(f"unknown location id {a if a >= len(self.time_matrix) else b}") from None
+            return self._time[a][b]
+        except KeyError as exc:
+            raise DataError(f"unknown location id {exc.args[0]}") from None
 
 
 @dataclass(frozen=True)
@@ -116,7 +129,6 @@ class Request:
     dropoff_window: tuple[float, float]
     max_ride: float
     direction: str | None = None     # set by tighten_time_windows
-    direct_time: float | None = None  # cached pickup->dropoff travel time
 
     def __post_init__(self):
         if self.q < 1:
@@ -137,6 +149,9 @@ class Instance:
     """A complete dial-a-ride instance.
 
     Locations are numbered 0 (depot), 1..n (pickups), n+1..2n (dropoffs).
+    ``windows`` and ``service`` give every location's time window and
+    service duration (the depot's window is the depot window, its service
+    0); :meth:`location` maps a stop to its location.
     """
 
     name: str
@@ -146,8 +161,12 @@ class Instance:
     depot_loc: int
     depot_window: tuple[float, float]
     metric: TravelMetric
+    windows: tuple[tuple[float, float], ...] = field(init=False, repr=False, compare=False)
+    service: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.depot_loc != 0:
+            raise DataError(f"depot must be location 0, got {self.depot_loc}")
         if self.fleet_size < 1:
             raise DataError("fleet size must be at least 1")
         if self.capacity < 1:
@@ -165,6 +184,11 @@ class Instance:
             if req.pickup_loc != pos or req.dropoff_loc != n + pos:
                 raise DataError(
                     f"request {req.id}: locations must follow the 0/1..n/n+1..2n scheme")
+        reqs = self.requests
+        object.__setattr__(self, "windows", (self.depot_window,)
+                           + tuple(r.pickup_window for r in reqs)
+                           + tuple(r.dropoff_window for r in reqs))
+        object.__setattr__(self, "service", (0.0,) + tuple(r.s for r in reqs) * 2)
 
     @property
     def n(self) -> int:
@@ -181,6 +205,11 @@ class Instance:
             raise DataError(f"unknown request id {i}; ids run 1..{self.n}")
         return self.requests[i - 1]
 
+    def location(self, rid: int, kind: str) -> int:
+        """Location of request ``rid``'s pickup, or else its dropoff, stop."""
+        req = self.request(rid)
+        return req.pickup_loc if kind == PICKUP else req.dropoff_loc
+
 
 # ---------------------------------------------------------------------------
 # benchmark text format
@@ -195,7 +224,7 @@ def _num(tok: str, what: str) -> float:
 
 def _int(tok: str, what: str) -> int:
     val = _num(tok, what)
-    if val != int(val):
+    if not val.is_integer():    # also rejects inf and nan
         raise ParseError(f"{what} must be an integer, got {tok!r}")
     return int(val)
 
@@ -307,8 +336,7 @@ def tighten_time_windows(inst: Instance) -> Instance:
 
         e_pick = e_drop - L - s,          l_pick = l_drop - t_direct - s.
 
-    Both windows are then clipped to the depot window.  The direct travel
-    time of each request is cached on the request.  The operation is
+    Both windows are then clipped to the depot window.  The operation is
     idempotent.
     """
     e0, l0 = inst.depot_window
@@ -338,8 +366,7 @@ def tighten_time_windows(inst: Instance) -> Instance:
             raise DataError(
                 f"request {req.id}: window empty after tightening and clipping")
         out.append(replace(
-            req, pickup_window=pickup, dropoff_window=dropoff,
-            direction=direction, direct_time=t_direct))
+            req, pickup_window=pickup, dropoff_window=dropoff, direction=direction))
     return replace(inst, requests=tuple(out))
 
 
@@ -495,7 +522,7 @@ def instance_from_json(text: str) -> Instance:
                 dropoff_window=(float(r["dropoff"]["e"]), float(r["dropoff"]["l"])),
                 max_ride=float(r["max_ride"]),
                 direction=r.get("direction")))
-        inst = Instance(
+        return Instance(
             name=str(doc.get("name", "instance")),
             requests=tuple(requests),
             fleet_size=int(doc["fleet_size"]),
@@ -503,11 +530,5 @@ def instance_from_json(text: str) -> Instance:
             depot_loc=int(doc["depot"]["location"]),
             depot_window=(float(doc["depot"]["e"]), float(doc["depot"]["l"])),
             metric=metric)
-    except (KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ParseError(f"instance JSON is missing or mistypes a field: {exc}") from None
-    # re-cache direct travel times for classified requests
-    fixed = tuple(
-        replace(r, direct_time=metric.time(r.pickup_loc, r.dropoff_loc))
-        if r.direction is not None else r
-        for r in inst.requests)
-    return replace(inst, requests=fixed)

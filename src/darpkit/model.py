@@ -33,12 +33,11 @@ from dataclasses import dataclass, replace
 
 from .errors import DataError
 from .event_graph import (
-    DEPOT, PICKUP,
     DROPOFF_DROPOFF, DROPOFF_PICKUP, LEAVE_DEPOT, PICKUP_DROPOFF,
     PICKUP_PICKUP, RETURN_DEPOT,
     EventGraph,
 )
-from .instance import INBOUND
+from .instance import DEPOT, INBOUND, PICKUP
 
 MODEL2 = "model2"
 MODEL3 = "model3"
@@ -66,6 +65,12 @@ _WEIGHTS = {
 }
 
 _TRAVEL_CLASSES = (PICKUP_DROPOFF, PICKUP_PICKUP, DROPOFF_PICKUP, DROPOFF_DROPOFF)
+
+# census keys: variable kinds and row families, in report order
+_VAR_KINDS = ("x", "p", "B", "d", "dmax")
+_ROW_FAMILIES = ("flow", "serve", "fleet", "travel_link", "depot_depart",
+                 "depot_return", "ride_time", "window_activation", "excess",
+                 "excess_max")
 
 
 @dataclass(frozen=True)
@@ -156,33 +161,19 @@ class BigM:
     link: dict[int, float]
 
 
-def _node_window(graph: EventGraph, v: int) -> tuple[float, float]:
-    node = graph.nodes[v]
-    if node.kind == DEPOT:
-        return graph.inst.depot_window
-    req = graph.inst.request(node.request)
-    return req.pickup_window if node.kind == PICKUP else req.dropoff_window
-
-
-def _node_service(graph: EventGraph, v: int) -> float:
-    node = graph.nodes[v]
-    if node.kind == DEPOT:
-        return 0.0
-    return graph.inst.request(node.request).s
-
-
 def compute_big_m(graph: EventGraph) -> BigM:
     """Exact big-M values from windows, services and arc travel times."""
+    inst = graph.inst
     ride = {}
-    for req in graph.inst.requests:
+    for req in inst.requests:
         ride[req.id] = max(
             0.0,
             req.dropoff_window[1] - req.pickup_window[0] - req.max_ride - req.s)
     link = {}
     for a, arc in enumerate(graph.arcs):
-        l_tail = _node_window(graph, arc.tail)[1]
-        e_head = _node_window(graph, arc.head)[0]
-        link[a] = max(0.0, l_tail - e_head + _node_service(graph, arc.tail) + arc.time)
+        tail, head = graph.locations[arc.tail], graph.locations[arc.head]
+        link[a] = max(0.0, inst.windows[tail][1] - inst.windows[head][0]
+                      + inst.service[tail] + arc.time)
     return BigM(ride=ride, link=link)
 
 
@@ -215,20 +206,20 @@ class MilpModel:
         self.allow_denial = allow_denial
         self.name = f"{graph.inst.name}.{variant}.{objective.variant}"
         self.vars: list[Var] = []
-        self.var_index: dict[str, int] = {}
         self.rows: list[Row] = []
         self.obj_terms: list = []
         self.obj_constant = 0.0
         self.big_m: BigM | None = None
-        self.census: dict = {}
+        self.census: dict = {"variables": dict.fromkeys(_VAR_KINDS, 0),
+                             "rows": dict.fromkeys(_ROW_FAMILIES, 0)}
 
     def add_var(self, name, kind, ref, lb, ub, integer) -> int:
-        idx = len(self.vars)
+        self.census["variables"][kind] += 1
         self.vars.append(Var(name, kind, ref, lb, ub, integer))
-        self.var_index[name] = idx
-        return idx
+        return len(self.vars) - 1
 
-    def add_row(self, name, sense, rhs, terms):
+    def add_row(self, family, name, sense, rhs, terms):
+        self.census["rows"][family] += 1
         self.rows.append(Row(name, sense, rhs, terms))
 
     def objective_value(self, values: dict[str, float]) -> float:
@@ -267,9 +258,10 @@ def build_model(graph: EventGraph, variant: str,
     if allow_denial:
         p = {r.id: model.add_var(f"p_{r.id}", "p", r.id, 0.0, 1.0, True)
              for r in inst.requests}
+    locs = graph.locations
     B = []
     for v in range(graph.node_count):
-        e, l = _node_window(graph, v)
+        e, l = inst.windows[locs[v]]
         if variant == MODEL2 or graph.nodes[v].kind == DEPOT:
             lb, ub = e, l
         elif graph.nodes[v].kind == PICKUP:
@@ -289,7 +281,7 @@ def build_model(graph: EventGraph, variant: str,
     for v in range(graph.node_count):
         terms = [(x[a], 1.0) for a in graph.in_arcs[v]]
         terms += [(x[a], -1.0) for a in graph.out_arcs[v]]
-        model.add_row(f"flow_{v}", "E", 0.0, terms)
+        model.add_row("flow", f"flow_{v}", "E", 0.0, terms)
 
     # each request is served exactly once (or acceptance decides)
     for req in inst.requests:
@@ -297,61 +289,57 @@ def build_model(graph: EventGraph, variant: str,
                  for v in graph.pickup_nodes[req.id]
                  for a in graph.in_arcs[v]]
         if allow_denial:
-            model.add_row(f"serve_{req.id}", "E", 0.0, terms + [(p[req.id], -1.0)])
+            model.add_row("serve", f"serve_{req.id}", "E", 0.0,
+                          terms + [(p[req.id], -1.0)])
         else:
-            model.add_row(f"serve_{req.id}", "E", 1.0, terms)
+            model.add_row("serve", f"serve_{req.id}", "E", 1.0, terms)
 
     # at most |K| vehicles leave the depot
-    model.add_row("fleet", "L", float(inst.fleet_size),
+    model.add_row("fleet", "fleet", "L", float(inst.fleet_size),
                   [(x[a], 1.0) for a in graph.out_arcs[graph.depot_node]])
 
     # consecutive times along a used travel arc:  B_head >= B_tail + s + t
-    n_travel = 0
     for a, arc in enumerate(graph.arcs):
         if arc.cls not in _TRAVEL_CLASSES:
             continue
-        n_travel += 1
         mm = m.link[a]
-        s_tail = _node_service(graph, arc.tail)
+        s_tail = inst.service[locs[arc.tail]]
         model.add_row(
-            f"tt_{a}", "L", mm - s_tail - arc.time,
+            "travel_link", f"tt_{a}", "L", mm - s_tail - arc.time,
             [(B[arc.tail], 1.0), (B[arc.head], -1.0), (x[a], mm)])
 
     # tours start no earlier than the depot opens and end before it closes
+    e0, l0 = inst.depot_window
     for a, arc in enumerate(graph.arcs):
-        e0, l0 = inst.depot_window
         if arc.cls == LEAVE_DEPOT:
             model.add_row(
-                f"dep_{a}", "G", e0 + arc.time - m.link[a],
+                "depot_depart", f"dep_{a}", "G", e0 + arc.time - m.link[a],
                 [(B[arc.head], 1.0), (x[a], -m.link[a])])
         elif arc.cls == RETURN_DEPOT:
-            s_tail = _node_service(graph, arc.tail)
+            s_tail = inst.service[locs[arc.tail]]
             model.add_row(
-                f"ret_{a}", "L", l0 - s_tail - arc.time + m.link[a],
+                "depot_return", f"ret_{a}", "L", l0 - s_tail - arc.time + m.link[a],
                 [(B[arc.tail], 1.0), (x[a], m.link[a])])
 
     # ride-time coupling of every pickup/dropoff state pair per request
-    n_ride = 0
     for req in inst.requests:
         mi = m.ride[req.id]
         limit = req.max_ride + req.s
         for v in graph.pickup_nodes[req.id]:
             in_v = [(x[a], mi) for a in graph.in_arcs[v]]
             for w in graph.dropoff_nodes[req.id]:
-                n_ride += 1
                 if variant == MODEL2:
                     terms = [(B[w], 1.0), (B[v], -1.0)]
                     terms += in_v
                     terms += [(x[a], mi) for a in graph.in_arcs[w]]
-                    model.add_row(f"ride_{req.id}_{v}_{w}", "L",
+                    model.add_row("ride_time", f"ride_{req.id}_{v}_{w}", "L",
                                   limit + 2.0 * mi, terms)
                 else:
-                    model.add_row(f"ride_{req.id}_{v}_{w}", "L", limit,
+                    model.add_row("ride_time", f"ride_{req.id}_{v}_{w}", "L", limit,
                                   [(B[w], 1.0), (B[v], -1.0)])
 
     # activation-dependent windows; the width of the user-specified
     # window relaxes the bound for inactive nodes
-    n_window = 0
     if variant == MODEL3:
         for req in inst.requests:
             if req.direction == INBOUND:
@@ -360,27 +348,23 @@ def build_model(graph: EventGraph, variant: str,
                 width = req.dropoff_window[1] - req.dropoff_window[0]
             ep = req.pickup_window[0]
             for v in graph.pickup_nodes[req.id]:
-                n_window += 1
                 terms = [(B[v], 1.0)] + [(x[a], width) for a in graph.in_arcs[v]]
-                model.add_row(f"wlo_{v}", "G", ep + width, terms)
+                model.add_row("window_activation", f"wlo_{v}", "G", ep + width, terms)
             cap = ep + req.max_ride + req.s
             for w in graph.dropoff_nodes[req.id]:
-                n_window += 1
                 terms = [(B[w], 1.0)] + [(x[a], -width) for a in graph.in_arcs[w]]
-                model.add_row(f"wup_{w}", "L", cap, terms)
+                model.add_row("window_activation", f"wup_{w}", "L", cap, terms)
 
     # dropoff excess per request, over every dropoff state of the request
-    n_excess = 0
     if obj.needs_excess:
         for req in inst.requests:
             ed = req.dropoff_window[0]
             for w in graph.dropoff_nodes[req.id]:
-                n_excess += 1
-                model.add_row(f"ex_{req.id}_{w}", "G", -ed,
+                model.add_row("excess", f"ex_{req.id}_{w}", "G", -ed,
                               [(d[req.id], 1.0), (B[w], -1.0)])
     if obj.needs_max_excess:
         for req in inst.requests:
-            model.add_row(f"dmx_{req.id}", "G", 0.0,
+            model.add_row("excess_max", f"dmx_{req.id}", "G", 0.0,
                           [(dmax, 1.0), (d[req.id], -1.0)])
 
     # objective; zero-weight components contribute no terms
@@ -397,27 +381,6 @@ def build_model(graph: EventGraph, variant: str,
         model.obj_constant = w_denied * n
     model.obj_terms = terms
 
-    model.census = {
-        "variables": {
-            "x": graph.arc_count,
-            "p": len(p),
-            "B": graph.node_count,
-            "d": len(d),
-            "dmax": 0 if dmax is None else 1,
-        },
-        "rows": {
-            "flow": graph.node_count,
-            "serve": n,
-            "fleet": 1,
-            "travel_link": n_travel,
-            "depot_depart": graph.class_counts[LEAVE_DEPOT],
-            "depot_return": graph.class_counts[RETURN_DEPOT],
-            "ride_time": n_ride,
-            "window_activation": n_window,
-            "excess": n_excess,
-            "excess_max": n if obj.needs_max_excess else 0,
-        },
-    }
     return model
 
 

@@ -28,8 +28,7 @@ from itertools import product
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DataError, InfeasibleError, ParseError, SolutionError
-from .event_graph import DROPOFF, PICKUP
-from .instance import Instance
+from .instance import DROPOFF, PICKUP, Instance
 from .model import MilpModel, ObjectiveSpec, ObjectiveValue, combine_components
 
 Stop = tuple[int, str]
@@ -80,16 +79,6 @@ class ValidationReport:
 # schedules
 # ---------------------------------------------------------------------------
 
-def _stop_location(inst: Instance, stop: Stop) -> int:
-    req = inst.request(stop[0])
-    return req.pickup_loc if stop[1] == PICKUP else req.dropoff_loc
-
-
-def _stop_window(inst: Instance, stop: Stop) -> tuple[float, float]:
-    req = inst.request(stop[0])
-    return req.pickup_window if stop[1] == PICKUP else req.dropoff_window
-
-
 def _tour_times(stops: Sequence[Stop], inst: Instance,
                 complete: bool = True) -> list[float] | None:
     """Componentwise-minimal feasible service starts, or None.
@@ -105,13 +94,12 @@ def _tour_times(stops: Sequence[Stop], inst: Instance,
     if m == 0:
         return []
     e0, l0 = inst.depot_window
-    locs = [_stop_location(inst, st) for st in stops]
-    wins = [_stop_window(inst, st) for st in stops]
-    svc = [inst.request(st[0]).s for st in stops]
+    locs = [inst.location(*st) for st in stops]
+    svc = [inst.service[loc] for loc in locs]
 
-    lower = [w[0] for w in wins]
+    lower = [inst.windows[loc][0] for loc in locs]
     lower[0] = max(lower[0], e0 + inst.metric.time(inst.depot_loc, locs[0]))
-    upper = [w[1] for w in wins]
+    upper = [inst.windows[loc][1] for loc in locs]
     if complete:
         upper[-1] = min(
             upper[-1],
@@ -177,7 +165,7 @@ def _tour_cost(stops: Sequence[Stop], inst: Instance) -> float:
     cost = 0.0
     prev = inst.depot_loc
     for stop in stops:
-        loc = _stop_location(inst, stop)
+        loc = inst.location(*stop)
         cost += inst.metric.cost(prev, loc)
         prev = loc
     return cost + inst.metric.cost(prev, inst.depot_loc)
@@ -187,10 +175,9 @@ def _tour_makespan(stops: Sequence[Stop], times: Sequence[float],
                    inst: Instance) -> float:
     if not stops:
         return 0.0
-    depart = times[0] - inst.metric.time(inst.depot_loc, _stop_location(inst, stops[0]))
-    last = inst.request(stops[-1][0])
-    ret = times[-1] + last.s + inst.metric.time(_stop_location(inst, stops[-1]),
-                                                inst.depot_loc)
+    depart = times[0] - inst.metric.time(inst.depot_loc, inst.location(*stops[0]))
+    last = inst.location(*stops[-1])
+    ret = times[-1] + inst.service[last] + inst.metric.time(last, inst.depot_loc)
     return ret - depart
 
 
@@ -540,6 +527,7 @@ def validate_solution(inst: Instance, sol: Solution,
         pick_time: dict[int, float] = {}
         for k, ((rid, kind), when) in enumerate(zip(tour, ts)):
             req = inst.request(rid)
+            loc = inst.location(rid, kind)
             if kind == PICKUP:
                 if state.get(rid) is not None:
                     flag("pairing", t, k, 1.0, f"request {rid} picked up twice")
@@ -563,7 +551,7 @@ def validate_solution(inst: Instance, sol: Solution,
                         flag("ride_time", t, k, ride - req.max_ride,
                              f"request {rid} rides {ride:.3f}, limit {req.max_ride:.3f}")
                 state[rid] = "off"
-            e, l = _stop_window(inst, (rid, kind))
+            e, l = inst.windows[loc]
             if when < e - tol:
                 flag("window", t, k, e - when,
                      f"stop starts {e - when:.3f} before its window")
@@ -574,23 +562,21 @@ def validate_solution(inst: Instance, sol: Solution,
         for rid in dangling:
             flag("pairing", t, None, 1.0, f"request {rid} is never dropped off")
         # consecutive stops must respect service plus travel separation
+        locs = [inst.location(*stop) for stop in tour]
         for k in range(len(tour) - 1):
-            a, b = tour[k], tour[k + 1]
-            gap = inst.request(a[0]).s + inst.metric.time(
-                _stop_location(inst, a), _stop_location(inst, b))
+            a, b = locs[k], locs[k + 1]
+            gap = inst.service[a] + inst.metric.time(a, b)
             short = ts[k] + gap - ts[k + 1]
             if short > tol:
                 flag("precedence", t, k + 1, short,
                      f"stop starts {short:.3f} too early for travel and service")
         if tour:
-            depart = ts[0] - inst.metric.time(inst.depot_loc,
-                                              _stop_location(inst, tour[0]))
+            depart = ts[0] - inst.metric.time(inst.depot_loc, locs[0])
             if depart < e0 - tol:
                 flag("duration", t, 0, e0 - depart,
                      f"tour departs {e0 - depart:.3f} before the depot opens")
-            last = inst.request(tour[-1][0])
-            ret = ts[-1] + last.s + inst.metric.time(
-                _stop_location(inst, tour[-1]), inst.depot_loc)
+            ret = ts[-1] + inst.service[locs[-1]] + inst.metric.time(
+                locs[-1], inst.depot_loc)
             if ret > l0 + tol:
                 flag("duration", t, len(tour) - 1, ret - l0,
                      f"tour returns {ret - l0:.3f} after the depot closes")
@@ -632,7 +618,7 @@ def solution_from_json(text: str, inst: Instance) -> Solution:
             excess=float(doc["objective"]["f_e"]),
             max_excess=float(doc["objective"]["f_emax"]),
             denied=int(doc["objective"]["f_n"]))
-    except (KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ParseError(f"solution JSON is missing or mistypes a field: {exc}") from None
     return Solution(tours=tuple(tours), schedule=_schedule(tours, times, inst),
                     accepted=accepted, objective=objective)

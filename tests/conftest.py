@@ -5,7 +5,7 @@ from darpkit import (
     generate_synthetic,
 )
 
-from helpers import line_instance
+from helpers import TINY_CORDEAU_TEXT, line_instance
 
 
 @pytest.fixture(scope="session")
@@ -23,8 +23,7 @@ def pooling_instance() -> Instance:
         reqs.append(Request(
             id=i, pickup_loc=i, dropoff_loc=i + 3, q=q, s=1.0,
             pickup_window=(0.0, 100.0), dropoff_window=(0.0, 100.0),
-            max_ride=30.0, direction=INBOUND,
-            direct_time=metric.time(i, i + 3)))
+            max_ride=30.0, direction=INBOUND))
     return Instance(name="pooling", requests=tuple(reqs), fleet_size=2,
                     capacity=3, depot_loc=0, depot_window=(0.0, 200.0),
                     metric=metric)
@@ -60,11 +59,4 @@ def gen_instances() -> list[Instance]:
 
 @pytest.fixture()
 def tiny_cordeau_text() -> str:
-    return "\n".join([
-        "2 4 480 3 30",
-        "0 0.0 0.0 0 0 0 480",
-        "1 1.0 2.0 3 1 100 115",
-        "2 -1.0 3.0 3 1 0 480",
-        "3 2.0 -1.0 3 -1 0 480",
-        "4 0.5 4.0 3 -1 200 215",
-    ]) + "\n"
+    return TINY_CORDEAU_TEXT

@@ -12,6 +12,16 @@ from darpkit import INBOUND, Instance, Request, TravelMetric
 PICK = "pickup"
 DROP = "dropoff"
 
+# two requests in the classic text format: request 1 inbound, 2 outbound
+TINY_CORDEAU_TEXT = """\
+2 4 480 3 30
+0 0.0 0.0 0 0 0 480
+1 1.0 2.0 3 1 100 115
+2 -1.0 3.0 3 1 0 480
+3 2.0 -1.0 3 -1 0 480
+4 0.5 4.0 3 -1 200 215
+"""
+
 
 def brute_state_space(loads: dict[int, int], capacity: int):
     """All vehicle states and transitions by exhaustive filtering.
@@ -140,8 +150,7 @@ def line_instance(name, positions, specs, fleet_size, capacity,
             pickup_window=tuple(float(v) for v in sp["pickup"]),
             dropoff_window=tuple(float(v) for v in sp["dropoff"]),
             max_ride=float(sp["max_ride"]),
-            direction=sp.get("direction", INBOUND),
-            direct_time=float(abs(positions[i] - positions[n + i]))))
+            direction=sp.get("direction", INBOUND)))
     return Instance(name=name, requests=tuple(reqs), fleet_size=fleet_size,
                     capacity=capacity, depot_loc=0, depot_window=depot_window,
                     metric=metric)
@@ -164,8 +173,7 @@ def ring_instance(n, capacity, loads=None, name=None):
         reqs.append(Request(
             id=i, pickup_loc=i, dropoff_loc=n + i, q=q, s=1.0,
             pickup_window=(0.0, 400.0), dropoff_window=(0.0, 400.0),
-            max_ride=50.0, direction=INBOUND,
-            direct_time=metric.time(i, n + i)))
+            max_ride=50.0, direction=INBOUND))
     return Instance(
         name=name or f"ring-n{n}-q{capacity}", requests=tuple(reqs),
         fleet_size=max(1, n // 2), capacity=capacity, depot_loc=0,

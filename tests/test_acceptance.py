@@ -17,7 +17,7 @@ import pytest
 from darpkit import (
     GeneratorConfig, InfeasibleError, ObjectiveSpec, Schedule, Solution,
     arc_count_closed_form, build_event_graph, build_model, evaluate_objective,
-    generate_synthetic, import_solution, max_acceptance, minimal_schedule,
+    generate_synthetic, import_solution, max_acceptance,
     node_count_closed_form, oracle_solve, parse_cordeau, parse_mps, solve_mip,
     tighten_time_windows, validate_solution, write_mps,
 )
@@ -92,25 +92,8 @@ class SolvedInstance:
     inst: object
     oracle: dict = field(default_factory=dict)       # objective -> Solution
     reported: dict = field(default_factory=dict)     # (variant, objective) -> solver float
-    exact: dict = field(default_factory=dict)        # (variant, objective) -> exact optimum
+    exact: dict = field(default_factory=dict)        # (variant, objective) -> re-timed total
     decoded: dict = field(default_factory=dict)      # (variant, objective) -> Solution
-
-
-def _exact_total(inst, decoded, objective):
-    """Exact optimum of the solver's chosen tours.
-
-    The binaries are integral, so the combinatorial decision is exact;
-    only the continuous times carry solver tolerance.  Re-deriving the
-    componentwise-minimal schedule removes that noise.
-    """
-    scheds = [minimal_schedule(list(tour), inst) for tour in decoded.tours]
-    assert all(s is not None for s in scheds)
-    sol = Solution(
-        tours=decoded.tours,
-        schedule=Schedule(times=tuple(s.times[0] for s in scheds),
-                          excess={}, makespans=()),
-        accepted=decoded.accepted, objective=None)
-    return evaluate_objective(inst, sol, objective).total
 
 
 @pytest.fixture(scope="module")
@@ -145,7 +128,7 @@ def suite():
                 decoded = import_solution(model, result.assignment)
                 rec.reported[(variant, name)] = result.objective
                 rec.decoded[(variant, name)] = decoded
-                rec.exact[(variant, name)] = _exact_total(inst, decoded, obj)
+                rec.exact[(variant, name)] = decoded.objective.total
         records.append(rec)
     return records
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from darpkit import (
-    DataError, MilpResult, ObjectiveSpec, ParseError, build_event_graph,
-    build_model, oracle_solve, parse_mps, read_assignment, solve_mip,
-    solve_mps_text, write_assignment, write_mps,
+    DataError, GeneratorConfig, MilpResult, ObjectiveSpec, ParseError,
+    build_event_graph, build_model, generate_synthetic, oracle_solve, parse_mps,
+    read_assignment, solve_mip, solve_mps_text, write_assignment, write_mps,
 )
 
 MIN_MPS = """\
@@ -144,6 +144,16 @@ ENDATA
     ((" UP BND       c              4.0", " LO BND       c"),
      "needs a value"),
     ((" N  COST", " E  COST"), "no objective row"),
+    (("    a         link           1.0", "    a         link           one"),
+     "malformed MPS line 11"),
+    (("    RHS       floor          0.5", "    RHS       floor          half"),
+     "malformed MPS line 19"),
+    (("BOUNDS\n", "RANGES\n    RNG       cap            wide\nBOUNDS\n"),
+     "malformed MPS line 21"),
+    ((" UP BND       c              4.0", " UP BND       c              four"),
+     "malformed MPS line 23"),
+    ((" UP BND       c              4.0", " UP BND"), "malformed MPS line 23"),
+    ((" N  COST", " N"), "malformed MPS line 4"),
 ])
 def test_parse_mps_errors(breakage, message):
     old, new = breakage
@@ -209,6 +219,14 @@ def test_solve_infeasible():
     assert result.status == "infeasible"
     assert result.objective is None
     assert result.assignment == {}
+
+
+def test_solve_time_limit_status():
+    inst = generate_synthetic(GeneratorConfig(n=10, capacity=3, seed=1))
+    model = build_model(build_event_graph(inst), "model3")
+    result = solve_mip(parse_mps(write_mps(model)), time_limit=0)
+    assert result.status == "time_limit"
+    assert result.objective is None
 
 
 def test_solve_unbounded():

@@ -5,7 +5,10 @@ from pathlib import Path
 import pytest
 
 from darpkit import cli, instance_from_json, instance_to_json, oracle_solve
-from darpkit import ObjectiveSpec
+from darpkit import (
+    GeneratorConfig, ObjectiveSpec, build_event_graph, build_model,
+    generate_synthetic, write_mps,
+)
 
 from helpers import line_instance
 
@@ -225,6 +228,26 @@ ENDATA
 """)
     assert cli.main(["solve-mps", str(bad)]) == 1
     assert "status: infeasible" in capsys.readouterr().out
+
+
+def test_solve_mps_time_limit(tmp_path, capsys):
+    path = tmp_path / "m.mps"
+    path.write_text(write_mps(build_model(build_event_graph(
+        generate_synthetic(GeneratorConfig(n=10, capacity=3, seed=1))), "model3")))
+    assert cli.main(["solve-mps", str(path), "--time-limit", "0"]) == 1
+    assert "status: time_limit" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, name, text", [
+    ("solve-mps", "bad.mps", "NAME bad\nROWS\n N  obj\n G  r\nCOLUMNS\n"
+                             "    x  obj  1.0  r  one\nENDATA\n"),
+    ("graph", "bad.json", '{"metric": {"coords": {"0": [0, "north"]}}}'),
+])
+def test_malformed_input_exits_2(tmp_path, capsys, command, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    assert cli.main([command, str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_compare_table(tmp_path, instance_file, capsys):

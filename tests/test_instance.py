@@ -1,5 +1,6 @@
 import json
 import math
+import random
 
 import pytest
 
@@ -8,6 +9,7 @@ from darpkit import (
     ParseError, Request, TravelMetric, generate_synthetic, instance_from_json,
     instance_to_json, parse_cordeau, tighten_time_windows,
 )
+from darpkit.instance import DROPOFF, PICKUP
 
 from helpers import line_instance, line_metric
 
@@ -30,6 +32,66 @@ def test_metric_unknown_location():
     m2 = line_metric((0.0, 1.0))
     with pytest.raises(DataError):
         m2.time(0, 5)
+
+
+@pytest.mark.parametrize("metric", [
+    line_metric((0.0, 1.0, 5.0)),
+    TravelMetric(coords={0: (0.0, 0.0), 1: (1.0, 0.0), 2: (5.0, 0.0)}),
+], ids=["matrix", "coords"])
+@pytest.mark.parametrize("a, b", [(-1, 0), (0, -1), (3, 0), (0, 3)])
+def test_metric_rejects_ids_outside_the_table(metric, a, b):
+    with pytest.raises(DataError, match="unknown location"):
+        metric.cost(a, b)
+    with pytest.raises(DataError, match="unknown location"):
+        metric.time(a, b)
+
+
+def test_metric_rejects_coordinates_that_skip_an_id():
+    with pytest.raises(DataError, match="0..m-1"):
+        TravelMetric(coords={0: (0.0, 0.0), 2: (1.0, 0.0)})
+    with pytest.raises(DataError, match="0..m-1"):
+        TravelMetric(coords={1: (0.0, 0.0), 2: (1.0, 0.0)})
+
+
+def test_coordinate_table_matches_the_scalar_formula():
+    inst = generate_synthetic(GeneratorConfig(n=6, capacity=3, seed=4))
+    metric = inst.metric
+    for a, (xa, ya) in metric.coords.items():
+        for b, (xb, yb) in metric.coords.items():
+            cost = math.hypot(xa - xb, ya - yb)
+            assert metric.cost(a, b) == cost
+            assert metric.time(a, b) == metric.time_factor * cost
+
+
+def _first_triangle_violation(mat):
+    """The loop the vectorised triangle check replaced, as a reference."""
+    m = len(mat)
+    for i in range(m):
+        for j in range(m):
+            for k in range(m):
+                if mat[i][k] > mat[i][j] + mat[j][k] + 1e-9:
+                    return (i, j, k)
+    return None
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_triangle_check_names_the_first_violation(seed):
+    rng = random.Random(seed)
+    m = rng.randint(2, 7)
+    mat = tuple(tuple(0.0 if i == j else float(rng.randint(1, 9)) for j in range(m))
+                for i in range(m))
+    first = _first_triangle_violation(mat)
+    if first is None:
+        TravelMetric(cost_matrix=mat, time_matrix=mat)
+        return
+    with pytest.raises(DataError, match="triangle") as exc:
+        TravelMetric(cost_matrix=mat, time_matrix=mat)
+    assert str(exc.value).endswith(f"on {first}")
+
+
+def test_metric_matrices_must_match_in_size():
+    with pytest.raises(DataError, match="differ in size"):
+        TravelMetric(cost_matrix=((0.0, 1.0), (1.0, 0.0)), time_matrix=((0.0,),))
 
 
 def test_metric_needs_exactly_one_source():
@@ -110,6 +172,39 @@ def test_instance_validation():
                  capacity=2, depot_loc=0, depot_window=(0.0, 100.0), metric=metric)
 
 
+@pytest.mark.parametrize("depot_loc", [-1, 1, 2])
+def test_instance_rejects_a_depot_away_from_location_zero(depot_loc):
+    with pytest.raises(DataError, match="depot must be location 0"):
+        Instance(name="a", requests=(_request(),), fleet_size=1, capacity=2,
+                 depot_loc=depot_loc, depot_window=(0.0, 100.0),
+                 metric=line_metric((0.0, 1.0, 2.0)))
+
+
+def test_instance_json_rejects_a_moved_depot():
+    inst = line_instance(
+        "moved", positions=(0.0, 1.0, 3.0),
+        specs=[{"pickup": (0, 10), "dropoff": (0, 20), "max_ride": 9}],
+        fleet_size=1, capacity=1, depot_window=(0.0, 100.0))
+    doc = json.loads(instance_to_json(inst))
+    doc["depot"]["location"] = -1
+    with pytest.raises(DataError, match="depot must be location 0"):
+        instance_from_json(json.dumps(doc))
+
+
+def test_instance_stop_tables(stacked_instance):
+    inst = stacked_instance
+    assert inst.windows[0] == inst.depot_window and inst.service[0] == 0.0
+    for r in inst.requests:
+        assert inst.location(r.id, PICKUP) == r.pickup_loc
+        assert inst.location(r.id, DROPOFF) == r.dropoff_loc
+        assert inst.windows[r.pickup_loc] == r.pickup_window
+        assert inst.windows[r.dropoff_loc] == r.dropoff_window
+        assert inst.service[r.pickup_loc] == inst.service[r.dropoff_loc] == r.s
+    assert len(inst.windows) == len(inst.service) == 2 * inst.n + 1
+    with pytest.raises(DataError, match="unknown request"):
+        inst.location(inst.n + 1, PICKUP)
+
+
 # ---------------------------------------------------------------------------
 # text format
 # ---------------------------------------------------------------------------
@@ -159,6 +254,8 @@ def test_parse_cordeau_explicit_depot_window(tiny_cordeau_text):
     (lambda ls: ls[:4] + ["3 2.0 -1.0 5 -1 0 480"] + ls[5:], "service duration mismatch"),
     (lambda ls: ls[:1] + ["0 0.0 0.0 0 0 0 480 9"] + ls[2:], "7 fields"),
     (lambda ls: ls[:2] + ["1 1.0 2.0 3 0 100 115"] + ls[3:], "positive"),
+    (lambda ls: ["inf 4 480 3 30"] + ls[1:], "integer"),
+    (lambda ls: ["2 nan 480 3 30"] + ls[1:], "integer"),
 ])
 def test_parse_cordeau_errors(tiny_cordeau_text, mangle, message):
     lines = tiny_cordeau_text.strip().splitlines()
@@ -185,10 +282,10 @@ def test_tighten_inbound_and_outbound(tiny_cordeau_text):
     t2 = math.sqrt(3.25)   # pickup 2 at (-1,3), dropoff at (0.5,4)
     assert r1.direction == INBOUND
     assert r1.dropoff_window == pytest.approx((100.0 + 3.0 + t1, 115.0 + 3.0 + 30.0))
-    assert r1.direct_time == pytest.approx(t1)
+    assert inst.metric.time(1, 3) == pytest.approx(t1)
     assert r2.direction == OUTBOUND
     assert r2.pickup_window == pytest.approx((200.0 - 30.0 - 3.0, 215.0 - t2 - 3.0))
-    assert r2.direct_time == pytest.approx(t2)
+    assert inst.metric.time(2, 4) == pytest.approx(t2)
 
 
 def test_tighten_tie_prefers_inbound():
@@ -290,9 +387,10 @@ def test_generator_windows_and_rides():
         assert 15.0 <= e <= 60.0
         assert (e - 15.0) % 5.0 == 0.0
         assert l - e == 15.0
-        assert r.max_ride == pytest.approx(1.5 * r.direct_time)
+        direct = inst.metric.time(r.pickup_loc, r.dropoff_loc)
+        assert r.max_ride == pytest.approx(1.5 * direct)
         # derived dropoff window, no clipping at the horizon
-        assert r.dropoff_window[0] == pytest.approx(e + r.s + r.direct_time)
+        assert r.dropoff_window[0] == pytest.approx(e + r.s + direct)
         assert r.dropoff_window[1] == pytest.approx(l + r.s + r.max_ride)
         assert r.dropoff_window[1] < inst.horizon
     assert inst.depot_window == (0.0, 150.0)
@@ -348,5 +446,26 @@ def test_instance_json_errors():
     doc = json.loads(instance_to_json(
         generate_synthetic(GeneratorConfig(n=2, capacity=3, seed=1))))
     del doc["requests"][0]["pickup"]
+    with pytest.raises(ParseError, match="field"):
+        instance_from_json(json.dumps(doc))
+
+
+def _set_first_coordinate(doc, value):
+    doc["metric"]["coords"]["1"] = value
+
+
+def _set_first_demand(doc, value):
+    doc["requests"][0]["q"] = value
+
+
+@pytest.mark.parametrize("mangle", [
+    lambda doc: _set_first_coordinate(doc, ["east", 1.0]),
+    lambda doc: _set_first_coordinate(doc, [1.0]),
+    lambda doc: _set_first_demand(doc, "x"),
+], ids=["non-numeric coordinate", "one-element pair", "non-numeric q"])
+def test_instance_json_mistyped_values(mangle):
+    doc = json.loads(instance_to_json(
+        generate_synthetic(GeneratorConfig(n=2, capacity=3, seed=1))))
+    mangle(doc)
     with pytest.raises(ParseError, match="field"):
         instance_from_json(json.dumps(doc))

@@ -597,3 +597,12 @@ def test_solution_json_errors(gen_instances):
         solution_from_json("[", gen_instances[0])
     with pytest.raises(ParseError, match="field"):
         solution_from_json("{}", gen_instances[0])
+
+
+def test_solution_json_non_numeric_request(gen_instances):
+    from darpkit import ParseError
+    inst = gen_instances[0]
+    doc = json.loads(solution_to_json(oracle_solve(inst)))
+    doc["tours"][0][0]["request"] = "a"
+    with pytest.raises(ParseError, match="field"):
+        solution_from_json(json.dumps(doc), inst)
