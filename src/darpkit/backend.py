@@ -74,6 +74,9 @@ def parse_mps(text: str) -> ParsedMip:
                 minimize = fields[0].upper() != "MAX"
             elif section == "ROWS":
                 sense, row = fields[0].upper(), fields[1]
+                if row in row_sense or row == obj_row:
+                    raise ParseError(
+                        f"row {row!r} declared twice, MPS line {lineno}")
                 if sense == "N":
                     if obj_row is None:
                         obj_row = row

@@ -65,8 +65,8 @@ class TravelMetric:
         has_matrix = self.cost_matrix is not None or self.time_matrix is not None
         if has_coords == has_matrix:
             raise DataError("metric needs either coordinates or matrices, not both")
-        if self.time_factor <= 0:
-            raise DataError("time_factor must be positive")
+        if not math.isfinite(self.time_factor) or self.time_factor <= 0:
+            raise DataError("time_factor must be positive and finite")
         if has_matrix:
             if self.cost_matrix is None or self.time_matrix is None:
                 raise DataError("matrix metric needs both a cost and a time matrix")
@@ -79,6 +79,9 @@ class TravelMetric:
             if sorted(self.coords) != list(range(len(self.coords))):
                 raise DataError("coordinates must cover location ids 0..m-1")
             pts = [self.coords[a] for a in range(len(self.coords))]
+            bad = [a for a, xy in enumerate(pts) if not all(map(math.isfinite, xy))]
+            if bad:
+                raise DataError(f"non-finite coordinate for location {bad[0]}")
             cost = [[math.hypot(xa - xb, ya - yb) for xb, yb in pts] for xa, ya in pts]
             time = [[self.time_factor * c for c in row] for row in cost]
         # {a: {b: value}}: a missing key is an unknown id, negative ones included
@@ -92,6 +95,9 @@ class TravelMetric:
         if any(len(row) != m for row in mat):
             raise DataError(f"{label} matrix is not square")
         arr = np.array(mat, dtype=float).reshape(m, m)
+        bad = np.argwhere(~np.isfinite(arr))
+        if len(bad):
+            raise DataError(f"non-finite {label} entry at ({bad[0][0]}, {bad[0][1]})")
         neg = np.argwhere(arr < 0)
         if len(neg):
             raise DataError(f"negative {label} entry at ({neg[0][0]}, {neg[0][1]})")
@@ -102,6 +108,11 @@ class TravelMetric:
             i, j, k = bad[0]
             raise DataError(
                 f"{label} matrix violates the triangle inequality on ({i}, {j}, {k})")
+
+    @property
+    def size(self) -> int:
+        """Number of locations; the ids run 0..size-1."""
+        return len(self._cost)
 
     def cost(self, a: int, b: int) -> float:
         try:
@@ -131,6 +142,10 @@ class Request:
     direction: str | None = None     # set by tighten_time_windows
 
     def __post_init__(self):
+        times = (self.s, self.max_ride, *self.pickup_window, *self.dropoff_window)
+        if not all(map(math.isfinite, times)):
+            raise DataError(f"request {self.id}: non-finite window, ride time "
+                            "or service duration")
         if self.q < 1:
             raise DataError(f"request {self.id}: seat demand must be at least 1")
         if self.s < 0:
@@ -172,6 +187,8 @@ class Instance:
         if self.capacity < 1:
             raise DataError("vehicle capacity must be at least 1")
         e0, l0 = self.depot_window
+        if not (math.isfinite(e0) and math.isfinite(l0)):
+            raise DataError("non-finite depot window")
         if e0 > l0:
             raise DataError("empty depot window")
         n = len(self.requests)
@@ -184,6 +201,9 @@ class Instance:
             if req.pickup_loc != pos or req.dropoff_loc != n + pos:
                 raise DataError(
                     f"request {req.id}: locations must follow the 0/1..n/n+1..2n scheme")
+        if self.metric.size < 2 * n + 1:
+            raise DataError(f"metric covers locations 0..{self.metric.size - 1}, "
+                            f"the instance needs 0..{2 * n}")
         reqs = self.requests
         object.__setattr__(self, "windows", (self.depot_window,)
                            + tuple(r.pickup_window for r in reqs)

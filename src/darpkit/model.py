@@ -7,12 +7,21 @@ once.  Service-start times live on the state nodes.  Two formulation
 variants differ in how times and activation interact:
 
 * ``model2``: every node's time is boxed by its location window, and
-  for each request every pickup-node/dropoff-node pair is coupled by a
-  big-M ride-time row that relaxes unless both nodes are active.
+  the ride-time rows carry big-M terms that relax a row unless its node
+  is active.
 * ``model3``: times are boxed by activation-dependent window rows (an
   inactive pickup node is pushed to its window end, an inactive dropoff
-  node may stay at its window start), which makes the plain ride-time
-  row valid for every pair without big-M terms.
+  node may stay at its window start), which makes plain ride-time rows
+  valid without big-M terms.
+
+Ride time runs through one free hub variable ``z_i`` per request: every
+dropoff node's time is at most ``z_i`` and ``z_i`` is at most every
+pickup node's time plus ``L_i + s_i``.  This is the exact projection of
+the pairwise rows ``B_w - B_v <= L_i + s_i`` over all pickup nodes v and
+dropoff nodes w of the request (in model2, summing one row of each kind
+gives back the pairwise big-M row), so the feasible times and the LP
+relaxation are unchanged while the family has |V_i+| + |V_i-| rows per
+request instead of |V_i+| * |V_i-|.
 
 Both variants link consecutive times along each travel arc with big-M
 rows, and tie tour starts and ends to the depot window through per-arc
@@ -67,7 +76,7 @@ _WEIGHTS = {
 _TRAVEL_CLASSES = (PICKUP_DROPOFF, PICKUP_PICKUP, DROPOFF_PICKUP, DROPOFF_DROPOFF)
 
 # census keys: variable kinds and row families, in report order
-_VAR_KINDS = ("x", "p", "B", "d", "dmax")
+_VAR_KINDS = ("x", "p", "B", "z", "d", "dmax")
 _ROW_FAMILIES = ("flow", "serve", "fleet", "travel_link", "depot_depart",
                  "depot_return", "ride_time", "window_activation", "excess",
                  "excess_max")
@@ -152,9 +161,12 @@ def combine_components(obj: ObjectiveSpec, cost: float, excess: float,
 class BigM:
     """Big-M coefficients, each at its exact lower bound (floored at 0).
 
-    ``ride[i]`` relaxes the ride-time row of request i when one of the
-    coupled nodes is inactive; ``link[a]`` relaxes the travel-time row
-    of arc a when the arc is not used.
+    ``ride[i]`` relaxes a model2 hub row of request i (a dropoff node's
+    time below ``z_i``, or ``z_i`` within the ride limit of a pickup
+    node's time) when its node is inactive; a dropoff row and a pickup row
+    together relax the pairwise ride-time row by ``2 * ride[i]``.
+    ``link[a]`` relaxes the travel-time row of arc a when the arc is not
+    used.
     """
 
     ride: dict[int, float]
@@ -180,7 +192,7 @@ def compute_big_m(graph: EventGraph) -> BigM:
 @dataclass
 class Var:
     name: str
-    kind: str          # x | p | B | d | dmax
+    kind: str          # x | p | B | z | d | dmax
     ref: int           # arc, request or node id; -1 for dmax
     lb: float
     ub: float
@@ -269,6 +281,8 @@ def build_model(graph: EventGraph, variant: str,
         else:
             lb, ub = e, math.inf
         B.append(model.add_var(f"B_{v}", "B", v, lb, ub, False))
+    z = {r.id: model.add_var(f"z_{r.id}", "z", r.id, -math.inf, math.inf, False)
+         for r in inst.requests}
     d = {}
     dmax = None
     if obj.needs_excess:
@@ -321,22 +335,21 @@ def build_model(graph: EventGraph, variant: str,
                 "depot_return", f"ret_{a}", "L", l0 - s_tail - arc.time + m.link[a],
                 [(B[arc.tail], 1.0), (x[a], m.link[a])])
 
-    # ride-time coupling of every pickup/dropoff state pair per request
+    # ride time through the hub z_i:  B_w <= z_i <= B_v + L_i + s_i for
+    # every dropoff state w and pickup state v of request i; in model2 a
+    # row relaxes by M_i unless its state is active
     for req in inst.requests:
-        mi = m.ride[req.id]
+        mi = m.ride[req.id] if variant == MODEL2 else 0.0
         limit = req.max_ride + req.s
+        zi = z[req.id]
+        for w in graph.dropoff_nodes[req.id]:
+            terms = [(B[w], 1.0), (zi, -1.0)]
+            terms += [(x[a], mi) for a in graph.in_arcs[w] if mi]
+            model.add_row("ride_time", f"ride_{req.id}_{w}", "L", mi, terms)
         for v in graph.pickup_nodes[req.id]:
-            in_v = [(x[a], mi) for a in graph.in_arcs[v]]
-            for w in graph.dropoff_nodes[req.id]:
-                if variant == MODEL2:
-                    terms = [(B[w], 1.0), (B[v], -1.0)]
-                    terms += in_v
-                    terms += [(x[a], mi) for a in graph.in_arcs[w]]
-                    model.add_row("ride_time", f"ride_{req.id}_{v}_{w}", "L",
-                                  limit + 2.0 * mi, terms)
-                else:
-                    model.add_row("ride_time", f"ride_{req.id}_{v}_{w}", "L", limit,
-                                  [(B[w], 1.0), (B[v], -1.0)])
+            terms = [(zi, 1.0), (B[v], -1.0)]
+            terms += [(x[a], mi) for a in graph.in_arcs[v] if mi]
+            model.add_row("ride_time", f"ride_{req.id}_{v}", "L", mi + limit, terms)
 
     # activation-dependent windows; the width of the user-specified
     # window relaxes the bound for inactive nodes
@@ -440,6 +453,9 @@ def write_mps(model: MilpModel) -> str:
         if var.integer:
             out.append(f" BV BND  {var.name}")
             continue
+        if var.lb == -math.inf and var.ub == math.inf:
+            out.append(f" FR BND  {var.name}")
+            continue
         if var.lb != 0.0:
             out.append(f" LO BND  {var.name}  {_fmt(var.lb)}")
         if var.ub != math.inf:
@@ -479,7 +495,9 @@ def write_lp(model: MilpModel) -> str:
     for var in model.vars:
         if var.integer:
             continue
-        if var.ub == math.inf:
+        if var.lb == -math.inf and var.ub == math.inf:
+            out.append(f" {var.name} free")
+        elif var.ub == math.inf:
             if var.lb != 0.0 or var.name not in used:
                 out.append(f" {var.name} >= {_fmt(var.lb)}")
         else:
@@ -494,7 +512,8 @@ def write_lp(model: MilpModel) -> str:
 
 def variable_mapping(model: MilpModel) -> dict:
     """Sidecar map from variable names to their graph/request meaning."""
-    ref_key = {"x": "arc", "B": "node", "p": "request", "d": "request"}
+    ref_key = {"x": "arc", "B": "node", "p": "request", "z": "request",
+               "d": "request"}
     variables = {}
     for var in model.vars:
         entry: dict = {"kind": var.kind}

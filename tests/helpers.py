@@ -7,7 +7,10 @@ so it shares no logic with the package's graph builder.
 
 from itertools import combinations
 
-from darpkit import INBOUND, Instance, Request, TravelMetric
+from darpkit import (
+    GeneratorConfig, INBOUND, InfeasibleError, Instance, ObjectiveSpec,
+    Request, TravelMetric, generate_synthetic, oracle_solve,
+)
 
 PICK = "pickup"
 DROP = "dropoff"
@@ -178,3 +181,27 @@ def ring_instance(n, capacity, loads=None, name=None):
         name=name or f"ring-n{n}-q{capacity}", requests=tuple(reqs),
         fleet_size=max(1, n // 2), capacity=capacity, depot_loc=0,
         depot_window=(0.0, 1000.0), metric=metric)
+
+
+def criterion3_instances():
+    """The 50 feasible generated instances of the acceptance suite.
+
+    The same slots (five rounds of n = 2..6 at capacities 3 and 6) and
+    the same screening: the first of 50 seeds per slot whose cost
+    optimum exists.
+    """
+    slots = [(n, q) for _ in range(5) for n in (2, 3, 4, 5, 6) for q in (3, 6)]
+    out = []
+    for slot, (n, q) in enumerate(slots):
+        for trial in range(50):
+            cand = generate_synthetic(
+                GeneratorConfig(n=n, capacity=q, seed=1000 * slot + trial))
+            try:
+                oracle_solve(cand, ObjectiveSpec(variant="cost"))
+            except InfeasibleError:
+                continue
+            out.append(cand)
+            break
+        else:
+            raise AssertionError(f"no feasible instance for n={n}, q={q}")
+    return out

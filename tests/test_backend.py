@@ -154,6 +154,7 @@ ENDATA
      "malformed MPS line 23"),
     ((" UP BND       c              4.0", " UP BND"), "malformed MPS line 23"),
     ((" N  COST", " N"), "malformed MPS line 4"),
+    ((" G  floor", " L  cap"), "row 'cap' declared twice, MPS line 6"),
 ])
 def test_parse_mps_errors(breakage, message):
     old, new = breakage

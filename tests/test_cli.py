@@ -250,6 +250,24 @@ def test_malformed_input_exits_2(tmp_path, capsys, command, name, text):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_nan_time_factor_exits_2(tmp_path, instance_file, capsys):
+    doc = json.loads(instance_file.read_text())
+    doc["metric"]["time_factor"] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))
+    assert '"time_factor": NaN' in path.read_text()
+    for command in (["graph"], ["model"], ["solve", "--oracle"]):
+        assert cli.main(command + [str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: time_factor")
+
+
+def test_model_census_lists_the_hub_variables(instance_file, capsys):
+    assert cli.main(["model", str(instance_file)]) == 0
+    line = next(line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("variables: "))
+    assert json.loads(line.split(" ", 2)[2])["z"] == 2
+
+
 def test_compare_table(tmp_path, instance_file, capsys):
     sol_a = tmp_path / "a.json"
     sol_b = tmp_path / "b.json"

@@ -117,6 +117,28 @@ def test_matrix_metric_validation():
     TravelMetric(cost_matrix=ok, time_matrix=ok)  # no raise
 
 
+NAN, INF = math.nan, math.inf
+UNIT = ((0.0, 1.0), (1.0, 0.0))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: TravelMetric(coords={0: (0.0, 0.0)}, time_factor=NAN), "time_factor"),
+    (lambda: TravelMetric(coords={0: (0.0, 0.0)}, time_factor=INF), "time_factor"),
+    (lambda: TravelMetric(coords={0: (0.0, 0.0), 1: (NAN, 1.0)}),
+     "coordinate for location 1"),
+    (lambda: TravelMetric(coords={0: (0.0, 0.0), 1: (1.0, -INF)}),
+     "coordinate for location 1"),
+    (lambda: TravelMetric(cost_matrix=((0.0, NAN), (1.0, 0.0)), time_matrix=UNIT),
+     r"non-finite cost entry at \(0, 1\)"),
+    (lambda: TravelMetric(cost_matrix=UNIT, time_matrix=((0.0, 1.0), (INF, 0.0))),
+     r"non-finite time entry at \(1, 0\)"),
+], ids=["nan time_factor", "inf time_factor", "nan coordinate",
+        "inf coordinate", "nan cost", "inf time"])
+def test_metric_rejects_non_finite_values(build, message):
+    with pytest.raises(DataError, match=message):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # request / instance validation
 # ---------------------------------------------------------------------------
@@ -139,6 +161,21 @@ def _request(**overrides):
 ])
 def test_request_validation(bad):
     with pytest.raises(DataError):
+        _request(**bad)
+
+
+@pytest.mark.parametrize("bad", [
+    {"pickup_window": (NAN, 10.0)},
+    {"pickup_window": (0.0, INF)},
+    {"dropoff_window": (0.0, NAN)},
+    {"dropoff_window": (-INF, 10.0)},
+    {"max_ride": NAN},
+    {"max_ride": INF},
+    {"s": NAN},
+    {"s": INF},
+])
+def test_request_rejects_non_finite_values(bad):
+    with pytest.raises(DataError, match="non-finite"):
         _request(**bad)
 
 
@@ -170,6 +207,33 @@ def test_instance_validation():
     with pytest.raises(DataError, match="scheme"):
         Instance(name="a", requests=(_request(dropoff_loc=5),), fleet_size=1,
                  capacity=2, depot_loc=0, depot_window=(0.0, 100.0), metric=metric)
+
+
+@pytest.mark.parametrize("window", [(NAN, 100.0), (0.0, INF)])
+def test_instance_rejects_a_non_finite_depot_window(window):
+    with pytest.raises(DataError, match="non-finite depot window"):
+        Instance(name="a", requests=(_request(),), fleet_size=1, capacity=2,
+                 depot_loc=0, depot_window=window,
+                 metric=line_metric((0.0, 1.0, 2.0)))
+
+
+@pytest.mark.parametrize("metric", [
+    line_metric((0.0, 1.0)),
+    TravelMetric(coords={0: (0.0, 0.0), 1: (1.0, 0.0)}),
+], ids=["matrix", "coords"])
+def test_instance_rejects_a_metric_short_of_its_locations(metric):
+    # one request needs locations 0, 1 and 2; the metric stops at 1
+    with pytest.raises(DataError, match=r"metric covers locations 0\.\.1"):
+        Instance(name="a", requests=(_request(),), fleet_size=1, capacity=2,
+                 depot_loc=0, depot_window=(0.0, 100.0), metric=metric)
+
+
+def test_instance_json_rejects_a_short_metric():
+    doc = json.loads(instance_to_json(
+        generate_synthetic(GeneratorConfig(n=2, capacity=3, seed=1))))
+    del doc["metric"]["coords"]["4"]
+    with pytest.raises(DataError, match="metric covers locations 0..3"):
+        instance_from_json(json.dumps(doc))
 
 
 @pytest.mark.parametrize("depot_loc", [-1, 1, 2])
@@ -448,6 +512,17 @@ def test_instance_json_errors():
     del doc["requests"][0]["pickup"]
     with pytest.raises(ParseError, match="field"):
         instance_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("field", ["e", "l"])
+def test_instance_json_refuses_a_nan_window(field):
+    doc = json.loads(instance_to_json(
+        generate_synthetic(GeneratorConfig(n=2, capacity=3, seed=1))))
+    doc["requests"][1]["pickup"][field] = NAN
+    text = json.dumps(doc)
+    assert "NaN" in text
+    with pytest.raises(DataError, match="request 2: non-finite"):
+        instance_from_json(text)
 
 
 def _set_first_coordinate(doc, value):

@@ -1,20 +1,22 @@
 import math
 import warnings
 
+import numpy as np
 import pytest
+from scipy import optimize, sparse
 
 from darpkit import (
-    DataError, ObjectiveSpec, ObjectiveValue, Schedule, Solution,
-    build_event_graph, build_model, combine_components, compute_big_m,
-    evaluate_objective, parse_mps, variable_mapping, write_lp, write_mapping,
-    write_mps,
+    DataError, GeneratorConfig, ObjectiveSpec, ObjectiveValue, Schedule,
+    Solution, build_event_graph, build_model, combine_components,
+    compute_big_m, evaluate_objective, generate_synthetic, parse_mps,
+    variable_mapping, write_lp, write_mapping, write_mps,
 )
 from darpkit.event_graph import (
     DROPOFF, DROPOFF_DROPOFF, DROPOFF_PICKUP, LEAVE_DEPOT, PICKUP,
     PICKUP_DROPOFF, PICKUP_PICKUP, RETURN_DEPOT,
 )
 
-from helpers import line_instance
+from helpers import criterion3_instances, line_instance
 
 
 @pytest.fixture(scope="module")
@@ -146,13 +148,14 @@ def test_model_sizes_follow_graph(gen_instances):
     assert census["rows"]["travel_link"] == travel
     assert census["rows"]["depot_depart"] == inst.n
     assert census["rows"]["depot_return"] == inst.n
-    ride = sum(len(graph.pickup_nodes[i]) * len(graph.dropoff_nodes[i])
-               for i in range(1, inst.n + 1))
-    assert census["rows"]["ride_time"] == ride
-    assert census["rows"]["window_activation"] == 0
-    model3 = build_model(graph, "model3", ObjectiveSpec(variant="cost"))
     active = sum(len(graph.pickup_nodes[i]) + len(graph.dropoff_nodes[i])
                  for i in range(1, inst.n + 1))
+    assert census["variables"]["z"] == inst.n
+    assert census["rows"]["ride_time"] == active
+    assert census["rows"]["window_activation"] == 0
+    model3 = build_model(graph, "model3", ObjectiveSpec(variant="cost"))
+    assert model3.census["variables"]["z"] == inst.n
+    assert model3.census["rows"]["ride_time"] == active
     assert model3.census["rows"]["window_activation"] == active
 
 
@@ -192,36 +195,136 @@ def test_time_bounds_model3(single_request_instance):
             assert (var.lb, var.ub) == (0.0, 200.0)
 
 
+def _ride_rows(model):
+    """The hub rows keyed by state node: (row, variable name -> coefficient)."""
+    rows = {}
+    for row in model.rows:
+        if row.name.startswith("ride_"):
+            node = int(row.name.split("_")[2])
+            rows[node] = (row, {model.vars[idx].name: c for idx, c in row.terms})
+    return rows
+
+
 def test_ride_rows_model2_couple_activation(single_request_instance):
     graph = build_event_graph(single_request_instance)
     model = build_model(graph, "model2", ObjectiveSpec(variant="cost"))
-    rows = [r for r in model.rows if r.name.startswith("ride_")]
-    assert len(rows) == 1
-    row = rows[0]
     v = graph.pickup_nodes[1][0]
     w = graph.dropoff_nodes[1][0]
     mi = model.big_m.ride[1]
-    assert row.sense == "L"
-    assert row.rhs == pytest.approx(40.0 + 2.0 + 2.0 * mi)
-    coef = {model.vars[idx].name: c for idx, c in row.terms}
-    assert coef[f"B_{w}"] == 1.0 and coef[f"B_{v}"] == -1.0
-    for a in list(graph.in_arcs[v]) + list(graph.in_arcs[w]):
-        assert coef[f"x_{a}"] == pytest.approx(mi)
+    assert mi == pytest.approx(48.0)
+    rows = _ride_rows(model)
+    assert sorted(rows) == sorted((v, w))
+    # dropoff: B_w + M * in(w) - z_1 <= M
+    row, coef = rows[w]
+    assert row.sense == "L" and row.rhs == pytest.approx(mi)
+    assert coef.pop(f"B_{w}") == 1.0 and coef.pop("z_1") == -1.0
+    assert set(coef) == {f"x_{a}" for a in graph.in_arcs[w]}
+    assert all(c == pytest.approx(mi) for c in coef.values())
+    # pickup: z_1 - B_v + M * in(v) <= M + L + s
+    row, coef = rows[v]
+    assert row.sense == "L" and row.rhs == pytest.approx(mi + 40.0 + 2.0)
+    assert coef.pop("z_1") == 1.0 and coef.pop(f"B_{v}") == -1.0
+    assert set(coef) == {f"x_{a}" for a in graph.in_arcs[v]}
+    assert all(c == pytest.approx(mi) for c in coef.values())
+    z = [var for var in model.vars if var.kind == "z"]
+    assert [(var.name, var.ref, var.lb, var.ub, var.integer) for var in z] == [
+        ("z_1", 1, -math.inf, math.inf, False)]
 
 
 def test_ride_rows_model3_are_plain(single_request_instance):
     graph = build_event_graph(single_request_instance)
     model = build_model(graph, "model3", ObjectiveSpec(variant="cost"))
-    rows = [r for r in model.rows if r.name.startswith("ride_")]
-    assert len(rows) == 1
-    assert len(rows[0].terms) == 2
-    assert rows[0].rhs == pytest.approx(42.0)
+    v = graph.pickup_nodes[1][0]
+    w = graph.dropoff_nodes[1][0]
+    rows = _ride_rows(model)
+    assert sorted(rows) == sorted((v, w))
+    row, coef = rows[w]                  # B_w - z_1 <= 0
+    assert row.sense == "L" and row.rhs == 0.0
+    assert coef == {f"B_{w}": 1.0, "z_1": -1.0}
+    row, coef = rows[v]                  # z_1 - B_v <= L + s
+    assert row.sense == "L" and row.rhs == pytest.approx(42.0)
+    assert coef == {"z_1": 1.0, f"B_{v}": -1.0}
     wlo = [r for r in model.rows if r.name.startswith("wlo_")]
     wup = [r for r in model.rows if r.name.startswith("wup_")]
     assert len(wlo) == 1 and len(wup) == 1
     # window width 20 relaxes the pickup lower bound when inactive
     assert wlo[0].sense == "G" and wlo[0].rhs == pytest.approx(10.0 + 20.0)
     assert wup[0].sense == "L" and wup[0].rhs == pytest.approx(10.0 + 40.0 + 2.0)
+
+
+def _pairwise_ride_rows(model):
+    """The quadratic family the hub rows project: one row per pickup
+    state v and dropoff state w of a request,
+    B_w - B_v + M_i * (in(v) + in(w)) <= L_i + s_i + 2 M_i (M_i = 0 in model3)."""
+    graph = model.graph
+    col = {var.name: j for j, var in enumerate(model.vars)}
+    rows = []
+    for req in graph.inst.requests:
+        mi = model.big_m.ride[req.id] if model.variant == "model2" else 0.0
+        for v in graph.pickup_nodes[req.id]:
+            for w in graph.dropoff_nodes[req.id]:
+                terms = [(col[f"B_{w}"], 1.0), (col[f"B_{v}"], -1.0)]
+                terms += [(col[f"x_{a}"], mi)
+                          for a in list(graph.in_arcs[v]) + list(graph.in_arcs[w])]
+                rows.append(("L", req.max_ride + req.s + 2.0 * mi, terms))
+    return rows
+
+
+def _lp_relaxation(model, rows):
+    """Status and optimum of the LP relaxation over the model's columns."""
+    data, ri, ci, lo, hi = [], [], [], [], []
+    for k, (sense, rhs, terms) in enumerate(rows):
+        for j, coef in terms:
+            ri.append(k)
+            ci.append(j)
+            data.append(coef)
+        lo.append(rhs if sense in "EG" else -math.inf)
+        hi.append(rhs if sense in "EL" else math.inf)
+    matrix = sparse.csr_matrix((data, (ri, ci)), shape=(len(rows), len(model.vars)))
+    c = np.zeros(len(model.vars))
+    for j, coef in model.obj_terms:
+        c[j] += coef
+    res = optimize.milp(
+        c, constraints=optimize.LinearConstraint(matrix, lo, hi),
+        bounds=optimize.Bounds([var.lb for var in model.vars],
+                               [var.ub for var in model.vars]))
+    return res.status, (None if res.fun is None else res.fun + model.obj_constant)
+
+
+@pytest.fixture(scope="module")
+def criterion3_suite():
+    return criterion3_instances()
+
+
+@pytest.mark.parametrize("variant", ["model2", "model3"])
+def test_hub_rows_keep_the_pairwise_lp_relaxation(criterion3_suite, variant):
+    # the hub form is the exact projection of the pairwise rows, so the
+    # LP bound (the paper's model2-vs-model3 comparison) must not move;
+    # the z columns are left in no row of the pairwise form
+    for inst in criterion3_suite:
+        graph = build_event_graph(inst)
+        for name in ("cost", "cost_excess"):
+            model = build_model(graph, variant, ObjectiveSpec(variant=name))
+            rows = [(row.sense, row.rhs, row.terms) for row in model.rows]
+            hub = _lp_relaxation(model, rows)
+            others = [r for r, row in zip(rows, model.rows)
+                      if not row.name.startswith("ride_")]
+            pairwise = _lp_relaxation(model, others + _pairwise_ride_rows(model))
+            assert hub[0] == pairwise[0] == 0, (inst.name, name, hub, pairwise)
+            assert abs(hub[1] - pairwise[1]) <= 1e-9, (inst.name, name, hub, pairwise)
+
+
+def test_ride_rows_stay_linear_on_the_export_shape():
+    # the export benchmark's instance: n=15, q=3, seed 401; the pairwise
+    # family alone had 168 540 rows here
+    inst = generate_synthetic(GeneratorConfig(n=15, capacity=3, seed=401))
+    graph = build_event_graph(inst)
+    model = build_model(graph, "model3", ObjectiveSpec(variant="cost"))
+    states = sum(len(graph.pickup_nodes[i]) + len(graph.dropoff_nodes[i])
+                 for i in range(1, inst.n + 1))
+    assert model.census["rows"]["ride_time"] == states
+    assert model.census["variables"]["z"] == inst.n
+    assert len(model.rows) < 50_000
 
 
 def test_travel_link_rows(single_request_instance):
@@ -343,6 +446,23 @@ def test_mps_objective_constant_round_trip(pooling_instance):
     assert mip.obj_constant == pytest.approx(180.0)
     values = {name: 0.0 for name in mip.col_names}
     assert model.objective_value(values) == pytest.approx(180.0)
+
+
+def test_writers_declare_the_hub_variables_free(single_request_instance):
+    graph = build_event_graph(single_request_instance)
+    for variant in ("model2", "model3"):
+        model = build_model(graph, variant, ObjectiveSpec(variant="cost"))
+        mps = write_mps(model)
+        assert " FR BND  z_1\n" in mps
+        mip = parse_mps(mps)
+        j = mip.col_names.index("z_1")
+        assert (mip.lower[j], mip.upper[j]) == (-math.inf, math.inf)
+        assert mip.integrality[j] == 0
+        lp = write_lp(model)
+        bounds = lp[lp.index("Bounds"):lp.index("Binaries")]
+        assert " z_1 free\n" in bounds and "inf" not in bounds
+        assert variable_mapping(model)["variables"]["z_1"] == {
+            "kind": "z", "request": 1}
 
 
 def test_lp_structure(single_request_instance):
