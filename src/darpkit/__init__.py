@@ -11,9 +11,10 @@ from .errors import (
 )
 from .instance import (
     FLEET_SIZES, INBOUND, OUTBOUND, GeneratorConfig, Instance, Request,
-    TravelMetric, generate_synthetic, instance_from_json, instance_to_json,
-    parse_cordeau, tighten_time_windows,
+    TravelMetric, generate_synthetic, instance_from_json, instance_sha256,
+    instance_to_json, parse_cordeau, tighten_time_windows,
 )
+from .schedule import compatible_pairs
 from .event_graph import (
     EventArc, EventGraph, EventNode, arc_count_closed_form, build_event_graph,
     graph_stats, node_count_closed_form, to_dot,
@@ -40,7 +41,8 @@ __all__ = [
     "SolutionError",
     "FLEET_SIZES", "INBOUND", "OUTBOUND", "GeneratorConfig", "Instance",
     "Request", "TravelMetric", "generate_synthetic", "instance_from_json",
-    "instance_to_json", "parse_cordeau", "tighten_time_windows",
+    "instance_sha256", "instance_to_json", "parse_cordeau",
+    "tighten_time_windows", "compatible_pairs",
     "EventArc", "EventGraph", "EventNode", "arc_count_closed_form",
     "build_event_graph", "graph_stats", "node_count_closed_form", "to_dot",
     "MODEL2", "MODEL3", "OBJECTIVES", "VARIANTS", "BigM", "MilpModel",

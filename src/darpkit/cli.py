@@ -23,16 +23,19 @@ from pathlib import Path
 
 from . import __version__
 from .backend import read_assignment, solve_mps_text, write_assignment
-from .errors import DarpkitError, InfeasibleError, ParseError, SolutionError
+from .errors import (
+    DarpkitError, DataError, InfeasibleError, ParseError, SolutionError,
+)
 from .event_graph import build_event_graph, graph_stats, to_dot
 from .instance import (
     GeneratorConfig, Instance, generate_synthetic, instance_from_json,
-    instance_to_json, parse_cordeau, tighten_time_windows,
+    instance_sha256, instance_to_json, parse_cordeau, tighten_time_windows,
 )
 from .model import (
     OBJECTIVES, VARIANTS, ObjectiveSpec, build_model, write_lp, write_mapping,
     write_mps,
 )
+from .schedule import compatible_pairs
 from .solve import (
     import_solution, oracle_solve, solution_to_json, validate_solution,
 )
@@ -129,12 +132,26 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _pruned_graph(inst: Instance):
+    return build_event_graph(inst, compatible_pairs(inst))
+
+
+def _pruned_line(graph) -> str:
+    n = graph.inst.n
+    return (f"pruned graph: nodes {graph.node_count}, arcs {graph.arc_count} "
+            f"({len(graph.compatible)} of {n * (n - 1) // 2} request pairs "
+            "can ride together)")
+
+
 def cmd_graph(args) -> int:
     t0 = time.perf_counter()
     src = Path(args.instance)
     inst = _load_instance(src)
     graph = build_event_graph(inst)
+    pruned = _pruned_graph(inst)
     stats = graph_stats(graph)
+    stats["pruned"] = {"nodes": pruned.node_count, "arcs": pruned.arc_count,
+                       "compatible_pairs": len(pruned.compatible)}
     stats["build_s"] = round(time.perf_counter() - t0, 6)
     if args.json:
         print(json.dumps(stats, indent=2, sort_keys=True))
@@ -148,6 +165,7 @@ def cmd_graph(args) -> int:
         if "closed_form" in stats:
             cf = stats["closed_form"]
             print(f"closed form (unit loads): nodes {cf['nodes']}, arcs {cf['arcs']}")
+        print(_pruned_line(pruned))
     if args.dot:
         out = Path(args.dot)
         out.write_text(to_dot(graph))
@@ -160,7 +178,7 @@ def cmd_model(args) -> int:
     t0 = time.perf_counter()
     src = Path(args.instance)
     inst = _load_instance(src)
-    graph = build_event_graph(inst)
+    graph = _pruned_graph(inst)
     objective = _objective_from_args(args)
     variant = args.variant
     model = build_model(graph, variant, objective, allow_denial=args.allow_denial)
@@ -183,6 +201,7 @@ def cmd_model(args) -> int:
                      "total": round(time.perf_counter() - t0, 6)})
     census = model.census
     print(f"wrote {mps_path}, {lp_path}, {map_path}")
+    print(_pruned_line(graph))
     print(f"variables: {sum(census['variables'].values())} "
           + json.dumps(census["variables"], sort_keys=True))
     print(f"rows: {sum(census['rows'].values())} "
@@ -190,8 +209,8 @@ def cmd_model(args) -> int:
     return 0
 
 
-def _report_solution(inst, sol) -> int:
-    report = validate_solution(inst, sol)
+def _report_solution(inst, sol, allow_denial: bool) -> int:
+    report = validate_solution(inst, sol, allow_denial=allow_denial)
     obj = sol.objective
     print(f"tours: {len(sol.tours)}, accepted {len(sol.accepted)}/{inst.n}")
     print(f"objective total {obj.total:.6f} (cost {obj.cost:.6f}, "
@@ -215,7 +234,8 @@ def cmd_solve(args) -> int:
     inputs = [src]
     if args.oracle:
         objective = _objective_from_args(args)
-        sol = oracle_solve(inst, objective, allow_denial=args.allow_denial,
+        allow_denial = args.allow_denial
+        sol = oracle_solve(inst, objective, allow_denial=allow_denial,
                            limit=args.limit)
     else:
         if not args.mapping:
@@ -234,11 +254,19 @@ def cmd_solve(args) -> int:
             allow_denial = sidecar["allow_denial"]
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise ParseError(f"mapping sidecar {map_path}: {exc}") from None
-        graph = build_event_graph(inst)
-        model = build_model(graph, variant, objective,
+        # column ids are only meaningful on the graph they were written for
+        if (sidecar.get("instance_sha256"), sidecar.get("graph")) != (
+                instance_sha256(inst), "pruned"):
+            raise DataError(f"mapping sidecar {map_path} was not written for "
+                            "this instance's pruned graph; export the model again")
+        model = build_model(_pruned_graph(inst), variant, objective,
                             allow_denial=allow_denial)
+        if sidecar.get("columns") != len(model.vars):
+            raise DataError(f"mapping sidecar {map_path} lists "
+                            f"{sidecar.get('columns')} columns, the model has "
+                            f"{len(model.vars)}")
         sol = import_solution(model, read_assignment(assign_path.read_text()))
-    code = _report_solution(inst, sol)
+    code = _report_solution(inst, sol, allow_denial)
     if args.out:
         out = Path(args.out)
         out.write_text(solution_to_json(sol) + "\n")

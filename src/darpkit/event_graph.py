@@ -16,15 +16,31 @@ dropoff followed by a pickup, dropoff followed by a dropoff, return of
 the empty vehicle to the depot, and departure of the empty vehicle to a
 first pickup.  Every arc carries the travel cost and travel time of the
 corresponding location pair.
+
+Given the set of ride-compatible request pairs (see
+:func:`darpkit.schedule.compatible_pairs`), the builder returns the
+pruned graph instead, which keeps every tour that has a schedule:
+
+* pair rule: a state exists only when its onboard set, the event's own
+  request included, is a clique of compatible pairs;
+* arc rule: an arc is dropped when ``e_tail + s_tail + t > l_head`` (beyond
+  the schedule tolerance) on the location windows, depot legs included;
+* dead states: every non-depot state without an in-arc or an out-arc is
+  dropped, until none is left.
+
+All three rest on the triangle inequality, which ``Instance`` enforces:
+the stops of two requests taken out of a feasible tour form a feasible
+tour, so requests that share a vehicle in any plan are compatible.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import DataError
 from .instance import DEPOT, DROPOFF, PICKUP, Instance
+from .schedule import _TIME_EPS
 
 PICKUP_DROPOFF = 1
 PICKUP_PICKUP = 2
@@ -77,10 +93,16 @@ class EventArc:
 
 
 class EventGraph:
-    """The full event graph with adjacency and per-class bookkeeping."""
+    """An event graph with adjacency and per-class bookkeeping.
 
-    def __init__(self, inst: Instance, nodes, locations, arcs):
+    ``compatible`` is None for the complete graph, and the set of
+    ride-compatible request pairs the graph was pruned with otherwise.
+    """
+
+    def __init__(self, inst: Instance, nodes, locations, arcs,
+                 compatible: frozenset | None = None):
         self.inst = inst
+        self.compatible = compatible
         self.nodes: tuple[EventNode, ...] = tuple(nodes)
         self.locations: tuple[int, ...] = tuple(locations)
         self.arcs: tuple[EventArc, ...] = tuple(arcs)
@@ -103,6 +125,10 @@ class EventGraph:
             self.class_counts[arc.cls] += 1
 
     @property
+    def pruned(self) -> bool:
+        return self.compatible is not None
+
+    @property
     def node_count(self) -> int:
         return len(self.nodes)
 
@@ -112,15 +138,17 @@ class EventGraph:
 
 
 def _co_rider_sets(others: list[int], loads: dict[int, int], budget: int,
-                   max_size: int) -> list[tuple[int, ...]]:
-    """All subsets of ``others`` with load sum <= budget, as decreasing tuples."""
+                   max_size: int, mates: dict[int, set[int]]) -> list[tuple[int, ...]]:
+    """All subsets of ``others`` with load sum <= budget whose members are
+    pairwise mates, as decreasing tuples."""
     found = [()]
     chosen: list[int] = []
 
     def grow(start: int, slack: int):
         for pos in range(start, len(others)):
             j = others[pos]
-            if loads[j] <= slack and len(chosen) < max_size:
+            if (loads[j] <= slack and len(chosen) < max_size
+                    and mates[j].issuperset(chosen)):
                 chosen.append(j)
                 found.append(tuple(sorted(chosen, reverse=True)))
                 grow(pos + 1, slack - loads[j])
@@ -130,11 +158,17 @@ def _co_rider_sets(others: list[int], loads: dict[int, int], budget: int,
     return found
 
 
-def build_event_graph(inst: Instance) -> EventGraph:
+def build_event_graph(inst: Instance,
+                      compatible: frozenset | None = None) -> EventGraph:
     """Build the event graph for a tightened instance.
 
+    With ``compatible`` None the graph is complete; with a set of
+    ride-compatible pairs (i, j) it is pruned by the pair rule, the arc
+    rule and the dead-state pass of the module docstring.
+
     Node order is deterministic: the depot first, then nodes sorted by
-    (event location, onboard tuple); arcs are sorted by (tail, head).
+    (event location, onboard tuple); arcs are sorted by (tail, head).  A
+    pruned graph keeps that order over the surviving nodes and arcs.
     Rebuilding from an equal instance reproduces identical ids, which
     keeps exported model files and solution imports stable.
     """
@@ -145,9 +179,16 @@ def build_event_graph(inst: Instance) -> EventGraph:
     cap = inst.capacity
     loads = {r.id: r.q for r in inst.requests}
     ids = sorted(loads)
+    if compatible is None:
+        mates = {i: set(ids) - {i} for i in ids}
+    else:
+        mates = {i: set() for i in ids}
+        for i, j in compatible:
+            mates[i].add(j)
+            mates[j].add(i)
 
     co_riders = {
-        i: _co_rider_sets([j for j in ids if j != i], loads, cap - loads[i], cap - 1)
+        i: _co_rider_sets(sorted(mates[i]), loads, cap - loads[i], cap - 1, mates)
         for i in ids
     }
 
@@ -199,10 +240,33 @@ def build_event_graph(inst: Instance) -> EventGraph:
     raw.sort(key=lambda a: (a[0], a[1]))
     arcs = []
     for tail, head, cls in raw:
-        cost = inst.metric.cost(locations[tail], locations[head])
-        time = inst.metric.time(locations[tail], locations[head])
-        arcs.append(EventArc(tail, head, cls, cost, time))
-    return EventGraph(inst, nodes, locations, arcs)
+        lt, lh = locations[tail], locations[head]
+        time = inst.metric.time(lt, lh)
+        if (compatible is not None and inst.windows[lt][0] + inst.service[lt]
+                + time > inst.windows[lh][1] + _TIME_EPS):
+            continue    # arc rule
+        arcs.append(EventArc(tail, head, cls, inst.metric.cost(lt, lh), time))
+    if compatible is not None:
+        nodes, locations, arcs = _without_dead_states(nodes, locations, arcs)
+    return EventGraph(inst, nodes, locations, arcs, compatible)
+
+
+def _without_dead_states(nodes, locations, arcs):
+    """Drop non-depot states without an in-arc or an out-arc until none is
+    left; the survivors keep their order and are renumbered."""
+    alive = set(range(len(nodes)))
+    while True:
+        ends = {arc.tail for arc in arcs} & {arc.head for arc in arcs}
+        dead = {v for v in alive if v != 0 and v not in ends}
+        if not dead:
+            break
+        alive -= dead
+        arcs = [arc for arc in arcs if arc.tail in alive and arc.head in alive]
+    keep = sorted(alive)
+    new_id = {v: k for k, v in enumerate(keep)}
+    arcs = [replace(arc, tail=new_id[arc.tail], head=new_id[arc.head])
+            for arc in arcs]
+    return [nodes[v] for v in keep], [locations[v] for v in keep], arcs
 
 
 def node_count_closed_form(n: int, capacity: int) -> int:
@@ -238,7 +302,7 @@ def graph_stats(g: EventGraph) -> dict:
         "arcs": g.arc_count,
         "arc_classes": {CLASS_NAMES[c]: g.class_counts[c] for c in sorted(CLASS_NAMES)},
     }
-    if all(r.q == 1 for r in g.inst.requests):
+    if not g.pruned and all(r.q == 1 for r in g.inst.requests):
         stats["closed_form"] = {
             "nodes": node_count_closed_form(g.inst.n, g.inst.capacity),
             "arcs": arc_count_closed_form(g.inst.n, g.inst.capacity),

@@ -16,6 +16,7 @@ round-trip format.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import random
@@ -512,6 +513,11 @@ def instance_to_json(inst: Instance) -> str:
         "metric": metric,
     }
     return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def instance_sha256(inst: Instance) -> str:
+    """SHA-256 of the instance's JSON form: binds artifacts to their instance."""
+    return hashlib.sha256(instance_to_json(inst).encode()).hexdigest()
 
 
 def instance_from_json(text: str) -> Instance:

@@ -1,4 +1,4 @@
-"""Solver-neutral mixed-integer models over the event graph.
+"""Solver-neutral mixed-integer models over the pruned event graph.
 
 Arc activation variables select a set of depot-anchored closed walks
 (one per used vehicle); flow conservation at every state node plus one
@@ -28,6 +28,12 @@ rows, and tie tour starts and ends to the depot window through per-arc
 rows on the depot connections (the single depot time variable carries
 only its own window).
 
+Every model is built over the pruned event graph (see
+:mod:`darpkit.event_graph`): states and arcs that no feasible tour can
+use never get a column or a row.  Pruning keeps every optimum, and
+removed arcs no longer carry LP flow (the LP bound is checked never to
+fall on the criterion-3 instances).
+
 Objectives: routing cost, total dropoff excess, maximal dropoff excess,
 and weighted combinations, optionally with per-request acceptance
 variables so requests may be denied against a penalty.
@@ -44,9 +50,10 @@ from .errors import DataError
 from .event_graph import (
     DROPOFF_DROPOFF, DROPOFF_PICKUP, LEAVE_DEPOT, PICKUP_DROPOFF,
     PICKUP_PICKUP, RETURN_DEPOT,
-    EventGraph,
+    EventGraph, build_event_graph,
 )
-from .instance import DEPOT, INBOUND, PICKUP
+from .instance import DEPOT, INBOUND, PICKUP, instance_sha256
+from .schedule import compatible_pairs
 
 MODEL2 = "model2"
 MODEL3 = "model3"
@@ -245,7 +252,20 @@ class MilpModel:
 def build_model(graph: EventGraph, variant: str,
                 objective: ObjectiveSpec | None = None,
                 allow_denial: bool = False) -> MilpModel:
-    """Assemble the chosen formulation over a built event graph."""
+    """Assemble the chosen formulation over the pruned event graph.
+
+    A pruned graph is used as given; for a complete one the pruned graph
+    of its instance is built, and ``model.graph`` is that pruned graph.
+    Pruning keeps every tour with a schedule, so it keeps every optimum.
+    """
+    if not graph.pruned:
+        graph = build_event_graph(graph.inst, compatible_pairs(graph.inst))
+    return _assemble(graph, variant, objective, allow_denial)
+
+
+def _assemble(graph: EventGraph, variant: str, objective: ObjectiveSpec | None,
+              allow_denial: bool) -> MilpModel:
+    """The formulation over exactly the given graph, pruned or not."""
     if variant not in VARIANTS:
         raise DataError(f"unknown model variant {variant!r}")
     inst = graph.inst
@@ -511,7 +531,12 @@ def write_lp(model: MilpModel) -> str:
 
 
 def variable_mapping(model: MilpModel) -> dict:
-    """Sidecar map from variable names to their graph/request meaning."""
+    """Sidecar map from variable names to their graph/request meaning.
+
+    Column ids refer to one graph of one instance, so the sidecar records
+    the instance's SHA-256, the graph form and the column count; an
+    import checks all three before it decodes anything.
+    """
     ref_key = {"x": "arc", "B": "node", "p": "request", "z": "request",
                "d": "request"}
     variables = {}
@@ -523,6 +548,9 @@ def variable_mapping(model: MilpModel) -> dict:
     return {
         "model": model.name,
         "instance": model.graph.inst.name,
+        "instance_sha256": instance_sha256(model.graph.inst),
+        "graph": "pruned" if model.graph.pruned else "full",
+        "columns": len(model.vars),
         "variant": model.variant,
         "objective": {
             "variant": model.objective.variant,

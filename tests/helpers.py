@@ -5,6 +5,7 @@ The brute-force state/transition enumeration here is predicate-based
 so it shares no logic with the package's graph builder.
 """
 
+import functools
 from itertools import combinations
 
 from darpkit import (
@@ -183,12 +184,13 @@ def ring_instance(n, capacity, loads=None, name=None):
         depot_window=(0.0, 1000.0), metric=metric)
 
 
-def criterion3_instances():
+@functools.cache
+def criterion3_instances() -> tuple:
     """The 50 feasible generated instances of the acceptance suite.
 
-    The same slots (five rounds of n = 2..6 at capacities 3 and 6) and
-    the same screening: the first of 50 seeds per slot whose cost
-    optimum exists.
+    Slots are five rounds of n = 2..6 at capacities 3 and 6; each slot
+    takes the first of 50 seeds whose cost optimum exists.  Screened once
+    per session and shared by every module that reads them.
     """
     slots = [(n, q) for _ in range(5) for n in (2, 3, 4, 5, 6) for q in (3, 6)]
     out = []
@@ -204,4 +206,4 @@ def criterion3_instances():
             break
         else:
             raise AssertionError(f"no feasible instance for n={n}, q={q}")
-    return out
+    return tuple(out)

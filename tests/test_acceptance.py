@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from darpkit import (
-    GeneratorConfig, InfeasibleError, ObjectiveSpec, Schedule, Solution,
+    GeneratorConfig, ObjectiveSpec, Schedule, Solution,
     arc_count_closed_form, build_event_graph, build_model, evaluate_objective,
     generate_synthetic, import_solution, max_acceptance,
     node_count_closed_form, oracle_solve, parse_cordeau, parse_mps, solve_mip,
@@ -23,7 +23,7 @@ from darpkit import (
 )
 from darpkit.event_graph import DROPOFF, PICKUP
 
-from helpers import brute_state_space
+from helpers import brute_state_space, criterion3_instances
 from test_event_graph import (
     EXPECTED_POOLING_ARCS, EXPECTED_POOLING_NODES, _arc_triples,
 )
@@ -99,28 +99,15 @@ class SolvedInstance:
 @pytest.fixture(scope="module")
 def suite():
     """50 feasible generated instances, solved by oracle and both MILPs."""
-    slots = [(n, q) for _ in range(5) for n in (2, 3, 4, 5, 6) for q in (3, 6)]
-    assert len(slots) == 50
+    instances = criterion3_instances()
+    assert len(instances) == 50
     records = []
-    for slot, (n, q) in enumerate(slots):
-        inst = base = None
-        for trial in range(50):
-            cand = generate_synthetic(
-                GeneratorConfig(n=n, capacity=q, seed=1000 * slot + trial))
-            try:
-                base = oracle_solve(cand, ObjectiveSpec(variant="cost"))
-            except InfeasibleError:
-                continue
-            inst = cand
-            break
-        assert inst is not None, f"no feasible instance for n={n}, q={q}"
+    for inst in instances:
         graph = build_event_graph(inst)
         rec = SolvedInstance(inst=inst)
-        rec.oracle["cost"] = base
         for name in FIVE_OBJECTIVES:
             obj = ObjectiveSpec(variant=name)
-            if name != "cost":
-                rec.oracle[name] = oracle_solve(inst, obj)
+            rec.oracle[name] = oracle_solve(inst, obj)
             for variant in VARIANTS:
                 model = build_model(graph, variant, obj)
                 result = solve_mip(parse_mps(write_mps(model)))

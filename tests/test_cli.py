@@ -4,7 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from darpkit import cli, instance_from_json, instance_to_json, oracle_solve
+from darpkit import (
+    cli, instance_from_json, instance_sha256, instance_to_json, oracle_solve,
+)
 from darpkit import (
     GeneratorConfig, ObjectiveSpec, build_event_graph, build_model,
     generate_synthetic, write_mps,
@@ -209,6 +211,90 @@ def test_solve_import_bad_sidecar(instance_file, tmp_path, capsys):
     assert cli.main(["solve", str(instance_file), "--import", str(assign),
                      "--mapping", str(sidecar)]) == 2
     assert "sidecar" in capsys.readouterr().err
+
+
+def _export_and_solve(instance_file, base, *extra):
+    assert cli.main(["model", str(instance_file), "-o", str(base), *extra]) == 0
+    assign = base.parent / (base.name + ".assign")
+    assert cli.main(["solve-mps", str(base) + ".mps", "-o", str(assign)]) == 0
+    return assign, base.parent / (base.name + ".map.json")
+
+
+def _import_fails(instance_file, assign, sidecar, capsys, words):
+    capsys.readouterr()
+    assert cli.main(["solve", str(instance_file), "--import", str(assign),
+                     "--mapping", str(sidecar)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: mapping sidecar") and err.count("\n") == 1
+    assert words in err
+
+
+def test_sidecar_names_its_instance_graph_and_columns(tmp_path, instance_file):
+    _, sidecar = _export_and_solve(instance_file, tmp_path / "m")
+    doc = json.loads(sidecar.read_text())
+    inst = instance_from_json(instance_file.read_text())
+    assert doc["instance_sha256"] == instance_sha256(inst)
+    assert doc["graph"] == "pruned"
+    assert doc["columns"] == len(doc["variables"])
+
+
+def test_import_refuses_a_sidecar_of_another_instance(tmp_path, instance_file,
+                                                      capsys):
+    assign, sidecar = _export_and_solve(instance_file, tmp_path / "m")
+    other = tmp_path / "other.json"
+    assert cli.main(["generate", "--n", "2", "--q", "3", "--seed", "1",
+                     "-o", str(other)]) == 0
+    _import_fails(other, assign, sidecar, capsys, "this instance's pruned graph")
+
+
+def test_import_refuses_a_changed_column_count(tmp_path, instance_file, capsys):
+    assign, sidecar = _export_and_solve(instance_file, tmp_path / "m")
+    doc = json.loads(sidecar.read_text())
+    doc["columns"] += 1
+    sidecar.write_text(json.dumps(doc))
+    _import_fails(instance_file, assign, sidecar, capsys, "columns, the model has")
+
+
+def test_import_refuses_a_sidecar_without_its_binding(tmp_path, instance_file,
+                                                      capsys):
+    # a sidecar written before column ids were bound to the pruned graph
+    assign, sidecar = _export_and_solve(instance_file, tmp_path / "m")
+    doc = json.loads(sidecar.read_text())
+    for key in ("instance_sha256", "graph", "columns"):
+        del doc[key]
+    sidecar.write_text(json.dumps(doc))
+    _import_fails(instance_file, assign, sidecar, capsys,
+                  "this instance's pruned graph")
+
+
+def test_import_validates_denial_as_the_sidecar_allows(tmp_path, instance_file,
+                                                       capsys):
+    # at gamma 0.01 denying every request is optimal
+    assign, sidecar = _export_and_solve(
+        instance_file, tmp_path / "m", "--objective", "rce", "--allow-denial",
+        "--gamma", "0.01")
+    capsys.readouterr()
+    assert cli.main(["solve", str(instance_file), "--import", str(assign),
+                     "--mapping", str(sidecar)]) == 0
+    out = capsys.readouterr().out
+    assert "accepted 0/2" in out and "validation: OK" in out
+
+
+def test_graph_reports_the_pruned_graph(instance_file, capsys):
+    inst = instance_from_json(instance_file.read_text())
+    pruned = build_model(build_event_graph(inst), "model2").graph
+    assert cli.main(["graph", str(instance_file), "--json"]) == 0
+    stats = json.loads(capsys.readouterr().out)
+    assert stats["pruned"] == {"nodes": pruned.node_count,
+                               "arcs": pruned.arc_count,
+                               "compatible_pairs": len(pruned.compatible)}
+    assert stats["nodes"] == 9    # the complete graph
+    line = (f"pruned graph: nodes {pruned.node_count}, arcs {pruned.arc_count}"
+            f" ({len(pruned.compatible)} of 1 request pairs can ride together)")
+    assert cli.main(["graph", str(instance_file), "--stats"]) == 0
+    assert line in capsys.readouterr().out.splitlines()
+    assert cli.main(["model", str(instance_file)]) == 0
+    assert line in capsys.readouterr().out.splitlines()
 
 
 def test_solve_mps_infeasible(tmp_path, capsys):

@@ -4,15 +4,15 @@ import pytest
 
 from darpkit import (
     DataError, GeneratorConfig, arc_count_closed_form, build_event_graph,
-    generate_synthetic, graph_stats, node_count_closed_form, parse_cordeau,
-    to_dot,
+    compatible_pairs, generate_synthetic, graph_stats, node_count_closed_form,
+    parse_cordeau, to_dot,
 )
 from darpkit.event_graph import (
     CLASS_NAMES, DEPOT, DROPOFF, DROPOFF_DROPOFF, DROPOFF_PICKUP, LEAVE_DEPOT,
     PICKUP, PICKUP_DROPOFF, PICKUP_PICKUP, RETURN_DEPOT,
 )
 
-from helpers import brute_state_space, ring_instance
+from helpers import brute_state_space, line_instance, ring_instance
 
 EXPECTED_POOLING_NODES = {
     "(0,0,0)",
@@ -211,3 +211,86 @@ def test_to_dot(pooling_instance):
     assert text.count(" -> ") == 23
     assert '"(1+,2,0)"' in text
     assert "doublecircle" in text
+
+
+# ---------------------------------------------------------------------------
+# the pruned graph
+# ---------------------------------------------------------------------------
+
+def _staggered(pickup2, dropoff2=(40, 50)):
+    """Two requests on a line, s = 0; request 2's windows vary."""
+    return line_instance(
+        "staggered", positions=(0.0, 1.0, 2.0, 3.0, 4.0),
+        specs=[
+            {"pickup": (0, 10), "dropoff": (20, 30), "max_ride": 40},
+            {"pickup": pickup2, "dropoff": dropoff2, "max_ride": 40},
+        ],
+        fleet_size=1, capacity=2, depot_window=(0.0, 100.0))
+
+
+def test_pruning_rules_on_a_worked_example():
+    # 1 and 2 can ride together only as 1+ 2+ 1- 2-.  The arc rule cuts
+    # 2+ -> 1+ (15 + 1 > 10), 2- -> 1- (40 + 1 > 30), 1- -> 2+ (20 + 1 > 18)
+    # and 2- -> 1+; then (1+,2) has no in-arc and (2-,1) no out-arc
+    inst = _staggered((15, 18))
+    pairs = compatible_pairs(inst)
+    assert pairs == frozenset({(1, 2)})
+    graph = build_event_graph(inst, pairs)
+    assert graph.pruned and graph.compatible == pairs
+    assert [node.label(2) for node in graph.nodes] == [
+        "(0,0)", "(1+,0)", "(2+,0)", "(2+,1)", "(1-,0)", "(1-,2)", "(2-,0)"]
+    assert _arc_triples(graph) == {
+        ("(0,0)", "(1+,0)", "leave_depot"),
+        ("(0,0)", "(2+,0)", "leave_depot"),
+        ("(1+,0)", "(1-,0)", "pickup_dropoff"),
+        ("(1+,0)", "(2+,1)", "pickup_pickup"),
+        ("(2+,0)", "(2-,0)", "pickup_dropoff"),
+        ("(2+,1)", "(1-,2)", "pickup_dropoff"),
+        ("(1-,2)", "(2-,0)", "dropoff_dropoff"),
+        ("(1-,0)", "(0,0)", "return_depot"),
+        ("(2-,0)", "(0,0)", "return_depot"),
+    }
+    # request 2 picked up after 1's dropoff window closed: no shared state
+    apart = _staggered((60, 70), (80, 90))
+    assert compatible_pairs(apart) == frozenset()
+    labels = {node.label(2) for node in build_event_graph(apart, frozenset()).nodes}
+    assert labels == {"(0,0)", "(1+,0)", "(2+,0)", "(1-,0)", "(2-,0)"}
+
+
+def test_pruned_graph_is_an_ordered_subgraph(gen_instances):
+    for inst in gen_instances:
+        full = build_event_graph(inst)
+        pairs = compatible_pairs(inst)
+        pruned = build_event_graph(inst, pairs)
+        assert not full.pruned and pruned.pruned
+        # ids: the full graph's order restricted to the survivors
+        full_id = {node: v for v, node in enumerate(full.nodes)}
+        ids = [full_id[node] for node in pruned.nodes]
+        assert ids == sorted(ids) and ids[0] == 0
+        full_arcs = {(a.tail, a.head): a for a in full.arcs}
+        keys = [(ids[a.tail], ids[a.head]) for a in pruned.arcs]
+        assert keys == sorted(keys)
+        for arc, key in zip(pruned.arcs, keys):
+            assert full_arcs[key].cls == arc.cls
+            assert (full_arcs[key].cost, full_arcs[key].time) == (arc.cost, arc.time)
+            # arc rule
+            tail, head = pruned.locations[arc.tail], pruned.locations[arc.head]
+            assert (inst.windows[tail][0] + inst.service[tail] + arc.time
+                    <= inst.windows[head][1] + 1e-9)
+        for v, node in enumerate(pruned.nodes):
+            # pair rule: the onboard set is a clique of compatible pairs
+            onboard = sorted({node.request, *node.others} - {0})
+            for k, i in enumerate(onboard):
+                assert all((i, j) in pairs for j in onboard[k + 1:])
+            # no dead state survives
+            if v:
+                assert pruned.in_arcs[v] and pruned.out_arcs[v]
+        again = build_event_graph(inst, pairs)
+        assert again.nodes == pruned.nodes and again.arcs == pruned.arcs
+
+
+def test_graph_stats_of_a_pruned_graph(gen_instances):
+    inst = gen_instances[0]
+    stats = graph_stats(build_event_graph(inst, compatible_pairs(inst)))
+    # the closed forms describe the complete graph only
+    assert "closed_form" not in stats

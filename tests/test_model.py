@@ -8,13 +8,16 @@ from scipy import optimize, sparse
 from darpkit import (
     DataError, GeneratorConfig, ObjectiveSpec, ObjectiveValue, Schedule,
     Solution, build_event_graph, build_model, combine_components,
-    compute_big_m, evaluate_objective, generate_synthetic, parse_mps,
-    variable_mapping, write_lp, write_mapping, write_mps,
+    compatible_pairs, compute_big_m, evaluate_objective, generate_synthetic,
+    instance_sha256, parse_mps, variable_mapping, write_lp, write_mapping,
+    write_mps,
 )
 from darpkit.event_graph import (
     DROPOFF, DROPOFF_DROPOFF, DROPOFF_PICKUP, LEAVE_DEPOT, PICKUP,
-    PICKUP_DROPOFF, PICKUP_PICKUP, RETURN_DEPOT,
+    PICKUP_DROPOFF, PICKUP_PICKUP, RETURN_DEPOT, EventNode,
 )
+from darpkit.model import _assemble
+from darpkit.solve import _feasible_orderings, _subsets
 
 from helpers import criterion3_instances, line_instance
 
@@ -132,9 +135,12 @@ def test_census_matches_contents(gen_instances, variant):
 
 
 def test_model_sizes_follow_graph(gen_instances):
+    # the model is sized by the pruned graph it was built over
     inst = gen_instances[1]
-    graph = build_event_graph(inst)
-    model = build_model(graph, "model2", ObjectiveSpec(variant="cost"))
+    model = build_model(build_event_graph(inst), "model2",
+                        ObjectiveSpec(variant="cost"))
+    graph = model.graph
+    assert graph.pruned
     census = model.census
     assert census["variables"]["x"] == graph.arc_count
     assert census["variables"]["B"] == graph.node_count
@@ -146,14 +152,15 @@ def test_model_sizes_follow_graph(gen_instances):
     travel = sum(graph.class_counts[c] for c in
                  (PICKUP_DROPOFF, PICKUP_PICKUP, DROPOFF_PICKUP, DROPOFF_DROPOFF))
     assert census["rows"]["travel_link"] == travel
-    assert census["rows"]["depot_depart"] == inst.n
-    assert census["rows"]["depot_return"] == inst.n
+    assert census["rows"]["depot_depart"] == graph.class_counts[LEAVE_DEPOT]
+    assert census["rows"]["depot_return"] == graph.class_counts[RETURN_DEPOT]
     active = sum(len(graph.pickup_nodes[i]) + len(graph.dropoff_nodes[i])
                  for i in range(1, inst.n + 1))
     assert census["variables"]["z"] == inst.n
     assert census["rows"]["ride_time"] == active
     assert census["rows"]["window_activation"] == 0
     model3 = build_model(graph, "model3", ObjectiveSpec(variant="cost"))
+    assert model3.graph is graph
     assert model3.census["variables"]["z"] == inst.n
     assert model3.census["rows"]["ride_time"] == active
     assert model3.census["rows"]["window_activation"] == active
@@ -316,15 +323,77 @@ def test_hub_rows_keep_the_pairwise_lp_relaxation(criterion3_suite, variant):
 
 def test_ride_rows_stay_linear_on_the_export_shape():
     # the export benchmark's instance: n=15, q=3, seed 401; the pairwise
-    # family alone had 168 540 rows here
+    # family alone had 168 540 rows here over the complete graph
     inst = generate_synthetic(GeneratorConfig(n=15, capacity=3, seed=401))
-    graph = build_event_graph(inst)
-    model = build_model(graph, "model3", ObjectiveSpec(variant="cost"))
+    model = build_model(build_event_graph(inst), "model3",
+                        ObjectiveSpec(variant="cost"))
+    graph = model.graph
     states = sum(len(graph.pickup_nodes[i]) + len(graph.dropoff_nodes[i])
                  for i in range(1, inst.n + 1))
     assert model.census["rows"]["ride_time"] == states
     assert model.census["variables"]["z"] == inst.n
-    assert len(model.rows) < 50_000
+    assert graph.arc_count < 1_000
+    assert len(model.rows) < 2_000
+
+
+# ---------------------------------------------------------------------------
+# the pruned event graph under every model
+# ---------------------------------------------------------------------------
+
+def _state_path(tour):
+    """The event states a stop order passes through, depot excluded."""
+    onboard = set()
+    path = []
+    for rid, kind in tour:
+        onboard.discard(rid)
+        path.append(EventNode(kind, rid, tuple(sorted(onboard, reverse=True))))
+        if kind == PICKUP:
+            onboard.add(rid)
+    return path
+
+
+def test_pair_rule_keeps_every_feasible_stop_order(criterion3_suite):
+    # every stop order the oracle may use, for any block of requests, is a
+    # depot-anchored path of the pruned graph
+    checked = 0
+    for inst in criterion3_suite:
+        graph = build_model(build_event_graph(inst), "model3").graph
+        node_id = {node: v for v, node in enumerate(graph.nodes)}
+        arcs = {(arc.tail, arc.head) for arc in graph.arcs}
+        for block in filter(None, _subsets(range(1, inst.n + 1))):
+            for tour, _ in _feasible_orderings(block, inst):
+                ids = [0] + [node_id[node] for node in _state_path(tour)] + [0]
+                assert set(zip(ids, ids[1:])) <= arcs, (inst.name, tour)
+                checked += 1
+    assert checked >= len(criterion3_suite)    # 620 stop orders
+
+
+@pytest.mark.parametrize("variant", ["model2", "model3"])
+def test_pruning_never_lowers_the_lp_bound(criterion3_suite, variant):
+    for inst in criterion3_suite:
+        full = build_event_graph(inst)
+        for name in ("cost", "cost_excess"):
+            obj = ObjectiveSpec(variant=name)
+            bounds = []
+            for model in (build_model(full, variant, obj),
+                          _assemble(full, variant, obj, False)):
+                rows = [(row.sense, row.rhs, row.terms) for row in model.rows]
+                bounds.append(_lp_relaxation(model, rows))
+            (status, pruned), (status_full, complete) = bounds
+            assert status == status_full == 0, (inst.name, name, bounds)
+            assert pruned >= complete - 1e-9, (inst.name, name, bounds)
+
+
+def test_pruning_is_idempotent(gen_instances):
+    inst = gen_instances[3]
+    model = build_model(build_event_graph(inst), "model2")
+    graph = model.graph
+    assert graph.pruned and graph.compatible == compatible_pairs(inst)
+    again = build_model(graph, "model3", ObjectiveSpec(variant="excess"))
+    assert again.graph is graph
+    fresh = build_event_graph(inst, compatible_pairs(inst))
+    assert (fresh.nodes, fresh.arcs) == (graph.nodes, graph.arcs)
+    assert write_mps(build_model(fresh, "model2")) == write_mps(model)
 
 
 def test_travel_link_rows(single_request_instance):
@@ -429,7 +498,7 @@ def test_mps_round_trip(single_request_instance):
             assert mip.integrality[j] == (1 if var.integer else 0)
             if not var.integer:
                 assert mip.lower[j] == var.lb
-                assert mip.upper[j] == (var.ub if var.ub != math.inf else mip.upper[j])
+                assert mip.upper[j] == var.ub
         dense = mip.matrix.toarray()
         for k, row in enumerate(model.rows):
             for idx, coef in row.terms:

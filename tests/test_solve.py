@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from darpkit import (
-    DataError, InfeasibleError, ObjectiveSpec, Schedule, Solution,
-    SolutionError, build_event_graph, build_model, import_solution,
+    DataError, GeneratorConfig, InfeasibleError, ObjectiveSpec, Schedule, Solution,
+    SolutionError, build_event_graph, build_model, generate_synthetic,
+    import_solution,
     max_acceptance, minimal_schedule, oracle_solve, solution_from_json,
     solution_to_json, validate_solution,
 )
@@ -428,8 +429,13 @@ def test_import_retimes_solver_tolerance(pooling_instance, pooling_model):
 
 
 def test_import_rejects_unschedulable_tour(pooling_instance):
-    # the depot closes before any tour can return
-    inst = replace(pooling_instance, depot_window=(0.0, 3.0))
+    # request 3's dropoff closes at 3.5: each arc of depot, 3+, 3-, depot
+    # passes the arc rule (the depot leg arrives at 2, the pickup's earliest
+    # start 0 plus service 1 plus travel 1 is 2), so the tour survives
+    # pruning, but chained the dropoff cannot start before 2 + 1 + 1 = 4
+    r1, r2, r3 = pooling_instance.requests
+    inst = replace(pooling_instance, requests=(
+        r1, r2, replace(r3, dropoff_window=(0.0, 3.5))))
     model = build_model(build_event_graph(inst), "model2",
                         ObjectiveSpec(variant="cost"))
     values = _assignment(model, [(TOUR_B, TIMES_B)])
@@ -467,6 +473,11 @@ def _solution(tours, times):
                     accepted=served, objective=None)
 
 
+def _validate(inst, sol):
+    """The single-kind checks below serve some requests only, on purpose."""
+    return validate_solution(inst, sol, allow_denial=True)
+
+
 def test_validate_ok(pooling_instance):
     sol = _solution(
         [[(1, P), (2, P), (1, D), (2, D)], [(3, P), (3, D)]],
@@ -478,20 +489,20 @@ def test_validate_ok(pooling_instance):
 def test_validate_capacity(pooling_instance):
     sol = _solution([[(3, P), (1, P), (3, D), (1, D)]],
                     [(5.0, 8.0, 20.0, 30.0)])
-    report = validate_solution(pooling_instance, sol)
+    report = _validate(pooling_instance, sol)
     assert report.kinds() == {"capacity"}
     assert report.violations[0].magnitude == pytest.approx(1.0)
 
 
 def test_validate_pairing_dangling(pooling_instance):
-    report = validate_solution(pooling_instance, _solution([[(3, P)]], [(5.0,)]))
+    report = _validate(pooling_instance, _solution([[(3, P)]], [(5.0,)]))
     assert report.kinds() == {"pairing"}
 
 
 def test_validate_pairing_across_tours(pooling_instance):
     sol = _solution([[(3, P), (3, D)], [(3, P), (3, D)]],
                     [(5.0, 10.0), (50.0, 55.0)])
-    report = validate_solution(pooling_instance, sol)
+    report = _validate(pooling_instance, sol)
     assert report.kinds() == {"pairing"}
 
 
@@ -502,20 +513,20 @@ def test_validate_precedence_order(pooling_instance):
 
 
 def test_validate_precedence_separation(pooling_instance):
-    report = validate_solution(
+    report = _validate(
         pooling_instance, _solution([[(3, P), (3, D)]], [(5.0, 6.0)]))
     assert report.kinds() == {"precedence"}
     assert report.violations[0].magnitude == pytest.approx(1.0)
 
 
 def test_validate_window(pooling_instance):
-    report = validate_solution(
+    report = _validate(
         pooling_instance, _solution([[(3, P), (3, D)]], [(95.0, 101.0)]))
     assert report.kinds() == {"window"}
 
 
 def test_validate_ride_time(pooling_instance):
-    report = validate_solution(
+    report = _validate(
         pooling_instance, _solution([[(3, P), (3, D)]], [(5.0, 40.0)]))
     assert report.kinds() == {"ride_time"}
     assert report.violations[0].magnitude == pytest.approx(4.0)
@@ -524,10 +535,10 @@ def test_validate_ride_time(pooling_instance):
 def test_validate_duration(pooling_instance):
     sol = _solution([[(3, P), (3, D)]], [(5.0, 12.0)])
     late_open = replace(pooling_instance, depot_window=(10.0, 200.0))
-    report = validate_solution(late_open, sol)
+    report = _validate(late_open, sol)
     assert report.kinds() == {"duration"}
     early_close = replace(pooling_instance, depot_window=(0.0, 14.0))
-    report = validate_solution(early_close, sol)
+    report = _validate(early_close, sol)
     assert report.kinds() == {"duration"}
 
 
@@ -541,9 +552,9 @@ def test_validate_fleet(pooling_instance):
 
 def test_validate_tolerance(pooling_instance):
     sol = _solution([[(3, P), (3, D)]], [(95.0, 100.0 + 5e-7)])
-    assert validate_solution(pooling_instance, sol).ok
+    assert _validate(pooling_instance, sol).ok
     sol = _solution([[(3, P), (3, D)]], [(95.0, 100.0 + 1e-4)])
-    report = validate_solution(pooling_instance, sol)
+    report = _validate(pooling_instance, sol)
     assert report.kinds() == {"window"}
     assert report.violations[0].magnitude == pytest.approx(1e-4)
 
@@ -558,7 +569,7 @@ def test_validate_coverage_unknown_request(pooling_instance):
     # request 3 relabelled as 0
     sol = _solution([[(1, P), (2, P), (1, D), (2, D)], [(0, P), (0, D)]],
                     [TIMES_A, TIMES_B])
-    report = validate_solution(pooling_instance, sol)
+    report = _validate(pooling_instance, sol)
     assert report.kinds() == {"coverage"}
     assert [v.stop for v in report.violations] == [0, 1]
 
@@ -570,6 +581,18 @@ def test_validate_coverage_accepted_not_served(pooling_instance):
     report = validate_solution(pooling_instance, sol)
     assert report.kinds() == {"coverage"}
     assert report.violations[0].magnitude == 3.0
+
+
+def test_validate_coverage_needs_denial_to_skip_requests():
+    # a plan that serves nobody is valid only when denial is allowed
+    inst = generate_synthetic(GeneratorConfig(n=3, capacity=3, seed=1))
+    empty = Solution(tours=(), schedule=Schedule(times=(), excess={},
+                                                 makespans=()),
+                     accepted=frozenset(), objective=None)
+    report = validate_solution(inst, empty)
+    assert report.kinds() == {"coverage"}
+    assert report.violations[0].magnitude == 3.0
+    assert validate_solution(inst, empty, allow_denial=True).ok
 
 
 # ---------------------------------------------------------------------------
