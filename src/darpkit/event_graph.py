@@ -36,7 +36,8 @@ tour, so requests that share a vehicle in any plan are compatible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DataError
 from .instance import DEPOT, DROPOFF, PICKUP, Instance
@@ -83,8 +84,7 @@ class EventNode:
         return "(" + ",".join(str(c) for c in self.as_tuple(capacity)) + ")"
 
 
-@dataclass(frozen=True)
-class EventArc:
+class EventArc(NamedTuple):
     tail: int
     head: int
     cls: int
@@ -117,12 +117,11 @@ class EventGraph:
                 self.dropoff_nodes[node.request].append(v)
         self.in_arcs = [[] for _ in self.nodes]
         self.out_arcs = [[] for _ in self.nodes]
-        for a, arc in enumerate(self.arcs):
-            self.out_arcs[arc.tail].append(a)
-            self.in_arcs[arc.head].append(a)
         self.class_counts = {c: 0 for c in CLASS_NAMES}
-        for arc in self.arcs:
-            self.class_counts[arc.cls] += 1
+        for a, (tail, head, cls, _, _) in enumerate(self.arcs):
+            self.out_arcs[tail].append(a)
+            self.in_arcs[head].append(a)
+            self.class_counts[cls] += 1
 
     @property
     def pruned(self) -> bool:
@@ -167,8 +166,8 @@ def build_event_graph(inst: Instance,
     rule and the dead-state pass of the module docstring.
 
     Node order is deterministic: the depot first, then nodes sorted by
-    (event location, onboard tuple); arcs are sorted by (tail, head).  A
-    pruned graph keeps that order over the surviving nodes and arcs.
+    (event location, onboard tuple); arcs are made in (tail, head) order.
+    A pruned graph keeps that order over the surviving nodes and arcs.
     Rebuilding from an equal instance reproduces identical ids, which
     keeps exported model files and solution imports stable.
     """
@@ -194,58 +193,53 @@ def build_event_graph(inst: Instance,
 
     nodes = [EventNode(DEPOT, 0, ())]
     locations = [inst.depot_loc]
+    index = {}          # (location, others) -> state id
+    pick_after = {}     # others -> ids of the pickup states with them, ascending
     for loc in range(1, 2 * n + 1):
-        if loc <= n:
-            kind, i = PICKUP, loc
-        else:
-            kind, i = DROPOFF, loc - n
+        kind, i = (PICKUP, loc) if loc <= n else (DROPOFF, loc - n)
         for others in sorted(co_riders[i]):
+            index[loc, others] = len(nodes)
+            if kind == PICKUP:
+                pick_after.setdefault(others, []).append(len(nodes))
             nodes.append(EventNode(kind, i, others))
             locations.append(loc)
-    index = {node: v for v, node in enumerate(nodes)}
 
-    raw: list[tuple[int, int, int]] = []
-    for i in ids:
-        raw.append((0, index[EventNode(PICKUP, i, ())], LEAVE_DEPOT))
-        raw.append((index[EventNode(DROPOFF, i, ())], 0, RETURN_DEPOT))
-    for v, node in enumerate(nodes):
-        if node.kind == PICKUP:
-            onboard = set(node.others) | {node.request}
-            # pickup -> dropoff of anyone on board
-            for j in sorted(onboard):
-                rest = tuple(sorted(onboard - {j}, reverse=True))
-                raw.append((v, index[EventNode(DROPOFF, j, rest)], PICKUP_DROPOFF))
-            # pickup -> pickup of a further request, capacity permitting
-            grown = tuple(sorted(onboard, reverse=True))
-            for j in ids:
-                if j in onboard:
-                    continue
-                w = index.get(EventNode(PICKUP, j, grown))
-                if w is not None:
-                    raw.append((v, w, PICKUP_PICKUP))
-        elif node.kind == DROPOFF:
-            # dropoff -> pickup with the same residual load
-            for j in ids:
-                if j == node.request or j in node.others:
-                    continue
-                w = index.get(EventNode(PICKUP, j, node.others))
-                if w is not None:
-                    raw.append((v, w, DROPOFF_PICKUP))
-            # dropoff -> dropoff of anyone still on board
-            remaining = set(node.others)
-            for j in sorted(remaining):
-                rest = tuple(sorted(remaining - {j}, reverse=True))
-                raw.append((v, index[EventNode(DROPOFF, j, rest)], DROPOFF_DROPOFF))
-
-    raw.sort(key=lambda a: (a[0], a[1]))
+    places = sorted(set(locations))
+    times = {a: {b: inst.metric.time(a, b) for b in places} for a in places}
+    costs = {a: {b: inst.metric.cost(a, b) for b in places} for a in places}
+    late = {b: inst.windows[b][1] + _TIME_EPS for b in places}
     arcs = []
-    for tail, head, cls in raw:
-        lt, lh = locations[tail], locations[head]
-        time = inst.metric.time(lt, lh)
-        if (compatible is not None and inst.windows[lt][0] + inst.service[lt]
-                + time > inst.windows[lh][1] + _TIME_EPS):
-            continue    # arc rule
-        arcs.append(EventArc(tail, head, cls, inst.metric.cost(lt, lh), time))
+    for v, node in enumerate(nodes):
+        # heads in id order: the depot, pickup states, then dropoff states
+        # by increasing request (pickup states precede dropoff states)
+        if node.kind == DEPOT:
+            heads = [(w, LEAVE_DEPOT) for w in pick_after[()]]
+        elif node.kind == PICKUP:
+            onboard = tuple(sorted((node.request, *node.others), reverse=True))
+            # pickup -> pickup of a further request, capacity permitting
+            heads = [(w, PICKUP_PICKUP) for w in pick_after.get(onboard, ())]
+            # pickup -> dropoff of anyone on board
+            heads += [(index[n + j, tuple(k for k in onboard if k != j)],
+                       PICKUP_DROPOFF) for j in reversed(onboard)]
+        else:
+            heads = [] if node.others else [(0, RETURN_DEPOT)]
+            # dropoff -> pickup with the same residual load, except the
+            # pickup of the request just dropped off
+            own = index.get((node.request, node.others))
+            heads += [(w, DROPOFF_PICKUP) for w in pick_after.get(node.others, ())
+                      if w != own]
+            # dropoff -> dropoff of anyone still on board
+            heads += [(index[n + j, tuple(k for k in node.others if k != j)],
+                       DROPOFF_DROPOFF) for j in reversed(node.others)]
+        lt = locations[v]
+        t_row, c_row = times[lt], costs[lt]
+        # arc rule; the complete graph cuts nothing
+        ready = (-math.inf if compatible is None
+                 else inst.windows[lt][0] + inst.service[lt])
+        for w, cls in heads:
+            lh = locations[w]
+            if ready + t_row[lh] <= late[lh]:
+                arcs.append(EventArc(v, w, cls, c_row[lh], t_row[lh]))
     if compatible is not None:
         nodes, locations, arcs = _without_dead_states(nodes, locations, arcs)
     return EventGraph(inst, nodes, locations, arcs, compatible)
@@ -264,7 +258,7 @@ def _without_dead_states(nodes, locations, arcs):
         arcs = [arc for arc in arcs if arc.tail in alive and arc.head in alive]
     keep = sorted(alive)
     new_id = {v: k for k, v in enumerate(keep)}
-    arcs = [replace(arc, tail=new_id[arc.tail], head=new_id[arc.head])
+    arcs = [arc._replace(tail=new_id[arc.tail], head=new_id[arc.head])
             for arc in arcs]
     return [nodes[v] for v in keep], [locations[v] for v in keep], arcs
 

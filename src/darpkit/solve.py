@@ -51,7 +51,8 @@ class Solution:
 
 @dataclass(frozen=True)
 class Violation:
-    kind: str              # capacity|pairing|precedence|window|ride_time|duration|fleet|coverage
+    # capacity|pairing|precedence|window|ride_time|duration|fleet|coverage|objective
+    kind: str
     tour: int | None
     stop: int | None
     magnitude: float
@@ -354,7 +355,9 @@ def validate_solution(inst: Instance, sol: Solution, tol: float = 1e-6,
                       allow_denial: bool = False) -> ValidationReport:
     """Check a solution directly against the instance semantics.
 
-    Unless ``allow_denial`` is set, every request must be accepted.
+    Unless ``allow_denial`` is set, every request must be accepted.  A
+    claimed objective must agree with the plan's cost, excess, maximal
+    excess and denial count to ``tol`` relative to max(1, |value|).
     """
     found: list[Violation] = []
 
@@ -453,6 +456,15 @@ def validate_solution(inst: Instance, sol: Solution, tol: float = 1e-6,
             if ret > l0 + tol:
                 flag("duration", t, len(tour) - 1, ret - l0,
                      f"tour returns {ret - l0:.3f} after the depot closes")
+
+    if sol.objective is not None and not unknown_in:
+        # the components do not depend on the objective weights
+        plan = evaluate_objective(inst, sol, ObjectiveSpec())
+        for name in ("cost", "excess", "max_excess", "denied"):
+            claimed, actual = getattr(sol.objective, name), getattr(plan, name)
+            if abs(claimed - actual) > tol * max(1.0, abs(actual)):
+                flag("objective", None, None, abs(claimed - actual),
+                     f"claimed {name} {claimed} disagrees with the plan's {actual}")
     return ValidationReport(ok=not found, violations=tuple(found))
 
 

@@ -158,6 +158,14 @@ def test_evaluate_objective_matches_oracle_exactly(suite):
     assert not differ, differ[:3]
 
 
+def test_oracle_and_imported_plans_validate(suite):
+    # every plan carries its objective, which the validator compares
+    bad = [(rec.inst.name, key) for rec in suite
+           for key, sol in [*rec.oracle.items(), *rec.decoded.items()]
+           if not validate_solution(rec.inst, sol).ok]
+    assert not bad, bad[:3]
+
+
 # ---------------------------------------------------------------------------
 # criterion 4: the big-M and activation-window formulations agree
 # ---------------------------------------------------------------------------

@@ -297,6 +297,15 @@ def test_graph_reports_the_pruned_graph(instance_file, capsys):
     assert line in capsys.readouterr().out.splitlines()
 
 
+def test_graph_json_reports_stage_seconds(instance_file, capsys):
+    assert cli.main(["graph", str(instance_file), "--json"]) == 0
+    stats = json.loads(capsys.readouterr().out)
+    stages = stats["stage_s"]
+    assert set(stages) == {"complete", "compatible_pairs", "pruned"}
+    assert all(sec >= 0 for sec in stages.values())
+    assert sum(stages.values()) <= stats["build_s"]
+
+
 def test_solve_mps_infeasible(tmp_path, capsys):
     bad = tmp_path / "bad.mps"
     bad.write_text("""\

@@ -144,6 +144,51 @@ def test_counts_match_brute_force_mixed_loads():
         assert graph.arc_count == len(transitions)
 
 
+# arc class by (tail kind, head kind), as the module docstring names them
+_CLASS_OF_KINDS = {
+    (DEPOT, PICKUP): LEAVE_DEPOT, (DROPOFF, DEPOT): RETURN_DEPOT,
+    (PICKUP, DROPOFF): PICKUP_DROPOFF, (PICKUP, PICKUP): PICKUP_PICKUP,
+    (DROPOFF, PICKUP): DROPOFF_PICKUP, (DROPOFF, DROPOFF): DROPOFF_DROPOFF,
+}
+
+
+def _assert_matches_brute_force(inst):
+    graph = build_event_graph(inst)
+    loads = {r.id: r.q for r in inst.requests}
+    states, transitions = brute_state_space(loads, inst.capacity)
+    built = [(node.kind, node.request, frozenset(node.others))
+             for node in graph.nodes]
+    assert len(set(built)) == len(built) and set(built) == states
+    triples = [(built[a.tail], built[a.head], a.cls) for a in graph.arcs]
+    expected = [(u, v, _CLASS_OF_KINDS[u[0], v[0]]) for u, v in transitions]
+    assert len(set(triples)) == len(triples)
+    assert set(triples) == set(expected)
+
+
+def test_states_and_arcs_match_brute_force_exactly():
+    # not just the counts: every state, and every arc with its class
+    for n in range(1, 7):
+        for cap in range(1, 5):
+            _assert_matches_brute_force(ring_instance(n, cap))
+    for seed in (0, 1, 2):
+        _assert_matches_brute_force(
+            generate_synthetic(GeneratorConfig(n=4, capacity=6, seed=seed)))
+
+
+def test_ids_follow_the_order_contract(gen_instances):
+    for inst in gen_instances:
+        for graph in (build_event_graph(inst),
+                      build_event_graph(inst, compatible_pairs(inst))):
+            keys = [(graph.locations[v], node.others)
+                    for v, node in enumerate(graph.nodes)][1:]
+            assert all(a < b for a, b in zip(keys, keys[1:]))
+            pairs = [(a.tail, a.head) for a in graph.arcs]
+            assert all(a < b for a, b in zip(pairs, pairs[1:]))
+            # each tail's arcs form one contiguous id range
+            for out in filter(None, graph.out_arcs):
+                assert out == list(range(out[0], out[0] + len(out)))
+
+
 def test_structural_rules_hold(gen_instances):
     for inst in gen_instances:
         graph = build_event_graph(inst)

@@ -595,6 +595,21 @@ def test_validate_coverage_needs_denial_to_skip_requests():
     assert validate_solution(inst, empty, allow_denial=True).ok
 
 
+@pytest.mark.parametrize("field", ["f_c", "f_e", "f_emax", "f_n"])
+def test_validate_objective_components(gen_instances, field):
+    inst = gen_instances[1]
+    doc = json.loads(solution_to_json(
+        oracle_solve(inst, ObjectiveSpec(variant="cost_excess"))))
+    assert validate_solution(inst, solution_from_json(json.dumps(doc), inst)).ok
+    # a drift within the relative tolerance is no violation
+    doc["objective"][field] *= 1 + 1e-7
+    assert validate_solution(inst, solution_from_json(json.dumps(doc), inst)).ok
+    doc["objective"][field] += 1
+    report = validate_solution(inst, solution_from_json(json.dumps(doc), inst))
+    assert report.kinds() == {"objective"}
+    assert report.violations[0].magnitude == pytest.approx(1.0, rel=1e-4)
+
+
 # ---------------------------------------------------------------------------
 # solution JSON
 # ---------------------------------------------------------------------------
