@@ -16,8 +16,8 @@ from .instance import (
 )
 from .schedule import compatible_pairs
 from .event_graph import (
-    EventArc, EventGraph, EventNode, arc_count_closed_form, build_event_graph,
-    graph_stats, node_count_closed_form, to_dot,
+    ArcTable, EventArc, EventGraph, EventNode, arc_count_closed_form,
+    build_event_graph, graph_stats, node_count_closed_form, to_dot,
 )
 from .model import (
     MODEL2, MODEL3, OBJECTIVES, VARIANTS, BigM, MilpModel, ObjectiveSpec,
@@ -43,7 +43,7 @@ __all__ = [
     "Request", "TravelMetric", "generate_synthetic", "instance_from_json",
     "instance_sha256", "instance_to_json", "parse_cordeau",
     "tighten_time_windows", "compatible_pairs",
-    "EventArc", "EventGraph", "EventNode", "arc_count_closed_form",
+    "ArcTable", "EventArc", "EventGraph", "EventNode", "arc_count_closed_form",
     "build_event_graph", "graph_stats", "node_count_closed_form", "to_dot",
     "MODEL2", "MODEL3", "OBJECTIVES", "VARIANTS", "BigM", "MilpModel",
     "ObjectiveSpec", "ObjectiveValue", "build_model", "combine_components",

@@ -124,7 +124,10 @@ def parse_mps(text: str) -> ParsedMip:
             elif section == "RANGES":
                 pairs = fields[1:]
                 for pos in range(0, len(pairs), 2):
-                    ranges[pairs[pos]] = float(pairs[pos + 1])
+                    row, val = pairs[pos], float(pairs[pos + 1])
+                    if row not in row_sense:
+                        raise ParseError(f"RANGES references unknown row {row}")
+                    ranges[row] = val
             elif section == "BOUNDS":
                 btype = fields[0].upper()
                 col = fields[2]

@@ -66,6 +66,19 @@ def _write_manifest(primary: Path, command: str, argv: list[str],
     return path
 
 
+class _Stages:
+    """Seconds of consecutive named stages, each from the previous mark."""
+
+    def __init__(self):
+        self.seconds: dict[str, float] = {}
+        self._last = time.perf_counter()
+
+    def mark(self, name: str):
+        now = time.perf_counter()
+        self.seconds[name] = round(now - self._last, 6)
+        self._last = now
+
+
 def _load_instance(path: Path, fmt: str = "auto", name: str | None = None,
                    auto_tighten: bool = True) -> Instance:
     text = path.read_text()
@@ -132,10 +145,6 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _pruned_graph(inst: Instance):
-    return build_event_graph(inst, compatible_pairs(inst))
-
-
 def _pruned_line(graph) -> str:
     n = graph.inst.n
     return (f"pruned graph: nodes {graph.node_count}, arcs {graph.arc_count} "
@@ -147,20 +156,18 @@ def cmd_graph(args) -> int:
     t0 = time.perf_counter()
     src = Path(args.instance)
     inst = _load_instance(src)
-    t1 = time.perf_counter()
+    stages = _Stages()
     graph = build_event_graph(inst)
-    t2 = time.perf_counter()
+    stages.mark("complete")
     pairs = compatible_pairs(inst)
-    t3 = time.perf_counter()
+    stages.mark("compatible_pairs")
     pruned = build_event_graph(inst, pairs)
-    t4 = time.perf_counter()
+    stages.mark("pruned")
     stats = graph_stats(graph)
     stats["pruned"] = {"nodes": pruned.node_count, "arcs": pruned.arc_count,
                        "compatible_pairs": len(pruned.compatible)}
     stats["build_s"] = round(time.perf_counter() - t0, 6)
-    stats["stage_s"] = {"complete": round(t2 - t1, 6),
-                        "compatible_pairs": round(t3 - t2, 6),
-                        "pruned": round(t4 - t3, 6)}
+    stats["stage_s"] = stages.seconds
     if args.json:
         print(json.dumps(stats, indent=2, sort_keys=True))
     else:
@@ -178,7 +185,8 @@ def cmd_graph(args) -> int:
         out = Path(args.dot)
         out.write_text(to_dot(graph))
         _write_manifest(out, "graph", sys.argv[1:], [src], [out],
-                        {"total": time.perf_counter() - t0})
+                        {"total": time.perf_counter() - t0,
+                         "stage_s": stages.seconds})
     return 0
 
 
@@ -186,10 +194,15 @@ def cmd_model(args) -> int:
     t0 = time.perf_counter()
     src = Path(args.instance)
     inst = _load_instance(src)
-    graph = _pruned_graph(inst)
     objective = _objective_from_args(args)
     variant = args.variant
+    stages = _Stages()
+    pairs = compatible_pairs(inst)
+    stages.mark("compatible_pairs")
+    graph = build_event_graph(inst, pairs)
+    stages.mark("pruned")
     model = build_model(graph, variant, objective, allow_denial=args.allow_denial)
+    stages.mark("model")
     t_build = time.perf_counter() - t0
     base = args.out
     if base is None:
@@ -201,11 +214,14 @@ def cmd_model(args) -> int:
     lp_path = Path(base + ".lp")
     map_path = Path(base + ".map.json")
     mps_path.write_text(write_mps(model))
+    stages.mark("write_mps")
     lp_path.write_text(write_lp(model))
+    stages.mark("write_lp")
     map_path.write_text(write_mapping(model) + "\n")
+    stages.mark("write_mapping")
     _write_manifest(mps_path, "model", sys.argv[1:], [src],
                     [mps_path, lp_path, map_path],
-                    {"build": round(t_build, 6),
+                    {"build": round(t_build, 6), "stage_s": stages.seconds,
                      "total": round(time.perf_counter() - t0, 6)})
     census = model.census
     print(f"wrote {mps_path}, {lp_path}, {map_path}")
@@ -267,7 +283,8 @@ def cmd_solve(args) -> int:
                 instance_sha256(inst), "pruned"):
             raise DataError(f"mapping sidecar {map_path} was not written for "
                             "this instance's pruned graph; export the model again")
-        model = build_model(_pruned_graph(inst), variant, objective,
+        pruned = build_event_graph(inst, compatible_pairs(inst))
+        model = build_model(pruned, variant, objective,
                             allow_denial=allow_denial)
         if sidecar.get("columns") != len(model.vars):
             raise DataError(f"mapping sidecar {map_path} lists "

@@ -36,7 +36,11 @@ tour, so requests that share a vehicle in any plan are compatible.
 from __future__ import annotations
 
 import math
+from array import array
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress, repeat
 from typing import NamedTuple
 
 from .errors import DataError
@@ -92,20 +96,57 @@ class EventArc(NamedTuple):
     time: float
 
 
+class ArcTable:
+    """The arcs of an event graph as five typed columns.
+
+    ``tail``, ``head`` (state ids), ``cls`` (arc class), ``cost`` and
+    ``time`` are stdlib arrays, which the cyclic garbage collector does
+    not track, so a large graph costs no collector work.  Indexing and
+    iteration yield :class:`EventArc` items; hot loops zip the columns.
+    """
+
+    __slots__ = _COLUMNS = ("tail", "head", "cls", "cost", "time")
+
+    def __init__(self, tail=(), head=(), cls=(), cost=(), time=()):
+        self.tail = array("l", tail)
+        self.head = array("l", head)
+        self.cls = array("b", cls)
+        self.cost = array("d", cost)
+        self.time = array("d", time)
+
+    def __len__(self) -> int:
+        return len(self.tail)
+
+    def __getitem__(self, a: int) -> EventArc:
+        return EventArc(self.tail[a], self.head[a], self.cls[a],
+                        self.cost[a], self.time[a])
+
+    def __iter__(self):
+        return map(EventArc, self.tail, self.head, self.cls, self.cost, self.time)
+
+    def __eq__(self, other):
+        if not isinstance(other, ArcTable):
+            return NotImplemented
+        return all(getattr(self, c) == getattr(other, c) for c in self._COLUMNS)
+
+
 class EventGraph:
-    """An event graph with adjacency and per-class bookkeeping.
+    """An event graph with its arc table and per-class arc counts.
 
     ``compatible`` is None for the complete graph, and the set of
     ride-compatible request pairs the graph was pruned with otherwise.
+    The adjacency lists ``in_arcs`` and ``out_arcs`` are built on first
+    use.
     """
 
-    def __init__(self, inst: Instance, nodes, locations, arcs,
-                 compatible: frozenset | None = None):
+    def __init__(self, inst: Instance, nodes, locations, arcs: ArcTable,
+                 class_counts: dict[int, int], compatible: frozenset | None = None):
         self.inst = inst
         self.compatible = compatible
         self.nodes: tuple[EventNode, ...] = tuple(nodes)
         self.locations: tuple[int, ...] = tuple(locations)
-        self.arcs: tuple[EventArc, ...] = tuple(arcs)
+        self.arcs = arcs
+        self.class_counts = class_counts
         self.depot_node = 0
         n = inst.n
         self.pickup_nodes = {i: [] for i in range(1, n + 1)}
@@ -115,13 +156,22 @@ class EventGraph:
                 self.pickup_nodes[node.request].append(v)
             elif node.kind == DROPOFF:
                 self.dropoff_nodes[node.request].append(v)
-        self.in_arcs = [[] for _ in self.nodes]
-        self.out_arcs = [[] for _ in self.nodes]
-        self.class_counts = {c: 0 for c in CLASS_NAMES}
-        for a, (tail, head, cls, _, _) in enumerate(self.arcs):
-            self.out_arcs[tail].append(a)
-            self.in_arcs[head].append(a)
-            self.class_counts[cls] += 1
+
+    @cached_property
+    def in_arcs(self) -> list[list[int]]:
+        """Ids of the arcs entering each state, ascending."""
+        return self._adjacency(self.arcs.head)
+
+    @cached_property
+    def out_arcs(self) -> list[list[int]]:
+        """Ids of the arcs leaving each state, ascending."""
+        return self._adjacency(self.arcs.tail)
+
+    def _adjacency(self, ends) -> list[list[int]]:
+        lists = [[] for _ in self.nodes]
+        for a, v in enumerate(ends):
+            lists[v].append(a)
+        return lists
 
     @property
     def pruned(self) -> bool:
@@ -194,73 +244,112 @@ def build_event_graph(inst: Instance,
     nodes = [EventNode(DEPOT, 0, ())]
     locations = [inst.depot_loc]
     index = {}          # (location, others) -> state id
-    pick_after = {}     # others -> ids of the pickup states with them, ascending
+    # others -> (ids, locations) of the pickup states with them, ascending
+    pick_after: dict[tuple, tuple[list, list]] = {}
     for loc in range(1, 2 * n + 1):
         kind, i = (PICKUP, loc) if loc <= n else (DROPOFF, loc - n)
         for others in sorted(co_riders[i]):
             index[loc, others] = len(nodes)
             if kind == PICKUP:
-                pick_after.setdefault(others, []).append(len(nodes))
+                heads, locs = pick_after.setdefault(others, ([], []))
+                heads.append(len(nodes))
+                locs.append(loc)
             nodes.append(EventNode(kind, i, others))
             locations.append(loc)
+
+    drop_groups: dict[tuple, tuple[list, list]] = {}
+
+    def drop_group(onboard):
+        """(ids, locations) of the dropoff states of everyone on board, by
+        increasing request; shared by every state with that onboard set."""
+        group = drop_groups.get(onboard)
+        if group is None:
+            riders = onboard[::-1]
+            group = drop_groups[onboard] = (
+                [index[n + j, tuple(k for k in onboard if k != j)] for j in riders],
+                [n + j for j in riders])
+        return group
 
     places = sorted(set(locations))
     times = {a: {b: inst.metric.time(a, b) for b in places} for a in places}
     costs = {a: {b: inst.metric.cost(a, b) for b in places} for a in places}
     late = {b: inst.windows[b][1] + _TIME_EPS for b in places}
-    arcs = []
+    arcs = ArcTable()
+    counts = dict.fromkeys(CLASS_NAMES, 0)
+
+    def emit(v, cls, heads, locs):
+        """Append the class-``cls`` arcs from state v, the loop's current
+        tail (its ``t_row``, ``c_row`` and ``ready``), to ``heads``, which
+        sit at locations ``locs``."""
+        if compatible is not None and heads:
+            # arc rule; the complete graph cuts nothing
+            fits = [ready + t_row[lh] <= late[lh] for lh in locs]
+            if not all(fits):
+                heads, locs = list(compress(heads, fits)), list(compress(locs, fits))
+        k = len(heads)
+        if not k:
+            return
+        arcs.tail.extend(repeat(v, k))
+        arcs.head.extend(heads)
+        arcs.cls.extend(repeat(cls, k))
+        arcs.cost.extend(map(c_row.__getitem__, locs))
+        arcs.time.extend(map(t_row.__getitem__, locs))
+        counts[cls] += k
+
+    no_group = ((), ())
     for v, node in enumerate(nodes):
+        lt = locations[v]
+        t_row, c_row = times[lt], costs[lt]
+        ready = inst.windows[lt][0] + inst.service[lt]
         # heads in id order: the depot, pickup states, then dropoff states
         # by increasing request (pickup states precede dropoff states)
         if node.kind == DEPOT:
-            heads = [(w, LEAVE_DEPOT) for w in pick_after[()]]
+            emit(v, LEAVE_DEPOT, *pick_after[()])
         elif node.kind == PICKUP:
             onboard = tuple(sorted((node.request, *node.others), reverse=True))
             # pickup -> pickup of a further request, capacity permitting
-            heads = [(w, PICKUP_PICKUP) for w in pick_after.get(onboard, ())]
+            emit(v, PICKUP_PICKUP, *pick_after.get(onboard, no_group))
             # pickup -> dropoff of anyone on board
-            heads += [(index[n + j, tuple(k for k in onboard if k != j)],
-                       PICKUP_DROPOFF) for j in reversed(onboard)]
+            emit(v, PICKUP_DROPOFF, *drop_group(onboard))
         else:
-            heads = [] if node.others else [(0, RETURN_DEPOT)]
+            if not node.others:
+                emit(v, RETURN_DEPOT, [0], [inst.depot_loc])
             # dropoff -> pickup with the same residual load, except the
-            # pickup of the request just dropped off
-            own = index.get((node.request, node.others))
-            heads += [(w, DROPOFF_PICKUP) for w in pick_after.get(node.others, ())
-                      if w != own]
+            # pickup of the request just dropped off (at location request)
+            heads, locs = pick_after.get(node.others, no_group)
+            if node.request in locs:
+                k = locs.index(node.request)
+                heads, locs = heads[:k] + heads[k + 1:], locs[:k] + locs[k + 1:]
+            emit(v, DROPOFF_PICKUP, heads, locs)
             # dropoff -> dropoff of anyone still on board
-            heads += [(index[n + j, tuple(k for k in node.others if k != j)],
-                       DROPOFF_DROPOFF) for j in reversed(node.others)]
-        lt = locations[v]
-        t_row, c_row = times[lt], costs[lt]
-        # arc rule; the complete graph cuts nothing
-        ready = (-math.inf if compatible is None
-                 else inst.windows[lt][0] + inst.service[lt])
-        for w, cls in heads:
-            lh = locations[w]
-            if ready + t_row[lh] <= late[lh]:
-                arcs.append(EventArc(v, w, cls, c_row[lh], t_row[lh]))
+            emit(v, DROPOFF_DROPOFF, *drop_group(node.others))
     if compatible is not None:
-        nodes, locations, arcs = _without_dead_states(nodes, locations, arcs)
-    return EventGraph(inst, nodes, locations, arcs, compatible)
+        nodes, locations, arcs, counts = _without_dead_states(nodes, locations, arcs)
+    return EventGraph(inst, nodes, locations, arcs, counts, compatible)
 
 
-def _without_dead_states(nodes, locations, arcs):
+def _without_dead_states(nodes, locations, arcs: ArcTable):
     """Drop non-depot states without an in-arc or an out-arc until none is
-    left; the survivors keep their order and are renumbered."""
+    left; the survivors keep their order and are renumbered.  Returns the
+    nodes, locations, arc table and class counts that remain."""
+    tail, head = arcs.tail, arcs.head
+    live = range(len(arcs))
     alive = set(range(len(nodes)))
     while True:
-        ends = {arc.tail for arc in arcs} & {arc.head for arc in arcs}
+        ends = {tail[a] for a in live} & {head[a] for a in live}
         dead = {v for v in alive if v != 0 and v not in ends}
         if not dead:
             break
         alive -= dead
-        arcs = [arc for arc in arcs if arc.tail in alive and arc.head in alive]
+        live = [a for a in live if tail[a] in alive and head[a] in alive]
     keep = sorted(alive)
     new_id = {v: k for k, v in enumerate(keep)}
-    arcs = [arc._replace(tail=new_id[arc.tail], head=new_id[arc.head])
-            for arc in arcs]
-    return [nodes[v] for v in keep], [locations[v] for v in keep], arcs
+    kept = ArcTable([new_id[tail[a]] for a in live], [new_id[head[a]] for a in live],
+                    [arcs.cls[a] for a in live], [arcs.cost[a] for a in live],
+                    [arcs.time[a] for a in live])
+    counts = Counter(kept.cls)
+    return ([nodes[v] for v in keep], [locations[v] for v in keep], kept,
+            {c: counts[c] for c in CLASS_NAMES})
 
 
 def node_count_closed_form(n: int, capacity: int) -> int:
@@ -311,8 +400,7 @@ def to_dot(g: EventGraph) -> str:
     for v, node in enumerate(g.nodes):
         shape = "doublecircle" if node.kind == DEPOT else "ellipse"
         lines.append(f'  n{v} [label="{node.label(cap)}" shape={shape}];')
-    for arc in g.arcs:
-        lines.append(
-            f'  n{arc.tail} -> n{arc.head} [label="{CLASS_NAMES[arc.cls]}"];')
+    for tail, head, cls in zip(g.arcs.tail, g.arcs.head, g.arcs.cls):
+        lines.append(f'  n{tail} -> n{head} [label="{CLASS_NAMES[cls]}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

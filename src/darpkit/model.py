@@ -189,10 +189,11 @@ def compute_big_m(graph: EventGraph) -> BigM:
             0.0,
             req.dropoff_window[1] - req.pickup_window[0] - req.max_ride - req.s)
     link = {}
-    for a, arc in enumerate(graph.arcs):
-        tail, head = graph.locations[arc.tail], graph.locations[arc.head]
+    arcs, locs = graph.arcs, graph.locations
+    for a, (v, w, t) in enumerate(zip(arcs.tail, arcs.head, arcs.time)):
+        tail, head = locs[v], locs[w]
         link[a] = max(0.0, inst.windows[tail][1] - inst.windows[head][0]
-                      + inst.service[tail] + arc.time)
+                      + inst.service[tail] + t)
     return BigM(ride=ride, link=link)
 
 
@@ -333,27 +334,30 @@ def _assemble(graph: EventGraph, variant: str, objective: ObjectiveSpec | None,
                   [(x[a], 1.0) for a in graph.out_arcs[graph.depot_node]])
 
     # consecutive times along a used travel arc:  B_head >= B_tail + s + t
-    for a, arc in enumerate(graph.arcs):
-        if arc.cls not in _TRAVEL_CLASSES:
+    arcs = graph.arcs
+    for a, (v, w, cls, t) in enumerate(
+            zip(arcs.tail, arcs.head, arcs.cls, arcs.time)):
+        if cls not in _TRAVEL_CLASSES:
             continue
         mm = m.link[a]
-        s_tail = inst.service[locs[arc.tail]]
+        s_tail = inst.service[locs[v]]
         model.add_row(
-            "travel_link", f"tt_{a}", "L", mm - s_tail - arc.time,
-            [(B[arc.tail], 1.0), (B[arc.head], -1.0), (x[a], mm)])
+            "travel_link", f"tt_{a}", "L", mm - s_tail - t,
+            [(B[v], 1.0), (B[w], -1.0), (x[a], mm)])
 
     # tours start no earlier than the depot opens and end before it closes
     e0, l0 = inst.depot_window
-    for a, arc in enumerate(graph.arcs):
-        if arc.cls == LEAVE_DEPOT:
+    for a, (v, w, cls, t) in enumerate(
+            zip(arcs.tail, arcs.head, arcs.cls, arcs.time)):
+        if cls == LEAVE_DEPOT:
             model.add_row(
-                "depot_depart", f"dep_{a}", "G", e0 + arc.time - m.link[a],
-                [(B[arc.head], 1.0), (x[a], -m.link[a])])
-        elif arc.cls == RETURN_DEPOT:
-            s_tail = inst.service[locs[arc.tail]]
+                "depot_depart", f"dep_{a}", "G", e0 + t - m.link[a],
+                [(B[w], 1.0), (x[a], -m.link[a])])
+        elif cls == RETURN_DEPOT:
+            s_tail = inst.service[locs[v]]
             model.add_row(
-                "depot_return", f"ret_{a}", "L", l0 - s_tail - arc.time + m.link[a],
-                [(B[arc.tail], 1.0), (x[a], m.link[a])])
+                "depot_return", f"ret_{a}", "L", l0 - s_tail - t + m.link[a],
+                [(B[v], 1.0), (x[a], m.link[a])])
 
     # ride time through the hub z_i:  B_w <= z_i <= B_v + L_i + s_i for
     # every dropoff state w and pickup state v of request i; in model2 a
@@ -404,7 +408,7 @@ def _assemble(graph: EventGraph, variant: str, objective: ObjectiveSpec | None,
     w_cost, w_excess, w_max, w_denied = obj._weights()
     terms = []
     if w_cost:
-        terms += [(x[a], w_cost * arc.cost) for a, arc in enumerate(graph.arcs)]
+        terms += [(x[a], w_cost * c) for a, c in enumerate(arcs.cost)]
     if w_excess:
         terms += [(d[req.id], w_excess) for req in inst.requests]
     if w_max:

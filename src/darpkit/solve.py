@@ -282,27 +282,28 @@ def import_solution(model: MilpModel, assignment: Mapping[str, float]) -> Soluti
             else:
                 p_on.add(var.ref)
 
+    tails, heads = graph.arcs.tail, graph.arcs.head
     out_sel: dict[int, list[int]] = {}
     for a in sorted(selected):
-        out_sel.setdefault(graph.arcs[a].tail, []).append(a)
+        out_sel.setdefault(tails[a], []).append(a)
 
     used: set[int] = set()
     tours: list[tuple[Stop, ...]] = []
     for a0 in out_sel.get(graph.depot_node, []):
         stops: list[Stop] = []
-        arc = graph.arcs[a0]
+        head = heads[a0]
         used.add(a0)
         guard = 0
-        while arc.head != graph.depot_node:
-            node = graph.nodes[arc.head]
+        while head != graph.depot_node:
+            node = graph.nodes[head]
             stops.append((node.request, node.kind))
-            nexts = [a for a in out_sel.get(arc.head, []) if a not in used]
+            nexts = [a for a in out_sel.get(head, []) if a not in used]
             if len(nexts) != 1:
                 raise SolutionError(
                     f"state {node.label(inst.capacity)} has "
                     f"{len(nexts)} unused outgoing selected arcs, expected 1")
             used.add(nexts[0])
-            arc = graph.arcs[nexts[0]]
+            head = heads[nexts[0]]
             guard += 1
             if guard > len(selected) + 1:
                 raise SolutionError("selected arcs do not close at the depot")
@@ -375,6 +376,10 @@ def validate_solution(inst: Instance, sol: Solution, tol: float = 1e-6,
             if not 1 <= rid <= inst.n:
                 flag("coverage", t, k, 1.0, f"stop names unknown request {rid}")
                 unknown_in.add(t)
+            if kind not in (PICKUP, DROPOFF):
+                flag("pairing", t, k, 1.0, f"stop of request {rid} has unknown "
+                     f"kind {kind!r}")
+                unknown_in.add(t)
             if kind == PICKUP:
                 if rid in seen_tour and seen_tour[rid] != t:
                     flag("pairing", t, None, 1.0,
@@ -393,7 +398,7 @@ def validate_solution(inst: Instance, sol: Solution, tol: float = 1e-6,
     e0, l0 = inst.depot_window
     for t, (tour, ts) in enumerate(zip(sol.tours, sol.times)):
         if t in unknown_in:
-            continue    # per-stop checks need the request's data
+            continue    # per-stop checks need the stop's request and kind
         if len(ts) != len(tour):
             flag("pairing", t, None, float(abs(len(ts) - len(tour))),
                  "schedule length disagrees with the stop list")
@@ -505,5 +510,9 @@ def solution_from_json(text: str, inst: Instance) -> Solution:
             denied=int(doc["objective"]["f_n"]))
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ParseError(f"solution JSON is missing or mistypes a field: {exc}") from None
+    for tour in tours:
+        for rid, kind in tour:
+            if kind not in (PICKUP, DROPOFF):
+                raise ParseError(f"stop of request {rid} has unknown kind {kind!r}")
     return Solution(tours=tuple(tours), schedule=_schedule(tours, times, inst),
                     accepted=accepted, objective=objective)

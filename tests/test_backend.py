@@ -155,6 +155,10 @@ ENDATA
     ((" UP BND       c              4.0", " UP BND"), "malformed MPS line 23"),
     ((" N  COST", " N"), "malformed MPS line 4"),
     ((" G  floor", " L  cap"), "row 'cap' declared twice, MPS line 6"),
+    (("BOUNDS\n", "RANGES\n    RNG       nosuchrow      1.0\nBOUNDS\n"),
+     "RANGES references unknown row nosuchrow"),
+    (("BOUNDS\n", "RANGES\n    RNG       COST           1.0\nBOUNDS\n"),
+     "RANGES references unknown row COST"),
 ])
 def test_parse_mps_errors(breakage, message):
     old, new = breakage

@@ -306,6 +306,24 @@ def test_graph_json_reports_stage_seconds(instance_file, capsys):
     assert sum(stages.values()) <= stats["build_s"]
 
 
+def test_manifests_report_stage_seconds(tmp_path, instance_file, capsys):
+    base = tmp_path / "m"
+    assert cli.main(["model", str(instance_file), "--out", str(base)]) == 0
+    timings = json.loads(
+        (tmp_path / "m.mps.manifest.json").read_text())["timings_s"]
+    stages = timings["stage_s"]
+    assert set(stages) == {"compatible_pairs", "pruned", "model", "write_mps",
+                           "write_lp", "write_mapping"}
+    assert all(sec >= 0 for sec in stages.values())
+    assert sum(stages.values()) <= timings["total"]
+    dot = tmp_path / "g.dot"
+    capsys.readouterr()
+    assert cli.main(["graph", str(instance_file), "--json", "--dot", str(dot)]) == 0
+    printed = json.loads(capsys.readouterr().out)["stage_s"]
+    manifest = json.loads((tmp_path / "g.dot.manifest.json").read_text())
+    assert manifest["timings_s"]["stage_s"] == printed
+
+
 def test_solve_mps_infeasible(tmp_path, capsys):
     bad = tmp_path / "bad.mps"
     bad.write_text("""\

@@ -1,9 +1,10 @@
+import gc
 import math
 
 import pytest
 
 from darpkit import (
-    DataError, GeneratorConfig, arc_count_closed_form, build_event_graph,
+    DataError, EventArc, GeneratorConfig, arc_count_closed_form, build_event_graph,
     compatible_pairs, generate_synthetic, graph_stats, node_count_closed_form,
     parse_cordeau, to_dot,
 )
@@ -113,6 +114,62 @@ def test_adjacency_is_consistent(gen_instances):
         assert sum(len(x) for x in graph.out_arcs) == graph.arc_count
         total = sum(graph.class_counts.values())
         assert total == graph.arc_count
+
+
+def test_arc_table_indexes_like_a_sequence(gen_instances):
+    for inst in gen_instances:
+        arcs = build_event_graph(inst).arcs
+        columns = (arcs.tail, arcs.head, arcs.cls, arcs.cost, arcs.time)
+        m = len(arcs)
+        for a in (0, m // 2, m - 1, -1, -m):
+            assert arcs[a] == EventArc(*(col[a] for col in columns))
+            assert type(arcs[a]) is EventArc
+        assert arcs[-1] == arcs[m - 1] and arcs[-m] == arcs[0]
+        for a in (m, -m - 1):
+            with pytest.raises(IndexError):
+                arcs[a]
+        assert list(arcs) == [arcs[a] for a in range(m)]
+
+
+def test_arc_tables_compare_by_columns(gen_instances):
+    inst = gen_instances[3]
+    pairs = compatible_pairs(inst)
+    complete, pruned = build_event_graph(inst), build_event_graph(inst, pairs)
+    assert complete.arcs == build_event_graph(inst).arcs
+    assert pruned.arcs == build_event_graph(inst, pairs).arcs
+    assert complete.arcs != pruned.arcs
+    changed = build_event_graph(inst).arcs
+    changed.time[-1] += 1.0
+    assert complete.arcs != changed
+
+
+def test_adjacency_is_built_on_first_use(gen_instances):
+    for inst in gen_instances:
+        for graph in (build_event_graph(inst),
+                      build_event_graph(inst, compatible_pairs(inst))):
+            assert not {"in_arcs", "out_arcs"} & set(vars(graph))
+            arcs = graph.arcs
+            states = range(graph.node_count)
+            assert graph.in_arcs == [
+                [a for a, w in enumerate(arcs.head) if w == v] for v in states]
+            assert graph.out_arcs == [
+                [a for a, u in enumerate(arcs.tail) if u == v] for v in states]
+            assert graph.in_arcs is graph.in_arcs
+            assert graph.class_counts == {c: list(arcs.cls).count(c)
+                                          for c in CLASS_NAMES}
+
+
+def test_arcs_add_no_objects_for_the_collector():
+    # a graph holds about one collector-tracked object per state (its
+    # EventNode), none per arc
+    inst = generate_synthetic(GeneratorConfig(n=10, capacity=3, seed=401))
+    gc.collect()
+    before = len(gc.get_objects())
+    graph = build_event_graph(inst)
+    gc.collect()
+    grown = len(gc.get_objects()) - before
+    assert graph.arc_count > 2 * graph.node_count
+    assert grown <= 2 * graph.node_count, (grown, graph.node_count)
 
 
 def test_requires_tightened_instance(tiny_cordeau_text):

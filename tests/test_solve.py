@@ -574,6 +574,19 @@ def test_validate_coverage_unknown_request(pooling_instance):
     assert [v.stop for v in report.violations] == [0, 1]
 
 
+def test_validate_pairing_unknown_stop_kind():
+    # an oracle plan whose dropoffs carry a kind that is no stop kind
+    inst = generate_synthetic(GeneratorConfig(n=3, capacity=3, seed=1))
+    sol = oracle_solve(inst)
+    tours = tuple(tuple((rid, "banana" if kind == D else kind)
+                        for rid, kind in tour) for tour in sol.tours)
+    report = validate_solution(inst, replace(sol, tours=tours))
+    assert report.kinds() == {"pairing"}
+    assert [(v.tour, v.stop) for v in report.violations] == [
+        (t, k) for t, tour in enumerate(tours)
+        for k, (_, kind) in enumerate(tour) if kind == "banana"]
+
+
 def test_validate_coverage_accepted_not_served(pooling_instance):
     sol = Solution(tours=(), schedule=Schedule(times=(), excess={},
                                                makespans=()),
@@ -644,3 +657,11 @@ def test_solution_json_non_numeric_request(gen_instances):
     doc["tours"][0][0]["request"] = "a"
     with pytest.raises(ParseError, match="field"):
         solution_from_json(json.dumps(doc), inst)
+
+
+def test_solution_json_rejects_an_unknown_stop_kind():
+    from darpkit import ParseError
+    inst = generate_synthetic(GeneratorConfig(n=3, capacity=3, seed=1))
+    text = solution_to_json(oracle_solve(inst)).replace('"dropoff"', '"banana"')
+    with pytest.raises(ParseError, match="unknown kind 'banana'"):
+        solution_from_json(text, inst)
