@@ -39,7 +39,11 @@ class ParsedMip:
 
 
 def parse_mps(text: str) -> ParsedMip:
-    """Parse MPS text into matrix form."""
+    """Parse MPS text into matrix form.
+
+    Matrix, objective, RHS and RANGES values must be finite; a bound may be
+    infinite but not NaN.
+    """
     name = ""
     minimize = True
     obj_row: str | None = None
@@ -102,6 +106,8 @@ def parse_mps(text: str) -> ParsedMip:
                     raise ParseError(f"odd COLUMNS entry count for {col}")
                 for pos in range(0, len(pairs), 2):
                     row, val = pairs[pos], float(pairs[pos + 1])
+                    if not math.isfinite(val):
+                        raise ValueError(val)
                     if row == obj_row:
                         obj_coefs[j] = obj_coefs.get(j, 0.0) + val
                     elif row in row_sense:
@@ -115,6 +121,8 @@ def parse_mps(text: str) -> ParsedMip:
                     raise ParseError("odd RHS entry count")
                 for pos in range(0, len(pairs), 2):
                     row, val = pairs[pos], float(pairs[pos + 1])
+                    if not math.isfinite(val):
+                        raise ValueError(val)
                     if row == obj_row:
                         obj_rhs = val
                     elif row in row_sense:
@@ -125,6 +133,8 @@ def parse_mps(text: str) -> ParsedMip:
                 pairs = fields[1:]
                 for pos in range(0, len(pairs), 2):
                     row, val = pairs[pos], float(pairs[pos + 1])
+                    if not math.isfinite(val):
+                        raise ValueError(val)
                     if row not in row_sense:
                         raise ParseError(f"RANGES references unknown row {row}")
                     ranges[row] = val
@@ -132,13 +142,16 @@ def parse_mps(text: str) -> ParsedMip:
                 btype = fields[0].upper()
                 col = fields[2]
                 val = float(fields[3]) if len(fields) > 3 else None
+                if val is not None and math.isnan(val):
+                    raise ValueError(fields[3])
                 bounds.append((btype, col, val))
             elif section == "ENDATA":
                 break
             elif section is None:
                 raise ParseError("MPS data before any section header")
     except (IndexError, ValueError):
-        # a missing field or a non-numeric value
+        # a missing field, or a non-numeric or non-finite value; the
+        # ValueErrors raised above leave the line to this message
         raise ParseError(f"malformed MPS line {lineno}: {raw.strip()!r}") from None
     if obj_row is None:
         raise ParseError("MPS file declares no objective row")
@@ -280,8 +293,11 @@ def read_assignment(text: str) -> dict[str, float]:
         if len(fields) != 2:
             raise ParseError(f"assignment line {lineno} must be 'name value'")
         try:
-            values[fields[0]] = float(fields[1])
+            value = float(fields[1])
         except ValueError:
             raise ParseError(
                 f"assignment line {lineno} has a non-numeric value") from None
+        if not math.isfinite(value):
+            raise ParseError(f"assignment line {lineno} has a non-finite value")
+        values[fields[0]] = value
     return values

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -278,6 +279,9 @@ def cmd_solve(args) -> int:
             allow_denial = sidecar["allow_denial"]
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise ParseError(f"mapping sidecar {map_path}: {exc}") from None
+        if not isinstance(allow_denial, bool):
+            raise ParseError(f"mapping sidecar {map_path}: allow_denial must "
+                             f"be true or false, got {allow_denial!r}")
         # column ids are only meaningful on the graph they were written for
         if (sidecar.get("instance_sha256"), sidecar.get("graph")) != (
                 instance_sha256(inst), "pruned"):
@@ -330,6 +334,8 @@ def cmd_compare(args) -> int:
         for key in ("f_c", "f_e", "f_emax"):
             va = float(a["objective"][key])
             vb = float(b["objective"][key])
+            if not (math.isfinite(va) and math.isfinite(vb)):
+                raise ValueError(f"{key} is not a finite number")
             rows.append((key, va, vb, pct(key, va, vb)))
         ar_a = len(a["accepted"])
         ar_b = len(b["accepted"])

@@ -395,6 +395,15 @@ def tighten_time_windows(inst: Instance) -> Instance:
 # synthetic instances
 # ---------------------------------------------------------------------------
 
+_HORIZON = 150.0
+_WINDOW_LENGTH = 15.0
+_FIRST_PICKUP = 15.0
+_LAST_PICKUP = 60.0
+_PICKUP_STEP = 5.0
+_RIDE_FACTOR = 1.5
+_TIME_FACTOR = 4.0
+
+
 @dataclass(frozen=True)
 class GeneratorConfig:
     """Settings for the reproducible synthetic instance generator.
@@ -403,9 +412,9 @@ class GeneratorConfig:
     the depot at the centre.  Pickup windows start on a 5-minute grid in
     [15, 60] and are 15 minutes long; every request is inbound.  Seat
     demands are 1 for capacity 3 and uniform on 1..6 for capacity 6, with
-    service durations equal to the demand.  The maximal ride time is
-    ``ride_factor`` times the direct travel time, and travel times are
-    ``time_factor`` times the Euclidean cost.
+    service durations equal to the demand.  The maximal ride time is 1.5
+    times the direct travel time, and travel times are 4 times the
+    Euclidean cost.
     """
 
     n: int
@@ -413,25 +422,15 @@ class GeneratorConfig:
     seed: int
     fleet_size: int | None = None
     area_side: float = 5.0
-    horizon: float = 150.0
-    window_length: float = 15.0
-    first_pickup: float = 15.0
-    last_pickup: float = 60.0
-    pickup_step: float = 5.0
-    ride_factor: float = 1.5
-    time_factor: float = 4.0
 
     def __post_init__(self):
         if self.n < 1:
             raise DataError("generator needs n >= 1")
         if self.capacity not in (3, 6):
             raise DataError("generator capacity must be 3 or 6")
-        for name in ("area_side", "horizon", "window_length", "pickup_step",
-                     "ride_factor", "time_factor"):
-            if getattr(self, name) <= 0:
-                raise DataError(f"{name} must be positive")
-        if not 0 <= self.first_pickup <= self.last_pickup:
-            raise DataError("pickup start range is empty")
+        # a NaN or infinite side never yields two distinct points
+        if not (math.isfinite(self.area_side) and self.area_side > 0):
+            raise DataError("area_side must be positive and finite")
         if self.fleet_size is not None and self.fleet_size < 1:
             raise DataError("fleet size must be at least 1")
 
@@ -441,7 +440,7 @@ def generate_synthetic(cfg: GeneratorConfig) -> Instance:
     rng = random.Random(cfg.seed)
     side = cfg.area_side
     coords = {0: (side / 2.0, side / 2.0)}
-    ticks = int(round((cfg.last_pickup - cfg.first_pickup) / cfg.pickup_step)) + 1
+    ticks = int(round((_LAST_PICKUP - _FIRST_PICKUP) / _PICKUP_STEP)) + 1
     requests = []
     for i in range(1, cfg.n + 1):
         while True:
@@ -453,13 +452,13 @@ def generate_synthetic(cfg: GeneratorConfig) -> Instance:
         coords[i] = (px, py)
         coords[cfg.n + i] = (dx, dy)
         q = 1 if cfg.capacity == 3 else rng.randint(1, 6)
-        start = cfg.first_pickup + cfg.pickup_step * rng.randrange(ticks)
-        t_direct = cfg.time_factor * dist
+        start = _FIRST_PICKUP + _PICKUP_STEP * rng.randrange(ticks)
+        t_direct = _TIME_FACTOR * dist
         requests.append(Request(
             id=i, pickup_loc=i, dropoff_loc=cfg.n + i, q=q, s=float(q),
-            pickup_window=(start, start + cfg.window_length),
-            dropoff_window=(0.0, cfg.horizon),
-            max_ride=cfg.ride_factor * t_direct,
+            pickup_window=(start, start + _WINDOW_LENGTH),
+            dropoff_window=(0.0, _HORIZON),
+            max_ride=_RIDE_FACTOR * t_direct,
             direction=INBOUND))
     fleet = cfg.fleet_size
     if fleet is None:
@@ -467,8 +466,8 @@ def generate_synthetic(cfg: GeneratorConfig) -> Instance:
     inst = Instance(
         name=f"synth-q{cfg.capacity}-n{cfg.n}-s{cfg.seed}",
         requests=tuple(requests), fleet_size=fleet, capacity=cfg.capacity,
-        depot_loc=0, depot_window=(0.0, cfg.horizon),
-        metric=TravelMetric(coords=coords, time_factor=cfg.time_factor))
+        depot_loc=0, depot_window=(0.0, _HORIZON),
+        metric=TravelMetric(coords=coords, time_factor=_TIME_FACTOR))
     return tighten_time_windows(inst)
 
 

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 
@@ -95,7 +96,8 @@ class ObjectiveSpec:
 
     ``alpha`` weighs total excess against routing cost, ``beta`` the
     maximal excess (default grows with the instance, 3n/5) and ``gamma``
-    the number of denied requests.
+    the number of denied requests.  A weight is unset or a finite real
+    number; whether it must be positive depends on the objective.
     """
 
     variant: str = "cost"
@@ -106,6 +108,13 @@ class ObjectiveSpec:
     def __post_init__(self):
         if self.variant not in OBJECTIVES:
             raise DataError(f"unknown objective {self.variant!r}")
+        for slot in ("alpha", "beta", "gamma"):
+            w = getattr(self, slot)
+            if w is not None and not (isinstance(w, numbers.Real)
+                                      and not isinstance(w, bool)
+                                      and math.isfinite(w)):
+                raise DataError(
+                    f"objective weight {slot} must be a finite number, got {w!r}")
 
     def resolve(self, n: int) -> "ObjectiveSpec":
         """Fill in default weights for an instance with n requests."""
@@ -122,19 +131,6 @@ class ObjectiveSpec:
         """Weights of (cost, excess, max excess, denied); must be resolved."""
         return tuple(getattr(self, slot) if isinstance(slot, str) else slot
                      for slot in _WEIGHTS[self.variant])
-
-    @property
-    def needs_excess(self) -> bool:
-        _, excess, max_excess, _ = _WEIGHTS[self.variant]
-        return excess != 0 or max_excess != 0
-
-    @property
-    def needs_max_excess(self) -> bool:
-        return _WEIGHTS[self.variant][2] != 0
-
-    @property
-    def needs_denial(self) -> bool:
-        return _WEIGHTS[self.variant][3] != 0
 
 
 @dataclass(frozen=True)
@@ -272,10 +268,11 @@ def _assemble(graph: EventGraph, variant: str, objective: ObjectiveSpec | None,
     inst = graph.inst
     n = inst.n
     obj = (objective or ObjectiveSpec()).resolve(n)
-    if obj.needs_denial and not allow_denial:
+    w_cost, w_excess, w_max, w_denied = obj._weights()
+    if w_denied and not allow_denial:
         raise DataError(
             f"objective {obj.variant!r} prices denied requests; enable allow_denial")
-    if allow_denial and not obj.needs_denial:
+    if allow_denial and not w_denied:
         warnings.warn(
             f"objective {obj.variant!r} does not penalize denied requests; "
             "denying everything is optimal", stacklevel=2)
@@ -306,10 +303,10 @@ def _assemble(graph: EventGraph, variant: str, objective: ObjectiveSpec | None,
          for r in inst.requests}
     d = {}
     dmax = None
-    if obj.needs_excess:
+    if w_excess or w_max:
         d = {r.id: model.add_var(f"d_{r.id}", "d", r.id, 0.0, math.inf, False)
              for r in inst.requests}
-    if obj.needs_max_excess:
+    if w_max:
         dmax = model.add_var("dmax", "dmax", -1, 0.0, math.inf, False)
 
     # flow conservation at every state node, depot included
@@ -393,19 +390,18 @@ def _assemble(graph: EventGraph, variant: str, objective: ObjectiveSpec | None,
                 model.add_row("window_activation", f"wup_{w}", "L", cap, terms)
 
     # dropoff excess per request, over every dropoff state of the request
-    if obj.needs_excess:
+    if w_excess or w_max:
         for req in inst.requests:
             ed = req.dropoff_window[0]
             for w in graph.dropoff_nodes[req.id]:
                 model.add_row("excess", f"ex_{req.id}_{w}", "G", -ed,
                               [(d[req.id], 1.0), (B[w], -1.0)])
-    if obj.needs_max_excess:
+    if w_max:
         for req in inst.requests:
             model.add_row("excess_max", f"dmx_{req.id}", "G", 0.0,
                           [(dmax, 1.0), (d[req.id], -1.0)])
 
     # objective; zero-weight components contribute no terms
-    w_cost, w_excess, w_max, w_denied = obj._weights()
     terms = []
     if w_cost:
         terms += [(x[a], w_cost * c) for a, c in enumerate(arcs.cost)]

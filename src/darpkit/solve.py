@@ -9,9 +9,10 @@ schedule simultaneously minimizes every per-request dropoff excess, so
 scoring it is exact for every supported objective.  The oracle shares no
 code with the MILP formulation beyond the instance data and the schedule
 primitives of :mod:`darpkit.schedule`, which also decide which requests
-the event graph lets ride together; every plan, from the oracle, a
-decoded assignment or a solution file, is scored by the same schedule
-builder and tour-cost sum.
+the event graph lets ride together.  ``max_acceptance`` runs the same
+partition search.  Every plan, from the oracle, a decoded assignment or
+a solution file, is scored by one function, which builds the plan's
+schedule once and reads the objective components from it.
 
 Solver assignments (variable name -> value) are decoded back into tours
 by walking the selected arcs from the depot; anything that is not a
@@ -24,8 +25,10 @@ reports typed violations instead of raising.
 from __future__ import annotations
 
 import json
+import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cache
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
@@ -72,18 +75,27 @@ class ValidationReport:
 # scoring
 # ---------------------------------------------------------------------------
 
+def _scored(inst: Instance, tours: Sequence[Sequence[Stop]],
+            times: Sequence[Sequence[float]], accepted: Iterable[int],
+            objective: ObjectiveSpec) -> Solution:
+    """The plan with its schedule and the objective value of that schedule."""
+    obj = objective.resolve(inst.n)
+    schedule = _schedule(tours, times, inst)
+    cost = sum(_tour_cost(stops, inst) for stops in tours)
+    excess = schedule.excess.values()
+    f_e = sum(excess)
+    f_emax = max(excess, default=0.0)
+    accepted = frozenset(accepted)
+    denied = inst.n - len(accepted)
+    total = combine_components(obj, cost, f_e, f_emax, denied)
+    value = ObjectiveValue(total, cost, f_e, f_emax, denied)
+    return Solution(tuple(tours), schedule, accepted, value)
+
+
 def evaluate_objective(inst: Instance, sol: Solution,
                        objective: ObjectiveSpec) -> ObjectiveValue:
     """Recompute objective components from tours and schedule times."""
-    obj = objective.resolve(inst.n)
-    cost = sum(_tour_cost(stops, inst) for stops in sol.tours)
-    excess = _schedule(sol.tours, sol.times, inst).excess.values()
-    f_e = sum(excess)
-    f_emax = max(excess, default=0.0)
-    denied = inst.n - len(sol.accepted)
-    total = combine_components(obj, cost, f_e, f_emax, denied)
-    return ObjectiveValue(total=total, cost=cost, excess=f_e,
-                          max_excess=f_emax, denied=denied)
+    return _scored(inst, sol.tours, sol.times, sol.accepted, objective).objective
 
 
 # ---------------------------------------------------------------------------
@@ -162,82 +174,68 @@ def _subsets(ids: Sequence[int]):
 ORACLE_LIMIT = 6
 
 
+def _check_limit(inst: Instance, limit: int):
+    if inst.n > limit:
+        raise DataError(
+            f"oracle is limited to {limit} requests, instance has {inst.n}")
+
+
+def _feasible_partitions(inst: Instance, accepted_sets, orderings):
+    """(accepted, per-block orders) of each partition into at most
+    fleet-size blocks in which every block, as a frozenset, has an order."""
+    for accepted in accepted_sets:
+        for partition in _partitions(accepted, inst.fleet_size):
+            options = [orderings(frozenset(block)) for block in partition]
+            if all(options):
+                yield accepted, options
+
+
 def oracle_solve(inst: Instance, objective: ObjectiveSpec | None = None,
                  allow_denial: bool = False,
                  limit: int = ORACLE_LIMIT) -> Solution:
     """Provably optimal solution by exhaustive enumeration (small n only)."""
-    if inst.n > limit:
-        raise DataError(
-            f"oracle is limited to {limit} requests, instance has {inst.n}")
+    _check_limit(inst, limit)
     obj = (objective or ObjectiveSpec()).resolve(inst.n)
-    if obj.needs_denial and not allow_denial:
+    if obj._weights()[3] and not allow_denial:
         raise DataError(
             f"objective {obj.variant!r} prices denied requests; enable allow_denial")
-    ids = [r.id for r in inst.requests]
-    cache: dict[frozenset, list] = {}
 
+    @cache
     def orderings(block):
         """Feasible orders of a block as (stops, times, cost, excesses)."""
-        key = frozenset(block)
-        if key not in cache:
-            cache[key] = [
-                (seq, ts, _tour_cost(seq, inst),
+        return [(seq, ts, _tour_cost(seq, inst),
                  tuple(_schedule((seq,), (ts,), inst).excess.values()))
                 for seq, ts in _feasible_orderings(block, inst)]
-        return cache[key]
 
+    ids = [r.id for r in inst.requests]
     best_key = None
     best = None
     subsets = _subsets(ids) if allow_denial else [tuple(ids)]
-    for accepted in subsets:
+    for accepted, options in _feasible_partitions(inst, subsets, orderings):
         denied = inst.n - len(accepted)
-        for partition in _partitions(accepted, inst.fleet_size):
-            options = [orderings(block) for block in partition]
-            if any(not opt for opt in options):
-                continue
-            for combo in product(*options):
-                cost = sum(opt[2] for opt in combo)
-                excess = [e for opt in combo for e in opt[3]]
-                f_e = sum(excess)
-                f_emax = max(excess, default=0.0)
-                total = combine_components(obj, cost, f_e, f_emax, denied)
-                tours = tuple(opt[0] for opt in combo)
-                key = (total, _encoding(tours))
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = (tours, tuple(opt[1] for opt in combo), cost, f_e,
-                            f_emax, denied, frozenset(accepted))
+        for combo in product(*options):
+            cost = sum(opt[2] for opt in combo)
+            excess = [e for opt in combo for e in opt[3]]
+            total = combine_components(obj, cost, sum(excess),
+                                       max(excess, default=0.0), denied)
+            tours = tuple(opt[0] for opt in combo)
+            key = (total, _encoding(tours))
+            if best_key is None or key < best_key:
+                best_key = key
+                best = (tours, tuple(opt[1] for opt in combo), accepted)
     if best is None:
         raise InfeasibleError("no feasible solution serves every request")
-    tours, times, cost, f_e, f_emax, denied, accepted = best
-    value = ObjectiveValue(total=best_key[0], cost=cost, excess=f_e,
-                           max_excess=f_emax, denied=denied)
-    return Solution(tours=tours, schedule=_schedule(tours, times, inst),
-                    accepted=accepted, objective=value)
+    return _scored(inst, *best, obj)
 
 
 def max_acceptance(inst: Instance, limit: int = ORACLE_LIMIT) -> int:
     """Largest number of requests any feasible solution can serve."""
-    if inst.n > limit:
-        raise DataError(
-            f"oracle is limited to {limit} requests, instance has {inst.n}")
+    _check_limit(inst, limit)
     ids = [r.id for r in inst.requests]
-    cache: dict[frozenset, bool] = {}
-
-    def block_ok(block):
-        key = frozenset(block)
-        if key not in cache:
-            cache[key] = bool(_feasible_orderings(block, inst))
-        return cache[key]
-
-    by_size: dict[int, list] = {}
-    for sub in _subsets(ids):
-        by_size.setdefault(len(sub), []).append(sub)
-    for size in sorted(by_size, reverse=True):
-        for sub in by_size[size]:
-            for partition in _partitions(sub, inst.fleet_size):
-                if all(block_ok(block) for block in partition):
-                    return size
+    subsets = sorted(_subsets(ids), key=len, reverse=True)
+    orderings = cache(lambda block: _feasible_orderings(block, inst))
+    for accepted, _ in _feasible_partitions(inst, subsets, orderings):
+        return len(accepted)
     return 0
 
 
@@ -260,17 +258,16 @@ def import_solution(model: MilpModel, assignment: Mapping[str, float]) -> Soluti
     graph = model.graph
     inst = graph.inst
 
-    def value(name: str) -> float:
-        if name not in assignment:
-            raise SolutionError(f"assignment misses variable {name}")
-        return float(assignment[name])
-
     selected: set[int] = set()
     p_on: set[int] = set()
     for var in model.vars:
         if not var.integer:
             continue
-        raw = value(var.name)
+        if var.name not in assignment:
+            raise SolutionError(f"assignment misses variable {var.name}")
+        raw = float(assignment[var.name])
+        if not math.isfinite(raw):
+            raise SolutionError(f"binary {var.name} has non-finite value {raw}")
         level = round(raw)
         if abs(raw - level) > 1e-6:
             raise SolutionError(f"binary {var.name} has fractional value {raw}")
@@ -333,18 +330,15 @@ def import_solution(model: MilpModel, assignment: Mapping[str, float]) -> Soluti
         if sched is None:
             raise SolutionError(f"decoded tour {k} has no feasible schedule")
         times.append(sched.times[0])
-    sol = Solution(tours=tuple(tours), schedule=_schedule(tours, times, inst),
-                   accepted=accepted, objective=None)
-    value_rec = evaluate_objective(inst, sol, model.objective)
-    sol = replace(sol, objective=value_rec)
+    sol = _scored(inst, tours, times, accepted, model.objective)
     try:
         claimed = model.objective_value(assignment)
     except KeyError:
         claimed = None
-    if claimed is not None and abs(claimed - value_rec.total) > 1e-4:
+    if claimed is not None and abs(claimed - sol.objective.total) > 1e-4:
         warnings.warn(
             f"assignment objective {claimed} deviates from recomputed "
-            f"{value_rec.total}", stacklevel=2)
+            f"{sol.objective.total}", stacklevel=2)
     return sol
 
 
@@ -432,11 +426,12 @@ def validate_solution(inst: Instance, sol: Solution, tol: float = 1e-6,
                         flag("ride_time", t, k, ride - req.max_ride,
                              f"request {rid} rides {ride:.3f}, limit {req.max_ride:.3f}")
                 state[rid] = "off"
+            # negated in-range tests, so that a NaN time is out of range
             e, l = inst.windows[loc]
-            if when < e - tol:
+            if not when >= e - tol:
                 flag("window", t, k, e - when,
                      f"stop starts {e - when:.3f} before its window")
-            elif when > l + tol:
+            elif not when <= l + tol:
                 flag("window", t, k, when - l,
                      f"stop starts {when - l:.3f} after its window")
         dangling = [rid for rid, st in state.items() if st == "on"]
@@ -467,7 +462,7 @@ def validate_solution(inst: Instance, sol: Solution, tol: float = 1e-6,
         plan = evaluate_objective(inst, sol, ObjectiveSpec())
         for name in ("cost", "excess", "max_excess", "denied"):
             claimed, actual = getattr(sol.objective, name), getattr(plan, name)
-            if abs(claimed - actual) > tol * max(1.0, abs(actual)):
+            if not abs(claimed - actual) <= tol * max(1.0, abs(actual)):
                 flag("objective", None, None, abs(claimed - actual),
                      f"claimed {name} {claimed} disagrees with the plan's {actual}")
     return ValidationReport(ok=not found, violations=tuple(found))
@@ -510,6 +505,10 @@ def solution_from_json(text: str, inst: Instance) -> Solution:
             denied=int(doc["objective"]["f_n"]))
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ParseError(f"solution JSON is missing or mistypes a field: {exc}") from None
+    if not all(math.isfinite(when) for ts in times for when in ts):
+        raise ParseError("solution JSON has a non-finite stop time")
+    if not all(math.isfinite(v) for v in objective.as_json_dict().values()):
+        raise ParseError("solution JSON has a non-finite objective value")
     for tour in tours:
         for rid, kind in tour:
             if kind not in (PICKUP, DROPOFF):

@@ -159,12 +159,32 @@ ENDATA
      "RANGES references unknown row nosuchrow"),
     (("BOUNDS\n", "RANGES\n    RNG       COST           1.0\nBOUNDS\n"),
      "RANGES references unknown row COST"),
+    (("    a         link           1.0", "    a         link           nan"),
+     "malformed MPS line 11"),
+    (("    b         COST           3.0", "    b         COST           -inf"),
+     "malformed MPS line 13"),
+    (("    RHS       floor          0.5", "    RHS       floor          inf"),
+     "malformed MPS line 19"),
+    (("    RHS       COST          -7.5", "    RHS       COST           NaN"),
+     "malformed MPS line 18"),
+    (("BOUNDS\n", "RANGES\n    RNG       cap            inf\nBOUNDS\n"),
+     "malformed MPS line 21"),
+    ((" UP BND       c              4.0", " UP BND       c              nan"),
+     "malformed MPS line 23"),
 ])
 def test_parse_mps_errors(breakage, message):
     old, new = breakage
     assert old in MIN_MPS
     with pytest.raises(ParseError, match=message):
         parse_mps(MIN_MPS.replace(old, new))
+
+
+def test_parse_mps_bounds_may_be_infinite():
+    mip = parse_mps(MIN_MPS.replace(" UP BND       c              4.0",
+                                    " UP BND       c              inf\n"
+                                    " LO BND       b             -inf"))
+    assert list(mip.lower) == [0.0, -math.inf, 0.0]
+    assert list(mip.upper) == [1.0, 1.0, math.inf]
 
 
 def test_parse_mps_data_before_section():
@@ -276,6 +296,12 @@ def test_assignment_read_errors():
         read_assignment("x 1.0 extra\n")
     with pytest.raises(ParseError, match="non-numeric"):
         read_assignment("x one\n")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+def test_assignment_read_refuses_non_finite_values(value):
+    with pytest.raises(ParseError, match="line 2 has a non-finite value"):
+        read_assignment(f"x_1 1.0\nx_0 {value}\n")
 
 
 def test_write_assignment_requires_solution():

@@ -280,6 +280,60 @@ def test_import_validates_denial_as_the_sidecar_allows(tmp_path, instance_file,
     assert "accepted 0/2" in out and "validation: OK" in out
 
 
+def _refused(capsys, argv, words):
+    """The command exits 2 with one ``error:`` line naming ``words``."""
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert words in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["model", "--variant", "model3", "--objective", "cost-excess",
+     "--alpha", "nan"],
+    ["solve", "--oracle", "--objective", "cost-excess", "--alpha", "inf"],
+], ids=["model", "solve"])
+def test_non_finite_weights_exit_2(instance_file, capsys, argv):
+    _refused(capsys, argv[:1] + [str(instance_file)] + argv[1:],
+             "objective weight alpha must be a finite number")
+
+
+@pytest.mark.parametrize("key, value, words", [
+    ("alpha", "abc", "objective weight alpha must be a finite number"),
+    ("allow_denial", "no", "allow_denial must be true or false"),
+], ids=["alpha", "allow_denial"])
+def test_import_refuses_mistyped_sidecar_settings(tmp_path, instance_file,
+                                                  capsys, key, value, words):
+    assign, sidecar = _export_and_solve(instance_file, tmp_path / "m",
+                                        "--objective", "cost-excess")
+    doc = json.loads(sidecar.read_text())
+    (doc["objective"] if key == "alpha" else doc)[key] = value
+    sidecar.write_text(json.dumps(doc))
+    _refused(capsys, ["solve", str(instance_file), "--import", str(assign),
+                      "--mapping", str(sidecar)], words)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_import_refuses_a_non_finite_assignment_value(tmp_path, instance_file,
+                                                      capsys, value):
+    assign, sidecar = _export_and_solve(instance_file, tmp_path / "m")
+    lines = assign.read_text().splitlines()
+    at = next(k for k, line in enumerate(lines) if line.startswith("x_0 "))
+    lines[at] = f"x_0 {value}"
+    assign.write_text("\n".join(lines) + "\n")
+    _refused(capsys, ["solve", str(instance_file), "--import", str(assign),
+                      "--mapping", str(sidecar)],
+             f"assignment line {at + 1} has a non-finite value")
+
+
+def test_solve_mps_refuses_a_nan_coefficient(tmp_path, capsys):
+    path = tmp_path / "nan.mps"
+    path.write_text("NAME nan\nROWS\n N  obj\n G  r\nCOLUMNS\n"
+                    "    x  obj  nan  r  1.0\nRHS\n    RHS  r  1.0\nENDATA\n")
+    _refused(capsys, ["solve-mps", str(path)], "malformed MPS line 6")
+
+
 def test_graph_reports_the_pruned_graph(instance_file, capsys):
     inst = instance_from_json(instance_file.read_text())
     pruned = build_model(build_event_graph(inst), "model2").graph
@@ -405,6 +459,17 @@ def test_compare_zero_baseline(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[1].split()[-1] == "n/a"
     assert lines[2].split()[-1] == "+0"
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_compare_refuses_a_non_finite_component(tmp_path, capsys, value):
+    doc = {"objective": {"f_c": 1.0, "f_e": 1.0, "f_emax": 1.0},
+           "accepted": [1]}
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps(doc))
+    doc["objective"]["f_c"] = value
+    b.write_text(json.dumps(doc))
+    _refused(capsys, ["compare", str(a), str(b)], "f_c is not a finite number")
 
 
 def test_compare_bad_file(tmp_path):

@@ -473,13 +473,19 @@ def test_generator_fleet_sizes():
 
 @pytest.mark.parametrize("bad", [
     {"n": 0}, {"capacity": 4}, {"area_side": 0.0}, {"fleet_size": 0},
-    {"first_pickup": 70.0},
 ])
 def test_generator_config_validation(bad):
     base = dict(n=3, capacity=3, seed=1)
     base.update(bad)
     with pytest.raises(DataError):
         GeneratorConfig(**base)
+
+
+@pytest.mark.parametrize("side", [math.nan, math.inf])
+def test_generator_refuses_a_non_finite_area(side):
+    # such a side never yields two distinct points, so generating would not end
+    with pytest.raises(DataError, match="area_side"):
+        GeneratorConfig(n=3, capacity=3, seed=1, area_side=side)
 
 
 # ---------------------------------------------------------------------------

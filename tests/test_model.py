@@ -55,6 +55,14 @@ def test_objective_validation():
     ObjectiveSpec(variant="cost", alpha=-5.0).resolve(3)
 
 
+@pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf, "abc", True])
+def test_objective_weights_must_be_finite_numbers(weight):
+    # checked when the spec is built, in every slot, used or not
+    for slot in ("alpha", "beta", "gamma"):
+        with pytest.raises(DataError, match=f"weight {slot} must be a finite"):
+            ObjectiveSpec(variant="cost", **{slot: weight})
+
+
 def test_combine_components():
     obj = ObjectiveSpec(variant="cost_max_excess", beta=2.0).resolve(4)
     assert combine_components(obj, 10.0, 99.0, 3.0, 0) == 16.0

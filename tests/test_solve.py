@@ -381,6 +381,14 @@ def test_import_fractional_binary(pooling_model):
         import_solution(pooling_model, values)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_import_non_finite_binary(pooling_model, value):
+    values = _assignment(pooling_model, [(TOUR_A, TIMES_A), (TOUR_B, TIMES_B)])
+    values["x_0"] = value
+    with pytest.raises(SolutionError, match="x_0 has non-finite value"):
+        import_solution(pooling_model, values)
+
+
 def test_import_dangling_walk(pooling_model):
     values = _assignment(pooling_model, [(TOUR_B[:2], TIMES_B[:1])])
     with pytest.raises(SolutionError, match="expected 1"):
@@ -587,6 +595,20 @@ def test_validate_pairing_unknown_stop_kind():
         for k, (_, kind) in enumerate(tour) if kind == "banana"]
 
 
+def test_validate_non_finite_numbers():
+    inst = generate_synthetic(GeneratorConfig(n=3, capacity=3, seed=1))
+    sol = oracle_solve(inst)
+    nan_times = tuple(tuple(math.nan for _ in ts) for ts in sol.times)
+    report = validate_solution(inst, replace(
+        sol, schedule=replace(sol.schedule, times=nan_times), objective=None))
+    assert report.kinds() == {"window"}
+    assert [(v.tour, v.stop) for v in report.violations] == [
+        (t, k) for t, tour in enumerate(sol.tours) for k in range(len(tour))]
+    for name in ("cost", "excess", "max_excess"):
+        claimed = replace(sol, objective=replace(sol.objective, **{name: math.nan}))
+        assert validate_solution(inst, claimed).kinds() == {"objective"}
+
+
 def test_validate_coverage_accepted_not_served(pooling_instance):
     sol = Solution(tours=(), schedule=Schedule(times=(), excess={},
                                                makespans=()),
@@ -656,6 +678,21 @@ def test_solution_json_non_numeric_request(gen_instances):
     doc = json.loads(solution_to_json(oracle_solve(inst)))
     doc["tours"][0][0]["request"] = "a"
     with pytest.raises(ParseError, match="field"):
+        solution_from_json(json.dumps(doc), inst)
+
+
+@pytest.mark.parametrize("field", ["time", "f_c"])
+def test_solution_json_refuses_non_finite_numbers(field):
+    from darpkit import ParseError
+    inst = generate_synthetic(GeneratorConfig(n=3, capacity=3, seed=1))
+    doc = json.loads(solution_to_json(oracle_solve(inst)))
+    if field == "time":
+        for tour in doc["tours"]:
+            for stop in tour:
+                stop["time"] = math.nan
+    else:
+        doc["objective"][field] = math.nan
+    with pytest.raises(ParseError, match="non-finite"):
         solution_from_json(json.dumps(doc), inst)
 
 
