@@ -22,7 +22,7 @@ from .event_graph import (
 from .model import (
     MODEL2, MODEL3, OBJECTIVES, VARIANTS, BigM, MilpModel, ObjectiveSpec,
     ObjectiveValue, build_model, combine_components, compute_big_m,
-    variable_mapping, write_lp, write_mapping, write_mps,
+    read_mapping, variable_mapping, write_lp, write_mapping, write_mps,
 )
 from .solve import (
     ORACLE_LIMIT, Schedule, Solution, ValidationReport, Violation,
@@ -47,8 +47,8 @@ __all__ = [
     "build_event_graph", "graph_stats", "node_count_closed_form", "to_dot",
     "MODEL2", "MODEL3", "OBJECTIVES", "VARIANTS", "BigM", "MilpModel",
     "ObjectiveSpec", "ObjectiveValue", "build_model", "combine_components",
-    "compute_big_m", "variable_mapping", "write_lp", "write_mapping",
-    "write_mps",
+    "compute_big_m", "read_mapping", "variable_mapping", "write_lp",
+    "write_mapping", "write_mps",
     "ORACLE_LIMIT", "Schedule", "Solution", "ValidationReport", "Violation",
     "evaluate_objective", "import_solution", "max_acceptance",
     "minimal_schedule", "oracle_solve", "solution_from_json", "solution_to_json", "validate_solution",

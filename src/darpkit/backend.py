@@ -5,7 +5,9 @@ text is re-parsed from scratch into matrix form and handed to
 ``scipy.optimize.milp``, so solving an exported file exercises the same
 path an external solver would.  Only the MPS subset produced by
 :func:`darpkit.model.write_mps` plus common variations (OBJSENSE,
-RANGES, free rows, MI/PL/FX/FR bounds) is supported.
+RANGES, free rows, MI/PL/FX/FR bounds) is supported.  The first ``N``
+row is the objective; entries on any later ``N`` row (a free row) are
+read and dropped.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ def parse_mps(text: str) -> ParsedMip:
     name = ""
     minimize = True
     obj_row: str | None = None
+    free_rows: set[str] = set()
     row_sense: dict[str, str] = {}
     row_order: list[str] = []
     col_names: list[str] = []
@@ -78,12 +81,14 @@ def parse_mps(text: str) -> ParsedMip:
                 minimize = fields[0].upper() != "MAX"
             elif section == "ROWS":
                 sense, row = fields[0].upper(), fields[1]
-                if row in row_sense or row == obj_row:
+                if row in row_sense or row in free_rows or row == obj_row:
                     raise ParseError(
                         f"row {row!r} declared twice, MPS line {lineno}")
                 if sense == "N":
                     if obj_row is None:
                         obj_row = row
+                    else:
+                        free_rows.add(row)
                 elif sense in ("E", "L", "G"):
                     row_sense[row] = sense
                     row_order.append(row)
@@ -113,7 +118,7 @@ def parse_mps(text: str) -> ParsedMip:
                     elif row in row_sense:
                         key = (j, row)
                         entries[key] = entries.get(key, 0.0) + val
-                    else:
+                    elif row not in free_rows:
                         raise ParseError(f"COLUMNS references unknown row {row}")
             elif section == "RHS":
                 pairs = fields[1:]
@@ -127,7 +132,7 @@ def parse_mps(text: str) -> ParsedMip:
                         obj_rhs = val
                     elif row in row_sense:
                         rhs[row] = val
-                    else:
+                    elif row not in free_rows:
                         raise ParseError(f"RHS references unknown row {row}")
             elif section == "RANGES":
                 pairs = fields[1:]
@@ -283,8 +288,9 @@ def write_assignment(result: MilpResult) -> str:
 
 
 def read_assignment(text: str) -> dict[str, float]:
-    """Parse ``name value`` lines; '#' starts a comment."""
+    """Parse ``name value`` lines, one line per name; '#' starts a comment."""
     values: dict[str, float] = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -299,5 +305,9 @@ def read_assignment(text: str) -> dict[str, float]:
                 f"assignment line {lineno} has a non-numeric value") from None
         if not math.isfinite(value):
             raise ParseError(f"assignment line {lineno} has a non-finite value")
+        if fields[0] in first_line:
+            raise ParseError(f"assignment lines {first_line[fields[0]]} and "
+                             f"{lineno} both set {fields[0]}")
+        first_line[fields[0]] = lineno
         values[fields[0]] = value
     return values

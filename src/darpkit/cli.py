@@ -24,17 +24,15 @@ from pathlib import Path
 
 from . import __version__
 from .backend import read_assignment, solve_mps_text, write_assignment
-from .errors import (
-    DarpkitError, DataError, InfeasibleError, ParseError, SolutionError,
-)
+from .errors import DarpkitError, InfeasibleError, ParseError, SolutionError
 from .event_graph import build_event_graph, graph_stats, to_dot
 from .instance import (
     GeneratorConfig, Instance, generate_synthetic, instance_from_json,
-    instance_sha256, instance_to_json, parse_cordeau, tighten_time_windows,
+    instance_to_json, parse_cordeau, tighten_time_windows,
 )
 from .model import (
-    OBJECTIVES, VARIANTS, ObjectiveSpec, build_model, write_lp, write_mapping,
-    write_mps,
+    OBJECTIVES, VARIANTS, ObjectiveSpec, build_model, read_mapping, write_lp,
+    write_mapping, write_mps,
 )
 from .schedule import compatible_pairs
 from .solve import (
@@ -95,7 +93,7 @@ def _load_instance(path: Path, fmt: str = "auto", name: str | None = None,
 
 
 def _objective_from_args(args) -> ObjectiveSpec:
-    token = args.objective.replace("-", "_")
+    token = (args.objective or "cost").replace("-", "_")
     if token == "rce":
         token = "request_cost_excess"
     return ObjectiveSpec(variant=token,
@@ -103,17 +101,16 @@ def _objective_from_args(args) -> ObjectiveSpec:
 
 
 def _add_objective_args(p: argparse.ArgumentParser):
-    p.add_argument("--objective", default="cost",
+    p.add_argument("--objective", default=None,
                    help="one of " + ", ".join(o.replace("_", "-") for o in OBJECTIVES)
-                        + " (rce is short for request-cost-excess)")
+                        + " (default cost; rce is short for request-cost-excess,"
+                        " the one objective that lets requests be denied)")
     p.add_argument("--alpha", type=float, default=None,
                    help="weight of total excess (default 3)")
     p.add_argument("--beta", type=float, default=None,
                    help="weight of maximal excess (default 3n/5)")
     p.add_argument("--gamma", type=float, default=None,
                    help="penalty per denied request (default 60)")
-    p.add_argument("--allow-denial", action="store_true",
-                   help="add per-request acceptance variables")
 
 
 def cmd_convert(args) -> int:
@@ -202,7 +199,7 @@ def cmd_model(args) -> int:
     stages.mark("compatible_pairs")
     graph = build_event_graph(inst, pairs)
     stages.mark("pruned")
-    model = build_model(graph, variant, objective, allow_denial=args.allow_denial)
+    model = build_model(graph, variant, objective)
     stages.mark("model")
     t_build = time.perf_counter() - t0
     base = args.out
@@ -234,8 +231,8 @@ def cmd_model(args) -> int:
     return 0
 
 
-def _report_solution(inst, sol, allow_denial: bool) -> int:
-    report = validate_solution(inst, sol, allow_denial=allow_denial)
+def _report_solution(inst, sol, objective: ObjectiveSpec) -> int:
+    report = validate_solution(inst, sol, objective=objective)
     obj = sol.objective
     print(f"tours: {len(sol.tours)}, accepted {len(sol.accepted)}/{inst.n}")
     print(f"objective total {obj.total:.6f} (cost {obj.cost:.6f}, "
@@ -259,43 +256,22 @@ def cmd_solve(args) -> int:
     inputs = [src]
     if args.oracle:
         objective = _objective_from_args(args)
-        allow_denial = args.allow_denial
-        sol = oracle_solve(inst, objective, allow_denial=allow_denial,
-                           limit=args.limit)
+        sol = oracle_solve(inst, objective, limit=args.limit)
     else:
         if not args.mapping:
             raise DarpkitError("--import needs --mapping SIDECAR")
+        given = [f"--{flag}" for flag in ("objective", "alpha", "beta", "gamma")
+                 if getattr(args, flag) is not None]
+        if given:
+            raise DarpkitError(f"--import takes the objective from the mapping "
+                               f"sidecar; drop {', '.join(given)}")
         map_path = Path(args.mapping)
         assign_path = Path(getattr(args, "import"))
         inputs += [assign_path, map_path]
-        try:
-            sidecar = json.loads(map_path.read_text())
-            objective = ObjectiveSpec(
-                variant=sidecar["objective"]["variant"],
-                alpha=sidecar["objective"]["alpha"],
-                beta=sidecar["objective"]["beta"],
-                gamma=sidecar["objective"]["gamma"])
-            variant = sidecar["variant"]
-            allow_denial = sidecar["allow_denial"]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise ParseError(f"mapping sidecar {map_path}: {exc}") from None
-        if not isinstance(allow_denial, bool):
-            raise ParseError(f"mapping sidecar {map_path}: allow_denial must "
-                             f"be true or false, got {allow_denial!r}")
-        # column ids are only meaningful on the graph they were written for
-        if (sidecar.get("instance_sha256"), sidecar.get("graph")) != (
-                instance_sha256(inst), "pruned"):
-            raise DataError(f"mapping sidecar {map_path} was not written for "
-                            "this instance's pruned graph; export the model again")
-        pruned = build_event_graph(inst, compatible_pairs(inst))
-        model = build_model(pruned, variant, objective,
-                            allow_denial=allow_denial)
-        if sidecar.get("columns") != len(model.vars):
-            raise DataError(f"mapping sidecar {map_path} lists "
-                            f"{sidecar.get('columns')} columns, the model has "
-                            f"{len(model.vars)}")
+        model = read_mapping(map_path.read_text(), inst)
+        objective = model.objective
         sol = import_solution(model, read_assignment(assign_path.read_text()))
-    code = _report_solution(inst, sol, allow_denial)
+    code = _report_solution(inst, sol, objective)
     if args.out:
         out = Path(args.out)
         out.write_text(solution_to_json(sol) + "\n")

@@ -35,8 +35,8 @@ removed arcs no longer carry LP flow (the LP bound is checked never to
 fall on the criterion-3 instances).
 
 Objectives: routing cost, total dropoff excess, maximal dropoff excess,
-and weighted combinations, optionally with per-request acceptance
-variables so requests may be denied against a penalty.
+and weighted combinations; only ``request_cost_excess`` prices denied
+requests, so only it gets per-request acceptance variables.
 """
 
 from __future__ import annotations
@@ -44,16 +44,15 @@ from __future__ import annotations
 import json
 import math
 import numbers
-import warnings
 from dataclasses import dataclass, replace
 
-from .errors import DataError
+from .errors import DataError, ParseError
 from .event_graph import (
     DROPOFF_DROPOFF, DROPOFF_PICKUP, LEAVE_DEPOT, PICKUP_DROPOFF,
     PICKUP_PICKUP, RETURN_DEPOT,
     EventGraph, build_event_graph,
 )
-from .instance import DEPOT, INBOUND, PICKUP, instance_sha256
+from .instance import DEPOT, INBOUND, PICKUP, Instance, instance_sha256
 from .schedule import compatible_pairs
 
 MODEL2 = "model2"
@@ -214,12 +213,10 @@ class Row:
 class MilpModel:
     """A fully assembled model: variables, rows, objective, bookkeeping."""
 
-    def __init__(self, graph: EventGraph, variant: str, objective: ObjectiveSpec,
-                 allow_denial: bool):
+    def __init__(self, graph: EventGraph, variant: str, objective: ObjectiveSpec):
         self.graph = graph
         self.variant = variant
         self.objective = objective
-        self.allow_denial = allow_denial
         self.name = f"{graph.inst.name}.{variant}.{objective.variant}"
         self.vars: list[Var] = []
         self.rows: list[Row] = []
@@ -247,8 +244,7 @@ class MilpModel:
 
 
 def build_model(graph: EventGraph, variant: str,
-                objective: ObjectiveSpec | None = None,
-                allow_denial: bool = False) -> MilpModel:
+                objective: ObjectiveSpec | None = None) -> MilpModel:
     """Assemble the chosen formulation over the pruned event graph.
 
     A pruned graph is used as given; for a complete one the pruned graph
@@ -257,11 +253,11 @@ def build_model(graph: EventGraph, variant: str,
     """
     if not graph.pruned:
         graph = build_event_graph(graph.inst, compatible_pairs(graph.inst))
-    return _assemble(graph, variant, objective, allow_denial)
+    return _assemble(graph, variant, objective)
 
 
-def _assemble(graph: EventGraph, variant: str, objective: ObjectiveSpec | None,
-              allow_denial: bool) -> MilpModel:
+def _assemble(graph: EventGraph, variant: str,
+              objective: ObjectiveSpec | None) -> MilpModel:
     """The formulation over exactly the given graph, pruned or not."""
     if variant not in VARIANTS:
         raise DataError(f"unknown model variant {variant!r}")
@@ -269,15 +265,8 @@ def _assemble(graph: EventGraph, variant: str, objective: ObjectiveSpec | None,
     n = inst.n
     obj = (objective or ObjectiveSpec()).resolve(n)
     w_cost, w_excess, w_max, w_denied = obj._weights()
-    if w_denied and not allow_denial:
-        raise DataError(
-            f"objective {obj.variant!r} prices denied requests; enable allow_denial")
-    if allow_denial and not w_denied:
-        warnings.warn(
-            f"objective {obj.variant!r} does not penalize denied requests; "
-            "denying everything is optimal", stacklevel=2)
 
-    model = MilpModel(graph, variant, obj, allow_denial)
+    model = MilpModel(graph, variant, obj)
     m = compute_big_m(graph)
     model.big_m = m
 
@@ -285,7 +274,7 @@ def _assemble(graph: EventGraph, variant: str, objective: ObjectiveSpec | None,
     x = [model.add_var(f"x_{a}", "x", a, 0.0, 1.0, True)
          for a in range(graph.arc_count)]
     p = {}
-    if allow_denial:
+    if w_denied:
         p = {r.id: model.add_var(f"p_{r.id}", "p", r.id, 0.0, 1.0, True)
              for r in inst.requests}
     locs = graph.locations
@@ -315,12 +304,13 @@ def _assemble(graph: EventGraph, variant: str, objective: ObjectiveSpec | None,
         terms += [(x[a], -1.0) for a in graph.out_arcs[v]]
         model.add_row("flow", f"flow_{v}", "E", 0.0, terms)
 
-    # each request is served exactly once (or acceptance decides)
+    # each request is served exactly once (or, if denial is priced, as
+    # often as its acceptance variable says)
     for req in inst.requests:
         terms = [(x[a], 1.0)
                  for v in graph.pickup_nodes[req.id]
                  for a in graph.in_arcs[v]]
-        if allow_denial:
+        if w_denied:
             model.add_row("serve", f"serve_{req.id}", "E", 0.0,
                           terms + [(p[req.id], -1.0)])
         else:
@@ -534,8 +524,8 @@ def variable_mapping(model: MilpModel) -> dict:
     """Sidecar map from variable names to their graph/request meaning.
 
     Column ids refer to one graph of one instance, so the sidecar records
-    the instance's SHA-256, the graph form and the column count; an
-    import checks all three before it decodes anything.
+    the instance's SHA-256, the graph form and the column count;
+    :func:`read_mapping` checks all three.
     """
     ref_key = {"x": "arc", "B": "node", "p": "request", "z": "request",
                "d": "request"}
@@ -558,7 +548,6 @@ def variable_mapping(model: MilpModel) -> dict:
             "beta": model.objective.beta,
             "gamma": model.objective.gamma,
         },
-        "allow_denial": model.allow_denial,
         "objective_constant": model.obj_constant,
         "variables": variables,
     }
@@ -566,3 +555,28 @@ def variable_mapping(model: MilpModel) -> dict:
 
 def write_mapping(model: MilpModel) -> str:
     return json.dumps(variable_mapping(model), indent=2, sort_keys=True)
+
+
+def read_mapping(text: str, inst: Instance) -> MilpModel:
+    """The model a sidecar was written for, rebuilt over ``inst``; refused
+    unless the sidecar names this instance's pruned graph and column count."""
+    try:
+        doc = json.loads(text)
+        objective = ObjectiveSpec(
+            variant=doc["objective"]["variant"],
+            alpha=doc["objective"]["alpha"],
+            beta=doc["objective"]["beta"],
+            gamma=doc["objective"]["gamma"])
+        variant = doc["variant"]
+    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        raise ParseError(f"mapping sidecar: {exc}") from None
+    if (doc.get("instance_sha256"), doc.get("graph")) != (
+            instance_sha256(inst), "pruned"):
+        raise DataError("mapping sidecar was not written for this instance's "
+                        "pruned graph; export the model again")
+    model = build_model(build_event_graph(inst, compatible_pairs(inst)),
+                        variant, objective)
+    if doc.get("columns") != len(model.vars):
+        raise DataError(f"mapping sidecar lists {doc.get('columns')} columns, the "
+                        f"model has {len(model.vars)}; export the model again")
+    return model

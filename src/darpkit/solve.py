@@ -191,14 +191,11 @@ def _feasible_partitions(inst: Instance, accepted_sets, orderings):
 
 
 def oracle_solve(inst: Instance, objective: ObjectiveSpec | None = None,
-                 allow_denial: bool = False,
                  limit: int = ORACLE_LIMIT) -> Solution:
-    """Provably optimal solution by exhaustive enumeration (small n only)."""
+    """Provably optimal solution by exhaustive enumeration (small n only);
+    requests go unserved only if the objective prices denial."""
     _check_limit(inst, limit)
     obj = (objective or ObjectiveSpec()).resolve(inst.n)
-    if obj._weights()[3] and not allow_denial:
-        raise DataError(
-            f"objective {obj.variant!r} prices denied requests; enable allow_denial")
 
     @cache
     def orderings(block):
@@ -210,7 +207,7 @@ def oracle_solve(inst: Instance, objective: ObjectiveSpec | None = None,
     ids = [r.id for r in inst.requests]
     best_key = None
     best = None
-    subsets = _subsets(ids) if allow_denial else [tuple(ids)]
+    subsets = _subsets(ids) if obj._weights()[3] else [tuple(ids)]
     for accepted, options in _feasible_partitions(inst, subsets, orderings):
         denied = inst.n - len(accepted)
         for combo in product(*options):
@@ -319,7 +316,7 @@ def import_solution(model: MilpModel, assignment: Mapping[str, float]) -> Soluti
         if count > 1:
             raise SolutionError(f"request {rid} is served {count} times")
     accepted = frozenset(served)
-    if model.allow_denial and accepted != p_on:
+    if model.objective._weights()[3] and accepted != p_on:
         raise SolutionError(
             f"acceptance variables {sorted(p_on)} disagree with served "
             f"requests {sorted(accepted)}")
@@ -347,13 +344,14 @@ def import_solution(model: MilpModel, assignment: Mapping[str, float]) -> Soluti
 # ---------------------------------------------------------------------------
 
 def validate_solution(inst: Instance, sol: Solution, tol: float = 1e-6,
-                      allow_denial: bool = False) -> ValidationReport:
+                      objective: ObjectiveSpec | None = None) -> ValidationReport:
     """Check a solution directly against the instance semantics.
 
-    Unless ``allow_denial`` is set, every request must be accepted.  A
-    claimed objective must agree with the plan's cost, excess, maximal
-    excess and denial count to ``tol`` relative to max(1, |value|).
+    A request may go unserved only if ``objective`` prices denial.  The
+    claimed cost, excess, maximal excess, denial count and (given an
+    objective) total must match the plan to ``tol`` * max(1, |value|).
     """
+    obj = (objective or ObjectiveSpec()).resolve(inst.n)
     found: list[Violation] = []
 
     def flag(kind, tour, stop, magnitude, detail):
@@ -385,7 +383,7 @@ def validate_solution(inst: Instance, sol: Solution, tol: float = 1e-6,
              f"tours serve {sorted(served)}, accepted claims "
              f"{sorted(sol.accepted)}")
     denied = set(range(1, inst.n + 1)) - sol.accepted
-    if denied and not allow_denial:
+    if denied and not obj._weights()[3]:
         flag("coverage", None, None, float(len(denied)),
              f"requests {sorted(denied)} are not accepted and denial is off")
 
@@ -458,9 +456,13 @@ def validate_solution(inst: Instance, sol: Solution, tol: float = 1e-6,
                      f"tour returns {ret - l0:.3f} after the depot closes")
 
     if sol.objective is not None and not unknown_in:
-        # the components do not depend on the objective weights
-        plan = evaluate_objective(inst, sol, ObjectiveSpec())
-        for name in ("cost", "excess", "max_excess", "denied"):
+        # the components do not depend on the objective weights, the total
+        # is only known under a given objective
+        plan = evaluate_objective(inst, sol, obj)
+        names = ["cost", "excess", "max_excess", "denied"]
+        if objective is not None:
+            names.append("total")
+        for name in names:
             claimed, actual = getattr(sol.objective, name), getattr(plan, name)
             if not abs(claimed - actual) <= tol * max(1.0, abs(actual)):
                 flag("objective", None, None, abs(claimed - actual),

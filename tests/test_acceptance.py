@@ -325,8 +325,7 @@ def test_criterion_8_denial_monotone_in_gamma():
         counts = []
         for gamma in gammas:
             sol = oracle_solve(
-                inst, ObjectiveSpec(variant="request_cost_excess", gamma=gamma),
-                allow_denial=True)
+                inst, ObjectiveSpec(variant="request_cost_excess", gamma=gamma))
             counts.append(len(sol.accepted))
         if any(a > b for a, b in zip(counts, counts[1:])):
             bad.append((inst.name, "not monotone", counts))

@@ -187,6 +187,35 @@ def test_parse_mps_bounds_may_be_infinite():
     assert list(mip.upper) == [1.0, 1.0, math.inf]
 
 
+def test_parse_mps_drops_free_rows():
+    # an N row after the first is a free row: its entries are read and
+    # dropped, so the file parses to the same matrix as without it
+    text = (MIN_MPS.replace(" L  cap", " N  FREE\n L  cap")
+            .replace("    c         COST           1.0   floor          1.0",
+                     "    c         COST           1.0   FREE           5.0\n"
+                     "    c         floor          1.0")
+            .replace("    RHS       floor          0.5",
+                     "    RHS       floor          0.5   FREE           9.0"))
+    mip, ref = parse_mps(text), parse_mps(MIN_MPS)
+    assert mip.row_names == ref.row_names and mip.col_names == ref.col_names
+    assert list(mip.obj) == list(ref.obj)
+    assert mip.obj_constant == ref.obj_constant
+    assert list(mip.rhs) == list(ref.rhs)
+    assert mip.matrix.toarray().tolist() == ref.matrix.toarray().tolist()
+    assert solve_mps_text(text).objective == pytest.approx(10.0)
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("BOUNDS\n", "RANGES\n    RNG       FREE           1.0\nBOUNDS\n",
+     "RANGES references unknown row FREE"),
+    (" L  cap", " N  FREE\n L  cap", "row 'FREE' declared twice"),
+], ids=["ranges", "declared twice"])
+def test_parse_mps_free_row_errors(old, new, message):
+    text = MIN_MPS.replace(" L  cap", " N  FREE\n L  cap").replace(old, new)
+    with pytest.raises(ParseError, match=message):
+        parse_mps(text)
+
+
 def test_parse_mps_data_before_section():
     with pytest.raises(ParseError, match="before any section"):
         parse_mps("    a  COST  1.0\nROWS\n N  COST\nENDATA\n")
@@ -296,6 +325,12 @@ def test_assignment_read_errors():
         read_assignment("x 1.0 extra\n")
     with pytest.raises(ParseError, match="non-numeric"):
         read_assignment("x one\n")
+
+
+def test_assignment_read_refuses_a_repeated_name():
+    # the last line used to win, so the plan disagreed with the first line
+    with pytest.raises(ParseError, match="lines 1 and 3 both set x_0"):
+        read_assignment("x_0 1\nx_1 0.5\nx_0 0\n")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])

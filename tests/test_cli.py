@@ -136,10 +136,13 @@ def test_model_rejects_unknown_objective(instance_file):
                      "--objective", "fastest"]) == 2
 
 
-def test_model_rce_needs_denial(instance_file):
-    assert cli.main(["model", str(instance_file), "--objective", "rce"]) == 2
+def test_model_rce_needs_denial(tmp_path, instance_file, capsys):
+    # rce prices denied requests, so it gets acceptance columns unasked
     assert cli.main(["model", str(instance_file), "--objective", "rce",
-                     "--allow-denial", "-o", "ok"]) == 0
+                     "-o", str(tmp_path / "m")]) == 0
+    line = next(line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("variables: "))
+    assert json.loads(line.split(" ", 2)[2])["p"] == 2
 
 
 def test_solve_oracle(tmp_path, instance_file, capsys):
@@ -271,13 +274,18 @@ def test_import_validates_denial_as_the_sidecar_allows(tmp_path, instance_file,
                                                        capsys):
     # at gamma 0.01 denying every request is optimal
     assign, sidecar = _export_and_solve(
-        instance_file, tmp_path / "m", "--objective", "rce", "--allow-denial",
-        "--gamma", "0.01")
+        instance_file, tmp_path / "m", "--objective", "rce", "--gamma", "0.01")
     capsys.readouterr()
-    assert cli.main(["solve", str(instance_file), "--import", str(assign),
-                     "--mapping", str(sidecar)]) == 0
+    argv = ["solve", str(instance_file), "--import", str(assign),
+            "--mapping", str(sidecar)]
+    assert cli.main(argv) == 0
     out = capsys.readouterr().out
     assert "accepted 0/2" in out and "validation: OK" in out
+    # sidecars once carried an allow_denial key; the objective decides now
+    doc = json.loads(sidecar.read_text())
+    sidecar.write_text(json.dumps({**doc, "allow_denial": True}))
+    assert cli.main(argv) == 0
+    assert "validation: OK" in capsys.readouterr().out
 
 
 def _refused(capsys, argv, words):
@@ -301,8 +309,7 @@ def test_non_finite_weights_exit_2(instance_file, capsys, argv):
 
 @pytest.mark.parametrize("key, value, words", [
     ("alpha", "abc", "objective weight alpha must be a finite number"),
-    ("allow_denial", "no", "allow_denial must be true or false"),
-], ids=["alpha", "allow_denial"])
+], ids=["alpha"])
 def test_import_refuses_mistyped_sidecar_settings(tmp_path, instance_file,
                                                   capsys, key, value, words):
     assign, sidecar = _export_and_solve(instance_file, tmp_path / "m",
@@ -312,6 +319,21 @@ def test_import_refuses_mistyped_sidecar_settings(tmp_path, instance_file,
     sidecar.write_text(json.dumps(doc))
     _refused(capsys, ["solve", str(instance_file), "--import", str(assign),
                       "--mapping", str(sidecar)], words)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--objective", "cost"], ["--alpha", "2"], ["--beta", "1"],
+    ["--gamma", "5"], ["--objective", "rce", "--gamma", "5"],
+], ids=["objective", "alpha", "beta", "gamma", "objective+gamma"])
+def test_import_refuses_objective_flags(tmp_path, instance_file, capsys,
+                                        flags):
+    # the sidecar decides the objective; a flag would be silently ignored
+    assign, sidecar = _export_and_solve(instance_file, tmp_path / "m",
+                                        "--objective", "cost-excess")
+    _refused(capsys, ["solve", str(instance_file), "--import", str(assign),
+                      "--mapping", str(sidecar), *flags],
+             "--import takes the objective from the mapping sidecar; drop "
+             + ", ".join(f for f in flags if f.startswith("--")))
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

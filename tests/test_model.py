@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -9,8 +8,8 @@ from darpkit import (
     DataError, GeneratorConfig, ObjectiveSpec, ObjectiveValue, Schedule,
     Solution, build_event_graph, build_model, combine_components,
     compatible_pairs, compute_big_m, evaluate_objective, generate_synthetic,
-    instance_sha256, parse_mps, variable_mapping, write_lp, write_mapping,
-    write_mps,
+    instance_sha256, parse_mps, read_mapping, variable_mapping, write_lp,
+    write_mapping, write_mps,
 )
 from darpkit.event_graph import (
     DROPOFF, DROPOFF_DROPOFF, DROPOFF_PICKUP, LEAVE_DEPOT, PICKUP,
@@ -384,7 +383,7 @@ def test_pruning_never_lowers_the_lp_bound(criterion3_suite, variant):
             obj = ObjectiveSpec(variant=name)
             bounds = []
             for model in (build_model(full, variant, obj),
-                          _assemble(full, variant, obj, False)):
+                          _assemble(full, variant, obj)):
                 rows = [(row.sense, row.rhs, row.terms) for row in model.rows]
                 bounds.append(_lp_relaxation(model, rows))
             (status, pruned), (status_full, complete) = bounds
@@ -417,25 +416,10 @@ def test_travel_link_rows(single_request_instance):
         assert coef[f"x_{a}"] == pytest.approx(mm)
 
 
-def test_denial_guard_and_warning(pooling_instance):
-    graph = build_event_graph(pooling_instance)
-    with pytest.raises(DataError, match="allow_denial"):
-        build_model(graph, "model2", ObjectiveSpec(variant="request_cost_excess"))
-    with pytest.warns(UserWarning, match="denying everything"):
-        build_model(graph, "model2", ObjectiveSpec(variant="cost"),
-                    allow_denial=True)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        build_model(graph, "model2",
-                    ObjectiveSpec(variant="request_cost_excess"),
-                    allow_denial=True)
-
-
 def test_objective_terms_and_constant(pooling_instance):
     graph = build_event_graph(pooling_instance)
     model = build_model(graph, "model2",
-                        ObjectiveSpec(variant="request_cost_excess"),
-                        allow_denial=True)
+                        ObjectiveSpec(variant="request_cost_excess"))
     assert model.obj_constant == pytest.approx(60.0 * 3)
     values = {var.name: 0.0 for var in model.vars}
     assert model.objective_value(values) == pytest.approx(180.0)
@@ -517,8 +501,7 @@ def test_mps_round_trip(single_request_instance):
 def test_mps_objective_constant_round_trip(pooling_instance):
     graph = build_event_graph(pooling_instance)
     model = build_model(graph, "model3",
-                        ObjectiveSpec(variant="request_cost_excess"),
-                        allow_denial=True)
+                        ObjectiveSpec(variant="request_cost_excess"))
     mip = parse_mps(write_mps(model))
     assert mip.obj_constant == pytest.approx(180.0)
     values = {name: 0.0 for name in mip.col_names}
@@ -562,10 +545,29 @@ def test_variable_mapping(single_request_instance):
     assert doc["instance"] == "single"
     assert doc["objective"]["variant"] == "cost_excess"
     assert doc["objective"]["alpha"] == 3.0
-    assert doc["allow_denial"] is False
+    assert "allow_denial" not in doc
     assert len(doc["variables"]) == len(model.vars)
     assert doc["variables"]["x_0"]["kind"] == "x"
     assert "arc" in doc["variables"]["x_0"]
     assert doc["variables"]["d_1"] == {"kind": "d", "request": 1}
     assert "node" in doc["variables"]["B_0"]
     assert write_mapping(model) == write_mapping(model)
+
+
+@pytest.mark.parametrize("objective", ["cost", "request_cost_excess"])
+def test_read_mapping_rebuilds_the_model(gen_instances, objective):
+    inst = gen_instances[0]
+    model = build_model(build_event_graph(inst), "model3",
+                        ObjectiveSpec(variant=objective, alpha=2.5))
+    again = read_mapping(write_mapping(model), inst)
+    assert (again.variant, again.objective) == (model.variant, model.objective)
+    assert write_mps(again) == write_mps(model)
+    # only the objective that prices denial has acceptance columns
+    assert again.census["variables"]["p"] == (
+        inst.n if objective == "request_cost_excess" else 0)
+
+
+def test_read_mapping_refuses_another_instance(gen_instances):
+    model = build_model(build_event_graph(gen_instances[0]), "model2")
+    with pytest.raises(DataError, match="this instance's pruned graph"):
+        read_mapping(write_mapping(model), gen_instances[1])

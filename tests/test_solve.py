@@ -146,8 +146,12 @@ def test_minimal_schedule_rejects_bad_structure(tour):
 # exact oracle vs an independent brute force
 # ---------------------------------------------------------------------------
 
-def brute_reference(inst, objective, allow_denial=False):
-    """Best total over labeled vehicle assignments, orders via LP schedules."""
+def brute_reference(inst, objective):
+    """Best total over labeled vehicle assignments, orders via LP schedules.
+
+    Every subset of requests is tried under ``request_cost_excess``, the
+    objective that prices denial; every request is served under the rest.
+    """
     obj = objective.resolve(inst.n)
     ids = [r.id for r in inst.requests]
     cache = {}
@@ -194,7 +198,7 @@ def brute_reference(inst, objective, allow_denial=False):
         return cost + inst.metric.cost(prev, inst.depot_loc)
 
     best = None
-    if allow_denial:
+    if obj.variant == "request_cost_excess":
         subsets = []
         for k in range(len(ids) + 1):
             subsets.extend(itertools.combinations(ids, k))
@@ -257,8 +261,8 @@ def test_oracle_matches_brute_force(gen_instances, pooling_instance,
 def test_oracle_denial_matches_brute_force(gen_instances, gamma):
     inst = gen_instances[0]
     obj = ObjectiveSpec(variant="request_cost_excess", gamma=gamma)
-    sol = oracle_solve(inst, obj, allow_denial=True)
-    expected = brute_reference(inst, obj, allow_denial=True)
+    sol = oracle_solve(inst, obj)
+    expected = brute_reference(inst, obj)
     assert sol.objective.total == pytest.approx(expected, abs=1e-6)
 
 
@@ -292,9 +296,21 @@ def test_max_acceptance():
     inst = _conflicting_instance()
     assert max_acceptance(inst) == 1
     sol = oracle_solve(inst, ObjectiveSpec(variant="request_cost_excess",
-                                           gamma=1e6), allow_denial=True)
+                                           gamma=1e6))
     assert len(sol.accepted) == 1
     assert sol.objective.denied == 1
+
+
+def test_oracle_denies_only_when_the_objective_prices_it():
+    # one of the two conflicting requests must go: only rce may drop it
+    inst = _conflicting_instance()
+    with pytest.raises(InfeasibleError):
+        oracle_solve(inst, ObjectiveSpec(variant="cost_excess"))
+    sol = oracle_solve(inst, ObjectiveSpec(variant="request_cost_excess"))
+    assert sol.objective.denied == 1
+    assert validate_solution(inst, sol).kinds() == {"coverage"}
+    assert validate_solution(
+        inst, sol, objective=ObjectiveSpec(variant="request_cost_excess")).ok
 
 
 def test_oracle_limit_guard(gen_instances):
@@ -302,9 +318,6 @@ def test_oracle_limit_guard(gen_instances):
         oracle_solve(gen_instances[0], limit=1)
     with pytest.raises(DataError, match="limited"):
         max_acceptance(gen_instances[0], limit=1)
-    with pytest.raises(DataError, match="allow_denial"):
-        oracle_solve(gen_instances[0],
-                     ObjectiveSpec(variant="request_cost_excess"))
 
 
 # ---------------------------------------------------------------------------
@@ -419,8 +432,7 @@ def test_import_double_service(pooling_model):
 def test_import_acceptance_disagreement(pooling_instance):
     graph = build_event_graph(pooling_instance)
     model = build_model(graph, "model2",
-                        ObjectiveSpec(variant="request_cost_excess"),
-                        allow_denial=True)
+                        ObjectiveSpec(variant="request_cost_excess"))
     values = _assignment(model, [(TOUR_A, TIMES_A), (TOUR_B, TIMES_B)],
                          p_on=[1, 2])   # request 3 served but not accepted
     with pytest.raises(SolutionError, match="disagree"):
@@ -483,7 +495,8 @@ def _solution(tours, times):
 
 def _validate(inst, sol):
     """The single-kind checks below serve some requests only, on purpose."""
-    return validate_solution(inst, sol, allow_denial=True)
+    return validate_solution(
+        inst, sol, objective=ObjectiveSpec(variant="request_cost_excess"))
 
 
 def test_validate_ok(pooling_instance):
@@ -624,10 +637,12 @@ def test_validate_coverage_needs_denial_to_skip_requests():
     empty = Solution(tours=(), schedule=Schedule(times=(), excess={},
                                                  makespans=()),
                      accepted=frozenset(), objective=None)
-    report = validate_solution(inst, empty)
-    assert report.kinds() == {"coverage"}
-    assert report.violations[0].magnitude == 3.0
-    assert validate_solution(inst, empty, allow_denial=True).ok
+    for objective in (None, ObjectiveSpec(variant="cost")):
+        report = validate_solution(inst, empty, objective=objective)
+        assert report.kinds() == {"coverage"}
+        assert report.violations[0].magnitude == 3.0
+    assert validate_solution(
+        inst, empty, objective=ObjectiveSpec(variant="request_cost_excess")).ok
 
 
 @pytest.mark.parametrize("field", ["f_c", "f_e", "f_emax", "f_n"])
@@ -643,6 +658,21 @@ def test_validate_objective_components(gen_instances, field):
     report = validate_solution(inst, solution_from_json(json.dumps(doc), inst))
     assert report.kinds() == {"objective"}
     assert report.violations[0].magnitude == pytest.approx(1.0, rel=1e-4)
+
+
+@pytest.mark.parametrize("shift", [100.0, math.nan], ids=["plus_100", "nan"])
+def test_validate_objective_total(shift):
+    # the total depends on the weights, so only a given objective checks it
+    inst = generate_synthetic(GeneratorConfig(n=3, capacity=3, seed=1))
+    obj = ObjectiveSpec(variant="cost_excess")
+    sol = oracle_solve(inst, obj)
+    assert validate_solution(inst, sol, objective=obj).ok
+    bad = replace(sol, objective=replace(sol.objective,
+                                         total=sol.objective.total + shift))
+    assert validate_solution(inst, bad).ok
+    report = validate_solution(inst, bad, objective=obj)
+    assert report.kinds() == {"objective"}
+    assert "claimed total" in report.violations[0].detail
 
 
 # ---------------------------------------------------------------------------
