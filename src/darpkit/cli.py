@@ -23,7 +23,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .backend import read_assignment, solve_mps_text, write_assignment
+from .backend import parse_mps, read_assignment, solve_mip, write_assignment
 from .errors import DarpkitError, InfeasibleError, ParseError, SolutionError
 from .event_graph import build_event_graph, graph_stats, to_dot
 from .instance import (
@@ -34,9 +34,9 @@ from .model import (
     OBJECTIVES, VARIANTS, ObjectiveSpec, build_model, read_mapping, write_lp,
     write_mapping, write_mps,
 )
-from .schedule import compatible_pairs
 from .solve import (
-    import_solution, oracle_solve, solution_to_json, validate_solution,
+    ORACLE_LIMIT, import_solution, oracle_solve, solution_to_json,
+    validate_solution,
 )
 
 USAGE_ERROR = 2
@@ -47,35 +47,41 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _write_manifest(primary: Path, command: str, argv: list[str],
-                    inputs: list[Path], outputs: list[Path],
-                    timings: dict, seed: int | None = None) -> Path:
+class _Stages:
+    """A command's one clock: seconds of consecutive stages, each from the
+    previous mark, and the total since the command started."""
+
+    def __init__(self):
+        self.seconds: dict[str, float] = {}
+        self._start = self._last = time.perf_counter()
+
+    def mark(self, name: str | None):
+        """End the running stage; record it unless ``name`` is None."""
+        now = time.perf_counter()
+        if name is not None:
+            self.seconds[name] = round(now - self._last, 6)
+        self._last = now
+
+    def total(self) -> float:
+        return round(time.perf_counter() - self._start, 6)
+
+
+def _write_manifest(primary: Path, command: str, inputs: list[Path],
+                    outputs: list[Path], stages: _Stages,
+                    seed: int | None = None) -> Path:
     doc = {
         "tool": "darpkit",
         "version": __version__,
         "command": command,
-        "argv": argv,
+        "argv": sys.argv[1:],
         "seed": seed,
         "inputs": {str(p): _sha256(p) for p in inputs},
         "outputs": {str(p): _sha256(p) for p in outputs},
-        "timings_s": timings,
+        "timings_s": {"stage_s": stages.seconds, "total": stages.total()},
     }
     path = primary.parent / (primary.name + ".manifest.json")
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return path
-
-
-class _Stages:
-    """Seconds of consecutive named stages, each from the previous mark."""
-
-    def __init__(self):
-        self.seconds: dict[str, float] = {}
-        self._last = time.perf_counter()
-
-    def mark(self, name: str):
-        now = time.perf_counter()
-        self.seconds[name] = round(now - self._last, 6)
-        self._last = now
 
 
 def _load_instance(path: Path, fmt: str = "auto", name: str | None = None,
@@ -114,7 +120,7 @@ def _add_objective_args(p: argparse.ArgumentParser):
 
 
 def cmd_convert(args) -> int:
-    t0 = time.perf_counter()
+    stages = _Stages()
     src = Path(args.input)
     inst = _load_instance(src, fmt=args.format, name=args.name,
                           auto_tighten=False)
@@ -122,22 +128,20 @@ def cmd_convert(args) -> int:
         inst = tighten_time_windows(inst)
     out = Path(args.out)
     out.write_text(instance_to_json(inst))
-    _write_manifest(out, "convert", sys.argv[1:], [src], [out],
-                    {"total": time.perf_counter() - t0})
+    _write_manifest(out, "convert", [src], [out], stages)
     print(f"wrote {out} ({inst.n} requests, fleet {inst.fleet_size}, "
           f"capacity {inst.capacity})")
     return 0
 
 
 def cmd_generate(args) -> int:
-    t0 = time.perf_counter()
+    stages = _Stages()
     cfg = GeneratorConfig(n=args.n, capacity=args.capacity, seed=args.seed,
                           fleet_size=args.fleet_size, area_side=args.area_side)
     inst = generate_synthetic(cfg)
     out = Path(args.out)
     out.write_text(instance_to_json(inst))
-    _write_manifest(out, "generate", sys.argv[1:], [], [out],
-                    {"total": time.perf_counter() - t0}, seed=args.seed)
+    _write_manifest(out, "generate", [], [out], stages, seed=args.seed)
     print(f"wrote {out} ({inst.name}: {inst.n} requests, fleet "
           f"{inst.fleet_size}, capacity {inst.capacity})")
     return 0
@@ -151,20 +155,18 @@ def _pruned_line(graph) -> str:
 
 
 def cmd_graph(args) -> int:
-    t0 = time.perf_counter()
+    stages = _Stages()
     src = Path(args.instance)
     inst = _load_instance(src)
-    stages = _Stages()
+    stages.mark(None)
     graph = build_event_graph(inst)
     stages.mark("complete")
-    pairs = compatible_pairs(inst)
-    stages.mark("compatible_pairs")
-    pruned = build_event_graph(inst, pairs)
+    pruned = build_event_graph(inst, pruned=True)
     stages.mark("pruned")
     stats = graph_stats(graph)
     stats["pruned"] = {"nodes": pruned.node_count, "arcs": pruned.arc_count,
                        "compatible_pairs": len(pruned.compatible)}
-    stats["build_s"] = round(time.perf_counter() - t0, 6)
+    stats["build_s"] = stages.total()
     stats["stage_s"] = stages.seconds
     if args.json:
         print(json.dumps(stats, indent=2, sort_keys=True))
@@ -182,26 +184,21 @@ def cmd_graph(args) -> int:
     if args.dot:
         out = Path(args.dot)
         out.write_text(to_dot(graph))
-        _write_manifest(out, "graph", sys.argv[1:], [src], [out],
-                        {"total": time.perf_counter() - t0,
-                         "stage_s": stages.seconds})
+        _write_manifest(out, "graph", [src], [out], stages)
     return 0
 
 
 def cmd_model(args) -> int:
-    t0 = time.perf_counter()
+    stages = _Stages()
     src = Path(args.instance)
     inst = _load_instance(src)
     objective = _objective_from_args(args)
     variant = args.variant
-    stages = _Stages()
-    pairs = compatible_pairs(inst)
-    stages.mark("compatible_pairs")
-    graph = build_event_graph(inst, pairs)
+    stages.mark(None)
+    graph = build_event_graph(inst, pruned=True)
     stages.mark("pruned")
     model = build_model(graph, variant, objective)
     stages.mark("model")
-    t_build = time.perf_counter() - t0
     base = args.out
     if base is None:
         base = f"{inst.name}.{variant}.{objective.variant}"
@@ -217,10 +214,8 @@ def cmd_model(args) -> int:
     stages.mark("write_lp")
     map_path.write_text(write_mapping(model) + "\n")
     stages.mark("write_mapping")
-    _write_manifest(mps_path, "model", sys.argv[1:], [src],
-                    [mps_path, lp_path, map_path],
-                    {"build": round(t_build, 6), "stage_s": stages.seconds,
-                     "total": round(time.perf_counter() - t0, 6)})
+    _write_manifest(mps_path, "model", [src], [mps_path, lp_path, map_path],
+                    stages)
     census = model.census
     print(f"wrote {mps_path}, {lp_path}, {map_path}")
     print(_pruned_line(graph))
@@ -249,42 +244,58 @@ def _report_solution(inst, sol, objective: ObjectiveSpec) -> int:
     return FAILURE
 
 
+def _refuse_other_mode(args):
+    """Refuse the ``solve`` options that the chosen mode would ignore."""
+    if args.oracle:
+        refused = [("--oracle reads no mapping sidecar", ["mapping"])]
+    elif not args.mapping:
+        raise DarpkitError("--import needs --mapping SIDECAR")
+    else:
+        refused = [("--import takes the objective from the mapping sidecar",
+                    ["objective", "alpha", "beta", "gamma"]),
+                   ("--import runs no oracle", ["limit"])]
+    for reason, names in refused:
+        given = [f"--{name}" for name in names if getattr(args, name) is not None]
+        if given:
+            raise DarpkitError(f"{reason}; drop {', '.join(given)}")
+
+
 def cmd_solve(args) -> int:
-    t0 = time.perf_counter()
+    _refuse_other_mode(args)
+    stages = _Stages()
     src = Path(args.instance)
     inst = _load_instance(src)
+    stages.mark("load")
     inputs = [src]
     if args.oracle:
         objective = _objective_from_args(args)
-        sol = oracle_solve(inst, objective, limit=args.limit)
+        limit = ORACLE_LIMIT if args.limit is None else args.limit
+        sol = oracle_solve(inst, objective, limit=limit)
+        stages.mark("oracle")
     else:
-        if not args.mapping:
-            raise DarpkitError("--import needs --mapping SIDECAR")
-        given = [f"--{flag}" for flag in ("objective", "alpha", "beta", "gamma")
-                 if getattr(args, flag) is not None]
-        if given:
-            raise DarpkitError(f"--import takes the objective from the mapping "
-                               f"sidecar; drop {', '.join(given)}")
         map_path = Path(args.mapping)
         assign_path = Path(getattr(args, "import"))
         inputs += [assign_path, map_path]
         model = read_mapping(map_path.read_text(), inst)
         objective = model.objective
         sol = import_solution(model, read_assignment(assign_path.read_text()))
+        stages.mark("import")
     code = _report_solution(inst, sol, objective)
+    stages.mark("validate")
     if args.out:
         out = Path(args.out)
         out.write_text(solution_to_json(sol) + "\n")
-        _write_manifest(out, "solve", sys.argv[1:], inputs, [out],
-                        {"total": round(time.perf_counter() - t0, 6)})
+        _write_manifest(out, "solve", inputs, [out], stages)
     return code
 
 
 def cmd_solve_mps(args) -> int:
-    t0 = time.perf_counter()
+    stages = _Stages()
     src = Path(args.mps)
-    result = solve_mps_text(src.read_text(), time_limit=args.time_limit,
-                            mip_gap=args.gap)
+    mip = parse_mps(src.read_text())
+    stages.mark("parse")
+    result = solve_mip(mip, time_limit=args.time_limit, mip_gap=args.gap)
+    stages.mark("solve")
     print(f"status: {result.status}")
     if result.objective is None:
         return FAILURE
@@ -292,8 +303,7 @@ def cmd_solve_mps(args) -> int:
     if args.out:
         out = Path(args.out)
         out.write_text(write_assignment(result))
-        _write_manifest(out, "solve-mps", sys.argv[1:], [src], [out],
-                        {"total": round(time.perf_counter() - t0, 6)})
+        _write_manifest(out, "solve-mps", [src], [out], stages)
     return 0 if result.status == "optimal" else FAILURE
 
 
@@ -352,8 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("graph", help="build the event graph and report stats")
     p.add_argument("instance")
-    p.add_argument("--stats", action="store_true",
-                   help="print size statistics (the default output)")
     p.add_argument("--json", action="store_true", help="machine-readable stats")
     p.add_argument("--dot", default=None, help="write a Graphviz file")
     p.set_defaults(func=cmd_graph)
@@ -375,8 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="decode a 'name value' assignment file")
     p.add_argument("--mapping", default=None, metavar="SIDECAR",
                    help="variable mapping JSON written next to the model")
-    p.add_argument("--limit", type=int, default=6,
-                   help="oracle size guard (requests)")
+    p.add_argument("--limit", type=int, default=None,
+                   help=f"oracle size guard (requests, default {ORACLE_LIMIT})")
     _add_objective_args(p)
     p.add_argument("-o", "--out", default=None, help="solution JSON path")
     p.set_defaults(func=cmd_solve)

@@ -17,9 +17,9 @@ the empty vehicle to the depot, and departure of the empty vehicle to a
 first pickup.  Every arc carries the travel cost and travel time of the
 corresponding location pair.
 
-Given the set of ride-compatible request pairs (see
-:func:`darpkit.schedule.compatible_pairs`), the builder returns the
-pruned graph instead, which keeps every tour that has a schedule:
+With ``pruned=True`` the builder computes the instance's ride-compatible
+request pairs (see :func:`darpkit.schedule.compatible_pairs`) and returns
+the pruned graph instead, which keeps every tour that has a schedule:
 
 * pair rule: a state exists only when its onboard set, the event's own
   request included, is a clique of compatible pairs;
@@ -45,7 +45,7 @@ from typing import NamedTuple
 
 from .errors import DataError
 from .instance import DEPOT, DROPOFF, PICKUP, Instance
-from .schedule import _TIME_EPS
+from .schedule import _TIME_EPS, compatible_pairs
 
 PICKUP_DROPOFF = 1
 PICKUP_PICKUP = 2
@@ -207,13 +207,12 @@ def _co_rider_sets(others: list[int], loads: dict[int, int], budget: int,
     return found
 
 
-def build_event_graph(inst: Instance,
-                      compatible: frozenset | None = None) -> EventGraph:
+def build_event_graph(inst: Instance, *, pruned: bool = False) -> EventGraph:
     """Build the event graph for a tightened instance.
 
-    With ``compatible`` None the graph is complete; with a set of
-    ride-compatible pairs (i, j) it is pruned by the pair rule, the arc
-    rule and the dead-state pass of the module docstring.
+    The graph is complete unless ``pruned``; then it is pruned by the
+    pair rule over ``compatible_pairs(inst)``, the arc rule and the
+    dead-state pass of the module docstring.
 
     Node order is deterministic: the depot first, then nodes sorted by
     (event location, onboard tuple); arcs are made in (tail, head) order.
@@ -228,7 +227,8 @@ def build_event_graph(inst: Instance,
     cap = inst.capacity
     loads = {r.id: r.q for r in inst.requests}
     ids = sorted(loads)
-    if compatible is None:
+    compatible = compatible_pairs(inst) if pruned else None
+    if not pruned:
         mates = {i: set(ids) - {i} for i in ids}
     else:
         mates = {i: set() for i in ids}
@@ -281,7 +281,7 @@ def build_event_graph(inst: Instance,
         """Append the class-``cls`` arcs from state v, the loop's current
         tail (its ``t_row``, ``c_row`` and ``ready``), to ``heads``, which
         sit at locations ``locs``."""
-        if compatible is not None and heads:
+        if pruned and heads:
             # arc rule; the complete graph cuts nothing
             fits = [ready + t_row[lh] <= late[lh] for lh in locs]
             if not all(fits):
@@ -323,7 +323,7 @@ def build_event_graph(inst: Instance,
             emit(v, DROPOFF_PICKUP, heads, locs)
             # dropoff -> dropoff of anyone still on board
             emit(v, DROPOFF_DROPOFF, *drop_group(node.others))
-    if compatible is not None:
+    if pruned:
         nodes, locations, arcs, counts = _without_dead_states(nodes, locations, arcs)
     return EventGraph(inst, nodes, locations, arcs, counts, compatible)
 

@@ -53,7 +53,6 @@ from .event_graph import (
     EventGraph, build_event_graph,
 )
 from .instance import DEPOT, INBOUND, PICKUP, Instance, instance_sha256
-from .schedule import compatible_pairs
 
 MODEL2 = "model2"
 MODEL3 = "model3"
@@ -252,7 +251,7 @@ def build_model(graph: EventGraph, variant: str,
     Pruning keeps every tour with a schedule, so it keeps every optimum.
     """
     if not graph.pruned:
-        graph = build_event_graph(graph.inst, compatible_pairs(graph.inst))
+        graph = build_event_graph(graph.inst, pruned=True)
     return _assemble(graph, variant, objective)
 
 
@@ -574,8 +573,7 @@ def read_mapping(text: str, inst: Instance) -> MilpModel:
             instance_sha256(inst), "pruned"):
         raise DataError("mapping sidecar was not written for this instance's "
                         "pruned graph; export the model again")
-    model = build_model(build_event_graph(inst, compatible_pairs(inst)),
-                        variant, objective)
+    model = build_model(build_event_graph(inst, pruned=True), variant, objective)
     if doc.get("columns") != len(model.vars):
         raise DataError(f"mapping sidecar lists {doc.get('columns')} columns, the "
                         f"model has {len(model.vars)}; export the model again")

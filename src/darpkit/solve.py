@@ -287,7 +287,6 @@ def import_solution(model: MilpModel, assignment: Mapping[str, float]) -> Soluti
         stops: list[Stop] = []
         head = heads[a0]
         used.add(a0)
-        guard = 0
         while head != graph.depot_node:
             node = graph.nodes[head]
             stops.append((node.request, node.kind))
@@ -298,9 +297,6 @@ def import_solution(model: MilpModel, assignment: Mapping[str, float]) -> Soluti
                     f"{len(nexts)} unused outgoing selected arcs, expected 1")
             used.add(nexts[0])
             head = heads[nexts[0]]
-            guard += 1
-            if guard > len(selected) + 1:
-                raise SolutionError("selected arcs do not close at the depot")
         tours.append(tuple(stops))
     if used != selected:
         raise SolutionError(

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -99,7 +100,7 @@ def test_convert_garbage(tmp_path):
 
 
 def test_graph_stats_text(instance_file, capsys):
-    assert cli.main(["graph", str(instance_file), "--stats"]) == 0
+    assert cli.main(["graph", str(instance_file)]) == 0
     out = capsys.readouterr().out
     assert "nodes: 9" in out
     assert "arcs:" in out
@@ -176,6 +177,37 @@ def test_solve_oracle_respects_limit(instance_file, capsys):
     assert cli.main(["solve", str(instance_file), "--oracle",
                      "--limit", "1"]) == 2
     assert "limited" in capsys.readouterr().err
+
+
+def test_solve_oracle_limit_defaults_to_the_oracle_guard(tmp_path, capsys):
+    path = tmp_path / "seven.json"
+    assert cli.main(["generate", "--n", "7", "--q", "3", "--seed", "1",
+                     "-o", str(path)]) == 0
+    _refused(capsys, ["solve", str(path), "--oracle"],
+             "oracle is limited to 6 requests, instance has 7")
+
+
+@pytest.mark.parametrize("flags, words", [
+    (["--limit", "1"], "--import runs no oracle; drop --limit"),
+    (["--limit", "6"], "--import runs no oracle; drop --limit"),
+    (["--alpha", "2", "--limit", "1"],
+     "--import takes the objective from the mapping sidecar; drop --alpha"),
+], ids=["limit", "default-limit", "alpha+limit"])
+def test_import_refuses_oracle_options(tmp_path, instance_file, capsys,
+                                       flags, words):
+    # --limit guards only the oracle; the import would silently ignore it
+    assign, sidecar = _export_and_solve(instance_file, tmp_path / "m")
+    _refused(capsys, ["solve", str(instance_file), "--import", str(assign),
+                      "--mapping", str(sidecar), *flags], words)
+
+
+@pytest.mark.parametrize("sidecar", ["nonexistent.json", "m.map.json"])
+def test_oracle_refuses_a_mapping(tmp_path, instance_file, capsys, sidecar):
+    # the oracle reads no sidecar, whether or not the file exists
+    _export_and_solve(instance_file, tmp_path / "m")
+    _refused(capsys, ["solve", str(instance_file), "--oracle",
+                      "--mapping", sidecar],
+             "--oracle reads no mapping sidecar; drop --mapping")
 
 
 def test_model_solve_import_round_trip(tmp_path, instance_file, capsys):
@@ -367,7 +399,7 @@ def test_graph_reports_the_pruned_graph(instance_file, capsys):
     assert stats["nodes"] == 9    # the complete graph
     line = (f"pruned graph: nodes {pruned.node_count}, arcs {pruned.arc_count}"
             f" ({len(pruned.compatible)} of 1 request pairs can ride together)")
-    assert cli.main(["graph", str(instance_file), "--stats"]) == 0
+    assert cli.main(["graph", str(instance_file)]) == 0
     assert line in capsys.readouterr().out.splitlines()
     assert cli.main(["model", str(instance_file)]) == 0
     assert line in capsys.readouterr().out.splitlines()
@@ -377,7 +409,7 @@ def test_graph_json_reports_stage_seconds(instance_file, capsys):
     assert cli.main(["graph", str(instance_file), "--json"]) == 0
     stats = json.loads(capsys.readouterr().out)
     stages = stats["stage_s"]
-    assert set(stages) == {"complete", "compatible_pairs", "pruned"}
+    assert set(stages) == {"complete", "pruned"}
     assert all(sec >= 0 for sec in stages.values())
     assert sum(stages.values()) <= stats["build_s"]
 
@@ -388,8 +420,8 @@ def test_manifests_report_stage_seconds(tmp_path, instance_file, capsys):
     timings = json.loads(
         (tmp_path / "m.mps.manifest.json").read_text())["timings_s"]
     stages = timings["stage_s"]
-    assert set(stages) == {"compatible_pairs", "pruned", "model", "write_mps",
-                           "write_lp", "write_mapping"}
+    assert set(stages) == {"pruned", "model", "write_mps", "write_lp",
+                           "write_mapping"}
     assert all(sec >= 0 for sec in stages.values())
     assert sum(stages.values()) <= timings["total"]
     dot = tmp_path / "g.dot"
@@ -398,6 +430,31 @@ def test_manifests_report_stage_seconds(tmp_path, instance_file, capsys):
     printed = json.loads(capsys.readouterr().out)["stage_s"]
     manifest = json.loads((tmp_path / "g.dot.manifest.json").read_text())
     assert manifest["timings_s"]["stage_s"] == printed
+    assign = tmp_path / "m.assign"
+    runs = [
+        (["solve-mps", str(tmp_path / "m.mps"), "-o", str(assign)],
+         assign, {"parse", "solve"}),
+        (["solve", str(instance_file), "--import", str(assign), "--mapping",
+          str(tmp_path / "m.map.json"), "-o", str(tmp_path / "i.json")],
+         tmp_path / "i.json", {"load", "import", "validate"}),
+        (["solve", str(instance_file), "--oracle", "-o", str(tmp_path / "o.json")],
+         tmp_path / "o.json", {"load", "oracle", "validate"}),
+    ]
+    for argv, out, names in runs:
+        assert cli.main(argv) == 0
+        path = out.parent / (out.name + ".manifest.json")
+        timings = json.loads(path.read_text())["timings_s"]
+        assert set(timings) == {"stage_s", "total"}
+        assert set(timings["stage_s"]) == names
+        assert all(sec >= 0 for sec in timings["stage_s"].values())
+        assert sum(timings["stage_s"].values()) <= timings["total"]
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
 
 
 def test_solve_mps_infeasible(tmp_path, capsys):

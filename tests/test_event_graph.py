@@ -133,10 +133,10 @@ def test_arc_table_indexes_like_a_sequence(gen_instances):
 
 def test_arc_tables_compare_by_columns(gen_instances):
     inst = gen_instances[3]
-    pairs = compatible_pairs(inst)
-    complete, pruned = build_event_graph(inst), build_event_graph(inst, pairs)
+    complete = build_event_graph(inst)
+    pruned = build_event_graph(inst, pruned=True)
     assert complete.arcs == build_event_graph(inst).arcs
-    assert pruned.arcs == build_event_graph(inst, pairs).arcs
+    assert pruned.arcs == build_event_graph(inst, pruned=True).arcs
     assert complete.arcs != pruned.arcs
     changed = build_event_graph(inst).arcs
     changed.time[-1] += 1.0
@@ -146,7 +146,7 @@ def test_arc_tables_compare_by_columns(gen_instances):
 def test_adjacency_is_built_on_first_use(gen_instances):
     for inst in gen_instances:
         for graph in (build_event_graph(inst),
-                      build_event_graph(inst, compatible_pairs(inst))):
+                      build_event_graph(inst, pruned=True)):
             assert not {"in_arcs", "out_arcs"} & set(vars(graph))
             arcs = graph.arcs
             states = range(graph.node_count)
@@ -235,7 +235,7 @@ def test_states_and_arcs_match_brute_force_exactly():
 def test_ids_follow_the_order_contract(gen_instances):
     for inst in gen_instances:
         for graph in (build_event_graph(inst),
-                      build_event_graph(inst, compatible_pairs(inst))):
+                      build_event_graph(inst, pruned=True)):
             keys = [(graph.locations[v], node.others)
                     for v, node in enumerate(graph.nodes)][1:]
             assert all(a < b for a, b in zip(keys, keys[1:]))
@@ -337,7 +337,7 @@ def test_pruning_rules_on_a_worked_example():
     inst = _staggered((15, 18))
     pairs = compatible_pairs(inst)
     assert pairs == frozenset({(1, 2)})
-    graph = build_event_graph(inst, pairs)
+    graph = build_event_graph(inst, pruned=True)
     assert graph.pruned and graph.compatible == pairs
     assert [node.label(2) for node in graph.nodes] == [
         "(0,0)", "(1+,0)", "(2+,0)", "(2+,1)", "(1-,0)", "(1-,2)", "(2-,0)"]
@@ -355,7 +355,7 @@ def test_pruning_rules_on_a_worked_example():
     # request 2 picked up after 1's dropoff window closed: no shared state
     apart = _staggered((60, 70), (80, 90))
     assert compatible_pairs(apart) == frozenset()
-    labels = {node.label(2) for node in build_event_graph(apart, frozenset()).nodes}
+    labels = {node.label(2) for node in build_event_graph(apart, pruned=True).nodes}
     assert labels == {"(0,0)", "(1+,0)", "(2+,0)", "(1-,0)", "(2-,0)"}
 
 
@@ -363,7 +363,7 @@ def test_pruned_graph_is_an_ordered_subgraph(gen_instances):
     for inst in gen_instances:
         full = build_event_graph(inst)
         pairs = compatible_pairs(inst)
-        pruned = build_event_graph(inst, pairs)
+        pruned = build_event_graph(inst, pruned=True)
         assert not full.pruned and pruned.pruned
         # ids: the full graph's order restricted to the survivors
         full_id = {node: v for v, node in enumerate(full.nodes)}
@@ -387,12 +387,12 @@ def test_pruned_graph_is_an_ordered_subgraph(gen_instances):
             # no dead state survives
             if v:
                 assert pruned.in_arcs[v] and pruned.out_arcs[v]
-        again = build_event_graph(inst, pairs)
+        again = build_event_graph(inst, pruned=True)
         assert again.nodes == pruned.nodes and again.arcs == pruned.arcs
 
 
 def test_graph_stats_of_a_pruned_graph(gen_instances):
     inst = gen_instances[0]
-    stats = graph_stats(build_event_graph(inst, compatible_pairs(inst)))
+    stats = graph_stats(build_event_graph(inst, pruned=True))
     # the closed forms describe the complete graph only
     assert "closed_form" not in stats

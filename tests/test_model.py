@@ -8,8 +8,8 @@ from darpkit import (
     DataError, GeneratorConfig, ObjectiveSpec, ObjectiveValue, Schedule,
     Solution, build_event_graph, build_model, combine_components,
     compatible_pairs, compute_big_m, evaluate_objective, generate_synthetic,
-    instance_sha256, parse_mps, read_mapping, variable_mapping, write_lp,
-    write_mapping, write_mps,
+    instance_sha256, oracle_solve, parse_mps, read_mapping, solve_mip,
+    variable_mapping, write_lp, write_mapping, write_mps,
 )
 from darpkit.event_graph import (
     DROPOFF, DROPOFF_DROPOFF, DROPOFF_PICKUP, LEAVE_DEPOT, PICKUP,
@@ -398,9 +398,33 @@ def test_pruning_is_idempotent(gen_instances):
     assert graph.pruned and graph.compatible == compatible_pairs(inst)
     again = build_model(graph, "model3", ObjectiveSpec(variant="excess"))
     assert again.graph is graph
-    fresh = build_event_graph(inst, compatible_pairs(inst))
+    fresh = build_event_graph(inst, pruned=True)
     assert (fresh.nodes, fresh.arcs) == (graph.nodes, graph.arcs)
     assert write_mps(build_model(fresh, "model2")) == write_mps(model)
+
+
+def test_the_builder_owns_its_pair_set(gen_instances):
+    for inst in gen_instances:
+        assert build_event_graph(inst, pruned=True).compatible == compatible_pairs(inst)
+        assert build_event_graph(inst).compatible is None
+    # a pair set cannot be handed in, not even positionally
+    with pytest.raises(TypeError):
+        build_event_graph(gen_instances[0], compatible_pairs(gen_instances[0]))
+
+
+@pytest.mark.parametrize("seed, optimum", [(3, 19.404), (5, 19.612)])
+def test_pruned_graph_keeps_the_optimum(seed, optimum):
+    # one compatible pair; pruning with no pair at all would cut the
+    # optimal plan and report a worse "optimum"
+    inst = generate_synthetic(GeneratorConfig(n=4, capacity=3, seed=seed,
+                                              fleet_size=2))
+    oracle = oracle_solve(inst).objective.total
+    assert oracle == pytest.approx(optimum, abs=1e-3)
+    graph = build_event_graph(inst, pruned=True)
+    assert len(graph.compatible) == 1
+    result = solve_mip(parse_mps(write_mps(build_model(graph, "model3"))))
+    assert result.status == "optimal"
+    assert result.objective == pytest.approx(oracle, abs=1e-6)
 
 
 def test_travel_link_rows(single_request_instance):

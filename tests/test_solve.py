@@ -418,6 +418,16 @@ def test_import_isolated_cycle(pooling_model):
         import_solution(pooling_model, values)
 
 
+def test_import_walk_into_a_cycle(pooling_model):
+    # from the depot into a cycle that never returns: the walk comes back
+    # to (1+,0,0), whose one selected out-arc it has used, so it stops
+    walk = ["(0,0,0)", "(1+,0,0)", "(1-,0,0)", "(2+,0,0)", "(2-,0,0)",
+            "(1+,0,0)"]
+    values = _assignment(pooling_model, [(walk, ())])
+    with pytest.raises(SolutionError, match="expected 1"):
+        import_solution(pooling_model, values)
+
+
 def test_import_double_service(pooling_model):
     second = ["(0,0,0)", "(2+,0,0)", "(1+,2,0)", "(1-,2,0)", "(2-,0,0)", "(0,0,0)"]
     first = ["(0,0,0)", "(1+,0,0)", "(1-,0,0)", "(0,0,0)"]
