@@ -8,17 +8,23 @@ path an external solver would.  Only the MPS subset produced by
 RANGES, free rows, MI/PL/FX/FR bounds) is supported.  The first ``N``
 row is the objective; entries on any later ``N`` row (a free row) are
 read and dropped.
+
+numpy and scipy are imported inside :func:`parse_mps` and
+:func:`solve_mip`, so importing darpkit, and every command that solves
+nothing, does not pay for loading them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
-from scipy import optimize, sparse
+from typing import TYPE_CHECKING
 
 from .errors import DataError, ParseError
+
+if TYPE_CHECKING:
+    import numpy as np
+    from scipy import sparse
 
 
 @dataclass
@@ -46,6 +52,9 @@ def parse_mps(text: str) -> ParsedMip:
     Matrix, objective, RHS and RANGES values must be finite; a bound may be
     infinite but not NaN.
     """
+    import numpy as np
+    from scipy import sparse
+
     name = ""
     minimize = True
     obj_row: str | None = None
@@ -219,14 +228,28 @@ def parse_mps(text: str) -> ParsedMip:
 
 @dataclass
 class MilpResult:
+    """A solve's outcome and the solver's statistics.
+
+    ``mip_gap`` is the relative gap, ``mip_node_count`` the number of
+    branch-and-bound nodes and ``mip_dual_bound`` the best bound on the
+    objective, in the file's own sense and constant; each is None when
+    the solver reports none (no integer columns, or no solution).
+    """
+
     status: str                  # optimal | time_limit | infeasible | unbounded | unknown
     objective: float | None
     assignment: dict[str, float]
+    mip_gap: float | None = None
+    mip_node_count: int | None = None
+    mip_dual_bound: float | None = None
 
 
 def solve_mip(mip: ParsedMip, time_limit: float | None = None,
               mip_gap: float = 0.0) -> MilpResult:
     """Run scipy's MILP solver on a parsed file and map names back."""
+    import numpy as np
+    from scipy import optimize
+
     lo = np.empty(len(mip.row_names))
     hi = np.empty(len(mip.row_names))
     for i, sense in enumerate(mip.row_sense):
@@ -265,11 +288,20 @@ def solve_mip(mip: ParsedMip, time_limit: float | None = None,
         status = "unbounded"
     else:
         status = "unknown"
+    gap, nodes, bound = (res.get(key) for key in (
+        "mip_gap", "mip_node_count", "mip_dual_bound"))
+    stats = {
+        "mip_gap": None if gap is None else float(gap),
+        "mip_node_count": None if nodes is None else int(nodes),
+        "mip_dual_bound": (None if bound is None
+                           else sign * float(bound) + mip.obj_constant),
+    }
     if res.x is None:
-        return MilpResult(status=status, objective=None, assignment={})
+        return MilpResult(status=status, objective=None, assignment={}, **stats)
     values = dict(zip(mip.col_names, (float(v) for v in res.x)))
     objective = sign * float(res.fun) + mip.obj_constant
-    return MilpResult(status=status, objective=objective, assignment=values)
+    return MilpResult(status=status, objective=objective, assignment=values,
+                      **stats)
 
 
 def solve_mps_text(text: str, time_limit: float | None = None,

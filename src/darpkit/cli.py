@@ -66,18 +66,20 @@ class _Stages:
         return round(time.perf_counter() - self._start, 6)
 
 
-def _write_manifest(primary: Path, command: str, inputs: list[Path],
-                    outputs: list[Path], stages: _Stages,
-                    seed: int | None = None) -> Path:
+def _write_manifest(args, primary: Path, inputs: list[Path],
+                    outputs: list[Path], stages: _Stages, **extra) -> Path:
+    """Record the command ``main`` parsed from ``args.argv``; ``extra``
+    adds command-specific keys."""
     doc = {
         "tool": "darpkit",
         "version": __version__,
-        "command": command,
-        "argv": sys.argv[1:],
-        "seed": seed,
+        "command": args.command,
+        "argv": args.argv,
+        "seed": getattr(args, "seed", None),
         "inputs": {str(p): _sha256(p) for p in inputs},
         "outputs": {str(p): _sha256(p) for p in outputs},
         "timings_s": {"stage_s": stages.seconds, "total": stages.total()},
+        **extra,
     }
     path = primary.parent / (primary.name + ".manifest.json")
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -128,7 +130,7 @@ def cmd_convert(args) -> int:
         inst = tighten_time_windows(inst)
     out = Path(args.out)
     out.write_text(instance_to_json(inst))
-    _write_manifest(out, "convert", [src], [out], stages)
+    _write_manifest(args, out, [src], [out], stages)
     print(f"wrote {out} ({inst.n} requests, fleet {inst.fleet_size}, "
           f"capacity {inst.capacity})")
     return 0
@@ -141,7 +143,7 @@ def cmd_generate(args) -> int:
     inst = generate_synthetic(cfg)
     out = Path(args.out)
     out.write_text(instance_to_json(inst))
-    _write_manifest(out, "generate", [], [out], stages, seed=args.seed)
+    _write_manifest(args, out, [], [out], stages)
     print(f"wrote {out} ({inst.name}: {inst.n} requests, fleet "
           f"{inst.fleet_size}, capacity {inst.capacity})")
     return 0
@@ -184,7 +186,7 @@ def cmd_graph(args) -> int:
     if args.dot:
         out = Path(args.dot)
         out.write_text(to_dot(graph))
-        _write_manifest(out, "graph", [src], [out], stages)
+        _write_manifest(args, out, [src], [out], stages)
     return 0
 
 
@@ -214,7 +216,7 @@ def cmd_model(args) -> int:
     stages.mark("write_lp")
     map_path.write_text(write_mapping(model) + "\n")
     stages.mark("write_mapping")
-    _write_manifest(mps_path, "model", [src], [mps_path, lp_path, map_path],
+    _write_manifest(args, mps_path, [src], [mps_path, lp_path, map_path],
                     stages)
     census = model.census
     print(f"wrote {mps_path}, {lp_path}, {map_path}")
@@ -285,8 +287,12 @@ def cmd_solve(args) -> int:
     if args.out:
         out = Path(args.out)
         out.write_text(solution_to_json(sol) + "\n")
-        _write_manifest(out, "solve", inputs, [out], stages)
+        _write_manifest(args, out, inputs, [out], stages)
     return code
+
+
+def _or_na(value, spec: str) -> str:
+    return "n/a" if value is None else format(value, spec)
 
 
 def cmd_solve_mps(args) -> int:
@@ -300,10 +306,16 @@ def cmd_solve_mps(args) -> int:
     if result.objective is None:
         return FAILURE
     print(f"objective: {result.objective:.6f}")
+    print(f"gap: {_or_na(result.mip_gap, '.6g')}, "
+          f"nodes: {_or_na(result.mip_node_count, 'd')}, "
+          f"dual bound: {_or_na(result.mip_dual_bound, '.6f')}")
     if args.out:
         out = Path(args.out)
         out.write_text(write_assignment(result))
-        _write_manifest(out, "solve-mps", [src], [out], stages)
+        solver = {"status": result.status, "mip_gap": result.mip_gap,
+                  "mip_node_count": result.mip_node_count,
+                  "mip_dual_bound": result.mip_dual_bound}
+        _write_manifest(args, out, [src], [out], stages, solver=solver)
     return 0 if result.status == "optimal" else FAILURE
 
 
@@ -404,8 +416,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
+    args.argv = argv
     try:
         return args.func(args)
     except InfeasibleError as exc:

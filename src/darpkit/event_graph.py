@@ -135,8 +135,8 @@ class EventGraph:
 
     ``compatible`` is None for the complete graph, and the set of
     ride-compatible request pairs the graph was pruned with otherwise.
-    The adjacency lists ``in_arcs`` and ``out_arcs`` are built on first
-    use.
+    The adjacency lists ``in_arcs`` and ``out_arcs``, and a complete
+    graph's ``pruned_graph``, are built on first use.
     """
 
     def __init__(self, inst: Instance, nodes, locations, arcs: ArcTable,
@@ -148,6 +148,7 @@ class EventGraph:
         self.arcs = arcs
         self.class_counts = class_counts
         self.depot_node = 0
+        self._pruned_graph: EventGraph | None = None
         n = inst.n
         self.pickup_nodes = {i: [] for i in range(1, n + 1)}
         self.dropoff_nodes = {i: [] for i in range(1, n + 1)}
@@ -176,6 +177,17 @@ class EventGraph:
     @property
     def pruned(self) -> bool:
         return self.compatible is not None
+
+    @property
+    def pruned_graph(self) -> EventGraph:
+        """This graph when pruned, else the pruned graph of its instance."""
+        # not a cached_property: a pruned graph that stored itself would
+        # form a reference cycle, freed only by the cyclic collector
+        if self.pruned:
+            return self
+        if self._pruned_graph is None:
+            self._pruned_graph = build_event_graph(self.inst, pruned=True)
+        return self._pruned_graph
 
     @property
     def node_count(self) -> int:

@@ -23,8 +23,6 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Mapping
 
-import numpy as np
-
 from .errors import DataError, ParseError
 
 INBOUND = "inbound"
@@ -92,6 +90,8 @@ class TravelMetric:
 
     @staticmethod
     def _check_matrix(mat, label):
+        import numpy as np
+
         m = len(mat)
         if any(len(row) != m for row in mat):
             raise DataError(f"{label} matrix is not square")

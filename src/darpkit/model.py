@@ -246,13 +246,12 @@ def build_model(graph: EventGraph, variant: str,
                 objective: ObjectiveSpec | None = None) -> MilpModel:
     """Assemble the chosen formulation over the pruned event graph.
 
-    A pruned graph is used as given; for a complete one the pruned graph
-    of its instance is built, and ``model.graph`` is that pruned graph.
-    Pruning keeps every tour with a schedule, so it keeps every optimum.
+    A pruned graph is used as given and a complete one through its
+    ``pruned_graph``, which is built once per complete graph;
+    ``model.graph`` is the pruned graph.  Pruning keeps every tour with a
+    schedule, so it keeps every optimum.
     """
-    if not graph.pruned:
-        graph = build_event_graph(graph.inst, pruned=True)
-    return _assemble(graph, variant, objective)
+    return _assemble(graph.pruned_graph, variant, objective)
 
 
 def _assemble(graph: EventGraph, variant: str,

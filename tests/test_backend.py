@@ -237,6 +237,8 @@ def test_solve_maximization():
     assert result.objective == pytest.approx(5.0)
     assert result.assignment["x"] == pytest.approx(1.0)
     assert result.assignment["z"] == pytest.approx(0.0)
+    # the dual bound is reported in the file's own sense
+    assert result.mip_dual_bound == pytest.approx(5.0)
 
 
 def test_solve_ranges():
@@ -273,6 +275,8 @@ def test_solve_infeasible():
     assert result.status == "infeasible"
     assert result.objective is None
     assert result.assignment == {}
+    assert (result.mip_gap, result.mip_node_count,
+            result.mip_dual_bound) == (None, None, None)
 
 
 def test_solve_time_limit_status():
@@ -304,11 +308,15 @@ def test_solve_model_export_matches_oracle(pooling_instance):
     exact = oracle_solve(pooling_instance, ObjectiveSpec(variant="cost"))
     assert result.status == "optimal"
     assert result.objective == pytest.approx(exact.objective.total, abs=1e-6)
+    assert result.mip_node_count >= 0
+    assert result.mip_gap == 0
+    assert result.mip_dual_bound == pytest.approx(result.objective, abs=1e-9)
 
 
 def test_assignment_round_trip():
-    result = MilpResult(status="optimal", objective=-8.25,
-                        assignment={"x_1": 1.0, "B_2": 17.25, "neg": -3e-7})
+    # positional: the solver statistics after these three are optional
+    result = MilpResult("optimal", -8.25,
+                        {"x_1": 1.0, "B_2": 17.25, "neg": -3e-7})
     text = write_assignment(result)
     assert text.splitlines()[0] == "# objective -8.25"
     values = read_assignment(text)

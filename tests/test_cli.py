@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,14 +40,16 @@ def test_version():
 
 def test_generate_writes_instance_and_manifest(tmp_path, capsys):
     out = tmp_path / "g.json"
-    assert cli.main(["generate", "--n", "3", "--q", "6", "--seed", "7",
-                     "-o", str(out)]) == 0
+    argv = ["generate", "--n", "3", "--q", "6", "--seed", "7", "-o", str(out)]
+    assert cli.main(argv) == 0
     assert "wrote" in capsys.readouterr().out
     inst = instance_from_json(out.read_text())
     assert inst.n == 3 and inst.capacity == 6
     manifest = json.loads((tmp_path / "g.json.manifest.json").read_text())
     assert manifest["tool"] == "darpkit"
     assert manifest["command"] == "generate"
+    # the arguments main was given, not those of the host process
+    assert manifest["argv"] == argv
     assert manifest["seed"] == 7
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert manifest["outputs"][str(out)] == digest
@@ -218,6 +223,12 @@ def test_model_solve_import_round_trip(tmp_path, instance_file, capsys):
                      "-o", str(assign)]) == 0
     stdout = capsys.readouterr().out
     assert "status: optimal" in stdout
+    objective = float(re.search(r"^objective: (\S+)$", stdout, re.M).group(1))
+    assert re.search(r"^gap: 0, nodes: \d+, dual bound: (\S+)$", stdout, re.M)
+    solver = json.loads((tmp_path / "m.assign.manifest.json").read_text())["solver"]
+    assert solver["status"] == "optimal" and solver["mip_gap"] == 0
+    assert solver["mip_node_count"] >= 0
+    assert solver["mip_dual_bound"] == pytest.approx(objective, abs=1e-6)
     assert cli.main(["solve", str(instance_file),
                      "--import", str(assign),
                      "--mapping", str(tmp_path / "m.map.json"),
@@ -448,6 +459,37 @@ def test_manifests_report_stage_seconds(tmp_path, instance_file, capsys):
         assert set(timings["stage_s"]) == names
         assert all(sec >= 0 for sec in timings["stage_s"].values())
         assert sum(timings["stage_s"].values()) <= timings["total"]
+
+
+COLD_START = """
+import sys
+from darpkit import cli
+
+for argv in (
+        ["generate", "--n", "3", "--q", "3", "--seed", "4", "-o", "i.json"],
+        ["convert", "i.json", "-o", "c.json"],
+        ["graph", "i.json", "--json"],
+        ["model", "i.json", "--variant", "model3", "-o", "m"],
+        ["solve", "i.json", "--oracle", "-o", "a.json"],
+        ["solve", "i.json", "--oracle", "--objective", "excess", "-o", "b.json"],
+        ["compare", "a.json", "b.json"]):
+    assert cli.main(argv) == 0, argv
+loaded = {"numpy", "scipy"} & set(sys.modules)
+assert not loaded, loaded
+assert cli.main(["solve-mps", "m.mps", "-o", "m.assign"]) == 0
+"""
+
+
+def test_commands_that_solve_nothing_load_no_numpy_or_scipy(tmp_path):
+    # a fresh interpreter: this test process has long loaded both
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    proc = subprocess.run([sys.executable, "-c", COLD_START], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "status: optimal" in proc.stdout
+    assert (tmp_path / "m.assign").exists()
 
 
 def test_readme_library_example_runs():

@@ -393,14 +393,19 @@ def test_pruning_never_lowers_the_lp_bound(criterion3_suite, variant):
 
 def test_pruning_is_idempotent(gen_instances):
     inst = gen_instances[3]
-    model = build_model(build_event_graph(inst), "model2")
+    complete = build_event_graph(inst)
+    model = build_model(complete, "model2")
     graph = model.graph
     assert graph.pruned and graph.compatible == compatible_pairs(inst)
     again = build_model(graph, "model3", ObjectiveSpec(variant="excess"))
     assert again.graph is graph
+    # a complete graph builds its pruned graph once, for every model on it
+    reused = build_model(complete, "model2")
+    assert reused.graph is graph
     fresh = build_event_graph(inst, pruned=True)
     assert (fresh.nodes, fresh.arcs) == (graph.nodes, graph.arcs)
     assert write_mps(build_model(fresh, "model2")) == write_mps(model)
+    assert write_mps(reused) == write_mps(model)
 
 
 def test_the_builder_owns_its_pair_set(gen_instances):
