@@ -86,12 +86,11 @@ def _write_manifest(args, primary: Path, inputs: list[Path],
     return path
 
 
-def _load_instance(path: Path, fmt: str = "auto", name: str | None = None,
+def _load_instance(path: Path, name: str | None = None,
                    auto_tighten: bool = True) -> Instance:
     text = path.read_text()
-    if fmt == "auto":
-        fmt = "json" if text.lstrip().startswith("{") else "cordeau"
-    if fmt == "json":
+    # JSON starts with "{"; anything else is read as the plain-text format
+    if text.lstrip().startswith("{"):
         inst = instance_from_json(text)
     else:
         inst = parse_cordeau(text, name=name or path.stem)
@@ -124,8 +123,7 @@ def _add_objective_args(p: argparse.ArgumentParser):
 def cmd_convert(args) -> int:
     stages = _Stages()
     src = Path(args.input)
-    inst = _load_instance(src, fmt=args.format, name=args.name,
-                          auto_tighten=False)
+    inst = _load_instance(src, name=args.name, auto_tighten=False)
     if args.tighten:
         inst = tighten_time_windows(inst)
     out = Path(args.out)
@@ -356,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("convert", help="convert an instance file to JSON")
     p.add_argument("input")
     p.add_argument("-o", "--out", required=True)
-    p.add_argument("--format", choices=("auto", "cordeau", "json"), default="auto")
     p.add_argument("--name", default=None, help="instance name override")
     p.add_argument("--tighten", action="store_true",
                    help="derive the unspecified time windows")
@@ -394,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--import", dest="import", default=None, metavar="ASSIGNMENT",
                       help="decode a 'name value' assignment file")
     p.add_argument("--mapping", default=None, metavar="SIDECAR",
-                   help="variable mapping JSON written next to the model")
+                   help="the .map.json sidecar written next to the model")
     p.add_argument("--limit", type=int, default=None,
                    help=f"oracle size guard (requests, default {ORACLE_LIMIT})")
     _add_objective_args(p)

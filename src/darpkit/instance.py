@@ -102,13 +102,15 @@ class TravelMetric:
         neg = np.argwhere(arr < 0)
         if len(neg):
             raise DataError(f"negative {label} entry at ({neg[0][0]}, {neg[0][1]})")
-        # triangle inequality, direct connections never lose:
-        # bad[i, j, k] is arr[i, k] > arr[i, j] + arr[j, k] + 1e-9
-        bad = np.argwhere(arr[:, None, :] > arr[:, :, None] + arr[None, :, :] + 1e-9)
-        if len(bad):
-            i, j, k = bad[0]
-            raise DataError(
-                f"{label} matrix violates the triangle inequality on ({i}, {j}, {k})")
+        # triangle inequality, direct connections never lose: for each first
+        # index i, bad[j, k] is arr[i, k] > arr[i, j] + arr[j, k] + 1e-9; one
+        # m x m test per i keeps memory O(m^2) and finds the first (i, j, k)
+        for i in range(m):
+            bad = np.argwhere(arr[i][None, :] > arr[i][:, None] + arr + 1e-9)
+            if len(bad):
+                j, k = bad[0]
+                raise DataError(f"{label} matrix violates the triangle "
+                                f"inequality on ({i}, {j}, {k})")
 
     @property
     def size(self) -> int:

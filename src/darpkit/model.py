@@ -519,20 +519,15 @@ def write_lp(model: MilpModel) -> str:
 
 
 def variable_mapping(model: MilpModel) -> dict:
-    """Sidecar map from variable names to their graph/request meaning.
+    """The sidecar that binds an exported model to its instance.
 
     Column ids refer to one graph of one instance, so the sidecar records
-    the instance's SHA-256, the graph form and the column count;
-    :func:`read_mapping` checks all three.
+    the instance's SHA-256, the graph form and the column count, which
+    :func:`read_mapping` checks, and the variant and objective it rebuilds
+    the model from.  The column names describe themselves: ``x_<arc>``,
+    ``B_<state>``, ``p_<request>``, ``z_<request>``, ``d_<request>`` and
+    ``dmax``.
     """
-    ref_key = {"x": "arc", "B": "node", "p": "request", "z": "request",
-               "d": "request"}
-    variables = {}
-    for var in model.vars:
-        entry: dict = {"kind": var.kind}
-        if var.kind in ref_key:
-            entry[ref_key[var.kind]] = var.ref
-        variables[var.name] = entry
     return {
         "model": model.name,
         "instance": model.graph.inst.name,
@@ -546,8 +541,6 @@ def variable_mapping(model: MilpModel) -> dict:
             "beta": model.objective.beta,
             "gamma": model.objective.gamma,
         },
-        "objective_constant": model.obj_constant,
-        "variables": variables,
     }
 
 

@@ -339,13 +339,17 @@ def import_solution(model: MilpModel, assignment: Mapping[str, float]) -> Soluti
 # validation
 # ---------------------------------------------------------------------------
 
-def validate_solution(inst: Instance, sol: Solution, tol: float = 1e-6,
+# absolute slack of every time check, relative slack of every claimed value
+_TOL = 1e-6
+
+
+def validate_solution(inst: Instance, sol: Solution,
                       objective: ObjectiveSpec | None = None) -> ValidationReport:
     """Check a solution directly against the instance semantics.
 
     A request may go unserved only if ``objective`` prices denial.  The
     claimed cost, excess, maximal excess, denial count and (given an
-    objective) total must match the plan to ``tol`` * max(1, |value|).
+    objective) total must match the plan to 1e-6 * max(1, |value|).
     """
     obj = (objective or ObjectiveSpec()).resolve(inst.n)
     found: list[Violation] = []
@@ -416,16 +420,16 @@ def validate_solution(inst: Instance, sol: Solution, tol: float = 1e-6,
                 else:
                     load -= req.q
                     ride = when - pick_time[rid] - req.s
-                    if ride > req.max_ride + tol:
+                    if ride > req.max_ride + _TOL:
                         flag("ride_time", t, k, ride - req.max_ride,
                              f"request {rid} rides {ride:.3f}, limit {req.max_ride:.3f}")
                 state[rid] = "off"
             # negated in-range tests, so that a NaN time is out of range
             e, l = inst.windows[loc]
-            if not when >= e - tol:
+            if not when >= e - _TOL:
                 flag("window", t, k, e - when,
                      f"stop starts {e - when:.3f} before its window")
-            elif not when <= l + tol:
+            elif not when <= l + _TOL:
                 flag("window", t, k, when - l,
                      f"stop starts {when - l:.3f} after its window")
         dangling = [rid for rid, st in state.items() if st == "on"]
@@ -437,17 +441,17 @@ def validate_solution(inst: Instance, sol: Solution, tol: float = 1e-6,
             a, b = locs[k], locs[k + 1]
             gap = inst.service[a] + inst.metric.time(a, b)
             short = ts[k] + gap - ts[k + 1]
-            if short > tol:
+            if short > _TOL:
                 flag("precedence", t, k + 1, short,
                      f"stop starts {short:.3f} too early for travel and service")
         if tour:
             depart = ts[0] - inst.metric.time(inst.depot_loc, locs[0])
-            if depart < e0 - tol:
+            if depart < e0 - _TOL:
                 flag("duration", t, 0, e0 - depart,
                      f"tour departs {e0 - depart:.3f} before the depot opens")
             ret = ts[-1] + inst.service[locs[-1]] + inst.metric.time(
                 locs[-1], inst.depot_loc)
-            if ret > l0 + tol:
+            if ret > l0 + _TOL:
                 flag("duration", t, len(tour) - 1, ret - l0,
                      f"tour returns {ret - l0:.3f} after the depot closes")
 
@@ -460,7 +464,7 @@ def validate_solution(inst: Instance, sol: Solution, tol: float = 1e-6,
             names.append("total")
         for name in names:
             claimed, actual = getattr(sol.objective, name), getattr(plan, name)
-            if not abs(claimed - actual) <= tol * max(1.0, abs(actual)):
+            if not abs(claimed - actual) <= _TOL * max(1.0, abs(actual)):
                 flag("objective", None, None, abs(claimed - actual),
                      f"claimed {name} {claimed} disagrees with the plan's {actual}")
     return ValidationReport(ok=not found, violations=tuple(found))

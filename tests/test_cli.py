@@ -10,6 +10,7 @@ import pytest
 
 from darpkit import (
     cli, instance_from_json, instance_sha256, instance_to_json, oracle_solve,
+    parse_mps, read_mapping,
 )
 from darpkit import (
     GeneratorConfig, ObjectiveSpec, build_event_graph, build_model,
@@ -90,6 +91,13 @@ def test_convert_keeps_windows_without_tighten(tmp_path, tiny_cordeau_text):
     assert cli.main(["convert", str(src), "-o", str(out)]) == 0
     inst = instance_from_json(out.read_text())
     assert any(r.direction is None for r in inst.requests)
+
+
+def test_convert_reads_a_json_instance(tmp_path, instance_file):
+    # JSON is told from the text format by its first character
+    out = tmp_path / "again.json"
+    assert cli.main(["convert", str(instance_file), "-o", str(out)]) == 0
+    assert out.read_text() == instance_file.read_text()
 
 
 def test_convert_missing_file(tmp_path, capsys):
@@ -281,7 +289,35 @@ def test_sidecar_names_its_instance_graph_and_columns(tmp_path, instance_file):
     inst = instance_from_json(instance_file.read_text())
     assert doc["instance_sha256"] == instance_sha256(inst)
     assert doc["graph"] == "pruned"
-    assert doc["columns"] == len(doc["variables"])
+    mps = sidecar.parent / "m.mps"
+    assert doc["columns"] == len(parse_mps(mps.read_text()).col_names)
+    # the column names describe themselves; the sidecar does not list them
+    assert "variables" not in doc and "objective_constant" not in doc
+
+
+def test_import_reads_a_sidecar_that_still_lists_its_columns(tmp_path,
+                                                             instance_file):
+    # sidecars once carried a per-column map and the objective's constant
+    assign, sidecar = _export_and_solve(
+        instance_file, tmp_path / "m", "--objective", "rce")
+    inst = instance_from_json(instance_file.read_text())
+    model = read_mapping(sidecar.read_text(), inst)
+    ref_key = {"x": "arc", "B": "node", "p": "request", "z": "request",
+               "d": "request"}
+    old = tmp_path / "old.map.json"
+    old.write_text(json.dumps({
+        **json.loads(sidecar.read_text()),
+        "objective_constant": model.obj_constant,
+        "variables": {var.name: {"kind": var.kind, **(
+            {ref_key[var.kind]: var.ref} if var.kind in ref_key else {})}
+            for var in model.vars}}))
+    assert read_mapping(old.read_text(), inst).vars == model.vars
+    outputs = []
+    for path, out in ((sidecar, "new.json"), (old, "old.json")):
+        assert cli.main(["solve", str(instance_file), "--import", str(assign),
+                         "--mapping", str(path), "-o", out]) == 0
+        outputs.append((tmp_path / out).read_text())
+    assert outputs[0] == outputs[1]
 
 
 def test_import_refuses_a_sidecar_of_another_instance(tmp_path, instance_file,

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -87,6 +88,23 @@ def test_triangle_check_names_the_first_violation(seed):
     with pytest.raises(DataError, match="triangle") as exc:
         TravelMetric(cost_matrix=mat, time_matrix=mat)
     assert str(exc.value).endswith(f"on {first}")
+
+
+def test_triangle_check_memory_grows_with_the_square_of_the_size():
+    import numpy  # noqa: F401  (loaded before tracing, as the check loads it)
+
+    rng = random.Random(5)
+    pts = [(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(150)]
+    mat = tuple(tuple(math.hypot(xa - xb, ya - yb) for xb, yb in pts)
+                for xa, ya in pts)
+    tracemalloc.start()
+    try:
+        TravelMetric(cost_matrix=mat, time_matrix=mat)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # an m^3 temporary would take 150^3 * 9 bytes, about 30 MB
+    assert peak < 5_000_000
 
 
 def test_metric_matrices_must_match_in_size():

@@ -5,8 +5,8 @@ import pytest
 from scipy import optimize, sparse
 
 from darpkit import (
-    DataError, GeneratorConfig, ObjectiveSpec, ObjectiveValue, Schedule,
-    Solution, build_event_graph, build_model, combine_components,
+    OBJECTIVES, DataError, GeneratorConfig, ObjectiveSpec, ObjectiveValue,
+    Schedule, Solution, build_event_graph, build_model, combine_components,
     compatible_pairs, compute_big_m, evaluate_objective, generate_synthetic,
     instance_sha256, oracle_solve, parse_mps, read_mapping, solve_mip,
     variable_mapping, write_lp, write_mapping, write_mps,
@@ -550,8 +550,6 @@ def test_writers_declare_the_hub_variables_free(single_request_instance):
         lp = write_lp(model)
         bounds = lp[lp.index("Bounds"):lp.index("Binaries")]
         assert " z_1 free\n" in bounds and "inf" not in bounds
-        assert variable_mapping(model)["variables"]["z_1"] == {
-            "kind": "z", "request": 1}
 
 
 def test_lp_structure(single_request_instance):
@@ -570,17 +568,38 @@ def test_variable_mapping(single_request_instance):
     graph = build_event_graph(single_request_instance)
     model = build_model(graph, "model2", ObjectiveSpec(variant="cost_excess"))
     doc = variable_mapping(model)
-    assert doc["variant"] == "model2"
-    assert doc["instance"] == "single"
-    assert doc["objective"]["variant"] == "cost_excess"
-    assert doc["objective"]["alpha"] == 3.0
-    assert "allow_denial" not in doc
-    assert len(doc["variables"]) == len(model.vars)
-    assert doc["variables"]["x_0"]["kind"] == "x"
-    assert "arc" in doc["variables"]["x_0"]
-    assert doc["variables"]["d_1"] == {"kind": "d", "request": 1}
-    assert "node" in doc["variables"]["B_0"]
+    assert doc == {
+        "model": model.name,
+        "instance": "single",
+        "instance_sha256": instance_sha256(single_request_instance),
+        "graph": "pruned",
+        "columns": len(model.vars),
+        "variant": "model2",
+        "objective": {"variant": "cost_excess", "alpha": 3.0, "beta": 0.6,
+                      "gamma": 60.0},
+    }
     assert write_mapping(model) == write_mapping(model)
+
+
+@pytest.mark.parametrize("variant", ["model2", "model3"])
+def test_column_names_describe_the_columns(gen_instances, variant):
+    # the naming rule that lets the sidecar leave the columns out
+    for inst in gen_instances[:3]:
+        for objective in OBJECTIVES:
+            model = build_model(build_event_graph(inst), variant,
+                                ObjectiveSpec(variant=objective))
+            names = [var.name for var in model.vars]
+            assert len(set(names)) == len(names)
+            size = {"x": model.graph.arc_count, "B": model.graph.node_count}
+            for var in model.vars:
+                if var.kind == "dmax":
+                    assert (var.name, var.ref) == ("dmax", -1)
+                    continue
+                assert var.name == f"{var.kind}_{var.ref}"
+                if var.kind in size:
+                    assert 0 <= var.ref < size[var.kind]
+                else:
+                    assert 1 <= var.ref <= inst.n
 
 
 @pytest.mark.parametrize("objective", ["cost", "request_cost_excess"])
