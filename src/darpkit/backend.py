@@ -247,6 +247,10 @@ class MilpResult:
 def solve_mip(mip: ParsedMip, time_limit: float | None = None,
               mip_gap: float = 0.0) -> MilpResult:
     """Run scipy's MILP solver on a parsed file and map names back."""
+    if time_limit is not None and not time_limit >= 0:
+        raise DataError(f"time limit must be a number >= 0, got {time_limit!r}")
+    if not 0 <= mip_gap < math.inf:
+        raise DataError(f"MIP gap must be a finite number >= 0, got {mip_gap!r}")
     import numpy as np
     from scipy import optimize
 

@@ -35,8 +35,8 @@ from .model import (
     write_mapping, write_mps,
 )
 from .solve import (
-    ORACLE_LIMIT, import_solution, oracle_solve, solution_to_json,
-    validate_solution,
+    ORACLE_LIMIT, _accepted_ids, import_solution, oracle_solve,
+    solution_to_json, validate_solution,
 )
 
 USAGE_ERROR = 2
@@ -333,8 +333,7 @@ def cmd_compare(args) -> int:
             if not (math.isfinite(va) and math.isfinite(vb)):
                 raise ValueError(f"{key} is not a finite number")
             rows.append((key, va, vb, pct(key, va, vb)))
-        ar_a = len(a["accepted"])
-        ar_b = len(b["accepted"])
+        ar_a, ar_b = len(_accepted_ids(a)), len(_accepted_ids(b))
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"solution file: {exc}") from None
     rows.append(("a.r.", float(ar_a), float(ar_b), pct("a.r.", ar_a, ar_b)))

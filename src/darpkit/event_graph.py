@@ -37,11 +37,9 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, repeat
-from typing import NamedTuple
 
 from .errors import DataError
 from .instance import DEPOT, DROPOFF, PICKUP, Instance
@@ -88,21 +86,12 @@ class EventNode:
         return "(" + ",".join(str(c) for c in self.as_tuple(capacity)) + ")"
 
 
-class EventArc(NamedTuple):
-    tail: int
-    head: int
-    cls: int
-    cost: float
-    time: float
-
-
 class ArcTable:
     """The arcs of an event graph as five typed columns.
 
     ``tail``, ``head`` (state ids), ``cls`` (arc class), ``cost`` and
     ``time`` are stdlib arrays, which the cyclic garbage collector does
-    not track, so a large graph costs no collector work.  Indexing and
-    iteration yield :class:`EventArc` items; hot loops zip the columns.
+    not track, so a large graph costs no collector work.
     """
 
     __slots__ = _COLUMNS = ("tail", "head", "cls", "cost", "time")
@@ -117,13 +106,6 @@ class ArcTable:
     def __len__(self) -> int:
         return len(self.tail)
 
-    def __getitem__(self, a: int) -> EventArc:
-        return EventArc(self.tail[a], self.head[a], self.cls[a],
-                        self.cost[a], self.time[a])
-
-    def __iter__(self):
-        return map(EventArc, self.tail, self.head, self.cls, self.cost, self.time)
-
     def __eq__(self, other):
         if not isinstance(other, ArcTable):
             return NotImplemented
@@ -131,22 +113,21 @@ class ArcTable:
 
 
 class EventGraph:
-    """An event graph with its arc table and per-class arc counts.
+    """An event graph: its states and its arc table.
 
     ``compatible`` is None for the complete graph, and the set of
     ride-compatible request pairs the graph was pruned with otherwise.
-    The adjacency lists ``in_arcs`` and ``out_arcs``, and a complete
-    graph's ``pruned_graph``, are built on first use.
+    ``in_arcs``, ``out_arcs``, ``class_counts`` and a complete graph's
+    ``pruned_graph`` are built on first use.
     """
 
     def __init__(self, inst: Instance, nodes, locations, arcs: ArcTable,
-                 class_counts: dict[int, int], compatible: frozenset | None = None):
+                 compatible: frozenset | None = None):
         self.inst = inst
         self.compatible = compatible
         self.nodes: tuple[EventNode, ...] = tuple(nodes)
         self.locations: tuple[int, ...] = tuple(locations)
         self.arcs = arcs
-        self.class_counts = class_counts
         self.depot_node = 0
         self._pruned_graph: EventGraph | None = None
         n = inst.n
@@ -167,6 +148,11 @@ class EventGraph:
     def out_arcs(self) -> list[list[int]]:
         """Ids of the arcs leaving each state, ascending."""
         return self._adjacency(self.arcs.tail)
+
+    @cached_property
+    def class_counts(self) -> dict[int, int]:
+        """Number of arcs of each class, counted from ``arcs.cls``."""
+        return {c: self.arcs.cls.count(c) for c in CLASS_NAMES}
 
     def _adjacency(self, ends) -> list[list[int]]:
         lists = [[] for _ in self.nodes]
@@ -287,7 +273,6 @@ def build_event_graph(inst: Instance, *, pruned: bool = False) -> EventGraph:
     costs = {a: {b: inst.metric.cost(a, b) for b in places} for a in places}
     late = {b: inst.windows[b][1] + _TIME_EPS for b in places}
     arcs = ArcTable()
-    counts = dict.fromkeys(CLASS_NAMES, 0)
 
     def emit(v, cls, heads, locs):
         """Append the class-``cls`` arcs from state v, the loop's current
@@ -306,7 +291,6 @@ def build_event_graph(inst: Instance, *, pruned: bool = False) -> EventGraph:
         arcs.cls.extend(repeat(cls, k))
         arcs.cost.extend(map(c_row.__getitem__, locs))
         arcs.time.extend(map(t_row.__getitem__, locs))
-        counts[cls] += k
 
     no_group = ((), ())
     for v, node in enumerate(nodes):
@@ -336,14 +320,14 @@ def build_event_graph(inst: Instance, *, pruned: bool = False) -> EventGraph:
             # dropoff -> dropoff of anyone still on board
             emit(v, DROPOFF_DROPOFF, *drop_group(node.others))
     if pruned:
-        nodes, locations, arcs, counts = _without_dead_states(nodes, locations, arcs)
-    return EventGraph(inst, nodes, locations, arcs, counts, compatible)
+        nodes, locations, arcs = _without_dead_states(nodes, locations, arcs)
+    return EventGraph(inst, nodes, locations, arcs, compatible)
 
 
 def _without_dead_states(nodes, locations, arcs: ArcTable):
     """Drop non-depot states without an in-arc or an out-arc until none is
     left; the survivors keep their order and are renumbered.  Returns the
-    nodes, locations, arc table and class counts that remain."""
+    nodes, locations and arc table that remain."""
     tail, head = arcs.tail, arcs.head
     live = range(len(arcs))
     alive = set(range(len(nodes)))
@@ -359,9 +343,7 @@ def _without_dead_states(nodes, locations, arcs: ArcTable):
     kept = ArcTable([new_id[tail[a]] for a in live], [new_id[head[a]] for a in live],
                     [arcs.cls[a] for a in live], [arcs.cost[a] for a in live],
                     [arcs.time[a] for a in live])
-    counts = Counter(kept.cls)
-    return ([nodes[v] for v in keep], [locations[v] for v in keep], kept,
-            {c: counts[c] for c in CLASS_NAMES})
+    return [nodes[v] for v in keep], [locations[v] for v in keep], kept
 
 
 def node_count_closed_form(n: int, capacity: int) -> int:

@@ -221,13 +221,14 @@ class MilpModel:
         self.rows: list[Row] = []
         self.obj_terms: list = []
         self.obj_constant = 0.0
-        self.big_m: BigM | None = None
         self.census: dict = {"variables": dict.fromkeys(_VAR_KINDS, 0),
                              "rows": dict.fromkeys(_ROW_FAMILIES, 0)}
 
-    def add_var(self, name, kind, ref, lb, ub, integer) -> int:
+    def add_var(self, kind, ref, lb, ub) -> int:
+        """Append a column; its kind decides its name and integrality."""
         self.census["variables"][kind] += 1
-        self.vars.append(Var(name, kind, ref, lb, ub, integer))
+        name = kind if kind == "dmax" else f"{kind}_{ref}"
+        self.vars.append(Var(name, kind, ref, lb, ub, kind in ("x", "p")))
         return len(self.vars) - 1
 
     def add_row(self, family, name, sense, rhs, terms):
@@ -266,15 +267,12 @@ def _assemble(graph: EventGraph, variant: str,
 
     model = MilpModel(graph, variant, obj)
     m = compute_big_m(graph)
-    model.big_m = m
 
     # variables; integer block first so the MPS writer emits one marker pair
-    x = [model.add_var(f"x_{a}", "x", a, 0.0, 1.0, True)
-         for a in range(graph.arc_count)]
+    x = [model.add_var("x", a, 0.0, 1.0) for a in range(graph.arc_count)]
     p = {}
     if w_denied:
-        p = {r.id: model.add_var(f"p_{r.id}", "p", r.id, 0.0, 1.0, True)
-             for r in inst.requests}
+        p = {r.id: model.add_var("p", r.id, 0.0, 1.0) for r in inst.requests}
     locs = graph.locations
     B = []
     for v in range(graph.node_count):
@@ -285,16 +283,15 @@ def _assemble(graph: EventGraph, variant: str,
             lb, ub = 0.0, l
         else:
             lb, ub = e, math.inf
-        B.append(model.add_var(f"B_{v}", "B", v, lb, ub, False))
-    z = {r.id: model.add_var(f"z_{r.id}", "z", r.id, -math.inf, math.inf, False)
+        B.append(model.add_var("B", v, lb, ub))
+    z = {r.id: model.add_var("z", r.id, -math.inf, math.inf)
          for r in inst.requests}
     d = {}
     dmax = None
     if w_excess or w_max:
-        d = {r.id: model.add_var(f"d_{r.id}", "d", r.id, 0.0, math.inf, False)
-             for r in inst.requests}
+        d = {r.id: model.add_var("d", r.id, 0.0, math.inf) for r in inst.requests}
     if w_max:
-        dmax = model.add_var("dmax", "dmax", -1, 0.0, math.inf, False)
+        dmax = model.add_var("dmax", -1, 0.0, math.inf)
 
     # flow conservation at every state node, depot included
     for v in range(graph.node_count):

@@ -487,6 +487,23 @@ def solution_to_json(sol: Solution) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
+def _request_id(value) -> int:
+    """A request id read from solution JSON: an integral number."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if type(value) is not int:
+        raise ValueError(f"request id must be an integer, got {value!r}")
+    return value
+
+
+def _accepted_ids(doc: dict) -> frozenset[int]:
+    """The ``accepted`` request ids of a solution document, none repeated."""
+    ids = [_request_id(i) for i in doc["accepted"]]
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"accepted list repeats a request id: {ids}")
+    return frozenset(ids)
+
+
 def solution_from_json(text: str, inst: Instance) -> Solution:
     try:
         doc = json.loads(text)
@@ -496,9 +513,10 @@ def solution_from_json(text: str, inst: Instance) -> Solution:
         tours = []
         times = []
         for tour in doc["tours"]:
-            tours.append(tuple((int(st["request"]), str(st["kind"])) for st in tour))
+            tours.append(tuple((_request_id(st["request"]), str(st["kind"]))
+                               for st in tour))
             times.append(tuple(float(st["time"]) for st in tour))
-        accepted = frozenset(int(i) for i in doc["accepted"])
+        accepted = _accepted_ids(doc)
         objective = ObjectiveValue(
             total=float(doc["objective"]["total"]),
             cost=float(doc["objective"]["f_c"]),

@@ -562,6 +562,21 @@ def test_solve_mps_time_limit(tmp_path, capsys):
     assert "status: time_limit" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--time-limit", "-1"), ("--time-limit", "nan"),
+    ("--gap", "-1"), ("--gap", "nan"), ("--gap", "inf"),
+])
+def test_solve_mps_refuses_bad_solver_options(tmp_path, capsys, option, value):
+    path = tmp_path / "m.mps"
+    path.write_text(write_mps(build_model(build_event_graph(
+        generate_synthetic(GeneratorConfig(n=10, capacity=3, seed=1))), "model3")))
+    words = {"--time-limit": "time limit", "--gap": "MIP gap"}[option]
+    _refused(capsys, ["solve-mps", str(path), option, value], words)
+    # a zero time limit is an option, not a refusal
+    assert cli.main(["solve-mps", str(path), "--time-limit", "0"]) == 1
+    assert "status: time_limit" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("command, name, text", [
     ("solve-mps", "bad.mps", "NAME bad\nROWS\n N  obj\n G  r\nCOLUMNS\n"
                              "    x  obj  1.0  r  one\nENDATA\n"),
@@ -627,6 +642,17 @@ def test_compare_refuses_a_non_finite_component(tmp_path, capsys, value):
     doc["objective"]["f_c"] = value
     b.write_text(json.dumps(doc))
     _refused(capsys, ["compare", str(a), str(b)], "f_c is not a finite number")
+
+
+@pytest.mark.parametrize("accepted", ["abc", [1, 1, 1, 1, 1], [1.5], [True]])
+def test_compare_refuses_bad_accepted_ids(tmp_path, capsys, accepted):
+    doc = {"objective": {"f_c": 1.0, "f_e": 1.0, "f_emax": 1.0},
+           "accepted": [1]}
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps(doc))
+    doc["accepted"] = accepted
+    b.write_text(json.dumps(doc))
+    _refused(capsys, ["compare", str(a), str(b)], "request id")
 
 
 def test_compare_bad_file(tmp_path):

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from darpkit import (
-    DataError, EventArc, GeneratorConfig, arc_count_closed_form, build_event_graph,
+    DataError, GeneratorConfig, arc_count_closed_form, build_event_graph,
     compatible_pairs, generate_synthetic, graph_stats, node_count_closed_form,
     parse_cordeau, to_dot,
 )
@@ -55,11 +55,10 @@ EXPECTED_POOLING_ARCS = {
 
 
 def _arc_triples(graph):
-    cap = graph.inst.capacity
+    cap, arcs = graph.inst.capacity, graph.arcs
     return {
-        (graph.nodes[a.tail].label(cap), graph.nodes[a.head].label(cap),
-         CLASS_NAMES[a.cls])
-        for a in graph.arcs
+        (graph.nodes[v].label(cap), graph.nodes[w].label(cap), CLASS_NAMES[cls])
+        for v, w, cls in zip(arcs.tail, arcs.head, arcs.cls)
     }
 
 
@@ -96,11 +95,12 @@ def test_node_order_is_deterministic(pooling_instance):
 def test_arc_costs_match_metric(pooling_instance):
     graph = build_event_graph(pooling_instance)
     metric = pooling_instance.metric
-    for arc in graph.arcs:
-        a = graph.locations[arc.tail]
-        b = graph.locations[arc.head]
-        assert arc.cost == pytest.approx(metric.cost(a, b))
-        assert arc.time == pytest.approx(metric.time(a, b))
+    arcs = graph.arcs
+    for v, w, cost, time in zip(arcs.tail, arcs.head, arcs.cost, arcs.time):
+        a = graph.locations[v]
+        b = graph.locations[w]
+        assert cost == pytest.approx(metric.cost(a, b))
+        assert time == pytest.approx(metric.time(a, b))
 
 
 def test_adjacency_is_consistent(gen_instances):
@@ -108,27 +108,22 @@ def test_adjacency_is_consistent(gen_instances):
         graph = build_event_graph(inst)
         for v in range(graph.node_count):
             for a in graph.out_arcs[v]:
-                assert graph.arcs[a].tail == v
+                assert graph.arcs.tail[a] == v
             for a in graph.in_arcs[v]:
-                assert graph.arcs[a].head == v
+                assert graph.arcs.head[a] == v
         assert sum(len(x) for x in graph.out_arcs) == graph.arc_count
         total = sum(graph.class_counts.values())
         assert total == graph.arc_count
 
 
-def test_arc_table_indexes_like_a_sequence(gen_instances):
-    for inst in gen_instances:
-        arcs = build_event_graph(inst).arcs
-        columns = (arcs.tail, arcs.head, arcs.cls, arcs.cost, arcs.time)
-        m = len(arcs)
-        for a in (0, m // 2, m - 1, -1, -m):
-            assert arcs[a] == EventArc(*(col[a] for col in columns))
-            assert type(arcs[a]) is EventArc
-        assert arcs[-1] == arcs[m - 1] and arcs[-m] == arcs[0]
-        for a in (m, -m - 1):
-            with pytest.raises(IndexError):
-                arcs[a]
-        assert list(arcs) == [arcs[a] for a in range(m)]
+def test_every_public_name_resolves():
+    import darpkit
+    assert len(set(darpkit.__all__)) == len(darpkit.__all__)
+    for name in darpkit.__all__:
+        assert hasattr(darpkit, name), name
+    namespace = {}
+    exec("from darpkit import *", namespace)
+    assert set(darpkit.__all__) <= set(namespace)
 
 
 def test_arc_tables_compare_by_columns(gen_instances):
@@ -147,7 +142,7 @@ def test_adjacency_is_built_on_first_use(gen_instances):
     for inst in gen_instances:
         for graph in (build_event_graph(inst),
                       build_event_graph(inst, pruned=True)):
-            assert not {"in_arcs", "out_arcs"} & set(vars(graph))
+            assert not {"in_arcs", "out_arcs", "class_counts"} & set(vars(graph))
             arcs = graph.arcs
             states = range(graph.node_count)
             assert graph.in_arcs == [
@@ -157,6 +152,7 @@ def test_adjacency_is_built_on_first_use(gen_instances):
             assert graph.in_arcs is graph.in_arcs
             assert graph.class_counts == {c: list(arcs.cls).count(c)
                                           for c in CLASS_NAMES}
+            assert "class_counts" in vars(graph)
 
 
 def test_arcs_add_no_objects_for_the_collector():
@@ -216,7 +212,9 @@ def _assert_matches_brute_force(inst):
     built = [(node.kind, node.request, frozenset(node.others))
              for node in graph.nodes]
     assert len(set(built)) == len(built) and set(built) == states
-    triples = [(built[a.tail], built[a.head], a.cls) for a in graph.arcs]
+    arcs = graph.arcs
+    triples = [(built[v], built[w], cls)
+               for v, w, cls in zip(arcs.tail, arcs.head, arcs.cls)]
     expected = [(u, v, _CLASS_OF_KINDS[u[0], v[0]]) for u, v in transitions]
     assert len(set(triples)) == len(triples)
     assert set(triples) == set(expected)
@@ -239,7 +237,7 @@ def test_ids_follow_the_order_contract(gen_instances):
             keys = [(graph.locations[v], node.others)
                     for v, node in enumerate(graph.nodes)][1:]
             assert all(a < b for a, b in zip(keys, keys[1:]))
-            pairs = [(a.tail, a.head) for a in graph.arcs]
+            pairs = list(zip(graph.arcs.tail, graph.arcs.head))
             assert all(a < b for a, b in zip(pairs, pairs[1:]))
             # each tail's arcs form one contiguous id range
             for out in filter(None, graph.out_arcs):
@@ -250,13 +248,14 @@ def test_structural_rules_hold(gen_instances):
     for inst in gen_instances:
         graph = build_event_graph(inst)
         loads = {r.id: r.q for r in inst.requests}
-        for arc in graph.arcs:
-            tail = graph.nodes[arc.tail]
-            head = graph.nodes[arc.head]
-            if arc.cls == LEAVE_DEPOT:
+        arcs = graph.arcs
+        for v, w, cls in zip(arcs.tail, arcs.head, arcs.cls):
+            tail = graph.nodes[v]
+            head = graph.nodes[w]
+            if cls == LEAVE_DEPOT:
                 assert tail.kind == DEPOT
                 assert head.kind == PICKUP and head.others == ()
-            elif arc.cls == RETURN_DEPOT:
+            elif cls == RETURN_DEPOT:
                 assert tail.kind == DROPOFF and tail.others == ()
                 assert head.kind == DEPOT
             else:
@@ -369,15 +368,17 @@ def test_pruned_graph_is_an_ordered_subgraph(gen_instances):
         full_id = {node: v for v, node in enumerate(full.nodes)}
         ids = [full_id[node] for node in pruned.nodes]
         assert ids == sorted(ids) and ids[0] == 0
-        full_arcs = {(a.tail, a.head): a for a in full.arcs}
-        keys = [(ids[a.tail], ids[a.head]) for a in pruned.arcs]
+        fa, pa = full.arcs, pruned.arcs
+        full_arcs = {(v, w): (cls, cost, time) for v, w, cls, cost, time
+                     in zip(fa.tail, fa.head, fa.cls, fa.cost, fa.time)}
+        keys = [(ids[v], ids[w]) for v, w in zip(pa.tail, pa.head)]
         assert keys == sorted(keys)
-        for arc, key in zip(pruned.arcs, keys):
-            assert full_arcs[key].cls == arc.cls
-            assert (full_arcs[key].cost, full_arcs[key].time) == (arc.cost, arc.time)
+        for v, w, cls, cost, time, key in zip(
+                pa.tail, pa.head, pa.cls, pa.cost, pa.time, keys):
+            assert full_arcs[key] == (cls, cost, time)
             # arc rule
-            tail, head = pruned.locations[arc.tail], pruned.locations[arc.head]
-            assert (inst.windows[tail][0] + inst.service[tail] + arc.time
+            tail, head = pruned.locations[v], pruned.locations[w]
+            assert (inst.windows[tail][0] + inst.service[tail] + time
                     <= inst.windows[head][1] + 1e-9)
         for v, node in enumerate(pruned.nodes):
             # pair rule: the onboard set is a clique of compatible pairs

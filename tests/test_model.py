@@ -78,7 +78,7 @@ def test_big_m_values(single_request_instance):
     m = compute_big_m(graph)
     # dropoff window end 100, pickup start 10, ride limit 40, service 2
     assert m.ride[1] == pytest.approx(48.0)
-    by_cls = {arc.cls: a for a, arc in enumerate(graph.arcs)}
+    by_cls = {cls: a for a, cls in enumerate(graph.arcs.cls)}
     # pickup tail closes at 30, dropoff head opens at 20, travel 3
     assert m.link[by_cls[PICKUP_DROPOFF]] == pytest.approx(30.0 - 20.0 + 2.0 + 3.0)
     # depot tail closes at 200, pickup head opens at 10, travel 1
@@ -224,7 +224,7 @@ def test_ride_rows_model2_couple_activation(single_request_instance):
     model = build_model(graph, "model2", ObjectiveSpec(variant="cost"))
     v = graph.pickup_nodes[1][0]
     w = graph.dropoff_nodes[1][0]
-    mi = model.big_m.ride[1]
+    mi = compute_big_m(model.graph).ride[1]
     assert mi == pytest.approx(48.0)
     rows = _ride_rows(model)
     assert sorted(rows) == sorted((v, w))
@@ -272,9 +272,10 @@ def _pairwise_ride_rows(model):
     B_w - B_v + M_i * (in(v) + in(w)) <= L_i + s_i + 2 M_i (M_i = 0 in model3)."""
     graph = model.graph
     col = {var.name: j for j, var in enumerate(model.vars)}
+    ride = compute_big_m(graph).ride
     rows = []
     for req in graph.inst.requests:
-        mi = model.big_m.ride[req.id] if model.variant == "model2" else 0.0
+        mi = ride[req.id] if model.variant == "model2" else 0.0
         for v in graph.pickup_nodes[req.id]:
             for w in graph.dropoff_nodes[req.id]:
                 terms = [(col[f"B_{w}"], 1.0), (col[f"B_{v}"], -1.0)]
@@ -366,7 +367,7 @@ def test_pair_rule_keeps_every_feasible_stop_order(criterion3_suite):
     for inst in criterion3_suite:
         graph = build_model(build_event_graph(inst), "model3").graph
         node_id = {node: v for v, node in enumerate(graph.nodes)}
-        arcs = {(arc.tail, arc.head) for arc in graph.arcs}
+        arcs = set(zip(graph.arcs.tail, graph.arcs.head))
         for block in filter(None, _subsets(range(1, inst.n + 1))):
             for tour, _ in _feasible_orderings(block, inst):
                 ids = [0] + [node_id[node] for node in _state_path(tour)] + [0]
@@ -435,12 +436,13 @@ def test_pruned_graph_keeps_the_optimum(seed, optimum):
 def test_travel_link_rows(single_request_instance):
     graph = build_event_graph(single_request_instance)
     model = build_model(graph, "model2", ObjectiveSpec(variant="cost"))
-    for a, arc in enumerate(graph.arcs):
-        if arc.cls != PICKUP_DROPOFF:
+    link = compute_big_m(model.graph).link
+    for a, (cls, time) in enumerate(zip(graph.arcs.cls, graph.arcs.time)):
+        if cls != PICKUP_DROPOFF:
             continue
         row = next(r for r in model.rows if r.name == f"tt_{a}")
-        mm = model.big_m.link[a]
-        assert row.rhs == pytest.approx(mm - 2.0 - arc.time)
+        mm = link[a]
+        assert row.rhs == pytest.approx(mm - 2.0 - time)
         coef = {model.vars[idx].name: c for idx, c in row.terms}
         assert coef[f"x_{a}"] == pytest.approx(mm)
 
@@ -457,7 +459,7 @@ def test_objective_terms_and_constant(pooling_instance):
     assert model.objective_value(values) == pytest.approx(0.0)
     cost_model = build_model(graph, "model2", ObjectiveSpec(variant="cost"))
     values = {var.name: 1.0 for var in cost_model.vars}
-    total_cost = sum(arc.cost for arc in graph.arcs)
+    total_cost = sum(graph.arcs.cost)
     assert cost_model.objective_value(values) == pytest.approx(total_cost)
 
 

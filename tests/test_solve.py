@@ -334,9 +334,8 @@ def _maps(graph):
     cap = graph.inst.capacity
     node_of = {node.label(cap): v for v, node in enumerate(graph.nodes)}
     arc_of = {}
-    for a, arc in enumerate(graph.arcs):
-        arc_of[(graph.nodes[arc.tail].label(cap),
-                graph.nodes[arc.head].label(cap))] = a
+    for a, (v, w) in enumerate(zip(graph.arcs.tail, graph.arcs.head)):
+        arc_of[(graph.nodes[v].label(cap), graph.nodes[w].label(cap))] = a
     return node_of, arc_of
 
 
@@ -718,6 +717,32 @@ def test_solution_json_non_numeric_request(gen_instances):
     doc = json.loads(solution_to_json(oracle_solve(inst)))
     doc["tours"][0][0]["request"] = "a"
     with pytest.raises(ParseError, match="field"):
+        solution_from_json(json.dumps(doc), inst)
+
+
+@pytest.mark.parametrize("where, value", [
+    ("request", 3.5), ("request", "3"), ("request", True),
+    ("accepted", [1.5, 2, 3]), ("accepted", ["3", 1, 2]),
+    ("accepted", [True, 2, 3]), ("accepted", [1, 2, 3, 3]),
+])
+def test_solution_json_reads_request_ids_as_integers(where, value):
+    from darpkit import ParseError
+    inst = generate_synthetic(GeneratorConfig(n=3, capacity=3, seed=1))
+    sol = oracle_solve(inst)
+    doc = json.loads(solution_to_json(sol))
+    assert doc["accepted"] == [1, 2, 3]
+    # integral floats read as the integers they are
+    stops = [stop for tour in doc["tours"] for stop in tour]
+    for stop in stops:
+        stop["request"] = float(stop["request"])
+    same = solution_from_json(json.dumps(doc), inst)
+    assert same.tours == sol.tours
+    assert all(type(rid) is int for tour in same.tours for rid, _ in tour)
+    if where == "request":
+        next(stop for stop in stops if stop["request"] == 3)["request"] = value
+    else:
+        doc["accepted"] = value
+    with pytest.raises(ParseError, match="request id"):
         solution_from_json(json.dumps(doc), inst)
 
 
