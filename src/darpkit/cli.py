@@ -318,7 +318,7 @@ def cmd_solve_mps(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    def pct(name, va, vb):
+    def pct(va, vb):
         if va == 0:
             return "n/a"
         return f"{round(100.0 * (vb - va) / va):+d}"
@@ -332,11 +332,11 @@ def cmd_compare(args) -> int:
             vb = float(b["objective"][key])
             if not (math.isfinite(va) and math.isfinite(vb)):
                 raise ValueError(f"{key} is not a finite number")
-            rows.append((key, va, vb, pct(key, va, vb)))
+            rows.append((key, va, vb, pct(va, vb)))
         ar_a, ar_b = len(_accepted_ids(a)), len(_accepted_ids(b))
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"solution file: {exc}") from None
-    rows.append(("a.r.", float(ar_a), float(ar_b), pct("a.r.", ar_a, ar_b)))
+    rows.append(("a.r.", float(ar_a), float(ar_b), pct(ar_a, ar_b)))
     print(f"{'metric':<8}{'A':>12}{'B':>12}{'delta%':>8}")
     for name, va, vb, delta in rows:
         print(f"{name:<8}{va:>12.4f}{vb:>12.4f}{delta:>8}")

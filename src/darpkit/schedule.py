@@ -5,10 +5,15 @@ starts and ends at the depot.  Its componentwise-minimal schedule comes
 from propagating lower bounds (window starts, depot departure, travel
 chaining, the ride-time limit read backwards) to a fixpoint; since the
 feasible region is closed under componentwise minima, that schedule
-minimizes every service start and every dropoff excess at once.  The
-oracle, the assignment import, the validator's scoring and the event
-graph's ride-compatibility test all use the same functions, with the
-same tolerance ``_TIME_EPS`` on upper bounds.
+minimizes every service start and every dropoff excess at once.
+
+That schedule is built one stop at a time: appending a stop to a prefix
+extends the prefix's schedule by one step (``_Prefix.push``), and
+``pop`` takes the step back.  The oracle's stop-order search extends
+each prefix from its parent this way; ``_tour_times`` is the same step
+folded over a whole tour.  The oracle, the assignment import, the
+validator's scoring and the event graph's ride-compatibility test all
+use it, with the same tolerance ``_TIME_EPS`` on upper bounds.
 """
 
 from __future__ import annotations
@@ -34,61 +39,143 @@ class Schedule:
     makespans: tuple[float, ...]
 
 
+class _Prefix:
+    """A stop sequence grown and shrunk at its end, with its minimal schedule.
+
+    ``push`` is the one schedule step.  The new stop starts at the later
+    of its window start and the previous stop's start plus service and
+    travel (the depot departure for a first stop).  A dropoff then reads
+    the ride-time limit backwards as a lower bound on its pickup, and any
+    raise moves forward along the chain, and back along the ride limits
+    of the dropoffs it reaches, until nothing rises.  The bounds only
+    grow as stops are appended and every step is a monotone function of
+    the times before it, also with rounding, so the times equal the
+    unique least fixpoint of the prefix's bound system, computed from
+    scratch or not.  A prefix is accepted when every stop meets its
+    window end; ``pop`` undoes exactly the raises of the last accepted
+    push.  A positive cycle in the bounds keeps raising; one sweep per
+    stop bounds the rounds, and a push still raising after them is
+    infeasible.
+    """
+
+    __slots__ = ("inst", "stops", "times", "_locs", "_gaps", "_rides", "_log")
+
+    def __init__(self, inst: Instance):
+        self.inst = inst
+        self.stops: list[Stop] = []
+        self.times: list[float] = []
+        self._locs: list[int] = []
+        self._gaps: list[float] = []    # service plus travel to the next stop
+        self._rides: list[tuple[int, float] | None] = []    # (pickup, -limit)
+        self._log: list[Sequence[tuple[int, float]]] = []    # (stop, old time)
+
+    def push(self, stop: Stop) -> bool:
+        """Append ``stop`` and reschedule; False, and no change, if the
+        prefix has no schedule within the windows."""
+        inst = self.inst
+        rid, kind = stop
+        loc = inst.location(rid, kind)
+        early, late = inst.windows[loc]
+        times = self.times
+        if times:
+            prev = self._locs[-1]
+            gap = inst.service[prev] + inst.metric.time(prev, loc)
+            start = max(early, times[-1] + gap)
+        else:
+            start = max(early, inst.depot_window[0]
+                        + inst.metric.time(inst.depot_loc, loc))
+        if start > late + _TIME_EPS:
+            return False    # raises only ever make it later
+        ride = None
+        if kind == DROPOFF:
+            for k in range(len(self.stops) - 1, -1, -1):
+                if self.stops[k] == (rid, PICKUP):
+                    req = inst.request(rid)
+                    ride = (k, -(req.max_ride + req.s))
+                    break
+        if times:
+            self._gaps.append(gap)
+        self.stops.append((rid, kind))
+        times.append(start)
+        self._locs.append(loc)
+        self._rides.append(ride)
+        if ride is None or start + ride[1] <= times[ride[0]]:
+            self._log.append(())
+            return True
+        raised: list[tuple[int, float]] = []
+        self._log.append(raised)
+        windows, locs = inst.windows, self._locs
+        if not self._settle(raised) or any(
+                times[k] > windows[locs[k]][1] + _TIME_EPS for k, _ in raised):
+            self.pop()
+            return False
+        return True
+
+    def _settle(self, raised: list[tuple[int, float]]) -> bool:
+        """Raise times from the last stop's ride limit to the fixpoint,
+        logging each raise; False on a positive cycle."""
+        times, gaps, rides = self.times, self._gaps, self._rides
+        m = len(times)
+        lo = m - 1
+        for _ in range(m):
+            nxt = m
+            for k in range(lo, m):
+                if k > lo:
+                    cand = times[k - 1] + gaps[k - 1]
+                    if cand > times[k]:
+                        raised.append((k, times[k]))
+                        times[k] = cand
+                ride = rides[k]
+                if ride is not None:
+                    pick, w = ride
+                    cand = times[k] + w
+                    if cand > times[pick]:
+                        raised.append((pick, times[pick]))
+                        times[pick] = cand
+                        nxt = min(nxt, pick)
+            if nxt == m:
+                return True
+            lo = nxt
+        return False
+
+    def pop(self):
+        """Remove the last stop and restore the times before its push."""
+        for k, old in reversed(self._log.pop()):
+            self.times[k] = old
+        self.stops.pop()
+        self.times.pop()
+        self._locs.pop()
+        self._rides.pop()
+        if self._gaps:
+            self._gaps.pop()
+
+    def returns_in_time(self) -> bool:
+        """Whether the vehicle reaches the depot before it closes after
+        serving the last stop."""
+        inst = self.inst
+        last = self._locs[-1]
+        latest = (inst.depot_window[1] - inst.service[last]
+                  - inst.metric.time(last, inst.depot_loc))
+        return not self.times[-1] > latest + _TIME_EPS
+
+
 def _tour_times(stops: Sequence[Stop], inst: Instance,
                 complete: bool = True) -> list[float] | None:
     """Componentwise-minimal feasible service starts, or None.
 
-    Lower bounds (window starts, depot departure, travel chaining and the
-    ride-time limit read backwards as a pickup lower bound) are propagated
-    to a fixpoint; one extra sweep still raising means the bound system
-    has a positive cycle, i.e. is infeasible.  The feasible region is
-    closed under componentwise minima, so the fixpoint is the unique
-    minimal schedule whenever it respects all upper bounds.
+    The schedule step of :class:`_Prefix` folded over the stops.  The
+    feasible region is closed under componentwise minima, so the
+    fixpoint is the unique minimal schedule whenever it respects all
+    upper bounds; ``complete`` also asks the vehicle to be back at the
+    depot before it closes.
     """
-    m = len(stops)
-    if m == 0:
-        return []
-    e0, l0 = inst.depot_window
-    locs = [inst.location(*st) for st in stops]
-    svc = [inst.service[loc] for loc in locs]
-
-    lower = [inst.windows[loc][0] for loc in locs]
-    lower[0] = max(lower[0], e0 + inst.metric.time(inst.depot_loc, locs[0]))
-    upper = [inst.windows[loc][1] for loc in locs]
-    if complete:
-        upper[-1] = min(
-            upper[-1],
-            l0 - svc[-1] - inst.metric.time(locs[-1], inst.depot_loc))
-
-    edges: list[tuple[int, int, float]] = []
-    for k in range(m - 1):
-        edges.append((k, k + 1, svc[k] + inst.metric.time(locs[k], locs[k + 1])))
-    pick_at = {}
-    for k, (rid, kind) in enumerate(stops):
-        if kind == PICKUP:
-            pick_at[rid] = k
-        elif rid in pick_at:
-            req = inst.request(rid)
-            edges.append((k, pick_at[rid], -(req.max_ride + req.s)))
-
-    times = list(lower)
-    for _ in range(m):
-        changed = False
-        for src, dst, w in edges:
-            cand = times[src] + w
-            if cand > times[dst]:
-                times[dst] = cand
-                changed = True
-        if not changed:
-            break
-    else:
-        for src, dst, w in edges:
-            if times[src] + w > times[dst]:
-                return None    # positive cycle keeps raising bounds
-    for k in range(m):
-        if times[k] > upper[k] + _TIME_EPS:
+    prefix = _Prefix(inst)
+    for stop in stops:
+        if not prefix.push(stop):
             return None
-    return times
+    if complete and stops and not prefix.returns_in_time():
+        return None
+    return prefix.times
 
 
 def _check_structure(stops: Sequence[Stop], inst: Instance):

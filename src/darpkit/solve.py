@@ -1,16 +1,20 @@
 """Exact reference solving, scoring, validation and solution decoding.
 
-The oracle enumerates accepted request sets, set partitions into at most
-fleet-size tours and feasible stop orders per tour, pruning partial
-orders whose difference-constraint system is already infeasible.  Each
-complete tour gets its componentwise-minimal schedule; since lowering
-any service-start never hurts window, ride-time or duration slack, that
-schedule simultaneously minimizes every per-request dropoff excess, so
-scoring it is exact for every supported objective.  The oracle shares no
-code with the MILP formulation beyond the instance data and the schedule
-primitives of :mod:`darpkit.schedule`, which also decide which requests
-the event graph lets ride together.  ``max_acceptance`` runs the same
-partition search.  Every plan, from the oracle, a decoded assignment or
+The oracle finds every feasible stop order of one vehicle in one
+depth-first search per call: each prefix is explored once, extends its
+parent's minimal schedule by one schedule step and is pruned once that
+schedule misses a window, and whenever the vehicle is empty the prefix
+is a tour of the requests served so far.  It then enumerates accepted
+request sets and set partitions into at most fleet-size blocks, and
+combines the recorded tours of each block.  Each tour carries its
+componentwise-minimal schedule; since lowering any service-start never
+hurts window, ride-time or duration slack, that schedule simultaneously
+minimizes every per-request dropoff excess, so scoring it is exact for
+every supported objective.  The oracle shares no code with the MILP
+formulation beyond the instance data and the schedule primitives of
+:mod:`darpkit.schedule`, which also decide which requests the event
+graph lets ride together.  ``max_acceptance`` runs the same two
+searches.  Every plan, from the oracle, a decoded assignment or
 a solution file, is scored by one function, which builds the plan's
 schedule once and reads the objective components from it.
 
@@ -36,7 +40,7 @@ from .errors import DataError, InfeasibleError, ParseError, SolutionError
 from .instance import DROPOFF, PICKUP, Instance
 from .model import MilpModel, ObjectiveSpec, ObjectiveValue, combine_components
 from .schedule import (
-    Schedule, Stop, _schedule, _tour_cost, _tour_times, minimal_schedule,
+    Schedule, Stop, _Prefix, _schedule, _tour_cost, minimal_schedule,
 )
 
 
@@ -122,42 +126,47 @@ def _partitions(items: Sequence[int], max_blocks: int):
     yield from rec(0)
 
 
-def _feasible_orderings(block: Iterable[int], inst: Instance):
-    """All time-feasible stop orders of one vehicle serving ``block``."""
-    reqs = sorted(block)
-    loads = {i: inst.request(i).q for i in reqs}
-    results = []
-    seq: list[Stop] = []
+def _stop_orders(inst: Instance) -> dict[frozenset, list]:
+    """Every time-feasible stop order of one vehicle, by the requests it serves.
+
+    One depth-first search over the stop sequences of all requests: each
+    step picks up a waiting request that fits the vehicle or drops off an
+    onboard one, pickups by id first, then dropoffs by id, and extends
+    its parent prefix's minimal schedule.  A prefix without a schedule is
+    not extended.  Whenever the vehicle is empty, the prefix is a tour of
+    the requests served so far; it is recorded, as (stops, times), if it
+    also returns to the depot in time, and then extended further.  Each
+    block's orders come out in the order of that step rule.
+    """
+    loads = {r.id: r.q for r in inst.requests}
+    found: dict[frozenset, list] = {}
+    prefix = _Prefix(inst)
     onboard: set[int] = set()
     done: set[int] = set()
 
     def rec(load: int):
-        if len(seq) == 2 * len(reqs):
-            times = _tour_times(seq, inst)
-            if times is not None:
-                results.append((tuple(seq), tuple(times)))
-            return
-        for i in reqs:
-            if i in onboard or i in done or load + loads[i] > inst.capacity:
+        for i, q in loads.items():
+            if i in onboard or i in done or load + q > inst.capacity:
                 continue
-            seq.append((i, PICKUP))
-            onboard.add(i)
-            if _tour_times(seq, inst, complete=False) is not None:
-                rec(load + loads[i])
-            onboard.discard(i)
-            seq.pop()
+            if prefix.push((i, PICKUP)):
+                onboard.add(i)
+                rec(load + q)
+                onboard.discard(i)
+                prefix.pop()
         for i in sorted(onboard):
-            seq.append((i, DROPOFF))
-            onboard.discard(i)
-            done.add(i)
-            if _tour_times(seq, inst, complete=False) is not None:
+            if prefix.push((i, DROPOFF)):
+                onboard.discard(i)
+                done.add(i)
+                if not onboard and prefix.returns_in_time():
+                    found.setdefault(frozenset(done), []).append(
+                        (tuple(prefix.stops), tuple(prefix.times)))
                 rec(load - loads[i])
-            done.discard(i)
-            onboard.add(i)
-            seq.pop()
+                done.discard(i)
+                onboard.add(i)
+                prefix.pop()
 
     rec(0)
-    return results
+    return found
 
 
 def _encoding(tours: Iterable[Sequence[Stop]]):
@@ -196,13 +205,14 @@ def oracle_solve(inst: Instance, objective: ObjectiveSpec | None = None,
     requests go unserved only if the objective prices denial."""
     _check_limit(inst, limit)
     obj = (objective or ObjectiveSpec()).resolve(inst.n)
+    stop_orders = _stop_orders(inst)
 
     @cache
     def orderings(block):
         """Feasible orders of a block as (stops, times, cost, excesses)."""
         return [(seq, ts, _tour_cost(seq, inst),
                  tuple(_schedule((seq,), (ts,), inst).excess.values()))
-                for seq, ts in _feasible_orderings(block, inst)]
+                for seq, ts in stop_orders.get(block, ())]
 
     ids = [r.id for r in inst.requests]
     best_key = None
@@ -230,8 +240,8 @@ def max_acceptance(inst: Instance, limit: int = ORACLE_LIMIT) -> int:
     _check_limit(inst, limit)
     ids = [r.id for r in inst.requests]
     subsets = sorted(_subsets(ids), key=len, reverse=True)
-    orderings = cache(lambda block: _feasible_orderings(block, inst))
-    for accepted, _ in _feasible_partitions(inst, subsets, orderings):
+    stop_orders = _stop_orders(inst)
+    for accepted, _ in _feasible_partitions(inst, subsets, stop_orders.get):
         return len(accepted)
     return 0
 

@@ -128,6 +128,54 @@ def lp_schedule(tour, inst):
     return list(res.x)
 
 
+def lp_tours(block, inst):
+    """Every stop order of one vehicle serving ``block`` that
+    ``lp_schedule`` finds feasible, as (stops, LP times).
+
+    Orders are built stop by stop from the pairing rules alone: pick up
+    a waiting request that fits the vehicle, or drop off an onboard one.
+    A prefix is dropped when the earliest starts read forward through
+    the windows, with no ride limits, already miss a window by more than
+    the LP's tolerance: every completion's LP has larger lower bounds
+    there, so it is infeasible too.
+    """
+    e0 = inst.depot_window[0]
+    found = []
+
+    def rec(seq, waiting, onboard, load, start):
+        if not waiting and not onboard:
+            times = lp_schedule(seq, inst)
+            if times is not None:
+                found.append((tuple(seq), times))
+            return
+        steps = [(i, PICK) for i in sorted(waiting)
+                 if load + inst.request(i).q <= inst.capacity]
+        steps += [(i, DROP) for i in sorted(onboard)]
+        for rid, kind in steps:
+            req = inst.request(rid)
+            loc, (e, l) = ((req.pickup_loc, req.pickup_window) if kind == PICK
+                           else (req.dropoff_loc, req.dropoff_window))
+            if seq:
+                prev = inst.request(seq[-1][0])
+                prev_loc = (prev.pickup_loc if seq[-1][1] == PICK
+                            else prev.dropoff_loc)
+                arrive = start + prev.s + inst.metric.time(prev_loc, loc)
+            else:
+                arrive = e0 + inst.metric.time(inst.depot_loc, loc)
+            begin = max(e, arrive)
+            if begin > l + 1e-6:
+                continue
+            if kind == PICK:
+                rec(seq + [(rid, kind)], waiting - {rid}, onboard | {rid},
+                    load + req.q, begin)
+            else:
+                rec(seq + [(rid, kind)], waiting, onboard - {rid},
+                    load - req.q, begin)
+
+    rec([], frozenset(block), frozenset(), 0, 0.0)
+    return found
+
+
 def line_metric(positions):
     """Symmetric metric on the line; costs and times are distances."""
     m = len(positions)

@@ -15,8 +15,10 @@ from darpkit import (
     solution_to_json, validate_solution,
 )
 from darpkit.event_graph import DROPOFF, PICKUP
+from darpkit.schedule import _Prefix, _tour_times
+from darpkit.solve import _stop_orders
 
-from helpers import line_instance, lp_schedule
+from helpers import criterion3_instances, line_instance, lp_schedule, lp_tours
 
 P, D = PICKUP, DROPOFF
 
@@ -124,6 +126,81 @@ def test_minimal_schedule_detects_positive_cycle():
     assert minimal_schedule([(1, P), (1, D)], inst) is None
 
 
+def test_dropoff_ride_limit_raises_its_pickup_and_the_chain():
+    # positions: depot 0, pickups 1 and 2, dropoffs 3 and 4, no service
+    inst = line_instance(
+        "raise", positions=(0.0, 1.0, 2.0, 3.0, 4.0),
+        specs=[{"pickup": (0, 100), "dropoff": (20, 100), "max_ride": 5},
+               {"pickup": (0, 100), "dropoff": (0, 100), "max_ride": 10}],
+        fleet_size=1, capacity=2, depot_window=(0.0, 200.0))
+    prefix = _Prefix(inst)
+    assert prefix.push((1, P)) and prefix.push((2, P))
+    assert prefix.times == [1.0, 2.0]
+    # dropoff 1 waits for its window, 20; its ride limit then holds
+    # pickup 1 back to 15, and pickup 2 follows one unit later
+    assert prefix.push((1, D))
+    assert prefix.times == [15.0, 16.0, 20.0]
+    assert prefix.push((2, D)) and prefix.returns_in_time()
+    assert prefix.times == [15.0, 16.0, 20.0, 21.0]
+    prefix.pop()
+    prefix.pop()
+    assert prefix.stops == [(1, P), (2, P)] and prefix.times == [1.0, 2.0]
+    tour = [(1, P), (2, P), (1, D), (2, D)]
+    assert _tour_times(tour, inst) == [15.0, 16.0, 20.0, 21.0]
+    assert minimal_schedule(tour, inst).times == ((15.0, 16.0, 20.0, 21.0),)
+    assert np.allclose(lp_schedule(tour, inst), [15.0, 16.0, 20.0, 21.0])
+
+
+def test_positive_cycle_through_a_nested_ride_is_infeasible():
+    # positions: depot 0, pickups 1 and 2, dropoffs 2.5 and 3, no service.
+    # Each request alone fits its ride limit of 2, but riding across the
+    # other's stops takes 2.5 or 3: a positive cycle in the bounds, which
+    # no window can repair
+    inst = line_instance(
+        "nested", positions=(0.0, 1.0, 2.0, 2.5, 3.0),
+        specs=[{"pickup": (0, 100), "dropoff": (0, 100), "max_ride": 2},
+               {"pickup": (0, 100), "dropoff": (0, 100), "max_ride": 2}],
+        fleet_size=1, capacity=2, depot_window=(0.0, 200.0))
+    tour = [(1, P), (2, P), (2, D), (1, D)]
+    assert _tour_times(tour, inst, complete=False) is None
+    assert minimal_schedule(tour, inst) is None
+    assert lp_schedule(tour, inst) is None
+    prefix = _Prefix(inst)
+    assert all(prefix.push(stop) for stop in tour[:3])
+    assert prefix.times == [1.0, 2.0, 3.0]
+    assert not prefix.push(tour[3])
+    assert prefix.stops == tour[:3] and prefix.times == [1.0, 2.0, 3.0]
+    # the three orders without a nested ride, in the search's step order
+    assert _stop_orders(inst)[frozenset({1, 2})] == [
+        (((1, P), (2, P), (1, D), (2, D)), (1.0, 2.0, 2.5, 3.0)),
+        (((1, P), (1, D), (2, P), (2, D)), (1.0, 2.5, 3.0, 4.0)),
+        (((2, P), (2, D), (1, P), (1, D)), (2.0, 3.0, 5.0, 6.5)),
+    ]
+
+
+def test_stop_orders_are_the_lp_feasible_orders(gen_instances, pooling_instance,
+                                               stacked_instance):
+    # the one search records for every block exactly the stop orders an
+    # LP over the same bounds finds feasible, each once, with its times
+    insts = [pooling_instance, stacked_instance, *gen_instances,
+             *(inst for inst in criterion3_instances() if inst.n <= 4)]
+    checked = 0
+    for inst in insts:
+        orders = _stop_orders(inst)
+        for k in range(1, inst.n + 1):
+            for block in itertools.combinations(range(1, inst.n + 1), k):
+                expected = dict(lp_tours(block, inst))
+                listed = orders.pop(frozenset(block), [])
+                found = dict(listed)
+                assert len(found) == len(listed), (inst.name, block)
+                assert found.keys() == expected.keys(), (inst.name, block)
+                for tour, times in found.items():
+                    assert np.allclose(times, expected[tour], atol=1e-6)
+                checked += len(found)
+        assert not orders, inst.name
+    assert checked >= 281
+
+
 @pytest.mark.parametrize("tour", [
     [(1, D), (1, P)],
     [(1, P), (1, P), (1, D), (1, D)],
@@ -158,34 +235,9 @@ def brute_reference(inst, objective):
 
     def tours_for(block):
         key = frozenset(block)
-        if key in cache:
-            return cache[key]
-        stops = [(i, P) for i in block] + [(i, D) for i in block]
-        found = []
-        for perm in itertools.permutations(stops):
-            onboard = set()
-            load = 0
-            ok = True
-            for rid, kind in perm:
-                if kind == P:
-                    onboard.add(rid)
-                    load += inst.request(rid).q
-                    if load > inst.capacity:
-                        ok = False
-                        break
-                else:
-                    if rid not in onboard:
-                        ok = False
-                        break
-                    onboard.discard(rid)
-                    load -= inst.request(rid).q
-            if not ok:
-                continue
-            times = lp_schedule(list(perm), inst)
-            if times is not None:
-                found.append((perm, times))
-        cache[key] = found
-        return found
+        if key not in cache:
+            cache[key] = lp_tours(block, inst)
+        return cache[key]
 
     def walk_cost(perm):
         cost = 0.0
