@@ -159,21 +159,20 @@ class _Prefix:
         return not self.times[-1] > latest + _TIME_EPS
 
 
-def _tour_times(stops: Sequence[Stop], inst: Instance,
-                complete: bool = True) -> list[float] | None:
+def _tour_times(stops: Sequence[Stop], inst: Instance) -> list[float] | None:
     """Componentwise-minimal feasible service starts, or None.
 
     The schedule step of :class:`_Prefix` folded over the stops.  The
     feasible region is closed under componentwise minima, so the
     fixpoint is the unique minimal schedule whenever it respects all
-    upper bounds; ``complete`` also asks the vehicle to be back at the
-    depot before it closes.
+    upper bounds, the vehicle's return to the depot before it closes
+    included.
     """
     prefix = _Prefix(inst)
     for stop in stops:
         if not prefix.push(stop):
             return None
-    if complete and stops and not prefix.returns_in_time():
+    if stops and not prefix.returns_in_time():
         return None
     return prefix.times
 

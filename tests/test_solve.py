@@ -162,7 +162,7 @@ def test_positive_cycle_through_a_nested_ride_is_infeasible():
                {"pickup": (0, 100), "dropoff": (0, 100), "max_ride": 2}],
         fleet_size=1, capacity=2, depot_window=(0.0, 200.0))
     tour = [(1, P), (2, P), (2, D), (1, D)]
-    assert _tour_times(tour, inst, complete=False) is None
+    assert _tour_times(tour, inst) is None
     assert minimal_schedule(tour, inst) is None
     assert lp_schedule(tour, inst) is None
     prefix = _Prefix(inst)
