@@ -39,7 +39,8 @@ import math
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, repeat
+from itertools import compress
+from operator import itemgetter
 
 from .errors import DataError
 from .instance import DEPOT, DROPOFF, PICKUP, Instance
@@ -51,6 +52,9 @@ DROPOFF_PICKUP = 3
 DROPOFF_DROPOFF = 4
 RETURN_DEPOT = 5
 LEAVE_DEPOT = 6
+
+# arcs buffered in lists before they move to the typed columns
+_CHUNK = 1 << 14
 
 CLASS_NAMES = {
     PICKUP_DROPOFF: "pickup_dropoff",
@@ -117,8 +121,9 @@ class EventGraph:
 
     ``compatible`` is None for the complete graph, and the set of
     ride-compatible request pairs the graph was pruned with otherwise.
-    ``in_arcs``, ``out_arcs``, ``class_counts`` and a complete graph's
-    ``pruned_graph`` are built on first use.
+    ``pickup_nodes``, ``dropoff_nodes``, ``in_arcs``, ``out_arcs``,
+    ``class_counts`` and a complete graph's ``pruned_graph`` are built on
+    first use.
     """
 
     def __init__(self, inst: Instance, nodes, locations, arcs: ArcTable,
@@ -130,14 +135,23 @@ class EventGraph:
         self.arcs = arcs
         self.depot_node = 0
         self._pruned_graph: EventGraph | None = None
-        n = inst.n
-        self.pickup_nodes = {i: [] for i in range(1, n + 1)}
-        self.dropoff_nodes = {i: [] for i in range(1, n + 1)}
+
+    @cached_property
+    def pickup_nodes(self) -> dict[int, list[int]]:
+        """Ids of each request's pickup states, ascending."""
+        return self._states_of(PICKUP)
+
+    @cached_property
+    def dropoff_nodes(self) -> dict[int, list[int]]:
+        """Ids of each request's dropoff states, ascending."""
+        return self._states_of(DROPOFF)
+
+    def _states_of(self, kind: str) -> dict[int, list[int]]:
+        states = {i: [] for i in range(1, self.inst.n + 1)}
         for v, node in enumerate(self.nodes):
-            if node.kind == PICKUP:
-                self.pickup_nodes[node.request].append(v)
-            elif node.kind == DROPOFF:
-                self.dropoff_nodes[node.request].append(v)
+            if node.kind == kind:
+                states[node.request].append(v)
+        return states
 
     @cached_property
     def in_arcs(self) -> list[list[int]]:
@@ -197,7 +211,7 @@ def _co_rider_sets(others: list[int], loads: dict[int, int], budget: int,
             if (loads[j] <= slack and len(chosen) < max_size
                     and mates[j].issuperset(chosen)):
                 chosen.append(j)
-                found.append(tuple(sorted(chosen, reverse=True)))
+                found.append(tuple(chosen[::-1]))
                 grow(pos + 1, slack - loads[j])
                 chosen.pop()
 
@@ -217,6 +231,16 @@ def build_event_graph(inst: Instance, *, pruned: bool = False) -> EventGraph:
     A pruned graph keeps that order over the surviving nodes and arcs.
     Rebuilding from an equal instance reproduces identical ids, which
     keeps exported model files and solution imports stable.
+
+    A state's heads depend only on the set left on board after its
+    event: the pickups of further requests that fit, then the dropoffs
+    of everyone on board, and for an empty vehicle the depot first.  So
+    each onboard set gets one head block (head ids and an
+    ``itemgetter`` over the head locations), shared by the pickup
+    states that leave that set on board and the dropoff states that
+    leave it behind; a dropoff state skips its own request's pickup.
+    Each state appends its block as one run to each column, its travel
+    data read from its location's cost and time rows.
     """
     for req in inst.requests:
         if req.direction is None:
@@ -244,84 +268,123 @@ def build_event_graph(inst: Instance, *, pruned: bool = False) -> EventGraph:
     index = {}          # (location, others) -> state id
     # others -> (ids, locations) of the pickup states with them, ascending
     pick_after: dict[tuple, tuple[list, list]] = {}
+    # rank[v]: the position of pickup state v in its pick_after group;
+    # the dropoff states follow in the pickup states' order, so the
+    # dropoff state with pickup state v's request and others is v + picks
+    rank = [0]
     for loc in range(1, 2 * n + 1):
         kind, i = (PICKUP, loc) if loc <= n else (DROPOFF, loc - n)
         for others in sorted(co_riders[i]):
             index[loc, others] = len(nodes)
             if kind == PICKUP:
                 heads, locs = pick_after.setdefault(others, ([], []))
+                rank.append(len(heads))
                 heads.append(len(nodes))
                 locs.append(loc)
             nodes.append(EventNode(kind, i, others))
             locations.append(loc)
+    picks = len(rank) - 1
 
-    drop_groups: dict[tuple, tuple[list, list]] = {}
+    # travel data as per-location rows: row[b] is the value from a to b
+    m = 2 * n + 1
+    t_rows = [[inst.metric.time(a, b) for b in range(m)] for a in range(m)]
+    c_rows = [[inst.metric.cost(a, b) for b in range(m)] for a in range(m)]
+    late_row = [inst.windows[b][1] + _TIME_EPS for b in range(m)]
+    # (pickup-state, dropoff-state) class lists by block shape (depot,
+    # pickups, dropoffs), shared by every block of that shape
+    shapes: dict[tuple, tuple[list, list]] = {}
+    blocks: dict[tuple, tuple] = {}     # onboard -> head block
 
-    def drop_group(onboard):
-        """(ids, locations) of the dropoff states of everyone on board, by
-        increasing request; shared by every state with that onboard set."""
-        group = drop_groups.get(onboard)
-        if group is None:
-            riders = onboard[::-1]
-            group = drop_groups[onboard] = (
-                [index[n + j, tuple(k for k in onboard if k != j)] for j in riders],
-                [n + j for j in riders])
-        return group
+    def new_block(onboard):
+        """Make and keep the head block after ``onboard``: (heads, getter,
+        pickup-state classes, dropoff-state classes)."""
+        # the block takes the pickup group over; no other block reads it
+        p_heads, p_locs = pick_after.pop(onboard, ([], []))
+        depot = 0 if onboard else 1
+        # dropoffs by increasing request, each leaving the rest on board
+        riders = range(len(onboard) - 1, -1, -1)
+        heads = [0] * depot + p_heads
+        heads += [index[n + onboard[p], onboard[:p] + onboard[p + 1:]]
+                  for p in riders]
+        locs = [inst.depot_loc] * depot + p_locs + [n + onboard[p] for p in riders]
+        shape = (depot, len(p_heads), len(onboard))
+        classes = shapes.get(shape)
+        if classes is None:
+            k0, k1, k2 = shape
+            classes = shapes[shape] = (
+                [PICKUP_PICKUP] * k1 + [PICKUP_DROPOFF] * k2,
+                [RETURN_DEPOT] * k0 + [DROPOFF_PICKUP] * k1
+                + [DROPOFF_DROPOFF] * k2)
+        blocks[onboard] = b = (heads, _getter(locs), *classes)
+        return b
 
-    places = sorted(set(locations))
-    times = {a: {b: inst.metric.time(a, b) for b in places} for a in places}
-    costs = {a: {b: inst.metric.cost(a, b) for b in places} for a in places}
-    late = {b: inst.windows[b][1] + _TIME_EPS for b in places}
     arcs = ArcTable()
+    columns = tuple(getattr(arcs, c) for c in ArcTable._COLUMNS)
+    buffers = tail, head, cls, cost, time = [], [], [], [], []
 
-    def emit(v, cls, heads, locs):
-        """Append the class-``cls`` arcs from state v, the loop's current
-        tail (its ``t_row``, ``c_row`` and ``ready``), to ``heads``, which
-        sit at locations ``locs``."""
-        if pruned and heads:
-            # arc rule; the complete graph cuts nothing
-            fits = [ready + t_row[lh] <= late[lh] for lh in locs]
-            if not all(fits):
-                heads, locs = list(compress(heads, fits)), list(compress(locs, fits))
-        k = len(heads)
-        if not k:
-            return
-        arcs.tail.extend(repeat(v, k))
-        arcs.head.extend(heads)
-        arcs.cls.extend(repeat(cls, k))
-        arcs.cost.extend(map(c_row.__getitem__, locs))
-        arcs.time.extend(map(t_row.__getitem__, locs))
+    def flush():
+        for column, buf in zip(columns, buffers):
+            column.fromlist(buf)
+            buf.clear()
 
-    no_group = ((), ())
-    for v, node in enumerate(nodes):
-        lt = locations[v]
-        t_row, c_row = times[lt], costs[lt]
+    def keep(start, lt, get, own):
+        """Apply the arc rule to the run from ``start`` of a state at
+        ``lt`` over the block read by ``get``, and drop the arc at block
+        position ``own`` if that is not None."""
         ready = inst.windows[lt][0] + inst.service[lt]
+        fits = [ready + t <= late for t, late in zip(time[start:], get(late_row))]
+        if own is not None:
+            fits[own] = False
+        if not all(fits):
+            for buf in buffers:
+                buf[start:] = compress(buf[start:], fits)
+
+    for v, lt in enumerate(locations):
         # heads in id order: the depot, pickup states, then dropoff states
         # by increasing request (pickup states precede dropoff states)
-        if node.kind == DEPOT:
-            emit(v, LEAVE_DEPOT, *pick_after[()])
-        elif node.kind == PICKUP:
-            onboard = tuple(sorted((node.request, *node.others), reverse=True))
-            # pickup -> pickup of a further request, capacity permitting
-            emit(v, PICKUP_PICKUP, *pick_after.get(onboard, no_group))
-            # pickup -> dropoff of anyone on board
-            emit(v, PICKUP_DROPOFF, *drop_group(onboard))
+        if v > picks:
+            # the depot once empty, dropoff -> pickup with the same
+            # residual load except the pickup of the request just dropped
+            # off, then dropoff -> dropoff of anyone still on board
+            key = nodes[v].others
+            heads, get, _, classes = blocks.get(key) or new_block(key)
+            # the depot leads the empty vehicle's block
+            own = rank[v - picks] + (0 if key else 1)
+        elif v:
+            # pickup -> pickup of a further request, capacity permitting,
+            # then pickup -> dropoff of anyone on board
+            node = nodes[v]
+            key = tuple(sorted((node.request, *node.others), reverse=True))
+            heads, get, classes, _ = blocks.get(key) or new_block(key)
+            own = None
         else:
-            if not node.others:
-                emit(v, RETURN_DEPOT, [0], [inst.depot_loc])
-            # dropoff -> pickup with the same residual load, except the
-            # pickup of the request just dropped off (at location request)
-            heads, locs = pick_after.get(node.others, no_group)
-            if node.request in locs:
-                k = locs.index(node.request)
-                heads, locs = heads[:k] + heads[k + 1:], locs[:k] + locs[k + 1:]
-            emit(v, DROPOFF_PICKUP, heads, locs)
-            # dropoff -> dropoff of anyone still on board
-            emit(v, DROPOFF_DROPOFF, *drop_group(node.others))
+            heads, locs = pick_after[()]
+            get, classes, own = _getter(locs), [LEAVE_DEPOT] * len(heads), None
+        start = len(tail)
+        tail += [v] * len(heads)
+        head += heads
+        cls += classes
+        cost += get(c_rows[lt])
+        time += get(t_rows[lt])
+        if pruned:
+            keep(start, lt, get, own)
+        elif own is not None:
+            own += start
+            del tail[own], head[own], cls[own], cost[own], time[own]
+        if start > _CHUNK:
+            flush()
+    flush()
     if pruned:
         nodes, locations, arcs = _without_dead_states(nodes, locations, arcs)
     return EventGraph(inst, nodes, locations, arcs, compatible)
+
+
+def _getter(locs: list[int]):
+    """``itemgetter(*locs)``, which returns a tuple also for one location."""
+    if len(locs) > 1:
+        return itemgetter(*locs)
+    loc, = locs
+    return lambda row: (row[loc],)
 
 
 def _without_dead_states(nodes, locations, arcs: ArcTable):

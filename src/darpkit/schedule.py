@@ -19,7 +19,6 @@ use it, with the same tolerance ``_TIME_EPS`` on upper bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Mapping, Sequence
 
 from .errors import DataError
@@ -255,14 +254,34 @@ def compatible_pairs(inst: Instance) -> frozenset[tuple[int, int]]:
     satisfy the triangle inequality, so dropping stops from a feasible
     tour leaves a feasible tour: two requests that share a vehicle in any
     feasible plan pass this test.
+
+    The tours share their pickup prefixes on one :class:`_Prefix`: each
+    first pickup is pushed once for all its partners, each pickup order
+    once for its two dropoff orders.
     """
     found = set()
-    for i, j in combinations(range(1, inst.n + 1), 2):
-        if inst.request(i).q + inst.request(j).q > inst.capacity:
+    prefix = _Prefix(inst)
+    push, pop = prefix.push, prefix.pop
+    ids = range(1, inst.n + 1)
+    for a in ids:
+        if not push((a, PICKUP)):
             continue
-        orders = ((i, j), (j, i))
-        tours = [((a, PICKUP), (b, PICKUP), (c, DROPOFF), (d, DROPOFF))
-                 for a, b in orders for c, d in orders]
-        if any(_tour_times(tour, inst) is not None for tour in tours):
-            found.add((i, j))
+        room = inst.capacity - inst.request(a).q
+        for b in ids:
+            pair = (a, b) if a < b else (b, a)
+            if b == a or pair in found or inst.request(b).q > room:
+                continue
+            if push((b, PICKUP)):
+                for c, d in ((a, b), (b, a)):
+                    if push((c, DROPOFF)):
+                        fits = push((d, DROPOFF))
+                        if fits:
+                            fits = prefix.returns_in_time()
+                            pop()
+                        pop()
+                        if fits:
+                            found.add(pair)
+                            break
+                pop()
+        pop()
     return frozenset(found)

@@ -12,6 +12,7 @@ from darpkit import (
     GeneratorConfig, INBOUND, InfeasibleError, Instance, ObjectiveSpec,
     Request, TravelMetric, generate_synthetic, oracle_solve,
 )
+from darpkit.schedule import _tour_times
 
 PICK = "pickup"
 DROP = "dropoff"
@@ -174,6 +175,21 @@ def lp_tours(block, inst):
 
     rec([], frozenset(block), frozenset(), 0, 0.0)
     return found
+
+
+def compatible_pairs_reference(inst):
+    """Ride-compatible request pairs, each of a pair's four tours timed
+    from an empty prefix: the loop ``compatible_pairs`` replaced."""
+    found = set()
+    for i, j in combinations(range(1, inst.n + 1), 2):
+        if inst.request(i).q + inst.request(j).q > inst.capacity:
+            continue
+        orders = ((i, j), (j, i))
+        tours = [((a, PICK), (b, PICK), (c, DROP), (d, DROP))
+                 for a, b in orders for c, d in orders]
+        if any(_tour_times(tour, inst) is not None for tour in tours):
+            found.add((i, j))
+    return frozenset(found)
 
 
 def line_metric(positions):

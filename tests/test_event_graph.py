@@ -1,19 +1,25 @@
 import gc
 import math
+from dataclasses import replace
 
 import pytest
 
 from darpkit import (
-    DataError, GeneratorConfig, arc_count_closed_form, build_event_graph,
-    compatible_pairs, generate_synthetic, graph_stats, node_count_closed_form,
-    parse_cordeau, to_dot,
+    OUTBOUND, DataError, GeneratorConfig, TravelMetric, arc_count_closed_form,
+    build_event_graph, compatible_pairs, generate_synthetic, graph_stats,
+    node_count_closed_form, parse_cordeau, tighten_time_windows, to_dot,
 )
 from darpkit.event_graph import (
     CLASS_NAMES, DEPOT, DROPOFF, DROPOFF_DROPOFF, DROPOFF_PICKUP, LEAVE_DEPOT,
     PICKUP, PICKUP_DROPOFF, PICKUP_PICKUP, RETURN_DEPOT,
 )
 
-from helpers import brute_state_space, line_instance, ring_instance
+from darpkit.schedule import _Prefix, _tour_times
+
+from helpers import (
+    brute_state_space, compatible_pairs_reference, criterion3_instances,
+    line_instance, ring_instance,
+)
 
 EXPECTED_POOLING_NODES = {
     "(0,0,0)",
@@ -76,7 +82,6 @@ def test_pooling_graph_matches_reference(pooling_instance):
 
 def test_pooling_graph_same_for_heavier_small_pair(pooling_instance):
     # loads 1,2,3 admit exactly the same states as 1,1,3 under capacity 3
-    from dataclasses import replace
     reqs = list(pooling_instance.requests)
     reqs[1] = replace(reqs[1], q=2)
     heavier = replace(pooling_instance, requests=tuple(reqs))
@@ -92,15 +97,26 @@ def test_node_order_is_deterministic(pooling_instance):
     assert g1.nodes[0].kind == DEPOT and g1.depot_node == 0
 
 
-def test_arc_costs_match_metric(pooling_instance):
-    graph = build_event_graph(pooling_instance)
-    metric = pooling_instance.metric
-    arcs = graph.arcs
-    for v, w, cost, time in zip(arcs.tail, arcs.head, arcs.cost, arcs.time):
-        a = graph.locations[v]
-        b = graph.locations[w]
-        assert cost == pytest.approx(metric.cost(a, b))
-        assert time == pytest.approx(metric.time(a, b))
+def _priced(inst):
+    """``inst`` with a cost matrix of its own, 1.5 times travel time plus
+    0.25 between distinct locations: no function of the coordinates."""
+    m = 2 * inst.n + 1
+    time = tuple(tuple(inst.metric.time(a, b) for b in range(m)) for a in range(m))
+    cost = tuple(tuple(1.5 * t + (0.25 if a != b else 0.0) for b, t in enumerate(row))
+                 for a, row in enumerate(time))
+    return replace(inst, metric=TravelMetric(cost_matrix=cost, time_matrix=time))
+
+
+def test_arc_costs_match_metric(pooling_instance, gen_instances):
+    # the cost and time columns are copies of the metric's values
+    for inst in (pooling_instance, *gen_instances, *map(_priced, gen_instances)):
+        metric = inst.metric
+        for graph in (build_event_graph(inst), build_event_graph(inst, pruned=True)):
+            arcs = graph.arcs
+            for v, w, cost, time in zip(arcs.tail, arcs.head, arcs.cost, arcs.time):
+                a, b = graph.locations[v], graph.locations[w]
+                assert cost == metric.cost(a, b)
+                assert time == metric.time(a, b)
 
 
 def test_adjacency_is_consistent(gen_instances):
@@ -142,9 +158,16 @@ def test_adjacency_is_built_on_first_use(gen_instances):
     for inst in gen_instances:
         for graph in (build_event_graph(inst),
                       build_event_graph(inst, pruned=True)):
-            assert not {"in_arcs", "out_arcs", "class_counts"} & set(vars(graph))
+            assert not ({"pickup_nodes", "dropoff_nodes", "in_arcs", "out_arcs",
+                         "class_counts"} & set(vars(graph)))
             arcs = graph.arcs
             states = range(graph.node_count)
+            for name, kind in (("pickup_nodes", PICKUP), ("dropoff_nodes", DROPOFF)):
+                assert getattr(graph, name) == {
+                    i: [v for v in states if graph.nodes[v].kind == kind
+                        and graph.nodes[v].request == i]
+                    for i in range(1, inst.n + 1)}
+                assert getattr(graph, name) is getattr(graph, name)
             assert graph.in_arcs == [
                 [a for a, w in enumerate(arcs.head) if w == v] for v in states]
             assert graph.out_arcs == [
@@ -356,6 +379,66 @@ def test_pruning_rules_on_a_worked_example():
     assert compatible_pairs(apart) == frozenset()
     labels = {node.label(2) for node in build_event_graph(apart, pruned=True).nodes}
     assert labels == {"(0,0)", "(1+,0)", "(2+,0)", "(1-,0)", "(2-,0)"}
+
+
+def _outbound_evens(inst):
+    """``inst`` with every even request outbound: its dropoff window
+    narrowed to 15 from its start, its pickup window derived from it."""
+    reqs = [replace(r, direction=OUTBOUND,
+                    dropoff_window=(r.dropoff_window[0], r.dropoff_window[0] + 15.0))
+            if r.id % 2 == 0 else r for r in inst.requests]
+    return tighten_time_windows(replace(inst, requests=tuple(reqs)))
+
+
+def test_compatible_pairs_match_the_four_tour_reference(gen_instances):
+    mixed = [ring_instance(6, 3, loads={1: 1, 2: 2, 3: 3, 4: 1, 5: 2, 6: 1}),
+             ring_instance(5, 6, loads={1: 4, 2: 2, 3: 3, 4: 6, 5: 1})]
+    instances = [*gen_instances, *criterion3_instances(), *mixed]
+    instances += [_outbound_evens(inst) for inst in instances]
+    assert any(inst.requests[1].direction == OUTBOUND for inst in instances)
+    for inst in instances:
+        assert compatible_pairs(inst) == compatible_pairs_reference(inst), inst.name
+
+
+def _loose(**spec):
+    """A request spec with wide windows unless given."""
+    return {"pickup": (0, 100), "dropoff": (0, 200), "max_ride": 100, **spec}
+
+
+def test_compatible_pair_found_only_in_the_second_pickup_order():
+    # 1 is picked up at 20 at the earliest, 2 by 5 at the latest: only
+    # the tours that pick up 2 first fit
+    inst = line_instance(
+        "second-first", positions=(0.0, 1.0, 2.0, 3.0, 4.0),
+        specs=[_loose(pickup=(20, 25)), _loose(pickup=(0, 5))],
+        fleet_size=1, capacity=2, depot_window=(0.0, 300.0))
+    drops = ((1, 2), (2, 1))
+    for first, second in ((1, 2), (2, 1)):
+        fits = [_tour_times(((first, PICKUP), (second, PICKUP),
+                             (c, DROPOFF), (d, DROPOFF)), inst) is not None
+                for c, d in drops]
+        assert fits == ([False, False] if first == 1 else [True, True])
+    assert compatible_pairs(inst) == compatible_pairs_reference(inst) == {(1, 2)}
+
+
+def test_unreachable_first_pickup_pairs_with_nobody():
+    # 1's pickup lies 50 from the depot and closes at 10: it misses its
+    # window alone, so no tour carries it; 2 and 3 still pair
+    inst = line_instance(
+        "unreachable", positions=(0.0, 50.0, 1.0, 2.0, 51.0, 3.0, 4.0),
+        specs=[_loose(pickup=(0, 10)), _loose(), _loose()],
+        fleet_size=1, capacity=3, depot_window=(0.0, 300.0))
+    assert not _Prefix(inst).push((1, PICKUP))
+    assert compatible_pairs(inst) == compatible_pairs_reference(inst) == {(2, 3)}
+
+
+def test_pair_over_capacity_is_refused():
+    # seats 2 + 2 exceed the capacity 3 however loose the windows are
+    inst = line_instance(
+        "seats", positions=(0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0),
+        specs=[_loose(q=2), _loose(q=2), _loose(q=1)],
+        fleet_size=1, capacity=3, depot_window=(0.0, 300.0))
+    assert compatible_pairs(inst) == compatible_pairs_reference(inst) == {(1, 3), (2, 3)}
 
 
 def test_pruned_graph_is_an_ordered_subgraph(gen_instances):
