@@ -17,6 +17,7 @@ nothing, does not pay for loading them.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -244,9 +245,37 @@ class MilpResult:
     mip_dual_bound: float | None = None
 
 
+# HiGHS option that switches its Feasibility Jump heuristic (Luteberget &
+# Sartor 2023) on or off; scipy's ``milp`` passes it to HiGHS unchanged
+_FEASIBILITY_JUMP = "mip_heuristic_run_feasibility_jump"
+
+
+def highs_options(time_limit: float | None = None,
+                  mip_gap: float = 0.0) -> dict:
+    """The options :func:`solve_mip` hands to HiGHS for these arguments.
+
+    Feasibility Jump, a primal heuristic HiGHS runs before the root LP,
+    is always off: on this package's models presolve, the root LP and
+    cuts close the search in a few nodes anyway, and the heuristic took
+    most of a small model's solve (median 12 ms of an n=2..5 model's
+    solve, 3 ms without it).  ``mip_rel_gap`` stays as given (0 by
+    default), so every optimum is still proven.
+    """
+    options: dict = {"mip_rel_gap": mip_gap, _FEASIBILITY_JUMP: False}
+    if time_limit is not None:
+        options["time_limit"] = time_limit
+    return options
+
+
 def solve_mip(mip: ParsedMip, time_limit: float | None = None,
               mip_gap: float = 0.0) -> MilpResult:
-    """Run scipy's MILP solver on a parsed file and map names back."""
+    """Run scipy's MILP solver (HiGHS) on a parsed file and map names back.
+
+    HiGHS gets :func:`highs_options`, so Feasibility Jump is off.  scipy
+    warns that the option is unrecognized (a HiGHS build without the
+    heuristic does too, and ignores it); only warnings that name it are
+    silenced, every other warning reaches the caller.
+    """
     if time_limit is not None and not time_limit >= 0:
         raise DataError(f"time limit must be a number >= 0, got {time_limit!r}")
     if not 0 <= mip_gap < math.inf:
@@ -273,15 +302,14 @@ def solve_mip(mip: ParsedMip, time_limit: float | None = None,
             else:
                 lo[i], hi[i] = (b, b + abs(r)) if r >= 0 else (b - abs(r), b)
     sign = 1.0 if mip.minimize else -1.0
-    options: dict = {"mip_rel_gap": mip_gap}
-    if time_limit is not None:
-        options["time_limit"] = time_limit
-    res = optimize.milp(
-        c=sign * mip.obj,
-        constraints=optimize.LinearConstraint(mip.matrix, lo, hi),
-        integrality=mip.integrality,
-        bounds=optimize.Bounds(mip.lower, mip.upper),
-        options=options)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message=f".*{_FEASIBILITY_JUMP}")
+        res = optimize.milp(
+            c=sign * mip.obj,
+            constraints=optimize.LinearConstraint(mip.matrix, lo, hi),
+            integrality=mip.integrality,
+            bounds=optimize.Bounds(mip.lower, mip.upper),
+            options=highs_options(time_limit, mip_gap))
     if res.status == 0:
         status = "optimal"
     elif res.status == 1:

@@ -23,7 +23,9 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .backend import parse_mps, read_assignment, solve_mip, write_assignment
+from .backend import (
+    highs_options, parse_mps, read_assignment, solve_mip, write_assignment,
+)
 from .errors import DarpkitError, InfeasibleError, ParseError, SolutionError
 from .event_graph import build_event_graph, graph_stats, to_dot
 from .instance import (
@@ -310,9 +312,12 @@ def cmd_solve_mps(args) -> int:
     if args.out:
         out = Path(args.out)
         out.write_text(write_assignment(result))
+        import scipy   # loaded by the solve already
         solver = {"status": result.status, "mip_gap": result.mip_gap,
                   "mip_node_count": result.mip_node_count,
-                  "mip_dual_bound": result.mip_dual_bound}
+                  "mip_dual_bound": result.mip_dual_bound,
+                  "highs_options": highs_options(args.time_limit, args.gap),
+                  "scipy": scipy.__version__}
         _write_manifest(args, out, [src], [out], stages, solver=solver)
     return 0 if result.status == "optimal" else FAILURE
 

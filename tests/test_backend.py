@@ -1,13 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from darpkit import (
     DataError, GeneratorConfig, MilpResult, ObjectiveSpec, ParseError,
     build_event_graph, build_model, generate_synthetic, oracle_solve, parse_mps,
     read_assignment, solve_mip, solve_mps_text, write_assignment, write_mps,
 )
+from darpkit.backend import highs_options
 
 MIN_MPS = """\
 * hand-written fixture, not produced by the exporter
@@ -351,3 +354,61 @@ def test_write_assignment_requires_solution():
     result = MilpResult(status="infeasible", objective=None, assignment={})
     with pytest.raises(DataError, match="no assignment"):
         write_assignment(result)
+
+
+def _capture_milp(monkeypatch, warn=()):
+    """Wrap ``scipy.optimize.milp``: record each call's options and raise
+    the given warnings before solving."""
+    calls = []
+    milp = optimize.milp
+
+    def wrapped(*args, **kwargs):
+        calls.append(kwargs["options"])
+        for message, category in warn:
+            warnings.warn(message, category)
+        return milp(*args, **kwargs)
+
+    monkeypatch.setattr(optimize, "milp", wrapped)
+    return calls
+
+
+@pytest.mark.parametrize("time_limit, mip_gap", [(None, 0.0), (7.5, 0.25)])
+def test_solve_runs_highs_without_feasibility_jump(monkeypatch, time_limit,
+                                                   mip_gap):
+    calls = _capture_milp(monkeypatch)
+    result = solve_mip(parse_mps(MIN_MPS), time_limit=time_limit,
+                       mip_gap=mip_gap)
+    assert result.status == "optimal"
+    expected = {"mip_rel_gap": mip_gap,
+                "mip_heuristic_run_feasibility_jump": False}
+    if time_limit is not None:
+        expected["time_limit"] = time_limit
+    assert calls == [expected]
+    assert highs_options(time_limit, mip_gap) == expected
+
+
+def test_solve_without_feasibility_jump_warns_nothing():
+    # n=5, q=3, seed 0 needs a branch-and-bound node under model3 `cost`
+    inst = generate_synthetic(GeneratorConfig(n=5, capacity=3, seed=0))
+    cost = ObjectiveSpec(variant="cost")
+    mip = parse_mps(write_mps(build_model(build_event_graph(inst), "model3",
+                                          cost)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = solve_mip(mip)
+    assert result.status == "optimal"
+    assert result.mip_node_count >= 1
+    assert result.objective == pytest.approx(
+        oracle_solve(inst, cost).objective.total, abs=1e-6)
+
+
+@pytest.mark.parametrize("category", [RuntimeWarning, optimize.OptimizeWarning])
+def test_solve_passes_other_warnings_on(monkeypatch, category):
+    # only warnings that name the feasibility-jump option are silenced
+    _capture_milp(monkeypatch, [
+        ("Unrecognized options detected: "
+         "{'mip_heuristic_run_feasibility_jump': False}", category),
+        ("something else went wrong", category)])
+    with pytest.warns(category) as record:
+        assert solve_mip(parse_mps(MIN_MPS)).status == "optimal"
+    assert [str(w.message) for w in record] == ["something else went wrong"]

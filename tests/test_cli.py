@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+import scipy
 
 from darpkit import (
     cli, instance_from_json, instance_sha256, instance_to_json, oracle_solve,
@@ -237,6 +238,10 @@ def test_model_solve_import_round_trip(tmp_path, instance_file, capsys):
     assert solver["status"] == "optimal" and solver["mip_gap"] == 0
     assert solver["mip_node_count"] >= 0
     assert solver["mip_dual_bound"] == pytest.approx(objective, abs=1e-6)
+    # the options the solve passed to HiGHS, and the scipy that ran it
+    assert solver["highs_options"] == {
+        "mip_rel_gap": 0.0, "mip_heuristic_run_feasibility_jump": False}
+    assert solver["scipy"] == scipy.__version__
     assert cli.main(["solve", str(instance_file),
                      "--import", str(assign),
                      "--mapping", str(tmp_path / "m.map.json"),
