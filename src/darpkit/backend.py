@@ -262,7 +262,9 @@ def highs_options(time_limit: float | None = None,
     default), so every optimum is still proven.
     """
     options: dict = {"mip_rel_gap": mip_gap, _FEASIBILITY_JUMP: False}
-    if time_limit is not None:
+    # an infinite limit is HiGHS's default, and would not be valid JSON
+    # in a manifest
+    if time_limit is not None and time_limit < math.inf:
         options["time_limit"] = time_limit
     return options
 

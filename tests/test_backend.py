@@ -372,7 +372,8 @@ def _capture_milp(monkeypatch, warn=()):
     return calls
 
 
-@pytest.mark.parametrize("time_limit, mip_gap", [(None, 0.0), (7.5, 0.25)])
+@pytest.mark.parametrize("time_limit, mip_gap",
+                         [(None, 0.0), (7.5, 0.25), (math.inf, 0.0)])
 def test_solve_runs_highs_without_feasibility_jump(monkeypatch, time_limit,
                                                    mip_gap):
     calls = _capture_milp(monkeypatch)
@@ -381,7 +382,7 @@ def test_solve_runs_highs_without_feasibility_jump(monkeypatch, time_limit,
     assert result.status == "optimal"
     expected = {"mip_rel_gap": mip_gap,
                 "mip_heuristic_run_feasibility_jump": False}
-    if time_limit is not None:
+    if time_limit not in (None, math.inf):
         expected["time_limit"] = time_limit
     assert calls == [expected]
     assert highs_options(time_limit, mip_gap) == expected

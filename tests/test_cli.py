@@ -567,6 +567,24 @@ def test_solve_mps_time_limit(tmp_path, capsys):
     assert "status: time_limit" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("value, options", [
+    ("30", {"time_limit": 30.0}),
+    ("inf", {}),   # HiGHS's default, so not passed
+])
+def test_solve_mps_manifest_records_the_time_limit(tmp_path, instance_file,
+                                                   value, options):
+    assert cli.main(["model", str(instance_file), "-o",
+                     str(tmp_path / "m")]) == 0
+    assign = tmp_path / "m.assign"
+    assert cli.main(["solve-mps", str(tmp_path / "m.mps"), "--time-limit",
+                     value, "-o", str(assign)]) == 0
+    text = (tmp_path / "m.assign.manifest.json").read_text()
+    assert "Infinity" not in text   # standard JSON
+    assert json.loads(text)["solver"]["highs_options"] == {
+        "mip_rel_gap": 0.0, "mip_heuristic_run_feasibility_jump": False,
+        **options}
+
+
 @pytest.mark.parametrize("option, value", [
     ("--time-limit", "-1"), ("--time-limit", "nan"),
     ("--gap", "-1"), ("--gap", "nan"), ("--gap", "inf"),

@@ -65,3 +65,12 @@ def test_ladder_file_keeps_one_entry_per_side(ladder, monkeypatch, tmp_path,
         assert {"commit", "src_modified", "scipy", "time_limit_s"} <= set(side)
         assert [(r["q"], r["n"], r["seed"]) for r in side["instances"]] == [
             (3, 3, 401)]
+
+
+def test_ladder_refuses_a_darpkit_outside_its_checkout(ladder, monkeypatch,
+                                                       tmp_path, capsys):
+    monkeypatch.setattr(ladder, "SRC", tmp_path)
+    out = tmp_path / "bench.json"
+    assert ladder.main(["--side", "change", "-o", str(out)]) == 2
+    assert "not " + str(tmp_path) in capsys.readouterr().err
+    assert not out.exists()
