@@ -4,12 +4,11 @@ fixed generated instances.
 Usage, from the repository root:
 
     python3 bench/ladder.py --side change -o BENCH_<n>.json
-    python3 bench/ladder.py --side change -o BENCH_<n>.json --long
 
 Each instance is ``generate_synthetic(GeneratorConfig(n=n, capacity=q,
-seed=seed))`` for every rung (q, n) in ``RUNGS`` and seed in ``SEEDS``;
-``--long`` adds ``LONG_RUNGS`` at the first seed.  Per instance the
-record holds:
+seed=seed))`` for every rung (q, n) in ``RUNGS`` and seed in ``SEEDS``,
+plus the rungs in ``LONG_RUNGS`` at the first seed only.  Per instance
+the record holds:
 
 - ``graph``: complete nodes and arcs (the closed forms, which equal the
   complete graph for unit loads; at q=6, n=40 it has 53 million states
@@ -19,10 +18,10 @@ record holds:
 - ``stage_s``: seconds of the pruned graph build, ``build_model``,
   ``write_mps``, ``parse_mps`` and ``solve_mip``;
 - ``solver``: that solve's status, objective, gap, node count and dual
-  bound, under ``--time-limit`` seconds;
+  bound, under a limit of ``TIME_LIMIT_S`` seconds;
 - ``lp_bound``: the LP-relaxation bound of model2 and model3 under
   ``cost`` and ``cost_excess`` (the parsed model with its integrality
-  dropped, solved by ``solve_mip``), the paper's claim that model3's
+  zeroed, solved by ``solve_mip``), the paper's claim that model3's
   relaxation is at least as tight as model2's.
 
 The output file keeps one entry per ``--side``, with the commit and a
@@ -40,7 +39,10 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
+
+import numpy
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
@@ -60,20 +62,16 @@ SEEDS = (401, 402, 403)
 TIME_LIMIT_S = 60.0
 
 
-def lp_bound(graph, variant: str, objective: str,
-             time_limit: float) -> float | None:
-    """The LP-relaxation optimum of one formulation, None if not solved."""
-    mip = parse_mps(write_mps(build_model(graph, variant,
-                                          ObjectiveSpec(variant=objective))))
-    mip.integrality[:] = 0
-    result = solve_mip(mip, time_limit=time_limit)
+def lp_bound(mip) -> float | None:
+    """The LP-relaxation optimum of a parsed model, None if not solved."""
+    relaxed = replace(mip, integrality=numpy.zeros_like(mip.integrality))
+    result = solve_mip(relaxed, time_limit=TIME_LIMIT_S)
     return result.objective if result.status == "optimal" else None
 
 
-def run_instance(n: int, q: int, seed: int,
-                 time_limit: float = TIME_LIMIT_S) -> dict:
+def run_instance(n: int, q: int, seed: int) -> dict:
     """One ladder record: model3 ``cost`` through every stage, then the
-    four LP bounds."""
+    four LP bounds (model3 ``cost`` relaxes the model just solved)."""
     inst = generate_synthetic(GeneratorConfig(n=n, capacity=q, seed=seed))
     stage_s = {}
     clock = time.perf_counter()
@@ -92,8 +90,18 @@ def run_instance(n: int, q: int, seed: int,
     mark("write_mps")
     mip = parse_mps(text)
     mark("parse_mps")
-    result = solve_mip(mip, time_limit=time_limit)
+    result = solve_mip(mip, time_limit=TIME_LIMIT_S)
     mark("solve_mip")
+    bounds = {}
+    for variant in ("model2", "model3"):
+        bounds[variant] = {}
+        for objective in ("cost", "cost_excess"):
+            if (variant, objective) == ("model3", "cost"):
+                parsed = mip
+            else:
+                parsed = parse_mps(write_mps(build_model(
+                    graph, variant, ObjectiveSpec(variant=objective))))
+            bounds[variant][objective] = lp_bound(parsed)
     return {
         "n": n, "q": q, "seed": seed,
         "graph": {"complete_nodes": node_count_closed_form(n, q),
@@ -107,10 +115,7 @@ def run_instance(n: int, q: int, seed: int,
                    "mip_gap": result.mip_gap,
                    "mip_node_count": result.mip_node_count,
                    "mip_dual_bound": result.mip_dual_bound},
-        "lp_bound": {variant: {objective: lp_bound(graph, variant, objective,
-                                                   time_limit)
-                               for objective in ("cost", "cost_excess")}
-                     for variant in ("model2", "model3")},
+        "lp_bound": bounds,
     }
 
 
@@ -125,7 +130,6 @@ def _git(*args: str) -> str | None:
 
 def provenance() -> dict:
     """The commit, whether the sources differ from it, and their digest."""
-    import numpy
     import scipy
     digest = hashlib.sha256()
     for path in sorted((SRC / "darpkit").glob("*.py")):
@@ -144,9 +148,6 @@ def main(argv=None) -> int:
     p.add_argument("--side", required=True,
                    help="name of this run in the output file, e.g. parent")
     p.add_argument("-o", "--out", required=True, help="BENCH JSON path")
-    p.add_argument("--time-limit", type=float, default=TIME_LIMIT_S)
-    p.add_argument("--long", action="store_true",
-                   help=f"add the rungs {LONG_RUNGS} at seed {SEEDS[0]}")
     args = p.parse_args(argv)
     if Path(darpkit.__file__).resolve().parent != SRC / "darpkit":
         print(f"imported darpkit from {darpkit.__file__}, not {SRC}",
@@ -154,11 +155,10 @@ def main(argv=None) -> int:
         return 2
 
     plan = [(q, n, seed) for q, n in RUNGS for seed in SEEDS]
-    if args.long:
-        plan += [(q, n, SEEDS[0]) for q, n in LONG_RUNGS]
+    plan += [(q, n, SEEDS[0]) for q, n in LONG_RUNGS]
     records = []
     for q, n, seed in plan:
-        rec = run_instance(n, q, seed, args.time_limit)
+        rec = run_instance(n, q, seed)
         solver = rec["solver"]
         print(f"q={q} n={n} seed={seed}: {solver['status']} "
               f"{solver['objective']} nodes={solver['mip_node_count']} "
@@ -169,7 +169,7 @@ def main(argv=None) -> int:
     doc = json.loads(out.read_text()) if out.exists() else {"sides": {}}
     doc["sides"][args.side] = {
         **provenance(), "variant": "model3", "objective": "cost",
-        "time_limit_s": args.time_limit, "instances": records}
+        "time_limit_s": TIME_LIMIT_S, "instances": records}
     out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 0
 

@@ -260,6 +260,10 @@ def highs_options(time_limit: float | None = None,
     most of a small model's solve (median 12 ms of an n=2..5 model's
     solve, 3 ms without it).  ``mip_rel_gap`` stays as given (0 by
     default), so every optimum is still proven.
+
+    :func:`solve_mip` calls this with its own arguments unchanged, so a
+    caller that rebuilds the dict from the same arguments (the
+    ``solve-mps`` manifest does) gets the options the solve used.
     """
     options: dict = {"mip_rel_gap": mip_gap, _FEASIBILITY_JUMP: False}
     # an infinite limit is HiGHS's default, and would not be valid JSON

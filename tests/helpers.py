@@ -6,6 +6,7 @@ so it shares no logic with the package's graph builder.
 """
 
 import functools
+import warnings
 from itertools import combinations
 
 from darpkit import (
@@ -271,3 +272,20 @@ def criterion3_instances() -> tuple:
         else:
             raise AssertionError(f"no feasible instance for n={n}, q={q}")
     return tuple(out)
+
+
+def capture_milp(monkeypatch, warn=()):
+    """Wrap ``scipy.optimize.milp``: record each call's options and raise
+    the given warnings before solving."""
+    from scipy import optimize
+    calls = []
+    milp = optimize.milp
+
+    def wrapped(*args, **kwargs):
+        calls.append(kwargs["options"])
+        for message, category in warn:
+            warnings.warn(message, category)
+        return milp(*args, **kwargs)
+
+    monkeypatch.setattr(optimize, "milp", wrapped)
+    return calls

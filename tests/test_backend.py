@@ -12,6 +12,8 @@ from darpkit import (
 )
 from darpkit.backend import highs_options
 
+from helpers import capture_milp
+
 MIN_MPS = """\
 * hand-written fixture, not produced by the exporter
 NAME          tinymin
@@ -356,27 +358,11 @@ def test_write_assignment_requires_solution():
         write_assignment(result)
 
 
-def _capture_milp(monkeypatch, warn=()):
-    """Wrap ``scipy.optimize.milp``: record each call's options and raise
-    the given warnings before solving."""
-    calls = []
-    milp = optimize.milp
-
-    def wrapped(*args, **kwargs):
-        calls.append(kwargs["options"])
-        for message, category in warn:
-            warnings.warn(message, category)
-        return milp(*args, **kwargs)
-
-    monkeypatch.setattr(optimize, "milp", wrapped)
-    return calls
-
-
 @pytest.mark.parametrize("time_limit, mip_gap",
                          [(None, 0.0), (7.5, 0.25), (math.inf, 0.0)])
 def test_solve_runs_highs_without_feasibility_jump(monkeypatch, time_limit,
                                                    mip_gap):
-    calls = _capture_milp(monkeypatch)
+    calls = capture_milp(monkeypatch)
     result = solve_mip(parse_mps(MIN_MPS), time_limit=time_limit,
                        mip_gap=mip_gap)
     assert result.status == "optimal"
@@ -406,7 +392,7 @@ def test_solve_without_feasibility_jump_warns_nothing():
 @pytest.mark.parametrize("category", [RuntimeWarning, optimize.OptimizeWarning])
 def test_solve_passes_other_warnings_on(monkeypatch, category):
     # only warnings that name the feasibility-jump option are silenced
-    _capture_milp(monkeypatch, [
+    capture_milp(monkeypatch, [
         ("Unrecognized options detected: "
          "{'mip_heuristic_run_feasibility_jump': False}", category),
         ("something else went wrong", category)])

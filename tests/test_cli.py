@@ -18,7 +18,7 @@ from darpkit import (
     generate_synthetic, write_mps,
 )
 
-from helpers import line_instance
+from helpers import capture_milp, line_instance
 
 
 @pytest.fixture(autouse=True)
@@ -224,10 +224,12 @@ def test_oracle_refuses_a_mapping(tmp_path, instance_file, capsys, sidecar):
              "--oracle reads no mapping sidecar; drop --mapping")
 
 
-def test_model_solve_import_round_trip(tmp_path, instance_file, capsys):
+def test_model_solve_import_round_trip(tmp_path, instance_file, capsys,
+                                      monkeypatch):
     assert cli.main(["model", str(instance_file), "--variant", "model2",
                      "-o", str(tmp_path / "m")]) == 0
     assign = tmp_path / "m.assign"
+    calls = capture_milp(monkeypatch)
     assert cli.main(["solve-mps", str(tmp_path / "m.mps"),
                      "-o", str(assign)]) == 0
     stdout = capsys.readouterr().out
@@ -239,7 +241,7 @@ def test_model_solve_import_round_trip(tmp_path, instance_file, capsys):
     assert solver["mip_node_count"] >= 0
     assert solver["mip_dual_bound"] == pytest.approx(objective, abs=1e-6)
     # the options the solve passed to HiGHS, and the scipy that ran it
-    assert solver["highs_options"] == {
+    assert solver["highs_options"] == calls[0] == {
         "mip_rel_gap": 0.0, "mip_heuristic_run_feasibility_jump": False}
     assert solver["scipy"] == scipy.__version__
     assert cli.main(["solve", str(instance_file),
@@ -572,15 +574,17 @@ def test_solve_mps_time_limit(tmp_path, capsys):
     ("inf", {}),   # HiGHS's default, so not passed
 ])
 def test_solve_mps_manifest_records_the_time_limit(tmp_path, instance_file,
-                                                   value, options):
+                                                   value, options,
+                                                   monkeypatch):
     assert cli.main(["model", str(instance_file), "-o",
                      str(tmp_path / "m")]) == 0
     assign = tmp_path / "m.assign"
+    calls = capture_milp(monkeypatch)
     assert cli.main(["solve-mps", str(tmp_path / "m.mps"), "--time-limit",
                      value, "-o", str(assign)]) == 0
     text = (tmp_path / "m.assign.manifest.json").read_text()
     assert "Infinity" not in text   # standard JSON
-    assert json.loads(text)["solver"]["highs_options"] == {
+    assert json.loads(text)["solver"]["highs_options"] == calls[0] == {
         "mip_rel_gap": 0.0, "mip_heuristic_run_feasibility_jump": False,
         **options}
 

@@ -53,6 +53,7 @@ def test_ladder_record_on_a_toy_rung(ladder):
 def test_ladder_file_keeps_one_entry_per_side(ladder, monkeypatch, tmp_path,
                                               capsys):
     monkeypatch.setattr(ladder, "RUNGS", ((3, 3),))
+    monkeypatch.setattr(ladder, "LONG_RUNGS", ())
     monkeypatch.setattr(ladder, "SEEDS", (401,))
     out = tmp_path / "bench.json"
     for side in ("parent", "change"):
