@@ -44,14 +44,17 @@ class ParsedMip:
     row_sense: list[str]         # E | L | G
     rhs: np.ndarray
     ranges: dict[str, float]
-    matrix: sparse.csr_matrix
+    matrix: sparse.csc_array     # rows by columns, sorted row indices
 
 
 def parse_mps(text: str) -> ParsedMip:
     """Parse MPS text into matrix form.
 
     Matrix, objective, RHS and RANGES values must be finite; a bound may be
-    infinite but not NaN.
+    infinite but not NaN.  The matrix is built column by column straight
+    from the COLUMNS section, which MPS writes column-major: entries that
+    repeat a (column, row) pair add up, and a column whose entries are
+    split over several places merges into one.  Explicit zeros are kept.
     """
     import numpy as np
     from scipy import sparse
@@ -65,7 +68,7 @@ def parse_mps(text: str) -> ParsedMip:
     col_names: list[str] = []
     col_index: dict[str, int] = {}
     integer_cols: set[int] = set()
-    entries: dict[tuple[int, str], float] = {}
+    columns: list[dict[str, float]] = []    # per column: row -> value
     obj_coefs: dict[int, float] = {}
     rhs: dict[str, float] = {}
     ranges: dict[str, float] = {}
@@ -76,7 +79,8 @@ def parse_mps(text: str) -> ParsedMip:
     in_integer = False
     try:
         for lineno, raw in enumerate(text.splitlines(), start=1):
-            if not raw.strip() or raw.lstrip().startswith("*"):
+            stripped = raw.lstrip()
+            if not stripped or stripped[0] == "*":
                 continue
             if raw[0] not in " \t":
                 fields = raw.split()
@@ -113,21 +117,22 @@ def parse_mps(text: str) -> ParsedMip:
                 if col not in col_index:
                     col_index[col] = len(col_names)
                     col_names.append(col)
+                    columns.append({})
                 j = col_index[col]
+                entries = columns[j]
                 if in_integer:
                     integer_cols.add(j)
-                pairs = fields[1:]
-                if len(pairs) % 2:
+                if len(fields) % 2 == 0:
                     raise ParseError(f"odd COLUMNS entry count for {col}")
-                for pos in range(0, len(pairs), 2):
-                    row, val = pairs[pos], float(pairs[pos + 1])
+                pairs = iter(fields[1:])
+                for row, val in zip(pairs, pairs):
+                    val = float(val)
                     if not math.isfinite(val):
                         raise ValueError(val)
                     if row == obj_row:
                         obj_coefs[j] = obj_coefs.get(j, 0.0) + val
                     elif row in row_sense:
-                        key = (j, row)
-                        entries[key] = entries.get(key, 0.0) + val
+                        entries[row] = entries.get(row, 0.0) + val
                     elif row not in free_rows:
                         raise ParseError(f"COLUMNS references unknown row {row}")
             elif section == "RHS":
@@ -207,14 +212,19 @@ def parse_mps(text: str) -> ParsedMip:
         else:
             raise ParseError(f"unknown bound type {btype!r}")
 
-    row_pos = {row: i for i, row in enumerate(row_order)}
-    data, rows_ix, cols_ix = [], [], []
-    for (j, row), val in entries.items():
-        rows_ix.append(row_pos[row])
-        cols_ix.append(j)
-        data.append(val)
-    matrix = sparse.csr_matrix(
-        (data, (rows_ix, cols_ix)), shape=(len(row_order), ncols))
+    row_pos = {row: i for i, row in enumerate(row_order)}.__getitem__
+    data: list[float] = []
+    indices: list[int] = []
+    indptr = [0]
+    for entries in columns:
+        data += entries.values()
+        indices += map(row_pos, entries)
+        indptr.append(len(indices))
+    matrix = sparse.csc_array(
+        (np.array(data, dtype=float), np.array(indices, dtype=np.int64),
+         np.array(indptr, dtype=np.int64)),
+        shape=(len(row_order), ncols))
+    matrix.sort_indices()
     obj = np.zeros(ncols)
     for j, val in obj_coefs.items():
         obj[j] = val
@@ -289,21 +299,17 @@ def solve_mip(mip: ParsedMip, time_limit: float | None = None,
     import numpy as np
     from scipy import optimize
 
-    lo = np.empty(len(mip.row_names))
-    hi = np.empty(len(mip.row_names))
-    for i, sense in enumerate(mip.row_sense):
-        b = mip.rhs[i]
-        if sense == "E":
-            lo[i] = hi[i] = b
-        elif sense == "L":
-            lo[i], hi[i] = -math.inf, b
-        else:
-            lo[i], hi[i] = b, math.inf
-        if mip.row_names[i] in mip.ranges:
-            r = mip.ranges[mip.row_names[i]]
-            if sense == "L":
+    sense = np.array(mip.row_sense, dtype="U1")
+    lo = np.where(sense == "L", -math.inf, mip.rhs)
+    hi = np.where(sense == "G", math.inf, mip.rhs)
+    if mip.ranges:
+        pos = {name: i for i, name in enumerate(mip.row_names)}
+        for name, r in mip.ranges.items():
+            i = pos[name]
+            b = mip.rhs[i]
+            if sense[i] == "L":
                 lo[i] = b - abs(r)
-            elif sense == "G":
+            elif sense[i] == "G":
                 hi[i] = b + abs(r)
             else:
                 lo[i], hi[i] = (b, b + abs(r)) if r >= 0 else (b - abs(r), b)

@@ -269,6 +269,7 @@ def cmd_solve(args) -> int:
     inst = _load_instance(src)
     stages.mark("load")
     inputs = [src]
+    extra = {}
     if args.oracle:
         objective = _objective_from_args(args)
         limit = ORACLE_LIMIT if args.limit is None else args.limit
@@ -282,12 +283,15 @@ def cmd_solve(args) -> int:
         objective = model.objective
         sol = import_solution(model, read_assignment(assign_path.read_text()))
         stages.mark("import")
+        extra["raw_time_gap"] = sol.raw_time_gap
+        print("solver times: largest shortfall below the re-timed schedule "
+              + _or_na(sol.raw_time_gap, ".6g"))
     code = _report_solution(inst, sol, objective)
     stages.mark("validate")
     if args.out:
         out = Path(args.out)
         out.write_text(solution_to_json(sol) + "\n")
-        _write_manifest(args, out, inputs, [out], stages)
+        _write_manifest(args, out, inputs, [out], stages, **extra)
     return code
 
 

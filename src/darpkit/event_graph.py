@@ -37,10 +37,10 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
-from operator import itemgetter
+from itertools import compress, repeat
+from operator import add, itemgetter, le
+from typing import NamedTuple
 
 from .errors import DataError
 from .instance import DEPOT, DROPOFF, PICKUP, Instance
@@ -66,12 +66,12 @@ CLASS_NAMES = {
 }
 
 
-@dataclass(frozen=True)
-class EventNode:
+class EventNode(NamedTuple):
     """Vehicle state: last service event plus other requests on board.
 
     ``others`` lists the remaining onboard request ids in decreasing
     order without zero padding; :meth:`as_tuple` gives the padded form.
+    A named tuple, so that a graph's many states are cheap to make.
     """
 
     kind: str
@@ -287,8 +287,11 @@ def build_event_graph(inst: Instance, *, pruned: bool = False) -> EventGraph:
 
     # travel data as per-location rows: row[b] is the value from a to b
     m = 2 * n + 1
-    t_rows = [[inst.metric.time(a, b) for b in range(m)] for a in range(m)]
-    c_rows = [[inst.metric.cost(a, b) for b in range(m)] for a in range(m)]
+    t_rows = [inst.metric.time_row(a) for a in range(m)]
+    c_rows = [inst.metric.cost_row(a) for a in range(m)]
+    # the arc rule's two sides: e + s of each tail, l (plus the tolerance)
+    # of each head
+    ready = [inst.windows[a][0] + inst.service[a] for a in range(m)]
     late_row = [inst.windows[b][1] + _TIME_EPS for b in range(m)]
     # (pickup-state, dropoff-state) class lists by block shape (depot,
     # pickups, dropoffs), shared by every block of that shape
@@ -297,7 +300,8 @@ def build_event_graph(inst: Instance, *, pruned: bool = False) -> EventGraph:
 
     def new_block(onboard):
         """Make and keep the head block after ``onboard``: (heads, getter,
-        pickup-state classes, dropoff-state classes)."""
+        head lates if pruned, pickup-state classes, dropoff-state
+        classes)."""
         # the block takes the pickup group over; no other block reads it
         p_heads, p_locs = pick_after.pop(onboard, ([], []))
         depot = 0 if onboard else 1
@@ -315,7 +319,9 @@ def build_event_graph(inst: Instance, *, pruned: bool = False) -> EventGraph:
                 [PICKUP_PICKUP] * k1 + [PICKUP_DROPOFF] * k2,
                 [RETURN_DEPOT] * k0 + [DROPOFF_PICKUP] * k1
                 + [DROPOFF_DROPOFF] * k2)
-        blocks[onboard] = b = (heads, _getter(locs), *classes)
+        get = _getter(locs)
+        lates = get(late_row) if pruned else None
+        blocks[onboard] = b = (heads, get, lates, *classes)
         return b
 
     arcs = ArcTable()
@@ -327,18 +333,6 @@ def build_event_graph(inst: Instance, *, pruned: bool = False) -> EventGraph:
             column.fromlist(buf)
             buf.clear()
 
-    def keep(start, lt, get, own):
-        """Apply the arc rule to the run from ``start`` of a state at
-        ``lt`` over the block read by ``get``, and drop the arc at block
-        position ``own`` if that is not None."""
-        ready = inst.windows[lt][0] + inst.service[lt]
-        fits = [ready + t <= late for t, late in zip(time[start:], get(late_row))]
-        if own is not None:
-            fits[own] = False
-        if not all(fits):
-            for buf in buffers:
-                buf[start:] = compress(buf[start:], fits)
-
     for v, lt in enumerate(locations):
         # heads in id order: the depot, pickup states, then dropoff states
         # by increasing request (pickup states precede dropoff states)
@@ -347,7 +341,7 @@ def build_event_graph(inst: Instance, *, pruned: bool = False) -> EventGraph:
             # residual load except the pickup of the request just dropped
             # off, then dropoff -> dropoff of anyone still on board
             key = nodes[v].others
-            heads, get, _, classes = blocks.get(key) or new_block(key)
+            heads, get, lates, _, classes = blocks.get(key) or new_block(key)
             # the depot leads the empty vehicle's block
             own = rank[v - picks] + (0 if key else 1)
         elif v:
@@ -355,20 +349,33 @@ def build_event_graph(inst: Instance, *, pruned: bool = False) -> EventGraph:
             # then pickup -> dropoff of anyone on board
             node = nodes[v]
             key = tuple(sorted((node.request, *node.others), reverse=True))
-            heads, get, classes, _ = blocks.get(key) or new_block(key)
+            heads, get, lates, classes, _ = blocks.get(key) or new_block(key)
             own = None
         else:
             heads, locs = pick_after[()]
             get, classes, own = _getter(locs), [LEAVE_DEPOT] * len(heads), None
+            lates = get(late_row) if pruned else None
+        costs, times = get(c_rows[lt]), get(t_rows[lt])
+        count = len(heads)
+        if pruned:
+            # the arc rule, e_tail + s_tail + t <= l_head, and no arc back
+            # to the state's own pickup
+            fits = list(map(le, map(add, repeat(ready[lt]), times), lates))
+            if own is not None:
+                fits[own] = False
+                own = None
+            if not all(fits):
+                count = fits.count(True)
+                heads, classes, costs, times = (
+                    compress(heads, fits), compress(classes, fits),
+                    compress(costs, fits), compress(times, fits))
         start = len(tail)
-        tail += [v] * len(heads)
+        tail += [v] * count
         head += heads
         cls += classes
-        cost += get(c_rows[lt])
-        time += get(t_rows[lt])
-        if pruned:
-            keep(start, lt, get, own)
-        elif own is not None:
+        cost += costs
+        time += times
+        if own is not None:
             own += start
             del tail[own], head[own], cls[own], cost[own], time[own]
         if start > _CHUNK:
@@ -391,22 +398,25 @@ def _without_dead_states(nodes, locations, arcs: ArcTable):
     """Drop non-depot states without an in-arc or an out-arc until none is
     left; the survivors keep their order and are renumbered.  Returns the
     nodes, locations and arc table that remain."""
-    tail, head = arcs.tail, arcs.head
-    live = range(len(arcs))
+    columns = [arcs.tail, arcs.head, arcs.cls, arcs.cost, arcs.time]
     alive = set(range(len(nodes)))
     while True:
-        ends = {tail[a] for a in live} & {head[a] for a in live}
-        dead = {v for v in alive if v != 0 and v not in ends}
+        tail, head = columns[:2]
+        dead = alive - set(tail).intersection(head)
+        dead.discard(0)
         if not dead:
             break
         alive -= dead
-        live = [a for a in live if tail[a] in alive and head[a] in alive]
+        fits = [not (t or h) for t, h in zip(map(dead.__contains__, tail),
+                                              map(dead.__contains__, head))]
+        columns = [list(compress(column, fits)) for column in columns]
+    if len(alive) == len(nodes):
+        return nodes, locations, arcs
     keep = sorted(alive)
-    new_id = {v: k for k, v in enumerate(keep)}
-    kept = ArcTable([new_id[tail[a]] for a in live], [new_id[head[a]] for a in live],
-                    [arcs.cls[a] for a in live], [arcs.cost[a] for a in live],
-                    [arcs.time[a] for a in live])
-    return [nodes[v] for v in keep], [locations[v] for v in keep], kept
+    new_id = dict(zip(keep, range(len(keep)))).__getitem__
+    columns[:2] = [map(new_id, column) for column in columns[:2]]
+    return ([nodes[v] for v in keep], [locations[v] for v in keep],
+            ArcTable(*columns))
 
 
 def node_count_closed_form(n: int, capacity: int) -> int:

@@ -129,6 +129,21 @@ class TravelMetric:
         except KeyError as exc:
             raise DataError(f"unknown location id {exc.args[0]}") from None
 
+    def cost_row(self, a: int) -> tuple[float, ...]:
+        """Costs from ``a`` to every location, indexed by location id."""
+        return self._row(self._cost, a)
+
+    def time_row(self, a: int) -> tuple[float, ...]:
+        """Travel times from ``a`` to every location, indexed by location id."""
+        return self._row(self._time, a)
+
+    @staticmethod
+    def _row(table: dict, a: int) -> tuple[float, ...]:
+        try:
+            return tuple(table[a].values())
+        except KeyError:
+            raise DataError(f"unknown location id {a}") from None
+
 
 @dataclass(frozen=True)
 class Request:
@@ -181,6 +196,9 @@ class Instance:
     metric: TravelMetric
     windows: tuple[tuple[float, float], ...] = field(init=False, repr=False, compare=False)
     service: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    # values derived from the frozen fields, each computed on first use;
+    # ``replace`` builds a fresh instance with an empty memo
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.depot_loc != 0:
@@ -232,6 +250,16 @@ class Instance:
         """Location of request ``rid``'s pickup, or else its dropoff, stop."""
         req = self.request(rid)
         return req.pickup_loc if kind == PICKUP else req.dropoff_loc
+
+    def _memoised(self, key: str, build):
+        """``build(self)``, computed on the first call with ``key`` and kept
+        for the instance's lifetime; the instance is frozen, so the value
+        never goes stale."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = build(self)
+            return value
 
 
 # ---------------------------------------------------------------------------

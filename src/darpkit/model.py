@@ -45,6 +45,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, replace
+from operator import add
 
 from .errors import DataError, ParseError
 from .event_graph import (
@@ -191,7 +192,7 @@ def compute_big_m(graph: EventGraph) -> BigM:
     return BigM(ride=ride, link=link)
 
 
-@dataclass
+@dataclass(slots=True)
 class Var:
     name: str
     kind: str          # x | p | B | z | d | dmax
@@ -201,7 +202,7 @@ class Var:
     integer: bool
 
 
-@dataclass
+@dataclass(slots=True)
 class Row:
     name: str
     sense: str         # E | L | G
@@ -406,53 +407,77 @@ def _assemble(graph: EventGraph, variant: str,
 # file writers
 # ---------------------------------------------------------------------------
 
+class _Formatted(dict):
+    """``text(value)`` for each value, computed once per writer call.
+
+    Zeros are formatted every time and never kept: 0.0 and -0.0 are one
+    dict key, but ``f"{v:.12g}"`` writes them as ``0`` and ``-0``.
+    """
+
+    __slots__ = ("text",)
+
+    def __init__(self, text):
+        super().__init__()
+        self.text = text
+
+    def __missing__(self, value):
+        out = self.text(value)
+        if value:
+            self[value] = out
+        return out
+
+
 def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _column_entries(model: MilpModel) -> list[list[tuple[str, float]]]:
-    entries: list[list[tuple[str, float]]] = [[] for _ in model.vars]
-    for idx, coef in model.obj_terms:
-        entries[idx].append(("COST", coef))
-    for row in model.rows:
-        for idx, coef in row.terms:
-            entries[idx].append((row.name, coef))
-    for idx, entry in enumerate(entries):
-        if not entry:
-            # declare otherwise-unused columns via a zero objective entry
-            entry.append(("COST", 0.0))
-    return entries
+def _lp_term(coef: float) -> str:
+    """The sign and magnitude that precede a column name in an LP term."""
+    return f"{'-' if coef < 0 else '+'} {abs(coef):.12g} "
 
 
 def write_mps(model: MilpModel) -> str:
-    """Serialize to MPS text, 12 significant digits, minimization sense."""
+    """Serialize to MPS text, 12 significant digits, minimization sense.
+
+    One pass over the rows gathers each column's entries as ready
+    ``  row  value`` strings, each distinct value formatted once; a
+    column without entries is declared by a zero objective entry.
+    """
+    fmt = _Formatted(_fmt)
+    columns: list[list[str]] = [[] for _ in model.vars]
+    for idx, coef in model.obj_terms:
+        columns[idx].append("  COST  " + fmt[coef])
     out = [f"NAME          {model.name}", "ROWS", " N  COST"]
     for row in model.rows:
         out.append(f" {row.sense}  {row.name}")
+        tag = f"  {row.name}  "
+        for idx, coef in row.terms:
+            columns[idx].append(tag + fmt[coef])
     out.append("COLUMNS")
-    entries = _column_entries(model)
     in_int = False
     marker = 0
-    for var, entry in zip(model.vars, entries):
+    for var, entry in zip(model.vars, columns):
         if var.integer != in_int:
             tag = "INTORG" if var.integer else "INTEND"
             out.append(f"    M{marker}  'MARKER'  '{tag}'")
             marker += 1
             in_int = var.integer
-        for pos in range(0, len(entry), 2):
-            chunk = entry[pos:pos + 2]
-            part = "    " + var.name
-            for row_name, coef in chunk:
-                part += f"  {row_name}  {_fmt(coef)}"
-            out.append(part)
+        # two entries a line: pair even and odd entries, the last one
+        # alone if their number is odd
+        head = "    " + var.name
+        if len(entry) <= 2:
+            out.append(head + ("".join(entry) or "  COST  0"))
+        else:
+            odd = entry[1::2]
+            if len(entry) % 2:
+                odd.append("")
+            out.append(head + ("\n" + head).join(map(add, entry[::2], odd)))
     if in_int:
         out.append(f"    M{marker}  'MARKER'  'INTEND'")
     out.append("RHS")
     if model.obj_constant:
-        out.append(f"    RHS  COST  {_fmt(-model.obj_constant)}")
-    for row in model.rows:
-        if row.rhs:
-            out.append(f"    RHS  {row.name}  {_fmt(row.rhs)}")
+        out.append(f"    RHS  COST  {fmt[-model.obj_constant]}")
+    out += [f"    RHS  {row.name}  {fmt[row.rhs]}" for row in model.rows if row.rhs]
     out.append("BOUNDS")
     for var in model.vars:
         if var.integer:
@@ -462,21 +487,16 @@ def write_mps(model: MilpModel) -> str:
             out.append(f" FR BND  {var.name}")
             continue
         if var.lb != 0.0:
-            out.append(f" LO BND  {var.name}  {_fmt(var.lb)}")
+            out.append(f" LO BND  {var.name}  {fmt[var.lb]}")
         if var.ub != math.inf:
-            out.append(f" UP BND  {var.name}  {_fmt(var.ub)}")
+            out.append(f" UP BND  {var.name}  {fmt[var.ub]}")
     out.append("ENDATA")
     return "\n".join(out) + "\n"
 
 
-def _lp_expr(terms: list[tuple[str, float]], constant: float = 0.0) -> str:
-    parts = []
-    for name, coef in terms:
-        sign = "-" if coef < 0 else "+"
-        parts.append(f"{sign} {_fmt(abs(coef))} {name}")
-    if constant:
-        sign = "-" if constant < 0 else "+"
-        parts.append(f"{sign} {_fmt(abs(constant))}")
+def _lp_expr(parts: list[str]) -> str:
+    """Join signed terms (``+ 1 x_0``) into an LP expression that does
+    not start with a plus."""
     if not parts:
         return "0"
     text = " ".join(parts)
@@ -484,33 +504,49 @@ def _lp_expr(terms: list[tuple[str, float]], constant: float = 0.0) -> str:
 
 
 def write_lp(model: MilpModel) -> str:
-    """Serialize to CPLEX-style LP text with the same content as the MPS."""
+    """Serialize to CPLEX-style LP text with the same content as the MPS.
+
+    One pass over the rows writes their terms, each distinct coefficient's
+    signed text formatted once.  A column with LP's default bounds
+    [0, inf) is declared under Bounds only when no term names it, so the
+    file lists every column.
+    """
+    fmt = _Formatted(_fmt)
+    term = _Formatted(_lp_term)
+    names = [var.name for var in model.vars]
     out = [f"\\ {model.name}", "Minimize"]
-    named = [(model.vars[idx].name, coef) for idx, coef in model.obj_terms]
-    out.append(" obj: " + _lp_expr(named, model.obj_constant))
+    parts = [term[coef] + names[idx] for idx, coef in model.obj_terms]
+    if model.obj_constant:
+        parts.append(term[model.obj_constant][:-1])
+    out.append(" obj: " + _lp_expr(parts))
     out.append("Subject To")
     rel = {"E": "=", "L": "<=", "G": ">="}
     for row in model.rows:
-        named = [(model.vars[idx].name, coef) for idx, coef in row.terms]
-        out.append(f" {row.name}: {_lp_expr(named)} {rel[row.sense]} {_fmt(row.rhs)}")
+        expr = _lp_expr([term[coef] + names[idx] for idx, coef in row.terms])
+        out.append(f" {row.name}: {expr} {rel[row.sense]} {fmt[row.rhs]}")
     out.append("Bounds")
-    used = {model.vars[idx].name for idx, _ in model.obj_terms}
-    for row in model.rows:
-        used.update(model.vars[idx].name for idx, _ in row.terms)
-    for var in model.vars:
+    # the objective names most default-bounded columns; only a rest
+    # that it misses needs the rows' column ids
+    unnamed = {j for j, var in enumerate(model.vars) if not var.integer
+               and var.lb == 0.0 and var.ub == math.inf}
+    unnamed.difference_update(idx for idx, _ in model.obj_terms)
+    if unnamed:
+        unnamed.difference_update(
+            {idx for row in model.rows for idx, _ in row.terms})
+    for j, var in enumerate(model.vars):
         if var.integer:
             continue
         if var.lb == -math.inf and var.ub == math.inf:
             out.append(f" {var.name} free")
         elif var.ub == math.inf:
-            if var.lb != 0.0 or var.name not in used:
-                out.append(f" {var.name} >= {_fmt(var.lb)}")
+            if var.lb != 0.0 or j in unnamed:
+                out.append(f" {var.name} >= {fmt[var.lb]}")
         else:
-            out.append(f" {_fmt(var.lb)} <= {var.name} <= {_fmt(var.ub)}")
+            out.append(f" {fmt[var.lb]} <= {var.name} <= {fmt[var.ub]}")
     out.append("Binaries")
-    names = [var.name for var in model.vars if var.integer]
-    for pos in range(0, len(names), 8):
-        out.append(" " + " ".join(names[pos:pos + 8]))
+    binaries = [var.name for var in model.vars if var.integer]
+    for pos in range(0, len(binaries), 8):
+        out.append(" " + " ".join(binaries[pos:pos + 8]))
     out.append("End")
     return "\n".join(out) + "\n"
 

@@ -57,12 +57,14 @@ class _Prefix:
     infeasible.
     """
 
-    __slots__ = ("inst", "stops", "times", "_locs", "_gaps", "_rides", "_log")
+    __slots__ = ("inst", "stops", "times", "_stop", "_rows", "_locs", "_gaps",
+                 "_rides", "_log")
 
     def __init__(self, inst: Instance):
         self.inst = inst
         self.stops: list[Stop] = []
         self.times: list[float] = []
+        self._stop, self._rows = inst._memoised("schedule_tables", _tables)
         self._locs: list[int] = []
         self._gaps: list[float] = []    # service plus travel to the next stop
         self._rides: list[tuple[int, float] | None] = []    # (pickup, -limit)
@@ -71,39 +73,37 @@ class _Prefix:
     def push(self, stop: Stop) -> bool:
         """Append ``stop`` and reschedule; False, and no change, if the
         prefix has no schedule within the windows."""
-        inst = self.inst
-        rid, kind = stop
-        loc = inst.location(rid, kind)
-        early, late = inst.windows[loc]
+        try:
+            loc, early, late, limit = self._stop[stop]
+        except KeyError:
+            raise DataError(f"unknown stop {stop!r}") from None
         times = self.times
         if times:
             prev = self._locs[-1]
-            gap = inst.service[prev] + inst.metric.time(prev, loc)
+            gap = self.inst.service[prev] + self._rows[prev][loc]
             start = max(early, times[-1] + gap)
         else:
-            start = max(early, inst.depot_window[0]
-                        + inst.metric.time(inst.depot_loc, loc))
+            start = max(early, self.inst.depot_window[0] + self._rows[0][loc])
         if start > late + _TIME_EPS:
             return False    # raises only ever make it later
         ride = None
-        if kind == DROPOFF:
-            for k in range(len(self.stops) - 1, -1, -1):
-                if self.stops[k] == (rid, PICKUP):
-                    req = inst.request(rid)
-                    ride = (k, -(req.max_ride + req.s))
-                    break
+        if limit is not None:
+            # a request's pickup appears at most once in a prefix
+            pickup = (stop[0], PICKUP)
+            if pickup in self.stops:
+                ride = (self.stops.index(pickup), limit)
         if times:
             self._gaps.append(gap)
-        self.stops.append((rid, kind))
+        self.stops.append(stop)
         times.append(start)
         self._locs.append(loc)
         self._rides.append(ride)
-        if ride is None or start + ride[1] <= times[ride[0]]:
+        if ride is None or start + limit <= times[ride[0]]:
             self._log.append(())
             return True
         raised: list[tuple[int, float]] = []
         self._log.append(raised)
-        windows, locs = inst.windows, self._locs
+        windows, locs = self.inst.windows, self._locs
         if not self._settle(raised) or any(
                 times[k] > windows[locs[k]][1] + _TIME_EPS for k, _ in raised):
             self.pop()
@@ -139,8 +139,10 @@ class _Prefix:
 
     def pop(self):
         """Remove the last stop and restore the times before its push."""
-        for k, old in reversed(self._log.pop()):
-            self.times[k] = old
+        raised = self._log.pop()
+        if raised:
+            for k, old in reversed(raised):
+                self.times[k] = old
         self.stops.pop()
         self.times.pop()
         self._locs.pop()
@@ -156,6 +158,19 @@ class _Prefix:
         latest = (inst.depot_window[1] - inst.service[last]
                   - inst.metric.time(last, inst.depot_loc))
         return not self.times[-1] > latest + _TIME_EPS
+
+
+def _tables(inst: Instance) -> tuple[dict, list]:
+    """What a schedule step reads, once per instance: each stop's
+    location, window and negated ride limit (None for a pickup), and the
+    travel-time row of every location."""
+    stop = {}
+    for req in inst.requests:
+        stop[req.id, PICKUP] = (req.pickup_loc, *req.pickup_window, None)
+        stop[req.id, DROPOFF] = (req.dropoff_loc, *req.dropoff_window,
+                                 -(req.max_ride + req.s))
+    rows = [inst.metric.time_row(a) for a in range(2 * inst.n + 1)]
+    return stop, rows
 
 
 def _tour_times(stops: Sequence[Stop], inst: Instance) -> list[float] | None:
@@ -263,13 +278,16 @@ def compatible_pairs(inst: Instance) -> frozenset[tuple[int, int]]:
     prefix = _Prefix(inst)
     push, pop = prefix.push, prefix.pop
     ids = range(1, inst.n + 1)
+    load = [0, *(req.q for req in inst.requests)]
     for a in ids:
         if not push((a, PICKUP)):
             continue
-        room = inst.capacity - inst.request(a).q
+        room = inst.capacity - load[a]
         for b in ids:
+            if b == a or load[b] > room:
+                continue
             pair = (a, b) if a < b else (b, a)
-            if b == a or pair in found or inst.request(b).q > room:
+            if pair in found:
                 continue
             if push((b, PICKUP)):
                 for c, d in ((a, b), (b, a)):

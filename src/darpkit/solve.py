@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import cache
 from itertools import product
 from typing import Iterable, Mapping, Sequence
@@ -46,10 +46,20 @@ from .schedule import (
 
 @dataclass(frozen=True)
 class Solution:
+    """A plan: tours, their schedule, the accepted requests and the value.
+
+    ``raw_time_gap`` is set on a decoded solver assignment only: how
+    far the assignment's stop times fall below the re-timed schedule at
+    most (0 when none does), None when the assignment gives no times.
+    The re-timed schedule is componentwise minimal, so a time below it
+    comes only from solver tolerance.  It takes no part in equality.
+    """
+
     tours: tuple[tuple[Stop, ...], ...]
     schedule: Schedule
     accepted: frozenset
     objective: ObjectiveValue | None
+    raw_time_gap: float | None = field(default=None, compare=False)
 
     @property
     def times(self) -> tuple[tuple[float, ...], ...]:
@@ -128,6 +138,15 @@ def _partitions(items: Sequence[int], max_blocks: int):
 
 def _stop_orders(inst: Instance) -> dict[frozenset, list]:
     """Every time-feasible stop order of one vehicle, by the requests it serves.
+
+    The search runs once per instance object; each call returns a fresh
+    dict over the same per-block lists, which callers only read.
+    """
+    return dict(inst._memoised("stop_orders", _search_stop_orders))
+
+
+def _search_stop_orders(inst: Instance) -> dict[frozenset, list]:
+    """The search behind :func:`_stop_orders`.
 
     One depth-first search over the stop sequences of all requests: each
     step picks up a waiting request that fits the vehicle or drops off an
@@ -257,7 +276,8 @@ def import_solution(model: MilpModel, assignment: Mapping[str, float]) -> Soluti
     cycles, revisited states, fractional binaries and double service are
     rejected.  Only the binaries are read: each decoded tour is re-timed
     with its componentwise-minimal schedule, so the solver's continuous
-    times, and their tolerance, never reach the plan.  A tour without a
+    times, and their tolerance, never reach the plan; how far they fall
+    below it is kept as the solution's ``raw_time_gap``.  A tour without a
     feasible schedule is rejected.  The objective is recomputed from the
     re-timed tours; a mismatch beyond 1e-4 against the assignment's own
     objective value triggers a warning.
@@ -293,6 +313,7 @@ def import_solution(model: MilpModel, assignment: Mapping[str, float]) -> Soluti
 
     used: set[int] = set()
     tours: list[tuple[Stop, ...]] = []
+    states: list[int] = []      # the state of every stop, tour after tour
     for a0 in out_sel.get(graph.depot_node, []):
         stops: list[Stop] = []
         head = heads[a0]
@@ -300,6 +321,7 @@ def import_solution(model: MilpModel, assignment: Mapping[str, float]) -> Soluti
         while head != graph.depot_node:
             node = graph.nodes[head]
             stops.append((node.request, node.kind))
+            states.append(head)
             nexts = [a for a in out_sel.get(head, []) if a not in used]
             if len(nexts) != 1:
                 raise SolutionError(
@@ -333,7 +355,15 @@ def import_solution(model: MilpModel, assignment: Mapping[str, float]) -> Soluti
         if sched is None:
             raise SolutionError(f"decoded tour {k} has no feasible schedule")
         times.append(sched.times[0])
-    sol = _scored(inst, tours, times, accepted, model.objective)
+    retimed = [t for ts in times for t in ts]
+    try:
+        gap = max((t - float(assignment[f"B_{v}"])
+                   for v, t in zip(states, retimed)), default=0.0)
+        gap = max(gap, 0.0)
+    except KeyError:
+        gap = None
+    sol = replace(_scored(inst, tours, times, accepted, model.objective),
+                  raw_time_gap=gap)
     try:
         claimed = model.objective_value(assignment)
     except KeyError:

@@ -83,6 +83,21 @@ def test_parse_mps_structure():
                               [1.0, 1.0, 0.0]]
 
 
+def test_parse_mps_builds_the_matrix_column_by_column():
+    # column b's entries come in two places, and (b, cap) twice: they add
+    # up into one column; c's explicit zero on cap stays an entry
+    text = MIN_MPS.replace(
+        "    b         COST           3.0   cap            1.0",
+        "    b         COST           3.0   cap            0.25\n"
+        "    c         cap            0.0\n"
+        "    b         cap            0.75")
+    mip, ref = parse_mps(text), parse_mps(MIN_MPS)
+    assert mip.col_names == ref.col_names
+    assert mip.matrix.format == "csc" and mip.matrix.has_sorted_indices
+    assert mip.matrix.toarray().tolist() == ref.matrix.toarray().tolist()
+    assert mip.matrix.nnz == ref.matrix.nnz + 1
+
+
 def test_parse_mps_objsense_and_bv():
     mip = parse_mps(KNAP_MPS)
     assert not mip.minimize

@@ -257,6 +257,39 @@ def test_model_solve_import_round_trip(tmp_path, instance_file, capsys,
                                                       abs=1e-6)
 
 
+def test_import_reports_how_far_solver_times_fall_short(tmp_path, instance_file,
+                                                       capsys):
+    # how far the assignment's stop times fall below the re-timed
+    # schedule at most: printed, and kept in the manifest
+    assign, sidecar = _export_and_solve(instance_file, tmp_path / "m")
+    gaps, latest = [], []
+    for name in ("solver", "zeros"):
+        text = "".join(
+            f"{var} 0.0\n" if name == "zeros" and var.startswith("B_")
+            else f"{var} {value}\n"
+            for var, value in (line.split() for line in
+                               assign.read_text().splitlines()[1:]))
+        given = tmp_path / f"{name}.assign"
+        given.write_text(text)
+        out = tmp_path / f"{name}.json"
+        assert cli.main(["solve", str(instance_file), "--import", str(given),
+                         "--mapping", str(sidecar), "-o", str(out)]) == 0
+        line = re.search(r"^solver times: largest shortfall below the "
+                         r"re-timed schedule (\S+)$", capsys.readouterr().out,
+                         re.M)
+        manifest = json.loads((tmp_path / f"{name}.json.manifest.json")
+                              .read_text())
+        assert float(line.group(1)) == pytest.approx(manifest["raw_time_gap"])
+        gaps.append(manifest["raw_time_gap"])
+        latest.append(max(stop["time"] for tour in
+                          json.loads(out.read_text())["tours"] for stop in tour))
+    # the solver's own times fall short only by its tolerance; times all
+    # set to 0 fall short by the latest re-timed stop
+    assert 0.0 <= gaps[0] <= 1e-6
+    assert latest[0] == latest[1] > 0.0
+    assert gaps[1] == pytest.approx(latest[1], abs=1e-9)
+
+
 def test_solve_import_needs_mapping(instance_file, tmp_path):
     assign = tmp_path / "a.assign"
     assign.write_text("x_0 1.0\n")

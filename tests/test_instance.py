@@ -47,6 +47,21 @@ def test_metric_rejects_ids_outside_the_table(metric, a, b):
         metric.time(a, b)
 
 
+@pytest.mark.parametrize("metric", [
+    line_metric((0.0, 1.0, 5.0)),
+    TravelMetric(coords={0: (0.0, 0.0), 1: (1.0, 0.0), 2: (5.0, 0.0)},
+                 time_factor=4.0),
+], ids=["matrix", "coords"])
+def test_metric_rows_hold_the_pairwise_values(metric):
+    for a in range(metric.size):
+        assert metric.cost_row(a) == tuple(metric.cost(a, b) for b in range(3))
+        assert metric.time_row(a) == tuple(metric.time(a, b) for b in range(3))
+    for a in (-1, 3):
+        for row in (metric.cost_row, metric.time_row):
+            with pytest.raises(DataError, match=f"unknown location id {a}"):
+                row(a)
+
+
 def test_metric_rejects_coordinates_that_skip_an_id():
     with pytest.raises(DataError, match="0..m-1"):
         TravelMetric(coords={0: (0.0, 0.0), 2: (1.0, 0.0)})

@@ -2,6 +2,8 @@
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -48,6 +50,36 @@ def test_ladder_record_on_a_toy_rung(ladder):
     # claim 1: model3's relaxation is at least as tight as model2's
     for objective in ("cost", "cost_excess"):
         assert bounds["model3"][objective] >= bounds["model2"][objective] - 1e-6
+
+
+def test_ladder_warms_up_before_the_first_rung(ladder, monkeypatch, tmp_path):
+    calls = []
+    monkeypatch.setattr(ladder, "RUNGS", ((3, 3), (3, 4)))
+    monkeypatch.setattr(ladder, "LONG_RUNGS", ())
+    monkeypatch.setattr(ladder, "SEEDS", (401,))
+    monkeypatch.setattr(ladder, "warm_up", lambda: calls.append("warm_up"))
+    run = ladder.run_instance
+    monkeypatch.setattr(ladder, "run_instance",
+                        lambda *args: calls.append("rung") or run(*args))
+    assert ladder.main(["--side", "change", "-o", str(tmp_path / "b.json")]) == 0
+    assert calls == ["warm_up", "rung", "rung"]
+
+
+def test_warm_up_leaves_no_import_to_the_timed_stages():
+    # in a fresh interpreter: after the warm-up, parsing and solving a
+    # model loads no further module (numpy and scipy load on first use)
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(LADDER.parent)!r})\n"
+        "import ladder\n"
+        "ladder.warm_up()\n"
+        "before = set(sys.modules)\n"
+        "from darpkit import *\n"
+        "inst = generate_synthetic(GeneratorConfig(n=3, capacity=3, seed=1))\n"
+        "graph = build_event_graph(inst, pruned=True)\n"
+        "solve_mip(parse_mps(write_mps(build_model(graph, 'model2'))))\n"
+        "assert set(sys.modules) == before, sorted(set(sys.modules) - before)\n")
+    subprocess.run([sys.executable, "-c", script], check=True, timeout=120)
 
 
 def test_ladder_file_keeps_one_entry_per_side(ladder, monkeypatch, tmp_path,

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from darpkit.event_graph import (
     DROPOFF, DROPOFF_DROPOFF, DROPOFF_PICKUP, LEAVE_DEPOT, PICKUP,
     PICKUP_DROPOFF, PICKUP_PICKUP, RETURN_DEPOT, EventNode,
 )
-from darpkit.model import _assemble
+from darpkit.model import MilpModel, _assemble
 from darpkit.solve import _stop_orders
 
 from helpers import criterion3_instances, line_instance
@@ -565,6 +566,69 @@ def test_lp_structure(single_request_instance):
     for row in model.rows:
         assert f" {row.name}: " in text
     assert write_lp(model) == text
+
+
+# one digest over the MPS, LP and sidecar text of every model below, taken
+# from the writers as they formatted every value with f"{v:.12g}" on its
+# own; change it only with a change that is meant to change the exports
+EXPORT_DIGEST = "180ea72b6bbf89edc9f77948510b3dc0c0ba94230d0d2ad9c95cf76b05954da8"
+
+
+def test_exports_stay_byte_identical():
+    insts = [*criterion3_instances()[::5],
+             *(generate_synthetic(GeneratorConfig(n=15, capacity=3, seed=seed))
+               for seed in (1, 2))]
+    digest = hashlib.sha256()
+    for inst in insts:
+        graph = build_event_graph(inst, pruned=True)
+        for variant in ("model2", "model3"):
+            for objective in OBJECTIVES:
+                model = build_model(graph, variant, ObjectiveSpec(variant=objective))
+                for text in (write_mps(model), write_lp(model), write_mapping(model)):
+                    digest.update(text.encode() + b"\0")
+    assert digest.hexdigest() == EXPORT_DIGEST
+
+
+def test_writers_format_zeros_tiny_huge_and_repeated_values(single_request_instance):
+    # 0.0 and -0.0 are one dict key but print as "0" and "-0": a writer
+    # that formats each distinct value once must not mix them up
+    graph = build_event_graph(single_request_instance)
+    model = MilpModel(graph, "model3", ObjectiveSpec().resolve(1))
+    big = 123456.789012345678
+    x0 = model.add_var("x", 0, 0.0, 1.0)
+    x1 = model.add_var("x", 1, 0.0, 1.0)
+    b0 = model.add_var("B", 0, -0.0, 1e12)
+    b1 = model.add_var("B", 1, 1e-13, math.inf)
+    z1 = model.add_var("z", 1, -math.inf, math.inf)
+    d1 = model.add_var("d", 1, 0.0, math.inf)
+    d2 = model.add_var("d", 2, -0.0, math.inf)
+    assert (d1, d2) == (5, 6)   # neither is named by a term
+    model.add_row("flow", "r1", "L", -0.0, [(x0, 0.0), (x1, -0.0), (b0, 1e12)])
+    model.add_row("flow", "r2", "G", 1e-13, [(b1, 1e-13), (x0, big), (z1, -1.0)])
+    model.add_row("flow", "r3", "E", 0.0,
+                  [(x1, big), (b0, -big), (x0, 1.0), (b1, -0.0)])
+    model.add_row("flow", "r4", "L", 1e12, [])
+    model.obj_terms = [(x0, big), (x1, -0.0), (b1, 0.0), (z1, -big)]
+    model.obj_constant = 1e-13
+    assert write_mps(model) == (
+        "NAME          single.model3.cost\nROWS\n N  COST\n L  r1\n G  r2\n"
+        " E  r3\n L  r4\nCOLUMNS\n    M0  'MARKER'  'INTORG'\n"
+        "    x_0  COST  123456.789012  r1  0\n    x_0  r2  123456.789012  r3  1\n"
+        "    x_1  COST  -0  r1  -0\n    x_1  r3  123456.789012\n"
+        "    M1  'MARKER'  'INTEND'\n    B_0  r1  1e+12  r3  -123456.789012\n"
+        "    B_1  COST  0  r2  1e-13\n    B_1  r3  -0\n"
+        "    z_1  COST  -123456.789012  r2  -1\n    d_1  COST  0\n"
+        "    d_2  COST  0\nRHS\n    RHS  COST  -1e-13\n    RHS  r2  1e-13\n"
+        "    RHS  r4  1e+12\nBOUNDS\n BV BND  x_0\n BV BND  x_1\n"
+        " UP BND  B_0  1e+12\n LO BND  B_1  1e-13\n FR BND  z_1\nENDATA\n")
+    assert write_lp(model) == (
+        "\\ single.model3.cost\nMinimize\n"
+        " obj: 123456.789012 x_0 + 0 x_1 + 0 B_1 - 123456.789012 z_1 + 1e-13\n"
+        "Subject To\n r1: 0 x_0 + 0 x_1 + 1e+12 B_0 <= -0\n"
+        " r2: 1e-13 B_1 + 123456.789012 x_0 - 1 z_1 >= 1e-13\n"
+        " r3: 123456.789012 x_1 - 123456.789012 B_0 + 1 x_0 + 0 B_1 = 0\n"
+        " r4: 0 <= 1e+12\nBounds\n -0 <= B_0 <= 1e+12\n B_1 >= 1e-13\n"
+        " z_1 free\n d_1 >= 0\n d_2 >= -0\nBinaries\n x_0 x_1\nEnd\n")
 
 
 def test_variable_mapping(single_request_instance):

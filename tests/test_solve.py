@@ -15,6 +15,7 @@ from darpkit import (
     solution_to_json, validate_solution,
 )
 from darpkit.event_graph import DROPOFF, PICKUP
+from darpkit import solve as solve_module
 from darpkit.schedule import _Prefix, _tour_times
 from darpkit.solve import _stop_orders
 
@@ -176,6 +177,30 @@ def test_positive_cycle_through_a_nested_ride_is_infeasible():
         (((1, P), (1, D), (2, P), (2, D)), (1.0, 2.5, 3.0, 4.0)),
         (((2, P), (2, D), (1, P), (1, D)), (2.0, 3.0, 5.0, 6.5)),
     ]
+
+
+def test_oracle_runs_the_stop_order_search_once_per_instance(monkeypatch):
+    runs = []
+    search = solve_module._search_stop_orders
+    monkeypatch.setattr(solve_module, "_search_stop_orders",
+                        lambda inst: runs.append(inst) or search(inst))
+    inst = generate_synthetic(GeneratorConfig(n=4, capacity=3, seed=7))
+    totals = [oracle_solve(inst, ObjectiveSpec(variant=name)).objective.total
+              for name in ("cost", "excess", "max_excess", "cost_excess",
+                           "cost_max_excess")]
+    assert max_acceptance(inst) == 4
+    assert len(runs) == 1
+    # each call hands out its own outer dict, so a caller may pop from it
+    first, second = _stop_orders(inst), _stop_orders(inst)
+    assert first == second and first is not second
+    first.clear()
+    assert _stop_orders(inst) == second and len(runs) == 1
+    # an equal instance object searches again, with the same results
+    again = generate_synthetic(GeneratorConfig(n=4, capacity=3, seed=7))
+    assert [oracle_solve(again, ObjectiveSpec(variant=name)).objective.total
+            for name in ("cost", "excess", "max_excess", "cost_excess",
+                         "cost_max_excess")] == totals
+    assert len(runs) == 2
 
 
 def test_stop_orders_are_the_lp_feasible_orders(gen_instances, pooling_instance,
@@ -429,6 +454,17 @@ def test_import_solution_round_trip(pooling_instance, pooling_model):
         + (2 + 1 + math.sqrt(5))
     assert sol.objective.cost == pytest.approx(expected_cost)
     assert sol.objective.total == pytest.approx(expected_cost)
+    # the assignment's times are at or above the re-timed ones
+    assert sol.raw_time_gap == 0.0
+    # a time below its re-timed value can only be solver tolerance, and
+    # the largest such shortfall is reported (tour B starts at 2)
+    early = _assignment(pooling_model, [(TOUR_A, (1.0 - 2e-7, *TIMES_A[1:])),
+                                        (TOUR_B, (2.0 - 5e-7, 4.0))])
+    assert import_solution(pooling_model, early).raw_time_gap == \
+        pytest.approx(5e-7, abs=1e-12)
+    binaries = {name: v for name, v in values.items() if not name.startswith("B_")}
+    again = import_solution(pooling_model, binaries)
+    assert again == sol and again.raw_time_gap is None
 
 
 def test_import_missing_variable(pooling_model):
