@@ -18,7 +18,10 @@ the record holds:
 - ``stage_s``: seconds of the pruned graph build, ``build_model``,
   ``write_mps``, ``parse_mps`` and ``solve_mip``;
 - ``solver``: that solve's status, objective, gap, node count and dual
-  bound, under a limit of ``TIME_LIMIT_S`` seconds;
+  bound, under a limit of ``TIME_LIMIT_S`` seconds.  The limit is 120 s,
+  the bar of the ladder's target, about twice what q=3 n=30 seed 401 takes
+  (1 047 solver nodes, 54-66 s on a 2-core host), so that the rung's
+  status follows the code and not the host's speed on the day;
 - ``lp_bound``: the LP-relaxation bound of model2 and model3 under
   ``cost`` and ``cost_excess`` (the parsed model with its integrality
   zeroed, solved by ``solve_mip``), the paper's claim that model3's
@@ -63,7 +66,7 @@ from darpkit import (  # noqa: E402
 RUNGS = ((3, 6), (3, 10), (3, 14), (3, 20), (6, 20), (6, 40))
 LONG_RUNGS = ((3, 30), (3, 40))
 SEEDS = (401, 402, 403)
-TIME_LIMIT_S = 60.0
+TIME_LIMIT_S = 120.0
 
 
 def lp_bound(mip) -> float | None:

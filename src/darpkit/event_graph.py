@@ -43,7 +43,7 @@ from operator import add, itemgetter, le
 from typing import NamedTuple
 
 from .errors import DataError
-from .instance import DEPOT, DROPOFF, PICKUP, Instance
+from .instance import DEPOT, DEPOT_LOCATION, DROPOFF, PICKUP, Instance
 from .schedule import _TIME_EPS, compatible_pairs
 
 PICKUP_DROPOFF = 1
@@ -264,7 +264,7 @@ def build_event_graph(inst: Instance, *, pruned: bool = False) -> EventGraph:
     }
 
     nodes = [EventNode(DEPOT, 0, ())]
-    locations = [inst.depot_loc]
+    locations = [DEPOT_LOCATION]
     index = {}          # (location, others) -> state id
     # others -> (ids, locations) of the pickup states with them, ascending
     pick_after: dict[tuple, tuple[list, list]] = {}
@@ -310,7 +310,7 @@ def build_event_graph(inst: Instance, *, pruned: bool = False) -> EventGraph:
         heads = [0] * depot + p_heads
         heads += [index[n + onboard[p], onboard[:p] + onboard[p + 1:]]
                   for p in riders]
-        locs = [inst.depot_loc] * depot + p_locs + [n + onboard[p] for p in riders]
+        locs = [DEPOT_LOCATION] * depot + p_locs + [n + onboard[p] for p in riders]
         shape = (depot, len(p_heads), len(onboard))
         classes = shapes.get(shape)
         if classes is None:

@@ -32,6 +32,8 @@ OUTBOUND = "outbound"
 DEPOT = "depot"
 PICKUP = "pickup"
 DROPOFF = "dropoff"
+#: the depot's location; request i picks up at i and drops off at n + i
+DEPOT_LOCATION = 0
 
 #: fleet sizes used by the synthetic generator, keyed by (capacity, n)
 FLEET_SIZES = {
@@ -147,11 +149,9 @@ class TravelMetric:
 
 @dataclass(frozen=True)
 class Request:
-    """One transportation request (pickup location, dropoff location, seats)."""
+    """One transportation request; :meth:`Instance.location` places its stops."""
 
     id: int
-    pickup_loc: int
-    dropoff_loc: int
     q: int
     s: float
     pickup_window: tuple[float, float]
@@ -181,17 +181,16 @@ class Request:
 class Instance:
     """A complete dial-a-ride instance.
 
-    Locations are numbered 0 (depot), 1..n (pickups), n+1..2n (dropoffs).
-    ``windows`` and ``service`` give every location's time window and
-    service duration (the depot's window is the depot window, its service
-    0); :meth:`location` maps a stop to its location.
+    Locations are numbered 0 (depot), 1..n (pickups), n+1..2n (dropoffs);
+    :meth:`location` maps a stop to its location.  ``windows`` and
+    ``service`` give every location's time window and service duration
+    (the depot's window is the depot window, its service 0).
     """
 
     name: str
     requests: tuple[Request, ...]
     fleet_size: int
     capacity: int
-    depot_loc: int
     depot_window: tuple[float, float]
     metric: TravelMetric
     windows: tuple[tuple[float, float], ...] = field(init=False, repr=False, compare=False)
@@ -201,8 +200,6 @@ class Instance:
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.depot_loc != 0:
-            raise DataError(f"depot must be location 0, got {self.depot_loc}")
         if self.fleet_size < 1:
             raise DataError("fleet size must be at least 1")
         if self.capacity < 1:
@@ -212,19 +209,15 @@ class Instance:
             raise DataError("non-finite depot window")
         if e0 > l0:
             raise DataError("empty depot window")
-        n = len(self.requests)
         for pos, req in enumerate(self.requests, start=1):
             if req.id != pos:
                 raise DataError("request ids must be 1..n in order")
             if req.q > self.capacity:
                 raise DataError(
                     f"request {req.id} demands {req.q} seats, capacity is {self.capacity}")
-            if req.pickup_loc != pos or req.dropoff_loc != n + pos:
-                raise DataError(
-                    f"request {req.id}: locations must follow the 0/1..n/n+1..2n scheme")
-        if self.metric.size < 2 * n + 1:
+        if self.metric.size < 2 * self.n + 1:
             raise DataError(f"metric covers locations 0..{self.metric.size - 1}, "
-                            f"the instance needs 0..{2 * n}")
+                            f"the instance needs 0..{2 * self.n}")
         reqs = self.requests
         object.__setattr__(self, "windows", (self.depot_window,)
                            + tuple(r.pickup_window for r in reqs)
@@ -247,9 +240,9 @@ class Instance:
         return self.requests[i - 1]
 
     def location(self, rid: int, kind: str) -> int:
-        """Location of request ``rid``'s pickup, or else its dropoff, stop."""
-        req = self.request(rid)
-        return req.pickup_loc if kind == PICKUP else req.dropoff_loc
+        """Location of a stop: ``rid`` for a pickup, ``n + rid`` for a dropoff."""
+        self.request(rid)   # refuses an unknown id
+        return rid if kind == PICKUP else len(self.requests) + rid
 
     def _memoised(self, key: str, build):
         """``build(self)``, computed on the first call with ``key`` and kept
@@ -361,12 +354,12 @@ def parse_cordeau(text: str, name: str = "instance") -> Instance:
             raise ParseError(
                 f"service duration mismatch for request {i}: pickup {ps}, dropoff {ds}")
         requests.append(Request(
-            id=i, pickup_loc=i, dropoff_loc=n + i, q=pq, s=ps,
+            id=i, q=pq, s=ps,
             pickup_window=(pe, pl), dropoff_window=(de, dl), max_ride=max_ride))
 
     return Instance(
         name=name, requests=tuple(requests), fleet_size=fleet, capacity=capacity,
-        depot_loc=0, depot_window=(e0, l0), metric=metric)
+        depot_window=(e0, l0), metric=metric)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +387,8 @@ def tighten_time_windows(inst: Instance) -> Instance:
     width0 = l0 - e0
     out = []
     for req in inst.requests:
-        t_direct = inst.metric.time(req.pickup_loc, req.dropoff_loc)
+        t_direct = inst.metric.time(inst.location(req.id, PICKUP),
+                                    inst.location(req.id, DROPOFF))
         direction = req.direction
         if direction is None:
             wp = req.pickup_window[1] - req.pickup_window[0]
@@ -485,7 +479,7 @@ def generate_synthetic(cfg: GeneratorConfig) -> Instance:
         start = _FIRST_PICKUP + _PICKUP_STEP * rng.randrange(ticks)
         t_direct = _TIME_FACTOR * dist
         requests.append(Request(
-            id=i, pickup_loc=i, dropoff_loc=cfg.n + i, q=q, s=float(q),
+            id=i, q=q, s=float(q),
             pickup_window=(start, start + _WINDOW_LENGTH),
             dropoff_window=(0.0, _HORIZON),
             max_ride=_RIDE_FACTOR * t_direct,
@@ -496,7 +490,7 @@ def generate_synthetic(cfg: GeneratorConfig) -> Instance:
     inst = Instance(
         name=f"synth-q{cfg.capacity}-n{cfg.n}-s{cfg.seed}",
         requests=tuple(requests), fleet_size=fleet, capacity=cfg.capacity,
-        depot_loc=0, depot_window=(0.0, _HORIZON),
+        depot_window=(0.0, _HORIZON),
         metric=TravelMetric(coords=coords, time_factor=_TIME_FACTOR))
     return tighten_time_windows(inst)
 
@@ -523,14 +517,14 @@ def instance_to_json(inst: Instance) -> str:
         "name": inst.name,
         "fleet_size": inst.fleet_size,
         "capacity": inst.capacity,
-        "depot": {"location": inst.depot_loc,
+        "depot": {"location": DEPOT_LOCATION,
                   "e": inst.depot_window[0], "l": inst.depot_window[1]},
         "requests": [
             {
                 "id": r.id,
-                "pickup": {"location": r.pickup_loc,
+                "pickup": {"location": inst.location(r.id, PICKUP),
                            "e": r.pickup_window[0], "l": r.pickup_window[1]},
-                "dropoff": {"location": r.dropoff_loc,
+                "dropoff": {"location": inst.location(r.id, DROPOFF),
                             "e": r.dropoff_window[0], "l": r.dropoff_window[1]},
                 "q": r.q,
                 "s": r.s,
@@ -549,8 +543,18 @@ def instance_sha256(inst: Instance) -> str:
     return hashlib.sha256(instance_to_json(inst).encode()).hexdigest()
 
 
+def _json_int(value, what: str) -> int:
+    """An integer read from JSON: an int or integral float, never a bool."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def instance_from_json(text: str) -> Instance:
-    """Parse an instance from its JSON form."""
+    """Parse an instance from its JSON form; its ``location`` keys must
+    follow the fixed scheme (:meth:`Instance.location`)."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -566,24 +570,29 @@ def instance_from_json(text: str) -> Instance:
                 cost_matrix=tuple(tuple(float(v) for v in row) for row in m["cost"]),
                 time_matrix=tuple(tuple(float(v) for v in row) for row in m["time"]),
                 time_factor=float(m.get("time_factor", 1.0)))
+        depot = _json_int(doc["depot"]["location"], "depot location")
+        if depot != DEPOT_LOCATION:
+            raise DataError(f"depot must be location {DEPOT_LOCATION}, got {depot}")
         requests = []
         for r in doc["requests"]:
             requests.append(Request(
-                id=int(r["id"]),
-                pickup_loc=int(r["pickup"]["location"]),
-                dropoff_loc=int(r["dropoff"]["location"]),
-                q=int(r["q"]), s=float(r["s"]),
+                id=_json_int(r["id"], "request id"), q=_json_int(r["q"], "q"), s=float(r["s"]),
                 pickup_window=(float(r["pickup"]["e"]), float(r["pickup"]["l"])),
                 dropoff_window=(float(r["dropoff"]["e"]), float(r["dropoff"]["l"])),
                 max_ride=float(r["max_ride"]),
                 direction=r.get("direction")))
-        return Instance(
+        inst = Instance(
             name=str(doc.get("name", "instance")),
             requests=tuple(requests),
-            fleet_size=int(doc["fleet_size"]),
-            capacity=int(doc["capacity"]),
-            depot_loc=int(doc["depot"]["location"]),
+            fleet_size=_json_int(doc["fleet_size"], "fleet_size"),
+            capacity=_json_int(doc["capacity"], "capacity"),
             depot_window=(float(doc["depot"]["e"]), float(doc["depot"]["l"])),
             metric=metric)
+        for req, r in zip(inst.requests, doc["requests"]):
+            if any(_json_int(r[k]["location"], f"{k} location") != inst.location(req.id, k)
+                   for k in (PICKUP, DROPOFF)):
+                raise DataError(
+                    f"request {req.id}: locations must follow the 0/1..n/n+1..2n scheme")
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ParseError(f"instance JSON is missing or mistypes a field: {exc}") from None
+    return inst

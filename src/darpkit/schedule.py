@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import DataError
-from .instance import DROPOFF, PICKUP, Instance
+from .instance import DEPOT_LOCATION, DROPOFF, PICKUP, Instance
 
 Stop = tuple[int, str]
 
@@ -156,7 +156,7 @@ class _Prefix:
         inst = self.inst
         last = self._locs[-1]
         latest = (inst.depot_window[1] - inst.service[last]
-                  - inst.metric.time(last, inst.depot_loc))
+                  - inst.metric.time(last, DEPOT_LOCATION))
         return not self.times[-1] > latest + _TIME_EPS
 
 
@@ -166,9 +166,10 @@ def _tables(inst: Instance) -> tuple[dict, list]:
     travel-time row of every location."""
     stop = {}
     for req in inst.requests:
-        stop[req.id, PICKUP] = (req.pickup_loc, *req.pickup_window, None)
-        stop[req.id, DROPOFF] = (req.dropoff_loc, *req.dropoff_window,
-                                 -(req.max_ride + req.s))
+        stop[req.id, PICKUP] = (inst.location(req.id, PICKUP),
+                                *req.pickup_window, None)
+        stop[req.id, DROPOFF] = (inst.location(req.id, DROPOFF),
+                                 *req.dropoff_window, -(req.max_ride + req.s))
     rows = [inst.metric.time_row(a) for a in range(2 * inst.n + 1)]
     return stop, rows
 
@@ -218,21 +219,21 @@ def _check_structure(stops: Sequence[Stop], inst: Instance):
 
 def _tour_cost(stops: Sequence[Stop], inst: Instance) -> float:
     cost = 0.0
-    prev = inst.depot_loc
+    prev = DEPOT_LOCATION
     for stop in stops:
         loc = inst.location(*stop)
         cost += inst.metric.cost(prev, loc)
         prev = loc
-    return cost + inst.metric.cost(prev, inst.depot_loc)
+    return cost + inst.metric.cost(prev, DEPOT_LOCATION)
 
 
 def _tour_makespan(stops: Sequence[Stop], times: Sequence[float],
                    inst: Instance) -> float:
     if not stops:
         return 0.0
-    depart = times[0] - inst.metric.time(inst.depot_loc, inst.location(*stops[0]))
+    depart = times[0] - inst.metric.time(DEPOT_LOCATION, inst.location(*stops[0]))
     last = inst.location(*stops[-1])
-    ret = times[-1] + inst.service[last] + inst.metric.time(last, inst.depot_loc)
+    ret = times[-1] + inst.service[last] + inst.metric.time(last, DEPOT_LOCATION)
     return ret - depart
 
 

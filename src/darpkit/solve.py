@@ -1,22 +1,23 @@
 """Exact reference solving, scoring, validation and solution decoding.
 
 The oracle finds every feasible stop order of one vehicle in one
-depth-first search per call: each prefix is explored once, extends its
-parent's minimal schedule by one schedule step and is pruned once that
-schedule misses a window, and whenever the vehicle is empty the prefix
-is a tour of the requests served so far.  It then enumerates accepted
-request sets and set partitions into at most fleet-size blocks, and
-combines the recorded tours of each block.  Each tour carries its
-componentwise-minimal schedule; since lowering any service-start never
-hurts window, ride-time or duration slack, that schedule simultaneously
-minimizes every per-request dropoff excess, so scoring it is exact for
-every supported objective.  The oracle shares no code with the MILP
-formulation beyond the instance data and the schedule primitives of
-:mod:`darpkit.schedule`, which also decide which requests the event
-graph lets ride together.  ``max_acceptance`` runs the same two
-searches.  Every plan, from the oracle, a decoded assignment or
-a solution file, is scored by one function, which builds the plan's
-schedule once and reads the objective components from it.
+depth-first search per instance: each prefix is explored once, extends
+its parent's minimal schedule by one schedule step and is pruned once
+that schedule misses a window, and whenever the vehicle is empty the
+prefix is a tour of the requests served so far, recorded with its cost
+and excess.  It then enumerates accepted request sets and set partitions
+into at most fleet-size blocks, and combines the recorded tours of each
+block.  Each tour carries its componentwise-minimal schedule; since
+lowering any service-start never hurts window, ride-time or duration
+slack, that schedule simultaneously minimizes every per-request dropoff
+excess, so scoring it is exact for every supported objective.  The
+oracle shares no code with the MILP formulation beyond the instance data
+and the schedule primitives of :mod:`darpkit.schedule`, which also
+decide which requests the event graph lets ride together.
+``max_acceptance`` runs the same two searches.  Every plan, from the
+oracle, a decoded assignment or a solution file, is scored by one
+function, which builds the plan's schedule once and reads the objective
+components from it.
 
 Solver assignments (variable name -> value) are decoded back into tours
 by walking the selected arcs from the depot; anything that is not a
@@ -32,12 +33,11 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from functools import cache
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DataError, InfeasibleError, ParseError, SolutionError
-from .instance import DROPOFF, PICKUP, Instance
+from .instance import DEPOT_LOCATION, DROPOFF, PICKUP, Instance, _json_int
 from .model import MilpModel, ObjectiveSpec, ObjectiveValue, combine_components
 from .schedule import (
     Schedule, Stop, _Prefix, _schedule, _tour_cost, minimal_schedule,
@@ -137,7 +137,8 @@ def _partitions(items: Sequence[int], max_blocks: int):
 
 
 def _stop_orders(inst: Instance) -> dict[frozenset, list]:
-    """Every time-feasible stop order of one vehicle, by the requests it serves.
+    """Every time-feasible stop order of one vehicle, by the requests it
+    serves, as (stops, times, cost, excess of each dropoff in stop order).
 
     The search runs once per instance object; each call returns a fresh
     dict over the same per-block lists, which callers only read.
@@ -153,9 +154,10 @@ def _search_stop_orders(inst: Instance) -> dict[frozenset, list]:
     onboard one, pickups by id first, then dropoffs by id, and extends
     its parent prefix's minimal schedule.  A prefix without a schedule is
     not extended.  Whenever the vehicle is empty, the prefix is a tour of
-    the requests served so far; it is recorded, as (stops, times), if it
-    also returns to the depot in time, and then extended further.  Each
-    block's orders come out in the order of that step rule.
+    the requests served so far; it is recorded, with its cost and its
+    dropoffs' excess, if it also returns to the depot in time, and then
+    extended further.  Each block's orders come out in the order of that
+    step rule.
     """
     loads = {r.id: r.q for r in inst.requests}
     found: dict[frozenset, list] = {}
@@ -177,8 +179,11 @@ def _search_stop_orders(inst: Instance) -> dict[frozenset, list]:
                 onboard.discard(i)
                 done.add(i)
                 if not onboard and prefix.returns_in_time():
+                    stops, times = tuple(prefix.stops), tuple(prefix.times)
+                    excess = _schedule((stops,), (times,), inst).excess
                     found.setdefault(frozenset(done), []).append(
-                        (tuple(prefix.stops), tuple(prefix.times)))
+                        (stops, times, _tour_cost(stops, inst),
+                         tuple(excess.values())))
                 rec(load - loads[i])
                 done.discard(i)
                 onboard.add(i)
@@ -225,19 +230,11 @@ def oracle_solve(inst: Instance, objective: ObjectiveSpec | None = None,
     _check_limit(inst, limit)
     obj = (objective or ObjectiveSpec()).resolve(inst.n)
     stop_orders = _stop_orders(inst)
-
-    @cache
-    def orderings(block):
-        """Feasible orders of a block as (stops, times, cost, excesses)."""
-        return [(seq, ts, _tour_cost(seq, inst),
-                 tuple(_schedule((seq,), (ts,), inst).excess.values()))
-                for seq, ts in stop_orders.get(block, ())]
-
     ids = [r.id for r in inst.requests]
     best_key = None
     best = None
     subsets = _subsets(ids) if obj._weights()[3] else [tuple(ids)]
-    for accepted, options in _feasible_partitions(inst, subsets, orderings):
+    for accepted, options in _feasible_partitions(inst, subsets, stop_orders.get):
         denied = inst.n - len(accepted)
         for combo in product(*options):
             cost = sum(opt[2] for opt in combo)
@@ -485,12 +482,12 @@ def validate_solution(inst: Instance, sol: Solution,
                 flag("precedence", t, k + 1, short,
                      f"stop starts {short:.3f} too early for travel and service")
         if tour:
-            depart = ts[0] - inst.metric.time(inst.depot_loc, locs[0])
+            depart = ts[0] - inst.metric.time(DEPOT_LOCATION, locs[0])
             if depart < e0 - _TOL:
                 flag("duration", t, 0, e0 - depart,
                      f"tour departs {e0 - depart:.3f} before the depot opens")
             ret = ts[-1] + inst.service[locs[-1]] + inst.metric.time(
-                locs[-1], inst.depot_loc)
+                locs[-1], DEPOT_LOCATION)
             if ret > l0 + _TOL:
                 flag("duration", t, len(tour) - 1, ret - l0,
                      f"tour returns {ret - l0:.3f} after the depot closes")
@@ -527,18 +524,9 @@ def solution_to_json(sol: Solution) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def _request_id(value) -> int:
-    """A request id read from solution JSON: an integral number."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if type(value) is not int:
-        raise ValueError(f"request id must be an integer, got {value!r}")
-    return value
-
-
 def _accepted_ids(doc: dict) -> frozenset[int]:
     """The ``accepted`` request ids of a solution document, none repeated."""
-    ids = [_request_id(i) for i in doc["accepted"]]
+    ids = [_json_int(i, "request id") for i in doc["accepted"]]
     if len(set(ids)) != len(ids):
         raise ValueError(f"accepted list repeats a request id: {ids}")
     return frozenset(ids)
@@ -553,7 +541,7 @@ def solution_from_json(text: str, inst: Instance) -> Solution:
         tours = []
         times = []
         for tour in doc["tours"]:
-            tours.append(tuple((_request_id(st["request"]), str(st["kind"]))
+            tours.append(tuple((_json_int(st["request"], "request id"), str(st["kind"]))
                                for st in tour))
             times.append(tuple(float(st["time"]) for st in tour))
         accepted = _accepted_ids(doc)

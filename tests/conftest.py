@@ -21,11 +21,11 @@ def pooling_instance() -> Instance:
     reqs = []
     for i, q in ((1, 1), (2, 1), (3, 3)):
         reqs.append(Request(
-            id=i, pickup_loc=i, dropoff_loc=i + 3, q=q, s=1.0,
+            id=i, q=q, s=1.0,
             pickup_window=(0.0, 100.0), dropoff_window=(0.0, 100.0),
             max_ride=30.0, direction=INBOUND))
     return Instance(name="pooling", requests=tuple(reqs), fleet_size=2,
-                    capacity=3, depot_loc=0, depot_window=(0.0, 200.0),
+                    capacity=3, depot_window=(0.0, 200.0),
                     metric=metric)
 
 

@@ -13,6 +13,7 @@ from darpkit import (
     GeneratorConfig, INBOUND, InfeasibleError, Instance, ObjectiveSpec,
     Request, TravelMetric, generate_synthetic, oracle_solve,
 )
+from darpkit.instance import DEPOT_LOCATION
 from darpkit.schedule import _tour_times
 
 PICK = "pickup"
@@ -94,20 +95,19 @@ def lp_schedule(tour, inst):
     rides = {}
     for k, (rid, kind) in enumerate(tour):
         req = inst.request(rid)
+        locs.append(inst.location(rid, kind))
         if kind == PICK:
-            locs.append(req.pickup_loc)
             wins.append(req.pickup_window)
             rides[rid] = [k, None]
         else:
-            locs.append(req.dropoff_loc)
             wins.append(req.dropoff_window)
             rides[rid][1] = k
         svcs.append(req.s)
     e0, l0 = inst.depot_window
     lo = [w[0] for w in wins]
     hi = [w[1] for w in wins]
-    lo[0] = max(lo[0], e0 + inst.metric.time(inst.depot_loc, locs[0]))
-    hi[-1] = min(hi[-1], l0 - svcs[-1] - inst.metric.time(locs[-1], inst.depot_loc))
+    lo[0] = max(lo[0], e0 + inst.metric.time(DEPOT_LOCATION, locs[0]))
+    hi[-1] = min(hi[-1], l0 - svcs[-1] - inst.metric.time(locs[-1], DEPOT_LOCATION))
     A = []
     b = []
     for k in range(m - 1):
@@ -155,15 +155,14 @@ def lp_tours(block, inst):
         steps += [(i, DROP) for i in sorted(onboard)]
         for rid, kind in steps:
             req = inst.request(rid)
-            loc, (e, l) = ((req.pickup_loc, req.pickup_window) if kind == PICK
-                           else (req.dropoff_loc, req.dropoff_window))
+            loc = inst.location(rid, kind)
+            e, l = req.pickup_window if kind == PICK else req.dropoff_window
             if seq:
                 prev = inst.request(seq[-1][0])
-                prev_loc = (prev.pickup_loc if seq[-1][1] == PICK
-                            else prev.dropoff_loc)
+                prev_loc = inst.location(*seq[-1])
                 arrive = start + prev.s + inst.metric.time(prev_loc, loc)
             else:
-                arrive = e0 + inst.metric.time(inst.depot_loc, loc)
+                arrive = e0 + inst.metric.time(DEPOT_LOCATION, loc)
             begin = max(e, arrive)
             if begin > l + 1e-6:
                 continue
@@ -210,18 +209,16 @@ def line_instance(name, positions, specs, fleet_size, capacity,
     is ready for graph building without tightening.
     """
     metric = line_metric(positions)
-    n = len(specs)
     reqs = []
     for i, sp in enumerate(specs, start=1):
         reqs.append(Request(
-            id=i, pickup_loc=i, dropoff_loc=n + i,
-            q=sp.get("q", 1), s=float(sp.get("s", 0.0)),
+            id=i, q=sp.get("q", 1), s=float(sp.get("s", 0.0)),
             pickup_window=tuple(float(v) for v in sp["pickup"]),
             dropoff_window=tuple(float(v) for v in sp["dropoff"]),
             max_ride=float(sp["max_ride"]),
             direction=sp.get("direction", INBOUND)))
     return Instance(name=name, requests=tuple(reqs), fleet_size=fleet_size,
-                    capacity=capacity, depot_loc=0, depot_window=depot_window,
+                    capacity=capacity, depot_window=depot_window,
                     metric=metric)
 
 
@@ -240,12 +237,12 @@ def ring_instance(n, capacity, loads=None, name=None):
     for i in range(1, n + 1):
         q = 1 if loads is None else loads[i]
         reqs.append(Request(
-            id=i, pickup_loc=i, dropoff_loc=n + i, q=q, s=1.0,
+            id=i, q=q, s=1.0,
             pickup_window=(0.0, 400.0), dropoff_window=(0.0, 400.0),
             max_ride=50.0, direction=INBOUND))
     return Instance(
         name=name or f"ring-n{n}-q{capacity}", requests=tuple(reqs),
-        fleet_size=max(1, n // 2), capacity=capacity, depot_loc=0,
+        fleet_size=max(1, n // 2), capacity=capacity,
         depot_window=(0.0, 1000.0), metric=metric)
 
 

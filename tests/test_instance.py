@@ -1,18 +1,20 @@
+import hashlib
 import json
 import math
 import random
+import re
 import tracemalloc
 
 import pytest
 
 from darpkit import (
     DataError, FLEET_SIZES, GeneratorConfig, INBOUND, OUTBOUND, Instance,
-    ParseError, Request, TravelMetric, generate_synthetic, instance_from_json,
+    ParseError, Request, TravelMetric, cli, generate_synthetic, instance_from_json,
     instance_to_json, parse_cordeau, tighten_time_windows,
 )
 from darpkit.instance import DROPOFF, PICKUP
 
-from helpers import line_instance, line_metric
+from helpers import criterion3_instances, line_instance, line_metric
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +179,7 @@ def test_metric_rejects_non_finite_values(build, message):
 # ---------------------------------------------------------------------------
 
 def _request(**overrides):
-    base = dict(id=1, pickup_loc=1, dropoff_loc=2, q=1, s=1.0,
+    base = dict(id=1, q=1, s=1.0,
                 pickup_window=(0.0, 10.0), dropoff_window=(0.0, 10.0),
                 max_ride=5.0)
     base.update(overrides)
@@ -215,7 +217,7 @@ def test_request_rejects_non_finite_values(bad):
 @pytest.mark.parametrize("rid", [0, -1, 2])
 def test_request_lookup_rejects_unknown_ids(rid):
     inst = Instance(name="a", requests=(_request(),), fleet_size=1,
-                    capacity=2, depot_loc=0, depot_window=(0.0, 100.0),
+                    capacity=2, depot_window=(0.0, 100.0),
                     metric=line_metric((0.0, 1.0, 2.0)))
     with pytest.raises(DataError, match="unknown request"):
         inst.request(rid)
@@ -225,28 +227,25 @@ def test_instance_validation():
     metric = line_metric((0.0, 1.0, 2.0))
     req = _request()
     ok = Instance(name="a", requests=(req,), fleet_size=1, capacity=2,
-                  depot_loc=0, depot_window=(0.0, 100.0), metric=metric)
+                  depot_window=(0.0, 100.0), metric=metric)
     assert ok.n == 1 and ok.horizon == 100.0
     assert ok.request(1) is req
     with pytest.raises(DataError, match="fleet"):
         Instance(name="a", requests=(req,), fleet_size=0, capacity=2,
-                 depot_loc=0, depot_window=(0.0, 100.0), metric=metric)
+                 depot_window=(0.0, 100.0), metric=metric)
     with pytest.raises(DataError, match="capacity"):
         Instance(name="a", requests=(_request(q=3),), fleet_size=1, capacity=2,
-                 depot_loc=0, depot_window=(0.0, 100.0), metric=metric)
+                 depot_window=(0.0, 100.0), metric=metric)
     with pytest.raises(DataError, match="ids"):
         Instance(name="a", requests=(_request(id=2),), fleet_size=1, capacity=2,
-                 depot_loc=0, depot_window=(0.0, 100.0), metric=metric)
-    with pytest.raises(DataError, match="scheme"):
-        Instance(name="a", requests=(_request(dropoff_loc=5),), fleet_size=1,
-                 capacity=2, depot_loc=0, depot_window=(0.0, 100.0), metric=metric)
+                 depot_window=(0.0, 100.0), metric=metric)
 
 
 @pytest.mark.parametrize("window", [(NAN, 100.0), (0.0, INF)])
 def test_instance_rejects_a_non_finite_depot_window(window):
     with pytest.raises(DataError, match="non-finite depot window"):
         Instance(name="a", requests=(_request(),), fleet_size=1, capacity=2,
-                 depot_loc=0, depot_window=window,
+                 depot_window=window,
                  metric=line_metric((0.0, 1.0, 2.0)))
 
 
@@ -258,7 +257,7 @@ def test_instance_rejects_a_metric_short_of_its_locations(metric):
     # one request needs locations 0, 1 and 2; the metric stops at 1
     with pytest.raises(DataError, match=r"metric covers locations 0\.\.1"):
         Instance(name="a", requests=(_request(),), fleet_size=1, capacity=2,
-                 depot_loc=0, depot_window=(0.0, 100.0), metric=metric)
+                 depot_window=(0.0, 100.0), metric=metric)
 
 
 def test_instance_json_rejects_a_short_metric():
@@ -267,14 +266,6 @@ def test_instance_json_rejects_a_short_metric():
     del doc["metric"]["coords"]["4"]
     with pytest.raises(DataError, match="metric covers locations 0..3"):
         instance_from_json(json.dumps(doc))
-
-
-@pytest.mark.parametrize("depot_loc", [-1, 1, 2])
-def test_instance_rejects_a_depot_away_from_location_zero(depot_loc):
-    with pytest.raises(DataError, match="depot must be location 0"):
-        Instance(name="a", requests=(_request(),), fleet_size=1, capacity=2,
-                 depot_loc=depot_loc, depot_window=(0.0, 100.0),
-                 metric=line_metric((0.0, 1.0, 2.0)))
 
 
 def test_instance_json_rejects_a_moved_depot():
@@ -288,15 +279,85 @@ def test_instance_json_rejects_a_moved_depot():
         instance_from_json(json.dumps(doc))
 
 
+def _refused_by_the_cli(doc, tmp_path, capsys):
+    """The command-line error line for an instance document, which must
+    make ``darpkit graph`` exit 2."""
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["graph", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+def _field(doc, where):
+    """(node, key) of the field at path ``where`` of a JSON document."""
+    node = doc
+    for key in where[:-1]:
+        node = node[key]
+    return node, where[-1]
+
+
+SCHEME = "locations must follow the 0/1..n/n+1..2n scheme"
+
+
+@pytest.mark.parametrize("moves, message", [
+    ([(("depot", "location"), -1)], "depot must be location 0, got -1"),
+    ([(("depot", "location"), 1)], "depot must be location 0, got 1"),
+    ([(("depot", "location"), 2)], "depot must be location 0, got 2"),
+    ([(("requests", 0, "pickup", "location"), 2)], f"request 1: {SCHEME}"),
+    ([(("requests", 2, "dropoff", "location"), 5)], f"request 3: {SCHEME}"),
+    ([(("requests", 1, "pickup", "location"), 5),
+      (("requests", 1, "dropoff", "location"), 2)], f"request 2: {SCHEME}"),
+    ([(("requests", 0, "pickup", "location"), 2),
+      (("requests", 1, "pickup", "location"), 1)], f"request 1: {SCHEME}"),
+], ids=["depot=-1", "depot=1", "depot=2", "pickup-shifted", "dropoff-shifted",
+        "pickup-dropoff-swapped", "pickups-swapped"])
+def test_instance_json_refuses_locations_off_the_scheme(moves, message, tmp_path,
+                                                        capsys):
+    doc = json.loads(instance_to_json(
+        generate_synthetic(GeneratorConfig(n=3, capacity=3, seed=1))))
+    for where, value in moves:
+        node, key = _field(doc, where)
+        node[key] = value
+    with pytest.raises(DataError, match=re.escape(message)):
+        instance_from_json(json.dumps(doc))
+    assert message in _refused_by_the_cli(doc, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("where, value", [
+    (("fleet_size",), 2.9), (("fleet_size",), "2"),
+    (("capacity",), 3.5), (("capacity",), True),
+    (("requests", 0, "q"), 1.5), (("requests", 0, "id"), 1.7),
+    (("requests", 0, "q"), False), (("depot", "location"), 0.5),
+    (("requests", 1, "pickup", "location"), 2.0000001),
+    (("requests", 1, "dropoff", "location"), "5"),
+])
+def test_instance_json_reads_integers_strictly(where, value, tmp_path, capsys):
+    inst = generate_synthetic(GeneratorConfig(n=3, capacity=3, seed=1))
+    doc = json.loads(instance_to_json(inst))
+    node, key = _field(doc, where)
+    # an integral float reads as the integer it is
+    node[key] = float(node[key])
+    same = instance_from_json(json.dumps(doc))
+    assert same == inst
+    assert type(same.fleet_size) is int and type(same.capacity) is int
+    assert all(type(r.id) is int and type(r.q) is int for r in same.requests)
+    node[key] = value
+    with pytest.raises(ParseError, match="must be an integer"):
+        instance_from_json(json.dumps(doc))
+    assert "must be an integer" in _refused_by_the_cli(doc, tmp_path, capsys)
+
+
 def test_instance_stop_tables(stacked_instance):
     inst = stacked_instance
     assert inst.windows[0] == inst.depot_window and inst.service[0] == 0.0
     for r in inst.requests:
-        assert inst.location(r.id, PICKUP) == r.pickup_loc
-        assert inst.location(r.id, DROPOFF) == r.dropoff_loc
-        assert inst.windows[r.pickup_loc] == r.pickup_window
-        assert inst.windows[r.dropoff_loc] == r.dropoff_window
-        assert inst.service[r.pickup_loc] == inst.service[r.dropoff_loc] == r.s
+        pickup, dropoff = inst.location(r.id, PICKUP), inst.location(r.id, DROPOFF)
+        assert (pickup, dropoff) == (r.id, inst.n + r.id)
+        assert inst.windows[pickup] == r.pickup_window
+        assert inst.windows[dropoff] == r.dropoff_window
+        assert inst.service[pickup] == inst.service[dropoff] == r.s
     assert len(inst.windows) == len(inst.service) == 2 * inst.n + 1
     with pytest.raises(DataError, match="unknown request"):
         inst.location(inst.n + 1, PICKUP)
@@ -484,7 +545,7 @@ def test_generator_windows_and_rides():
         assert 15.0 <= e <= 60.0
         assert (e - 15.0) % 5.0 == 0.0
         assert l - e == 15.0
-        direct = inst.metric.time(r.pickup_loc, r.dropoff_loc)
+        direct = inst.metric.time(r.id, inst.n + r.id)
         assert r.max_ride == pytest.approx(1.5 * direct)
         # derived dropoff window, no clipping at the horizon
         assert r.dropoff_window[0] == pytest.approx(e + r.s + direct)
@@ -524,6 +585,22 @@ def test_generator_refuses_a_non_finite_area(side):
 # ---------------------------------------------------------------------------
 # JSON round trip
 # ---------------------------------------------------------------------------
+
+# SHA-256 over the JSON text of the 50 criterion-3 instances and the n=15
+# q=3 instances of seeds 1 and 2; every artifact's binding to its
+# instance (``instance_sha256``) rests on this text
+INSTANCE_JSON_DIGEST = "c143da143f2f530e0631ee1c06611ff20a3b6bd6d79bb43bebd41a14fe845736"
+
+
+def test_instance_json_stays_byte_identical():
+    insts = [*criterion3_instances(),
+             *(generate_synthetic(GeneratorConfig(n=15, capacity=3, seed=seed))
+               for seed in (1, 2))]
+    digest = hashlib.sha256()
+    for inst in insts:
+        digest.update(instance_to_json(inst).encode() + b"\0")
+    assert digest.hexdigest() == INSTANCE_JSON_DIGEST
+
 
 def test_instance_json_round_trip_generated():
     inst = generate_synthetic(GeneratorConfig(n=5, capacity=6, seed=3))

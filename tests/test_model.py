@@ -370,7 +370,7 @@ def test_pair_rule_keeps_every_feasible_stop_order(criterion3_suite):
         node_id = {node: v for v, node in enumerate(graph.nodes)}
         arcs = set(zip(graph.arcs.tail, graph.arcs.head))
         for orders in _stop_orders(inst).values():
-            for tour, _ in orders:
+            for tour, _ in (rec[:2] for rec in orders):
                 ids = [0] + [node_id[node] for node in _state_path(tour)] + [0]
                 assert set(zip(ids, ids[1:])) <= arcs, (inst.name, tour)
                 checked += 1

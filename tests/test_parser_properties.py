@@ -17,6 +17,8 @@ from darpkit import (
     solution_to_json,
 )
 
+from darpkit.instance import DEPOT_LOCATION, DROPOFF, PICKUP
+
 from helpers import TINY_CORDEAU_TEXT
 from test_backend import MIN_MPS
 
@@ -26,8 +28,10 @@ SOLUTION_DOC = json.loads(solution_to_json(oracle_solve(INSTANCE)))
 
 PROPERTY = settings(max_examples=300, deadline=None)
 
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+                | st.floats(-10, 10) | st.text(max_size=5))
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    JSON_SCALARS,
     lambda inner: (st.lists(inner, max_size=3)
                    | st.dictionaries(st.text(max_size=5), inner, max_size=3)),
     max_leaves=6)
@@ -60,9 +64,21 @@ def _replaced(doc, path, value):
     return doc
 
 
-def _one_field_replaced(doc):
+def _one_field_replaced(doc, paths=None, values=JSON_VALUES):
     return st.builds(lambda path, value: json.dumps(_replaced(doc, path, value)),
-                     st.sampled_from(list(_paths(doc))), JSON_VALUES)
+                     st.sampled_from(paths or list(_paths(doc))), values)
+
+
+def _value_at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+# the instance document's integer fields: fleet size, capacity, ids, seat
+# demands and locations
+INTEGER_PATHS = [path for path in _paths(INSTANCE_DOC)
+                 if type(_value_at(INSTANCE_DOC, path)) is int]
 
 
 def _one_token_replaced(text):
@@ -97,6 +113,35 @@ def _accepts_or_raises_typed(parse, *args):
 @given(_one_field_replaced(INSTANCE_DOC))
 def test_instance_json_parser_is_total(text):
     _accepts_or_raises_typed(instance_from_json, text)
+
+
+def _same_integer(loaded, given):
+    return type(loaded) is int and type(given) in (int, float) and loaded == given
+
+
+def test_the_integer_fields_are_found():
+    assert len(INTEGER_PATHS) == 3 + 4 * INSTANCE.n
+
+
+@PROPERTY
+@given(_one_field_replaced(INSTANCE_DOC)
+       | _one_field_replaced(INSTANCE_DOC, INTEGER_PATHS, JSON_SCALARS))
+def test_instance_json_loads_integer_fields_as_given(text):
+    # a document that loads holds, in every integer field, exactly the
+    # integer the instance carries: nothing is truncated or coerced
+    try:
+        inst = instance_from_json(text)
+    except DarpkitError:
+        return
+    doc = json.loads(text)
+    assert _same_integer(inst.fleet_size, doc["fleet_size"])
+    assert _same_integer(inst.capacity, doc["capacity"])
+    assert _same_integer(DEPOT_LOCATION, doc["depot"]["location"])
+    for req, given in zip(inst.requests, doc["requests"], strict=True):
+        assert _same_integer(req.id, given["id"])
+        assert _same_integer(req.q, given["q"])
+        for kind in (PICKUP, DROPOFF):
+            assert _same_integer(inst.location(req.id, kind), given[kind]["location"])
 
 
 @PROPERTY

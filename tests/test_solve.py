@@ -15,8 +15,9 @@ from darpkit import (
     solution_to_json, validate_solution,
 )
 from darpkit.event_graph import DROPOFF, PICKUP
+from darpkit.instance import DEPOT_LOCATION
 from darpkit import solve as solve_module
-from darpkit.schedule import _Prefix, _tour_times
+from darpkit.schedule import _Prefix, _schedule, _tour_cost, _tour_times
 from darpkit.solve import _stop_orders
 
 from helpers import criterion3_instances, line_instance, lp_schedule, lp_tours
@@ -172,7 +173,7 @@ def test_positive_cycle_through_a_nested_ride_is_infeasible():
     assert not prefix.push(tour[3])
     assert prefix.stops == tour[:3] and prefix.times == [1.0, 2.0, 3.0]
     # the three orders without a nested ride, in the search's step order
-    assert _stop_orders(inst)[frozenset({1, 2})] == [
+    assert [rec[:2] for rec in _stop_orders(inst)[frozenset({1, 2})]] == [
         (((1, P), (2, P), (1, D), (2, D)), (1.0, 2.0, 2.5, 3.0)),
         (((1, P), (1, D), (2, P), (2, D)), (1.0, 2.5, 3.0, 4.0)),
         (((2, P), (2, D), (1, P), (1, D)), (2.0, 3.0, 5.0, 6.5)),
@@ -216,7 +217,11 @@ def test_stop_orders_are_the_lp_feasible_orders(gen_instances, pooling_instance,
             for block in itertools.combinations(range(1, inst.n + 1), k):
                 expected = dict(lp_tours(block, inst))
                 listed = orders.pop(frozenset(block), [])
-                found = dict(listed)
+                found = dict(rec[:2] for rec in listed)
+                for tour, times, cost, excess in listed:
+                    assert cost == _tour_cost(tour, inst)
+                    assert excess == tuple(
+                        _schedule((tour,), (times,), inst).excess.values())
                 assert len(found) == len(listed), (inst.name, block)
                 assert found.keys() == expected.keys(), (inst.name, block)
                 for tour, times in found.items():
@@ -266,13 +271,12 @@ def brute_reference(inst, objective):
 
     def walk_cost(perm):
         cost = 0.0
-        prev = inst.depot_loc
+        prev = DEPOT_LOCATION
         for rid, kind in perm:
-            req = inst.request(rid)
-            loc = req.pickup_loc if kind == P else req.dropoff_loc
+            loc = inst.location(rid, kind)
             cost += inst.metric.cost(prev, loc)
             prev = loc
-        return cost + inst.metric.cost(prev, inst.depot_loc)
+        return cost + inst.metric.cost(prev, DEPOT_LOCATION)
 
     best = None
     if obj.variant == "request_cost_excess":
