@@ -20,9 +20,9 @@ from .event_graph import (
     build_event_graph, graph_stats, node_count_closed_form, to_dot,
 )
 from .model import (
-    MODEL2, MODEL3, OBJECTIVES, VARIANTS, BigM, MilpModel, ObjectiveSpec,
-    ObjectiveValue, build_model, combine_components, compute_big_m,
-    read_mapping, variable_mapping, write_lp, write_mapping, write_mps,
+    MODEL2, MODEL3, OBJECTIVES, VARIANTS, MilpModel, ObjectiveSpec,
+    ObjectiveValue, build_model, combine_components, read_mapping,
+    variable_mapping, write_lp, write_mapping, write_mps,
 )
 from .solve import (
     ORACLE_LIMIT, Schedule, Solution, ValidationReport, Violation,
@@ -31,7 +31,7 @@ from .solve import (
 )
 from .backend import (
     MilpResult, ParsedMip, parse_mps, read_assignment, solve_mip,
-    solve_mps_text, write_assignment,
+    write_assignment,
 )
 
 __version__ = "0.1.0"
@@ -45,14 +45,14 @@ __all__ = [
     "tighten_time_windows", "compatible_pairs",
     "ArcTable", "EventGraph", "EventNode", "arc_count_closed_form",
     "build_event_graph", "graph_stats", "node_count_closed_form", "to_dot",
-    "MODEL2", "MODEL3", "OBJECTIVES", "VARIANTS", "BigM", "MilpModel",
+    "MODEL2", "MODEL3", "OBJECTIVES", "VARIANTS", "MilpModel",
     "ObjectiveSpec", "ObjectiveValue", "build_model", "combine_components",
-    "compute_big_m", "read_mapping", "variable_mapping", "write_lp",
-    "write_mapping", "write_mps",
+    "read_mapping", "variable_mapping", "write_lp", "write_mapping",
+    "write_mps",
     "ORACLE_LIMIT", "Schedule", "Solution", "ValidationReport", "Violation",
     "evaluate_objective", "import_solution", "max_acceptance",
     "minimal_schedule", "oracle_solve", "solution_from_json", "solution_to_json", "validate_solution",
     "MilpResult", "ParsedMip", "parse_mps", "read_assignment", "solve_mip",
-    "solve_mps_text", "write_assignment",
+    "write_assignment",
     "__version__",
 ]

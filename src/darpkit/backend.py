@@ -348,11 +348,6 @@ def solve_mip(mip: ParsedMip, time_limit: float | None = None,
                       **stats)
 
 
-def solve_mps_text(text: str, time_limit: float | None = None,
-                   mip_gap: float = 0.0) -> MilpResult:
-    return solve_mip(parse_mps(text), time_limit=time_limit, mip_gap=mip_gap)
-
-
 def write_assignment(result: MilpResult) -> str:
     """One ``name value`` line per variable, full float precision."""
     if result.objective is None:

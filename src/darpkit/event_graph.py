@@ -240,7 +240,7 @@ def build_event_graph(inst: Instance, *, pruned: bool = False) -> EventGraph:
     states that leave that set on board and the dropoff states that
     leave it behind; a dropoff state skips its own request's pickup.
     Each state appends its block as one run to each column, its travel
-    data read from its location's cost and time rows.
+    data read from the metric's cost and time rows of its location.
     """
     for req in inst.requests:
         if req.direction is None:
@@ -285,10 +285,7 @@ def build_event_graph(inst: Instance, *, pruned: bool = False) -> EventGraph:
             locations.append(loc)
     picks = len(rank) - 1
 
-    # travel data as per-location rows: row[b] is the value from a to b
     m = 2 * n + 1
-    t_rows = [inst.metric.time_row(a) for a in range(m)]
-    c_rows = [inst.metric.cost_row(a) for a in range(m)]
     # the arc rule's two sides: e + s of each tail, l (plus the tolerance)
     # of each head
     ready = [inst.windows[a][0] + inst.service[a] for a in range(m)]
@@ -355,7 +352,7 @@ def build_event_graph(inst: Instance, *, pruned: bool = False) -> EventGraph:
             heads, locs = pick_after[()]
             get, classes, own = _getter(locs), [LEAVE_DEPOT] * len(heads), None
             lates = get(late_row) if pruned else None
-        costs, times = get(c_rows[lt]), get(t_rows[lt])
+        costs, times = get(inst.metric.cost_rows[lt]), get(inst.metric.time_rows[lt])
         count = len(heads)
         if pruned:
             # the arc rule, e_tail + s_tail + t <= l_head, and no arc back

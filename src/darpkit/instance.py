@@ -50,16 +50,18 @@ class TravelMetric:
     given, covering location ids 0..m-1.  With coordinates the cost
     between two locations is their Euclidean distance and the travel time
     is ``time_factor`` times the cost.  Matrices are indexed directly by
-    location id and carry times verbatim.  Both sources are turned into
-    one cost table and one time table when the metric is built.
+    location id and carry times verbatim, so their ``time_factor`` must be
+    1.  Both sources are turned into one cost table and one time table
+    when the metric is built: ``cost_rows[a][b]`` and ``time_rows[a][b]``
+    are the values from a to b.
     """
 
     coords: Mapping[int, tuple[float, float]] | None = None
     cost_matrix: tuple[tuple[float, ...], ...] | None = None
     time_matrix: tuple[tuple[float, ...], ...] | None = None
     time_factor: float = 1.0
-    _cost: dict = field(init=False, repr=False, compare=False)
-    _time: dict = field(init=False, repr=False, compare=False)
+    cost_rows: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
+    time_rows: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         has_coords = self.coords is not None
@@ -71,6 +73,9 @@ class TravelMetric:
         if has_matrix:
             if self.cost_matrix is None or self.time_matrix is None:
                 raise DataError("matrix metric needs both a cost and a time matrix")
+            if self.time_factor != 1:
+                raise DataError("time_factor must be 1 for a matrix metric, "
+                                "whose times are given")
             self._check_matrix(self.cost_matrix, "cost")
             self._check_matrix(self.time_matrix, "time")
             if len(self.cost_matrix) != len(self.time_matrix):
@@ -85,10 +90,8 @@ class TravelMetric:
                 raise DataError(f"non-finite coordinate for location {bad[0]}")
             cost = [[math.hypot(xa - xb, ya - yb) for xb, yb in pts] for xa, ya in pts]
             time = [[self.time_factor * c for c in row] for row in cost]
-        # {a: {b: value}}: a missing key is an unknown id, negative ones included
-        for name, table in (("_cost", cost), ("_time", time)):
-            object.__setattr__(self, name, {a: dict(enumerate(row))
-                                            for a, row in enumerate(table)})
+        object.__setattr__(self, "cost_rows", tuple(map(tuple, cost)))
+        object.__setattr__(self, "time_rows", tuple(map(tuple, time)))
 
     @staticmethod
     def _check_matrix(mat, label):
@@ -117,34 +120,20 @@ class TravelMetric:
     @property
     def size(self) -> int:
         """Number of locations; the ids run 0..size-1."""
-        return len(self._cost)
+        return len(self.cost_rows)
 
     def cost(self, a: int, b: int) -> float:
-        try:
-            return self._cost[a][b]
-        except KeyError as exc:
-            raise DataError(f"unknown location id {exc.args[0]}") from None
+        return self.cost_rows[self._id(a)][self._id(b)]
 
     def time(self, a: int, b: int) -> float:
-        try:
-            return self._time[a][b]
-        except KeyError as exc:
-            raise DataError(f"unknown location id {exc.args[0]}") from None
+        return self.time_rows[self._id(a)][self._id(b)]
 
-    def cost_row(self, a: int) -> tuple[float, ...]:
-        """Costs from ``a`` to every location, indexed by location id."""
-        return self._row(self._cost, a)
-
-    def time_row(self, a: int) -> tuple[float, ...]:
-        """Travel times from ``a`` to every location, indexed by location id."""
-        return self._row(self._time, a)
-
-    @staticmethod
-    def _row(table: dict, a: int) -> tuple[float, ...]:
-        try:
-            return tuple(table[a].values())
-        except KeyError:
-            raise DataError(f"unknown location id {a}") from None
+    def _id(self, a: int) -> int:
+        """``a``, refused unless it is a location id (a negative one would
+        index a row from its end)."""
+        if not 0 <= a < len(self.cost_rows):
+            raise DataError(f"unknown location id {a}")
+        return a
 
 
 @dataclass(frozen=True)

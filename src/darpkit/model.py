@@ -159,39 +159,6 @@ def combine_components(obj: ObjectiveSpec, cost: float, excess: float,
                                      (cost, excess, max_excess, denied)) if w)
 
 
-@dataclass(frozen=True)
-class BigM:
-    """Big-M coefficients, each at its exact lower bound (floored at 0).
-
-    ``ride[i]`` relaxes a model2 hub row of request i (a dropoff node's
-    time below ``z_i``, or ``z_i`` within the ride limit of a pickup
-    node's time) when its node is inactive; a dropoff row and a pickup row
-    together relax the pairwise ride-time row by ``2 * ride[i]``.
-    ``link[a]`` relaxes the travel-time row of arc a when the arc is not
-    used.
-    """
-
-    ride: dict[int, float]
-    link: dict[int, float]
-
-
-def compute_big_m(graph: EventGraph) -> BigM:
-    """Exact big-M values from windows, services and arc travel times."""
-    inst = graph.inst
-    ride = {}
-    for req in inst.requests:
-        ride[req.id] = max(
-            0.0,
-            req.dropoff_window[1] - req.pickup_window[0] - req.max_ride - req.s)
-    link = {}
-    arcs, locs = graph.arcs, graph.locations
-    for a, (v, w, t) in enumerate(zip(arcs.tail, arcs.head, arcs.time)):
-        tail, head = locs[v], locs[w]
-        link[a] = max(0.0, inst.windows[tail][1] - inst.windows[head][0]
-                      + inst.service[tail] + t)
-    return BigM(ride=ride, link=link)
-
-
 @dataclass(slots=True)
 class Var:
     name: str
@@ -267,7 +234,6 @@ def _assemble(graph: EventGraph, variant: str,
     w_cost, w_excess, w_max, w_denied = obj._weights()
 
     model = MilpModel(graph, variant, obj)
-    m = compute_big_m(graph)
 
     # variables; integer block first so the MPS writer emits one marker pair
     x = [model.add_var("x", a, 0.0, 1.0) for a in range(graph.arc_count)]
@@ -316,38 +282,47 @@ def _assemble(graph: EventGraph, variant: str,
     model.add_row("fleet", "fleet", "L", float(inst.fleet_size),
                   [(x[a], 1.0) for a in graph.out_arcs[graph.depot_node]])
 
-    # consecutive times along a used travel arc:  B_head >= B_tail + s + t
+    # each arc's big-M relaxes its travel or depot row below when the arc
+    # is unused: l_tail - e_head + s_tail + t, its exact bound, floored at 0
     arcs = graph.arcs
-    for a, (v, w, cls, t) in enumerate(
-            zip(arcs.tail, arcs.head, arcs.cls, arcs.time)):
+    windows, service = inst.windows, inst.service
+    big_m = [max(0.0, windows[locs[v]][1] - windows[locs[w]][0]
+                 + service[locs[v]] + t)
+             for v, w, t in zip(arcs.tail, arcs.head, arcs.time)]
+
+    # consecutive times along a used travel arc:  B_head >= B_tail + s + t
+    for a, (v, w, cls, t, mm) in enumerate(
+            zip(arcs.tail, arcs.head, arcs.cls, arcs.time, big_m)):
         if cls not in _TRAVEL_CLASSES:
             continue
-        mm = m.link[a]
-        s_tail = inst.service[locs[v]]
+        s_tail = service[locs[v]]
         model.add_row(
             "travel_link", f"tt_{a}", "L", mm - s_tail - t,
             [(B[v], 1.0), (B[w], -1.0), (x[a], mm)])
 
     # tours start no earlier than the depot opens and end before it closes
     e0, l0 = inst.depot_window
-    for a, (v, w, cls, t) in enumerate(
-            zip(arcs.tail, arcs.head, arcs.cls, arcs.time)):
+    for a, (v, w, cls, t, mm) in enumerate(
+            zip(arcs.tail, arcs.head, arcs.cls, arcs.time, big_m)):
         if cls == LEAVE_DEPOT:
             model.add_row(
-                "depot_depart", f"dep_{a}", "G", e0 + t - m.link[a],
-                [(B[w], 1.0), (x[a], -m.link[a])])
+                "depot_depart", f"dep_{a}", "G", e0 + t - mm,
+                [(B[w], 1.0), (x[a], -mm)])
         elif cls == RETURN_DEPOT:
-            s_tail = inst.service[locs[v]]
+            s_tail = service[locs[v]]
             model.add_row(
-                "depot_return", f"ret_{a}", "L", l0 - s_tail - t + m.link[a],
-                [(B[v], 1.0), (x[a], m.link[a])])
+                "depot_return", f"ret_{a}", "L", l0 - s_tail - t + mm,
+                [(B[v], 1.0), (x[a], mm)])
 
     # ride time through the hub z_i:  B_w <= z_i <= B_v + L_i + s_i for
     # every dropoff state w and pickup state v of request i; in model2 a
-    # row relaxes by M_i unless its state is active
+    # row relaxes by M_i = l_i- - e_i+ - L_i - s_i, floored at 0, unless its
+    # state is active (a dropoff row and a pickup row together relax the
+    # pairwise ride row by 2 M_i)
     for req in inst.requests:
-        mi = m.ride[req.id] if variant == MODEL2 else 0.0
         limit = req.max_ride + req.s
+        mi = max(0.0, req.dropoff_window[1] - req.pickup_window[0]
+                 - req.max_ride - req.s) if variant == MODEL2 else 0.0
         zi = z[req.id]
         for w in graph.dropoff_nodes[req.id]:
             terms = [(B[w], 1.0), (zi, -1.0)]

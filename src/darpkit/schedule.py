@@ -64,7 +64,8 @@ class _Prefix:
         self.inst = inst
         self.stops: list[Stop] = []
         self.times: list[float] = []
-        self._stop, self._rows = inst._memoised("schedule_tables", _tables)
+        self._stop = inst._memoised("stop_table", _stop_table)
+        self._rows = inst.metric.time_rows
         self._locs: list[int] = []
         self._gaps: list[float] = []    # service plus travel to the next stop
         self._rides: list[tuple[int, float] | None] = []    # (pickup, -limit)
@@ -156,22 +157,20 @@ class _Prefix:
         inst = self.inst
         last = self._locs[-1]
         latest = (inst.depot_window[1] - inst.service[last]
-                  - inst.metric.time(last, DEPOT_LOCATION))
+                  - self._rows[last][DEPOT_LOCATION])
         return not self.times[-1] > latest + _TIME_EPS
 
 
-def _tables(inst: Instance) -> tuple[dict, list]:
-    """What a schedule step reads, once per instance: each stop's
-    location, window and negated ride limit (None for a pickup), and the
-    travel-time row of every location."""
+def _stop_table(inst: Instance) -> dict:
+    """What a schedule step reads of each stop, once per instance: its
+    location, window and negated ride limit (None for a pickup)."""
     stop = {}
     for req in inst.requests:
         stop[req.id, PICKUP] = (inst.location(req.id, PICKUP),
                                 *req.pickup_window, None)
         stop[req.id, DROPOFF] = (inst.location(req.id, DROPOFF),
                                  *req.dropoff_window, -(req.max_ride + req.s))
-    rows = [inst.metric.time_row(a) for a in range(2 * inst.n + 1)]
-    return stop, rows
+    return stop
 
 
 def _tour_times(stops: Sequence[Stop], inst: Instance) -> list[float] | None:
@@ -218,13 +217,14 @@ def _check_structure(stops: Sequence[Stop], inst: Instance):
 
 
 def _tour_cost(stops: Sequence[Stop], inst: Instance) -> float:
+    rows = inst.metric.cost_rows
     cost = 0.0
     prev = DEPOT_LOCATION
     for stop in stops:
         loc = inst.location(*stop)
-        cost += inst.metric.cost(prev, loc)
+        cost += rows[prev][loc]
         prev = loc
-    return cost + inst.metric.cost(prev, DEPOT_LOCATION)
+    return cost + rows[prev][DEPOT_LOCATION]
 
 
 def _tour_makespan(stops: Sequence[Stop], times: Sequence[float],

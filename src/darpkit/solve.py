@@ -550,7 +550,7 @@ def solution_from_json(text: str, inst: Instance) -> Solution:
             cost=float(doc["objective"]["f_c"]),
             excess=float(doc["objective"]["f_e"]),
             max_excess=float(doc["objective"]["f_emax"]),
-            denied=int(doc["objective"]["f_n"]))
+            denied=_json_int(doc["objective"]["f_n"], "f_n"))
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ParseError(f"solution JSON is missing or mistypes a field: {exc}") from None
     if not all(math.isfinite(when) for ts in times for when in ts):

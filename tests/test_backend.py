@@ -8,7 +8,7 @@ from scipy import optimize
 from darpkit import (
     DataError, GeneratorConfig, MilpResult, ObjectiveSpec, ParseError,
     build_event_graph, build_model, generate_synthetic, oracle_solve, parse_mps,
-    read_assignment, solve_mip, solve_mps_text, write_assignment, write_mps,
+    read_assignment, solve_mip, write_assignment, write_mps,
 )
 from darpkit.backend import highs_options
 
@@ -222,7 +222,7 @@ def test_parse_mps_drops_free_rows():
     assert mip.obj_constant == ref.obj_constant
     assert list(mip.rhs) == list(ref.rhs)
     assert mip.matrix.toarray().tolist() == ref.matrix.toarray().tolist()
-    assert solve_mps_text(text).objective == pytest.approx(10.0)
+    assert solve_mip(parse_mps(text)).objective == pytest.approx(10.0)
 
 
 @pytest.mark.parametrize("old, new, message", [
@@ -242,7 +242,7 @@ def test_parse_mps_data_before_section():
 
 
 def test_solve_min_fixture():
-    result = solve_mps_text(MIN_MPS)
+    result = solve_mip(parse_mps(MIN_MPS))
     assert result.status == "optimal"
     # a=1 beats b=1 on cost, c sits at its floor, constant 7.5 added
     assert result.objective == pytest.approx(10.0)
@@ -252,7 +252,7 @@ def test_solve_min_fixture():
 
 
 def test_solve_maximization():
-    result = solve_mps_text(KNAP_MPS)
+    result = solve_mip(parse_mps(KNAP_MPS))
     assert result.status == "optimal"
     assert result.objective == pytest.approx(5.0)
     assert result.assignment["x"] == pytest.approx(1.0)
@@ -280,7 +280,7 @@ BOUNDS
  UP BND       y            100.0
 ENDATA
 """
-    result = solve_mps_text(text)
+    result = solve_mip(parse_mps(text))
     assert result.status == "optimal"
     # lid becomes 6 <= x <= 10, pin becomes 3 <= y <= 4.5
     assert result.objective == pytest.approx(9.0)
@@ -291,7 +291,7 @@ ENDATA
 def test_solve_infeasible():
     text = MIN_MPS.replace("    RHS       floor          0.5",
                            "    RHS       floor          9.5")
-    result = solve_mps_text(text)   # c <= 4 cannot reach 9.5
+    result = solve_mip(parse_mps(text))   # c <= 4 cannot reach 9.5
     assert result.status == "infeasible"
     assert result.objective is None
     assert result.assignment == {}
@@ -318,13 +318,13 @@ COLUMNS
 RHS
 ENDATA
 """
-    assert solve_mps_text(text).status == "unbounded"
+    assert solve_mip(parse_mps(text)).status == "unbounded"
 
 
 def test_solve_model_export_matches_oracle(pooling_instance):
     graph = build_event_graph(pooling_instance)
     model = build_model(graph, "model2", ObjectiveSpec(variant="cost"))
-    result = solve_mps_text(write_mps(model))
+    result = solve_mip(parse_mps(write_mps(model)))
     exact = oracle_solve(pooling_instance, ObjectiveSpec(variant="cost"))
     assert result.status == "optimal"
     assert result.objective == pytest.approx(exact.objective.total, abs=1e-6)

@@ -660,6 +660,25 @@ def test_nan_time_factor_exits_2(tmp_path, instance_file, capsys):
         assert capsys.readouterr().err.startswith("error: time_factor")
 
 
+def test_matrix_time_factor_exits_2(tmp_path, capsys):
+    inst = line_instance(
+        "matrix", positions=(0.0, 1.0, 4.0),
+        specs=[{"pickup": (10, 30), "dropoff": (20, 100), "max_ride": 40}],
+        fleet_size=1, capacity=1, depot_window=(0.0, 200.0))
+    doc = json.loads(instance_to_json(inst))
+    assert doc["metric"]["time_factor"] == 1.0
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["graph", str(path)]) == 0
+    capsys.readouterr()
+    # a matrix carries its times: a factor other than 1 would be ignored
+    doc["metric"]["time_factor"] = 4
+    path.write_text(json.dumps(doc))
+    assert cli.main(["graph", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: time_factor must be 1") and err.count("\n") == 1
+
+
 def test_model_census_lists_the_hub_variables(instance_file, capsys):
     assert cli.main(["model", str(instance_file)]) == 0
     line = next(line for line in capsys.readouterr().out.splitlines()

@@ -55,13 +55,24 @@ def test_metric_rejects_ids_outside_the_table(metric, a, b):
                  time_factor=4.0),
 ], ids=["matrix", "coords"])
 def test_metric_rows_hold_the_pairwise_values(metric):
+    for rows in (metric.cost_rows, metric.time_rows):
+        assert type(rows) is tuple and len(rows) == metric.size == 3
+        assert all(type(row) is tuple and len(row) == 3 for row in rows)
     for a in range(metric.size):
-        assert metric.cost_row(a) == tuple(metric.cost(a, b) for b in range(3))
-        assert metric.time_row(a) == tuple(metric.time(a, b) for b in range(3))
-    for a in (-1, 3):
-        for row in (metric.cost_row, metric.time_row):
-            with pytest.raises(DataError, match=f"unknown location id {a}"):
-                row(a)
+        assert metric.cost_rows[a] == tuple(metric.cost(a, b) for b in range(3))
+        assert metric.time_rows[a] == tuple(metric.time(a, b) for b in range(3))
+        assert metric.time_rows[a] == tuple(metric.time_factor * c
+                                            for c in metric.cost_rows[a])
+
+
+@pytest.mark.parametrize("factor", [4.0, 0.5])
+def test_matrix_metric_refuses_a_time_factor(factor):
+    mat = line_metric((0.0, 1.0)).cost_matrix
+    # a matrix carries its times, so another factor would be stored unused
+    with pytest.raises(DataError, match="time_factor must be 1"):
+        TravelMetric(cost_matrix=mat, time_matrix=mat, time_factor=factor)
+    metric = TravelMetric(cost_matrix=mat, time_matrix=mat, time_factor=1)
+    assert metric.time(0, 1) == 1.0
 
 
 def test_metric_rejects_coordinates_that_skip_an_id():

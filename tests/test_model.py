@@ -8,7 +8,7 @@ from scipy import optimize, sparse
 from darpkit import (
     OBJECTIVES, DataError, GeneratorConfig, ObjectiveSpec, ObjectiveValue,
     Schedule, Solution, build_event_graph, build_model, combine_components,
-    compatible_pairs, compute_big_m, evaluate_objective, generate_synthetic,
+    compatible_pairs, evaluate_objective, generate_synthetic,
     instance_sha256, oracle_solve, parse_mps, read_mapping, solve_mip,
     variable_mapping, write_lp, write_mapping, write_mps,
 )
@@ -71,21 +71,59 @@ def test_combine_components():
 
 
 # ---------------------------------------------------------------------------
-# big-M coefficients
+# big-M coefficients, read off the rows that carry them
 # ---------------------------------------------------------------------------
 
+def _link_m(graph, a):
+    """Arc a's big-M: l_tail - e_head + s_tail + t, floored at 0."""
+    inst, arcs = graph.inst, graph.arcs
+    tail, head = graph.locations[arcs.tail[a]], graph.locations[arcs.head[a]]
+    return max(0.0, inst.windows[tail][1] - inst.windows[head][0]
+               + inst.service[tail] + arcs.time[a])
+
+
+def _ride_m(req):
+    """Request ``req``'s ride-row big-M in model2: l_i- - e_i+ - L_i - s_i,
+    floored at 0."""
+    return max(0.0, req.dropoff_window[1] - req.pickup_window[0]
+               - req.max_ride - req.s)
+
+
+def _arc_rows(model):
+    """{arc: (row, the row's coefficient on the arc's x)} over the travel
+    and depot rows (``tt_``, ``dep_``, ``ret_``)."""
+    out = {}
+    for row in model.rows:
+        family, _, a = row.name.partition("_")
+        if family in ("tt", "dep", "ret"):
+            coef = {model.vars[idx].name: c for idx, c in row.terms}
+            out[int(a)] = (row, coef[f"x_{a}"])
+    return out
+
+
+def _ride_coefs(model):
+    """{ride row name: (rhs, the row's x coefficients)}."""
+    return {row.name: (row.rhs, [c for idx, c in row.terms
+                                 if model.vars[idx].kind == "x"])
+            for row in model.rows if row.name.startswith("ride_")}
+
+
 def test_big_m_values(single_request_instance):
-    graph = build_event_graph(single_request_instance)
-    m = compute_big_m(graph)
-    # dropoff window end 100, pickup start 10, ride limit 40, service 2
-    assert m.ride[1] == pytest.approx(48.0)
-    by_cls = {cls: a for a, cls in enumerate(graph.arcs.cls)}
+    model = build_model(build_event_graph(single_request_instance), "model2",
+                        ObjectiveSpec(variant="cost"))
+    rows = _arc_rows(model)
+    link = {cls: rows[a][1] for a, cls in enumerate(model.graph.arcs.cls)}
     # pickup tail closes at 30, dropoff head opens at 20, travel 3
-    assert m.link[by_cls[PICKUP_DROPOFF]] == pytest.approx(30.0 - 20.0 + 2.0 + 3.0)
-    # depot tail closes at 200, pickup head opens at 10, travel 1
-    assert m.link[by_cls[LEAVE_DEPOT]] == pytest.approx(200.0 - 10.0 + 0.0 + 1.0)
+    assert link[PICKUP_DROPOFF] == pytest.approx(30.0 - 20.0 + 2.0 + 3.0)
+    # depot tail closes at 200, pickup head opens at 10, travel 1; the
+    # departure row is a >= row, so its x coefficient is -M
+    assert link[LEAVE_DEPOT] == pytest.approx(-(200.0 - 10.0 + 0.0 + 1.0))
     # dropoff tail closes at 100, depot head opens at 0, travel 4
-    assert m.link[by_cls[RETURN_DEPOT]] == pytest.approx(100.0 - 0.0 + 2.0 + 4.0)
+    assert link[RETURN_DEPOT] == pytest.approx(100.0 - 0.0 + 2.0 + 4.0)
+    # dropoff window end 100, pickup start 10, ride limit 40, service 2
+    ride = _ride_coefs(model)
+    assert len(ride) == 2 and all(coefs for _, coefs in ride.values())
+    assert all(c == pytest.approx(48.0) for _, coefs in ride.values() for c in coefs)
 
 
 def test_big_m_ride_example():
@@ -93,8 +131,9 @@ def test_big_m_ride_example():
         "bigm", positions=(0.0, 1.0, 4.0),
         specs=[{"pickup": (10, 30), "dropoff": (20, 100), "max_ride": 40, "s": 3}],
         fleet_size=1, capacity=1, depot_window=(0.0, 200.0))
-    m = compute_big_m(build_event_graph(inst))
-    assert m.ride[1] == pytest.approx(47.0)
+    model = build_model(build_event_graph(inst), "model2")
+    coefs = [c for _, cs in _ride_coefs(model).values() for c in cs]
+    assert coefs and all(c == pytest.approx(47.0) for c in coefs)
 
 
 def test_big_m_floors_at_zero():
@@ -102,9 +141,39 @@ def test_big_m_floors_at_zero():
         "slack", positions=(0.0, 1.0, 4.0),
         specs=[{"pickup": (0, 10), "dropoff": (0, 20), "max_ride": 40, "s": 0}],
         fleet_size=1, capacity=1, depot_window=(0.0, 200.0))
-    m = compute_big_m(build_event_graph(inst))
-    assert m.ride[1] == 0.0
-    assert all(v >= 0.0 for v in m.link.values())
+    model = build_model(build_event_graph(inst), "model2")
+    # M_1 = 0: the ride rows carry no x term and no M on their right side
+    ride = _ride_coefs(model)
+    assert len(ride) == 2
+    assert sorted(rhs for rhs, _ in ride.values()) == [0.0, 40.0]
+    assert all(coefs == [] for _, coefs in ride.values())
+    rows = _arc_rows(model)
+    assert len(rows) == model.graph.arc_count
+    for row, coef in rows.values():
+        assert (coef <= 0.0) if row.name.startswith("dep_") else (coef >= 0.0)
+
+
+@pytest.mark.parametrize("variant", ["model2", "model3"])
+def test_rows_carry_the_exact_big_m(gen_instances, variant):
+    for inst in gen_instances:
+        complete = build_event_graph(inst)
+        for model in (_assemble(complete, variant, None),
+                      build_model(complete, variant)):
+            graph = model.graph
+            rows = _arc_rows(model)
+            # every arc travels, leaves or returns to the depot: one row each
+            assert sorted(rows) == list(range(graph.arc_count))
+            for a, (row, coef) in rows.items():
+                mm = _link_m(graph, a)
+                assert coef == (-mm if row.name.startswith("dep_") else mm)
+            ride = _ride_coefs(model)
+            for req in inst.requests:
+                mi = _ride_m(req) if variant == "model2" else 0.0
+                for v in (*graph.pickup_nodes[req.id], *graph.dropoff_nodes[req.id]):
+                    rhs, coefs = ride[f"ride_{req.id}_{v}"]
+                    assert coefs == ([mi] * len(graph.in_arcs[v]) if mi else [])
+                    pickup = graph.nodes[v].kind == PICKUP
+                    assert rhs == mi + (req.max_ride + req.s if pickup else 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +294,7 @@ def test_ride_rows_model2_couple_activation(single_request_instance):
     model = build_model(graph, "model2", ObjectiveSpec(variant="cost"))
     v = graph.pickup_nodes[1][0]
     w = graph.dropoff_nodes[1][0]
-    mi = compute_big_m(model.graph).ride[1]
+    mi = _ride_m(single_request_instance.request(1))
     assert mi == pytest.approx(48.0)
     rows = _ride_rows(model)
     assert sorted(rows) == sorted((v, w))
@@ -273,10 +342,9 @@ def _pairwise_ride_rows(model):
     B_w - B_v + M_i * (in(v) + in(w)) <= L_i + s_i + 2 M_i (M_i = 0 in model3)."""
     graph = model.graph
     col = {var.name: j for j, var in enumerate(model.vars)}
-    ride = compute_big_m(graph).ride
     rows = []
     for req in graph.inst.requests:
-        mi = ride[req.id] if model.variant == "model2" else 0.0
+        mi = _ride_m(req) if model.variant == "model2" else 0.0
         for v in graph.pickup_nodes[req.id]:
             for w in graph.dropoff_nodes[req.id]:
                 terms = [(col[f"B_{w}"], 1.0), (col[f"B_{v}"], -1.0)]
@@ -438,12 +506,11 @@ def test_travel_link_rows(single_request_instance):
     graph = build_event_graph(single_request_instance)
     model = build_model(graph, "model2", ObjectiveSpec(variant="cost"))
     arcs = model.graph.arcs
-    link = compute_big_m(model.graph).link
     for a, (cls, time) in enumerate(zip(arcs.cls, arcs.time)):
         if cls != PICKUP_DROPOFF:
             continue
         row = next(r for r in model.rows if r.name == f"tt_{a}")
-        mm = link[a]
+        mm = _link_m(model.graph, a)
         assert row.rhs == pytest.approx(mm - 2.0 - time)
         coef = {model.vars[idx].name: c for idx, c in row.terms}
         assert coef[f"x_{a}"] == pytest.approx(mm)

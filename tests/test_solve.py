@@ -838,6 +838,22 @@ def test_solution_json_reads_request_ids_as_integers(where, value):
         solution_from_json(json.dumps(doc), inst)
 
 
+@pytest.mark.parametrize("value", [0.9, True, "1"])
+def test_solution_json_reads_the_denial_count_as_an_integer(value):
+    from darpkit import ParseError
+    inst = generate_synthetic(GeneratorConfig(n=3, capacity=3, seed=1))
+    doc = json.loads(solution_to_json(oracle_solve(inst)))
+    assert doc["objective"]["f_n"] == 0
+    # an integral float reads as the integer it is
+    doc["objective"]["f_n"] = 1.0
+    denied = solution_from_json(json.dumps(doc), inst).objective.denied
+    assert denied == 1 and type(denied) is int
+    # a fraction, a bool or text is refused, not truncated or converted
+    doc["objective"]["f_n"] = value
+    with pytest.raises(ParseError, match="f_n must be an integer"):
+        solution_from_json(json.dumps(doc), inst)
+
+
 @pytest.mark.parametrize("field", ["time", "f_c"])
 def test_solution_json_refuses_non_finite_numbers(field):
     from darpkit import ParseError
