@@ -29,8 +29,8 @@ from .backend import (
 from .errors import DarpkitError, InfeasibleError, ParseError, SolutionError
 from .event_graph import build_event_graph, graph_stats, to_dot
 from .instance import (
-    GeneratorConfig, Instance, generate_synthetic, instance_from_json,
-    instance_to_json, parse_cordeau, tighten_time_windows,
+    GeneratorConfig, Instance, _json_float, generate_synthetic,
+    instance_from_json, instance_to_json, parse_cordeau, tighten_time_windows,
 )
 from .model import (
     OBJECTIVES, VARIANTS, ObjectiveSpec, build_model, read_mapping, write_lp,
@@ -337,8 +337,8 @@ def cmd_compare(args) -> int:
         b = json.loads(Path(args.b).read_text())
         rows = []
         for key in ("f_c", "f_e", "f_emax"):
-            va = float(a["objective"][key])
-            vb = float(b["objective"][key])
+            va = _json_float(a["objective"][key], key)
+            vb = _json_float(b["objective"][key], key)
             if not (math.isfinite(va) and math.isfinite(vb)):
                 raise ValueError(f"{key} is not a finite number")
             rows.append((key, va, vb, pct(va, vb)))

@@ -14,8 +14,8 @@ Arcs connect states that can follow each other directly and fall into
 six classes: pickup followed by a dropoff, pickup followed by a pickup,
 dropoff followed by a pickup, dropoff followed by a dropoff, return of
 the empty vehicle to the depot, and departure of the empty vehicle to a
-first pickup.  Every arc carries the travel cost and travel time of the
-corresponding location pair.
+first pickup.  An arc's travel cost and time are those of its end states'
+locations, read from the instance's metric where they are used.
 
 With ``pruned=True`` the builder computes the instance's ride-compatible
 request pairs (see :func:`darpkit.schedule.compatible_pairs`) and returns
@@ -91,21 +91,19 @@ class EventNode(NamedTuple):
 
 
 class ArcTable:
-    """The arcs of an event graph as five typed columns.
+    """The arcs of an event graph as three typed columns.
 
-    ``tail``, ``head`` (state ids), ``cls`` (arc class), ``cost`` and
-    ``time`` are stdlib arrays, which the cyclic garbage collector does
-    not track, so a large graph costs no collector work.
+    ``tail``, ``head`` (state ids) and ``cls`` (arc class) are stdlib
+    arrays, which the cyclic garbage collector does not track, so a large
+    graph costs no collector work.
     """
 
-    __slots__ = _COLUMNS = ("tail", "head", "cls", "cost", "time")
+    __slots__ = _COLUMNS = ("tail", "head", "cls")
 
-    def __init__(self, tail=(), head=(), cls=(), cost=(), time=()):
+    def __init__(self, tail=(), head=(), cls=()):
         self.tail = array("l", tail)
         self.head = array("l", head)
         self.cls = array("b", cls)
-        self.cost = array("d", cost)
-        self.time = array("d", time)
 
     def __len__(self) -> int:
         return len(self.tail)
@@ -199,7 +197,7 @@ class EventGraph:
 
 
 def _co_rider_sets(others: list[int], loads: dict[int, int], budget: int,
-                   max_size: int, mates: dict[int, set[int]]) -> list[tuple[int, ...]]:
+                   mates: dict[int, set[int]]) -> list[tuple[int, ...]]:
     """All subsets of ``others`` with load sum <= budget whose members are
     pairwise mates, as decreasing tuples."""
     found = [()]
@@ -208,8 +206,7 @@ def _co_rider_sets(others: list[int], loads: dict[int, int], budget: int,
     def grow(start: int, slack: int):
         for pos in range(start, len(others)):
             j = others[pos]
-            if (loads[j] <= slack and len(chosen) < max_size
-                    and mates[j].issuperset(chosen)):
+            if loads[j] <= slack and mates[j].issuperset(chosen):
                 chosen.append(j)
                 found.append(tuple(chosen[::-1]))
                 grow(pos + 1, slack - loads[j])
@@ -239,8 +236,9 @@ def build_event_graph(inst: Instance, *, pruned: bool = False) -> EventGraph:
     ``itemgetter`` over the head locations), shared by the pickup
     states that leave that set on board and the dropoff states that
     leave it behind; a dropoff state skips its own request's pickup.
-    Each state appends its block as one run to each column, its travel
-    data read from the metric's cost and time rows of its location.
+    Each state appends its block as one run to each column; in a pruned
+    graph the arc rule reads the travel times from the metric's time row
+    of the state's location.
     """
     for req in inst.requests:
         if req.direction is None:
@@ -259,7 +257,7 @@ def build_event_graph(inst: Instance, *, pruned: bool = False) -> EventGraph:
             mates[j].add(i)
 
     co_riders = {
-        i: _co_rider_sets(sorted(mates[i]), loads, cap - loads[i], cap - 1, mates)
+        i: _co_rider_sets(sorted(mates[i]), loads, cap - loads[i], mates)
         for i in ids
     }
 
@@ -323,7 +321,8 @@ def build_event_graph(inst: Instance, *, pruned: bool = False) -> EventGraph:
 
     arcs = ArcTable()
     columns = tuple(getattr(arcs, c) for c in ArcTable._COLUMNS)
-    buffers = tail, head, cls, cost, time = [], [], [], [], []
+    buffers = tail, head, cls = [], [], []
+    time_rows = inst.metric.time_rows
 
     def flush():
         for column, buf in zip(columns, buffers):
@@ -352,29 +351,25 @@ def build_event_graph(inst: Instance, *, pruned: bool = False) -> EventGraph:
             heads, locs = pick_after[()]
             get, classes, own = _getter(locs), [LEAVE_DEPOT] * len(heads), None
             lates = get(late_row) if pruned else None
-        costs, times = get(inst.metric.cost_rows[lt]), get(inst.metric.time_rows[lt])
         count = len(heads)
         if pruned:
             # the arc rule, e_tail + s_tail + t <= l_head, and no arc back
             # to the state's own pickup
-            fits = list(map(le, map(add, repeat(ready[lt]), times), lates))
+            fits = list(map(le, map(add, repeat(ready[lt]), get(time_rows[lt])),
+                            lates))
             if own is not None:
                 fits[own] = False
                 own = None
             if not all(fits):
                 count = fits.count(True)
-                heads, classes, costs, times = (
-                    compress(heads, fits), compress(classes, fits),
-                    compress(costs, fits), compress(times, fits))
+                heads, classes = compress(heads, fits), compress(classes, fits)
         start = len(tail)
         tail += [v] * count
         head += heads
         cls += classes
-        cost += costs
-        time += times
         if own is not None:
             own += start
-            del tail[own], head[own], cls[own], cost[own], time[own]
+            del tail[own], head[own], cls[own]
         if start > _CHUNK:
             flush()
     flush()
@@ -395,7 +390,7 @@ def _without_dead_states(nodes, locations, arcs: ArcTable):
     """Drop non-depot states without an in-arc or an out-arc until none is
     left; the survivors keep their order and are renumbered.  Returns the
     nodes, locations and arc table that remain."""
-    columns = [arcs.tail, arcs.head, arcs.cls, arcs.cost, arcs.time]
+    columns = [arcs.tail, arcs.head, arcs.cls]
     alive = set(range(len(nodes)))
     while True:
         tail, head = columns[:2]

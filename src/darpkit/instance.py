@@ -541,6 +541,18 @@ def _json_int(value, what: str) -> int:
     return value
 
 
+def _json_float(value, what: str) -> float:
+    """A real number read from JSON: an int or a float, never a bool or text."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _json_window(stop: dict, what: str) -> tuple[float, float]:
+    """The ``e`` and ``l`` of a JSON stop or depot, as a window."""
+    return _json_float(stop["e"], f"{what} e"), _json_float(stop["l"], f"{what} l")
+
+
 def instance_from_json(text: str) -> Instance:
     """Parse an instance from its JSON form; its ``location`` keys must
     follow the fixed scheme (:meth:`Instance.location`)."""
@@ -550,32 +562,37 @@ def instance_from_json(text: str) -> Instance:
         raise ParseError(f"invalid JSON: {exc}") from None
     try:
         m = doc["metric"]
+        time_factor = _json_float(m.get("time_factor", 1.0), "time_factor")
         if "coords" in m:
             metric = TravelMetric(
-                coords={int(k): (float(x), float(y)) for k, (x, y) in m["coords"].items()},
-                time_factor=float(m.get("time_factor", 1.0)))
+                coords={int(k): (_json_float(x, "coordinate"), _json_float(y, "coordinate"))
+                        for k, (x, y) in m["coords"].items()},
+                time_factor=time_factor)
         else:
             metric = TravelMetric(
-                cost_matrix=tuple(tuple(float(v) for v in row) for row in m["cost"]),
-                time_matrix=tuple(tuple(float(v) for v in row) for row in m["time"]),
-                time_factor=float(m.get("time_factor", 1.0)))
+                cost_matrix=tuple(tuple(_json_float(v, "cost entry") for v in row)
+                                  for row in m["cost"]),
+                time_matrix=tuple(tuple(_json_float(v, "time entry") for v in row)
+                                  for row in m["time"]),
+                time_factor=time_factor)
         depot = _json_int(doc["depot"]["location"], "depot location")
         if depot != DEPOT_LOCATION:
             raise DataError(f"depot must be location {DEPOT_LOCATION}, got {depot}")
         requests = []
         for r in doc["requests"]:
             requests.append(Request(
-                id=_json_int(r["id"], "request id"), q=_json_int(r["q"], "q"), s=float(r["s"]),
-                pickup_window=(float(r["pickup"]["e"]), float(r["pickup"]["l"])),
-                dropoff_window=(float(r["dropoff"]["e"]), float(r["dropoff"]["l"])),
-                max_ride=float(r["max_ride"]),
+                id=_json_int(r["id"], "request id"), q=_json_int(r["q"], "q"),
+                s=_json_float(r["s"], "s"),
+                pickup_window=_json_window(r["pickup"], "pickup"),
+                dropoff_window=_json_window(r["dropoff"], "dropoff"),
+                max_ride=_json_float(r["max_ride"], "max_ride"),
                 direction=r.get("direction")))
         inst = Instance(
             name=str(doc.get("name", "instance")),
             requests=tuple(requests),
             fleet_size=_json_int(doc["fleet_size"], "fleet_size"),
             capacity=_json_int(doc["capacity"], "capacity"),
-            depot_window=(float(doc["depot"]["e"]), float(doc["depot"]["l"])),
+            depot_window=_json_window(doc["depot"], "depot"),
             metric=metric)
         for req, r in zip(inst.requests, doc["requests"]):
             if any(_json_int(r[k]["location"], f"{k} location") != inst.location(req.id, k)

@@ -282,17 +282,20 @@ def _assemble(graph: EventGraph, variant: str,
     model.add_row("fleet", "fleet", "L", float(inst.fleet_size),
                   [(x[a], 1.0) for a in graph.out_arcs[graph.depot_node]])
 
-    # each arc's big-M relaxes its travel or depot row below when the arc
-    # is unused: l_tail - e_head + s_tail + t, its exact bound, floored at 0
+    # each arc's travel time, and its big-M, which relaxes its travel or
+    # depot row below when the arc is unused: l_tail - e_head + s_tail + t,
+    # its exact bound, floored at 0
     arcs = graph.arcs
     windows, service = inst.windows, inst.service
+    time_rows = inst.metric.time_rows
+    times = [time_rows[locs[v]][locs[w]] for v, w in zip(arcs.tail, arcs.head)]
     big_m = [max(0.0, windows[locs[v]][1] - windows[locs[w]][0]
                  + service[locs[v]] + t)
-             for v, w, t in zip(arcs.tail, arcs.head, arcs.time)]
+             for v, w, t in zip(arcs.tail, arcs.head, times)]
 
     # consecutive times along a used travel arc:  B_head >= B_tail + s + t
     for a, (v, w, cls, t, mm) in enumerate(
-            zip(arcs.tail, arcs.head, arcs.cls, arcs.time, big_m)):
+            zip(arcs.tail, arcs.head, arcs.cls, times, big_m)):
         if cls not in _TRAVEL_CLASSES:
             continue
         s_tail = service[locs[v]]
@@ -303,7 +306,7 @@ def _assemble(graph: EventGraph, variant: str,
     # tours start no earlier than the depot opens and end before it closes
     e0, l0 = inst.depot_window
     for a, (v, w, cls, t, mm) in enumerate(
-            zip(arcs.tail, arcs.head, arcs.cls, arcs.time, big_m)):
+            zip(arcs.tail, arcs.head, arcs.cls, times, big_m)):
         if cls == LEAVE_DEPOT:
             model.add_row(
                 "depot_depart", f"dep_{a}", "G", e0 + t - mm,
@@ -365,7 +368,9 @@ def _assemble(graph: EventGraph, variant: str,
     # objective; zero-weight components contribute no terms
     terms = []
     if w_cost:
-        terms += [(x[a], w_cost * c) for a, c in enumerate(arcs.cost)]
+        cost_rows = inst.metric.cost_rows
+        terms += [(x[a], w_cost * cost_rows[locs[v]][locs[w]])
+                  for a, (v, w) in enumerate(zip(arcs.tail, arcs.head))]
     if w_excess:
         terms += [(d[req.id], w_excess) for req in inst.requests]
     if w_max:

@@ -37,7 +37,7 @@ from itertools import product
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DataError, InfeasibleError, ParseError, SolutionError
-from .instance import DEPOT_LOCATION, DROPOFF, PICKUP, Instance, _json_int
+from .instance import DEPOT_LOCATION, DROPOFF, PICKUP, Instance, _json_float, _json_int
 from .model import MilpModel, ObjectiveSpec, ObjectiveValue, combine_components
 from .schedule import (
     Schedule, Stop, _Prefix, _schedule, _tour_cost, minimal_schedule,
@@ -543,14 +543,15 @@ def solution_from_json(text: str, inst: Instance) -> Solution:
         for tour in doc["tours"]:
             tours.append(tuple((_json_int(st["request"], "request id"), str(st["kind"]))
                                for st in tour))
-            times.append(tuple(float(st["time"]) for st in tour))
+            times.append(tuple(_json_float(st["time"], "stop time") for st in tour))
         accepted = _accepted_ids(doc)
+        obj = doc["objective"]
         objective = ObjectiveValue(
-            total=float(doc["objective"]["total"]),
-            cost=float(doc["objective"]["f_c"]),
-            excess=float(doc["objective"]["f_e"]),
-            max_excess=float(doc["objective"]["f_emax"]),
-            denied=_json_int(doc["objective"]["f_n"], "f_n"))
+            total=_json_float(obj["total"], "total"),
+            cost=_json_float(obj["f_c"], "f_c"),
+            excess=_json_float(obj["f_e"], "f_e"),
+            max_excess=_json_float(obj["f_emax"], "f_emax"),
+            denied=_json_int(obj["f_n"], "f_n"))
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ParseError(f"solution JSON is missing or mistypes a field: {exc}") from None
     if not all(math.isfinite(when) for ts in times for when in ts):

@@ -723,6 +723,18 @@ def test_compare_refuses_a_non_finite_component(tmp_path, capsys, value):
     _refused(capsys, ["compare", str(a), str(b)], "f_c is not a finite number")
 
 
+@pytest.mark.parametrize("key, value", [("f_c", "1.0"), ("f_e", True), ("f_emax", None)])
+def test_compare_refuses_a_non_numeric_component(tmp_path, capsys, key, value):
+    doc = {"objective": {"f_c": 1.0, "f_e": 1, "f_emax": 1.0},
+           "accepted": [1]}
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps(doc))
+    assert cli.main(["compare", str(a), str(a)]) == 0
+    doc["objective"][key] = value
+    b.write_text(json.dumps(doc))
+    _refused(capsys, ["compare", str(a), str(b)], f"{key} must be a number")
+
+
 @pytest.mark.parametrize("accepted", ["abc", [1, 1, 1, 1, 1], [1.5], [True]])
 def test_compare_refuses_bad_accepted_ids(tmp_path, capsys, accepted):
     doc = {"objective": {"f_c": 1.0, "f_e": 1.0, "f_emax": 1.0},

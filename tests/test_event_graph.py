@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from darpkit import (
-    OUTBOUND, DataError, GeneratorConfig, TravelMetric, arc_count_closed_form,
+    OUTBOUND, DataError, GeneratorConfig, arc_count_closed_form,
     build_event_graph, compatible_pairs, generate_synthetic, graph_stats,
     node_count_closed_form, parse_cordeau, tighten_time_windows, to_dot,
 )
@@ -97,28 +97,6 @@ def test_node_order_is_deterministic(pooling_instance):
     assert g1.nodes[0].kind == DEPOT and g1.depot_node == 0
 
 
-def _priced(inst):
-    """``inst`` with a cost matrix of its own, 1.5 times travel time plus
-    0.25 between distinct locations: no function of the coordinates."""
-    m = 2 * inst.n + 1
-    time = tuple(tuple(inst.metric.time(a, b) for b in range(m)) for a in range(m))
-    cost = tuple(tuple(1.5 * t + (0.25 if a != b else 0.0) for b, t in enumerate(row))
-                 for a, row in enumerate(time))
-    return replace(inst, metric=TravelMetric(cost_matrix=cost, time_matrix=time))
-
-
-def test_arc_costs_match_metric(pooling_instance, gen_instances):
-    # the cost and time columns are copies of the metric's values
-    for inst in (pooling_instance, *gen_instances, *map(_priced, gen_instances)):
-        metric = inst.metric
-        for graph in (build_event_graph(inst), build_event_graph(inst, pruned=True)):
-            arcs = graph.arcs
-            for v, w, cost, time in zip(arcs.tail, arcs.head, arcs.cost, arcs.time):
-                a, b = graph.locations[v], graph.locations[w]
-                assert cost == metric.cost(a, b)
-                assert time == metric.time(a, b)
-
-
 def test_adjacency_is_consistent(gen_instances):
     for inst in gen_instances:
         graph = build_event_graph(inst)
@@ -150,8 +128,17 @@ def test_arc_tables_compare_by_columns(gen_instances):
     assert pruned.arcs == build_event_graph(inst, pruned=True).arcs
     assert complete.arcs != pruned.arcs
     changed = build_event_graph(inst).arcs
-    changed.time[-1] += 1.0
+    changed.cls[-1] += 1
     assert complete.arcs != changed
+
+
+def test_arc_table_keeps_no_travel_data(gen_instances):
+    # two state ids and a class byte per arc: travel costs and times stay
+    # in the metric
+    for inst in gen_instances:
+        for graph in (build_event_graph(inst), build_event_graph(inst, pruned=True)):
+            columns = [getattr(graph.arcs, c) for c in graph.arcs.__slots__]
+            assert sum(c.itemsize * len(c) for c in columns) <= 17 * graph.arc_count
 
 
 def test_adjacency_is_built_on_first_use(gen_instances):
@@ -451,18 +438,17 @@ def test_pruned_graph_is_an_ordered_subgraph(gen_instances):
         full_id = {node: v for v, node in enumerate(full.nodes)}
         ids = [full_id[node] for node in pruned.nodes]
         assert ids == sorted(ids) and ids[0] == 0
+        assert [full.locations[v] for v in ids] == list(pruned.locations)
         fa, pa = full.arcs, pruned.arcs
-        full_arcs = {(v, w): (cls, cost, time) for v, w, cls, cost, time
-                     in zip(fa.tail, fa.head, fa.cls, fa.cost, fa.time)}
+        full_arcs = dict(zip(zip(fa.tail, fa.head), fa.cls))
         keys = [(ids[v], ids[w]) for v, w in zip(pa.tail, pa.head)]
         assert keys == sorted(keys)
-        for v, w, cls, cost, time, key in zip(
-                pa.tail, pa.head, pa.cls, pa.cost, pa.time, keys):
-            assert full_arcs[key] == (cls, cost, time)
+        for v, w, cls, key in zip(pa.tail, pa.head, pa.cls, keys):
+            assert full_arcs[key] == cls
             # arc rule
             tail, head = pruned.locations[v], pruned.locations[w]
-            assert (inst.windows[tail][0] + inst.service[tail] + time
-                    <= inst.windows[head][1] + 1e-9)
+            assert (inst.windows[tail][0] + inst.service[tail]
+                    + inst.metric.time(tail, head) <= inst.windows[head][1] + 1e-9)
         for v, node in enumerate(pruned.nodes):
             # pair rule: the onboard set is a clique of compatible pairs
             onboard = sorted({node.request, *node.others} - {0})

@@ -360,6 +360,34 @@ def test_instance_json_reads_integers_strictly(where, value, tmp_path, capsys):
     assert "must be an integer" in _refused_by_the_cli(doc, tmp_path, capsys)
 
 
+@pytest.mark.parametrize("where, value", [
+    (("metric", "time_factor"), "4"), (("requests", 0, "s"), True),
+    (("requests", 0, "max_ride"), "9.5"), (("metric", "coords", "1", 0), "1.0"),
+    (("requests", 1, "pickup", "l"), False), (("requests", 2, "dropoff", "e"), "0"),
+    (("depot", "e"), None), (("depot", "l"), [150.0]),
+])
+def test_instance_json_reads_real_numbers_strictly(where, value, tmp_path, capsys):
+    inst = generate_synthetic(GeneratorConfig(n=3, capacity=3, seed=1))
+    doc = json.loads(instance_to_json(inst))
+    node, key = _field(doc, where)
+    # an int reads as the float it is
+    if float(node[key]).is_integer():
+        node[key] = int(node[key])
+        assert instance_from_json(json.dumps(doc)) == inst
+    node[key] = value
+    with pytest.raises(ParseError, match="must be a number"):
+        instance_from_json(json.dumps(doc))
+    assert "must be a number" in _refused_by_the_cli(doc, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("matrix, value", [("cost", "5"), ("time", True)])
+def test_instance_json_reads_matrix_entries_strictly(stacked_instance, matrix, value):
+    doc = json.loads(instance_to_json(stacked_instance))
+    doc["metric"][matrix][0][1] = value
+    with pytest.raises(ParseError, match=f"{matrix} entry must be a number"):
+        instance_from_json(json.dumps(doc))
+
+
 def test_instance_stop_tables(stacked_instance):
     inst = stacked_instance
     assert inst.windows[0] == inst.depot_window and inst.service[0] == 0.0

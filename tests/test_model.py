@@ -1,5 +1,6 @@
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from scipy import optimize, sparse
 
 from darpkit import (
     OBJECTIVES, DataError, GeneratorConfig, ObjectiveSpec, ObjectiveValue,
-    Schedule, Solution, build_event_graph, build_model, combine_components,
+    Schedule, Solution, TravelMetric, build_event_graph, build_model,
+    combine_components,
     compatible_pairs, evaluate_objective, generate_synthetic,
     instance_sha256, oracle_solve, parse_mps, read_mapping, solve_mip,
     variable_mapping, write_lp, write_mapping, write_mps,
@@ -79,7 +81,7 @@ def _link_m(graph, a):
     inst, arcs = graph.inst, graph.arcs
     tail, head = graph.locations[arcs.tail[a]], graph.locations[arcs.head[a]]
     return max(0.0, inst.windows[tail][1] - inst.windows[head][0]
-               + inst.service[tail] + arcs.time[a])
+               + inst.service[tail] + inst.metric.time(tail, head))
 
 
 def _ride_m(req):
@@ -174,6 +176,40 @@ def test_rows_carry_the_exact_big_m(gen_instances, variant):
                     assert coefs == ([mi] * len(graph.in_arcs[v]) if mi else [])
                     pickup = graph.nodes[v].kind == PICKUP
                     assert rhs == mi + (req.max_ride + req.s if pickup else 0.0)
+
+
+def _priced(inst):
+    """``inst`` with a cost matrix of its own, 1.5 times travel time plus
+    0.25 between distinct locations: no function of the coordinates."""
+    m = 2 * inst.n + 1
+    time = tuple(tuple(inst.metric.time(a, b) for b in range(m)) for a in range(m))
+    cost = tuple(tuple(1.5 * t + (0.25 if a != b else 0.0) for b, t in enumerate(row))
+                 for a, row in enumerate(time))
+    return replace(inst, metric=TravelMetric(cost_matrix=cost, time_matrix=time))
+
+
+def test_arc_terms_read_the_metric(gen_instances):
+    # each arc's objective coefficient is its cost and its travel or depot
+    # row reads its time, both at its end states' locations
+    for inst in map(_priced, gen_instances):
+        metric, service = inst.metric, inst.service
+        e0, l0 = inst.depot_window
+        complete = build_event_graph(inst)
+        for model in (_assemble(complete, "model2", None),
+                      build_model(complete, "model3")):
+            graph = model.graph
+            locs = graph.locations
+            ends = [(locs[v], locs[w]) for v, w in zip(graph.arcs.tail, graph.arcs.head)]
+            assert {model.vars[idx].name: c for idx, c in model.obj_terms} == {
+                f"x_{a}": metric.cost(*end) for a, end in enumerate(ends)}
+            rows = _arc_rows(model)
+            assert sorted(rows) == list(range(graph.arc_count))
+            for a, (row, _) in rows.items():
+                tail, head = ends[a]
+                t, mm = metric.time(tail, head), _link_m(graph, a)
+                rhs = {"tt": mm - service[tail] - t, "dep": e0 + t - mm,
+                       "ret": l0 - service[tail] - t + mm}
+                assert row.rhs == rhs[row.name.partition("_")[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -505,12 +541,13 @@ def test_pruned_graph_keeps_the_optimum(seed, optimum):
 def test_travel_link_rows(single_request_instance):
     graph = build_event_graph(single_request_instance)
     model = build_model(graph, "model2", ObjectiveSpec(variant="cost"))
-    arcs = model.graph.arcs
-    for a, (cls, time) in enumerate(zip(arcs.cls, arcs.time)):
+    arcs, locs = model.graph.arcs, model.graph.locations
+    for a, (v, w, cls) in enumerate(zip(arcs.tail, arcs.head, arcs.cls)):
         if cls != PICKUP_DROPOFF:
             continue
         row = next(r for r in model.rows if r.name == f"tt_{a}")
         mm = _link_m(model.graph, a)
+        time = graph.inst.metric.time(locs[v], locs[w])
         assert row.rhs == pytest.approx(mm - 2.0 - time)
         coef = {model.vars[idx].name: c for idx, c in row.terms}
         assert coef[f"x_{a}"] == pytest.approx(mm)
@@ -528,7 +565,9 @@ def test_objective_terms_and_constant(pooling_instance):
     assert model.objective_value(values) == pytest.approx(0.0)
     cost_model = build_model(graph, "model2", ObjectiveSpec(variant="cost"))
     values = {var.name: 1.0 for var in cost_model.vars}
-    total_cost = sum(graph.arcs.cost)
+    locs = graph.locations
+    total_cost = sum(pooling_instance.metric.cost(locs[v], locs[w])
+                     for v, w in zip(graph.arcs.tail, graph.arcs.head))
     assert cost_model.objective_value(values) == pytest.approx(total_cost)
 
 

@@ -854,6 +854,23 @@ def test_solution_json_reads_the_denial_count_as_an_integer(value):
         solution_from_json(json.dumps(doc), inst)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("time", "15.0"), ("time", True), ("total", "1"), ("f_c", False),
+    ("f_e", None), ("f_emax", [0.0]),
+])
+def test_solution_json_reads_real_numbers_strictly(field, value):
+    from darpkit import ParseError
+    inst = generate_synthetic(GeneratorConfig(n=3, capacity=3, seed=1))
+    doc = json.loads(solution_to_json(oracle_solve(inst)))
+    if field == "time":
+        doc["tours"][0][0]["time"] = value
+        field = "stop time"
+    else:
+        doc["objective"][field] = value
+    with pytest.raises(ParseError, match=f"{field} must be a number"):
+        solution_from_json(json.dumps(doc), inst)
+
+
 @pytest.mark.parametrize("field", ["time", "f_c"])
 def test_solution_json_refuses_non_finite_numbers(field):
     from darpkit import ParseError
