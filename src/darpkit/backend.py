@@ -5,9 +5,10 @@ text is re-parsed from scratch into matrix form and handed to
 ``scipy.optimize.milp``, so solving an exported file exercises the same
 path an external solver would.  Only the MPS subset produced by
 :func:`darpkit.model.write_mps` plus common variations (OBJSENSE,
-RANGES, free rows, MI/PL/FX/FR bounds) is supported.  The first ``N``
-row is the objective; entries on any later ``N`` row (a free row) are
-read and dropped.
+RANGES, free rows, MI/PL/FX/FR bounds) is supported; a section outside
+it (SOS, QUADOBJ, OBJNAME, ...) is refused, not skipped.  The first
+``N`` row is the objective; entries on any later ``N`` row (a free row)
+are read and dropped.
 
 numpy and scipy are imported inside :func:`parse_mps` and
 :func:`solve_mip`, so importing darpkit, and every command that solves
@@ -47,6 +48,13 @@ class ParsedMip:
     matrix: sparse.csc_array     # rows by columns, sorted row indices
 
 
+# the sections parse_mps reads; any other header is refused
+_SECTIONS = ("NAME", "OBJSENSE", "ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS",
+             "ENDATA")
+# OBJSENSE word -> minimize
+_MINIMIZE = {"MIN": True, "MINIMIZE": True, "MAX": False, "MAXIMIZE": False}
+
+
 def parse_mps(text: str) -> ParsedMip:
     """Parse MPS text into matrix form.
 
@@ -55,6 +63,8 @@ def parse_mps(text: str) -> ParsedMip:
     from the COLUMNS section, which MPS writes column-major: entries that
     repeat a (column, row) pair add up, and a column whose entries are
     split over several places merges into one.  Explicit zeros are kept.
+    The objective sense is MIN, MINIMIZE, MAX or MAXIMIZE, on the OBJSENSE
+    header line or the line below it.  A file needs at least one column.
     """
     import numpy as np
     from scipy import sparse
@@ -82,17 +92,25 @@ def parse_mps(text: str) -> ParsedMip:
             stripped = raw.lstrip()
             if not stripped or stripped[0] == "*":
                 continue
-            if raw[0] not in " \t":
-                fields = raw.split()
-                section = fields[0].upper()
-                if section == "NAME" and len(fields) > 1:
-                    name = fields[1]
-                if section == "OBJSENSE" and len(fields) > 1:
-                    minimize = fields[1].upper() != "MAX"
-                continue
             fields = raw.split()
+            if raw[0] not in " \t":
+                section = fields.pop(0).upper()
+                if section not in _SECTIONS:
+                    raise ParseError(
+                        f"unknown MPS section {section!r}, MPS line {lineno}")
+                if section == "ENDATA":
+                    break
+                if section == "NAME" and fields:
+                    name = fields[0]
+                # OBJSENSE may carry its word on the header line itself
+                if section != "OBJSENSE" or not fields:
+                    continue
             if section == "OBJSENSE":
-                minimize = fields[0].upper() != "MAX"
+                sense = fields[0].upper()
+                if sense not in _MINIMIZE:
+                    raise ParseError(f"unknown objective sense {fields[0]!r}, "
+                                     f"MPS line {lineno}")
+                minimize = _MINIMIZE[sense]
             elif section == "ROWS":
                 sense, row = fields[0].upper(), fields[1]
                 if row in row_sense or row in free_rows or row == obj_row:
@@ -165,8 +183,6 @@ def parse_mps(text: str) -> ParsedMip:
                 if val is not None and math.isnan(val):
                     raise ValueError(fields[3])
                 bounds.append((btype, col, val))
-            elif section == "ENDATA":
-                break
             elif section is None:
                 raise ParseError("MPS data before any section header")
     except (IndexError, ValueError):
@@ -175,6 +191,8 @@ def parse_mps(text: str) -> ParsedMip:
         raise ParseError(f"malformed MPS line {lineno}: {raw.strip()!r}") from None
     if obj_row is None:
         raise ParseError("MPS file declares no objective row")
+    if not col_names:
+        raise ParseError("MPS file declares no columns")
 
     ncols = len(col_names)
     lower = np.zeros(ncols)

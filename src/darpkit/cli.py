@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -26,10 +25,10 @@ from . import __version__
 from .backend import (
     highs_options, parse_mps, read_assignment, solve_mip, write_assignment,
 )
-from .errors import DarpkitError, InfeasibleError, ParseError, SolutionError
+from .errors import DarpkitError, InfeasibleError, SolutionError
 from .event_graph import build_event_graph, graph_stats, to_dot
 from .instance import (
-    GeneratorConfig, Instance, _json_float, generate_synthetic,
+    GeneratorConfig, Instance, generate_synthetic,
     instance_from_json, instance_to_json, parse_cordeau, tighten_time_windows,
 )
 from .model import (
@@ -37,7 +36,7 @@ from .model import (
     write_mapping, write_mps,
 )
 from .solve import (
-    ORACLE_LIMIT, _accepted_ids, import_solution, oracle_solve,
+    ORACLE_LIMIT, _read_solution, import_solution, oracle_solve,
     solution_to_json, validate_solution,
 )
 
@@ -195,15 +194,12 @@ def cmd_model(args) -> int:
     src = Path(args.instance)
     inst = _load_instance(src)
     objective = _objective_from_args(args)
-    variant = args.variant
     stages.mark(None)
     graph = build_event_graph(inst, pruned=True)
     stages.mark("pruned")
-    model = build_model(graph, variant, objective)
+    model = build_model(graph, args.variant, objective)
     stages.mark("model")
-    base = args.out
-    if base is None:
-        base = f"{inst.name}.{variant}.{objective.variant}"
+    base = model.name if args.out is None else args.out
     for ext in (".mps", ".lp"):
         if base.endswith(ext):
             base = base[:-len(ext)]
@@ -332,23 +328,15 @@ def cmd_compare(args) -> int:
             return "n/a"
         return f"{round(100.0 * (vb - va) / va):+d}"
 
-    try:
-        a = json.loads(Path(args.a).read_text())
-        b = json.loads(Path(args.b).read_text())
-        rows = []
-        for key in ("f_c", "f_e", "f_emax"):
-            va = _json_float(a["objective"][key], key)
-            vb = _json_float(b["objective"][key], key)
-            if not (math.isfinite(va) and math.isfinite(vb)):
-                raise ValueError(f"{key} is not a finite number")
-            rows.append((key, va, vb, pct(va, vb)))
-        ar_a, ar_b = len(_accepted_ids(a)), len(_accepted_ids(b))
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"solution file: {exc}") from None
-    rows.append(("a.r.", float(ar_a), float(ar_b), pct(ar_a, ar_b)))
+    # tours, stop times, accepted ids, objective
+    _, _, acc_a, obj_a = _read_solution(Path(args.a).read_text())
+    _, _, acc_b, obj_b = _read_solution(Path(args.b).read_text())
+    rows = [("f_c", obj_a.cost, obj_b.cost), ("f_e", obj_a.excess, obj_b.excess),
+            ("f_emax", obj_a.max_excess, obj_b.max_excess),
+            ("a.r.", float(len(acc_a)), float(len(acc_b)))]
     print(f"{'metric':<8}{'A':>12}{'B':>12}{'delta%':>8}")
-    for name, va, vb, delta in rows:
-        print(f"{name:<8}{va:>12.4f}{vb:>12.4f}{delta:>8}")
+    for name, va, vb in rows:
+        print(f"{name:<8}{va:>12.4f}{vb:>12.4f}{pct(va, vb):>8}")
     return 0
 
 
@@ -432,7 +420,7 @@ def main(argv: list[str] | None = None) -> int:
     except SolutionError as exc:
         print(f"solution error: {exc}", file=sys.stderr)
         return FAILURE
-    except (ParseError, DarpkitError) as exc:
+    except DarpkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except FileNotFoundError as exc:

@@ -193,6 +193,8 @@ class Instance:
             raise DataError("fleet size must be at least 1")
         if self.capacity < 1:
             raise DataError("vehicle capacity must be at least 1")
+        if not self.requests:
+            raise DataError("instance needs at least one request")
         e0, l0 = self.depot_window
         if not (math.isfinite(e0) and math.isfinite(l0)):
             raise DataError("non-finite depot window")

@@ -524,15 +524,17 @@ def solution_to_json(sol: Solution) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def _accepted_ids(doc: dict) -> frozenset[int]:
-    """The ``accepted`` request ids of a solution document, none repeated."""
-    ids = [_json_int(i, "request id") for i in doc["accepted"]]
-    if len(set(ids)) != len(ids):
-        raise ValueError(f"accepted list repeats a request id: {ids}")
-    return frozenset(ids)
+def _finite(value, what: str) -> float:
+    """A finite real number read from JSON."""
+    value = _json_float(value, what)
+    if not math.isfinite(value):
+        raise ValueError(f"{what} is not a finite number")
+    return value
 
 
-def solution_from_json(text: str, inst: Instance) -> Solution:
+def _read_solution(text: str) -> tuple[list, list, frozenset[int], ObjectiveValue]:
+    """A solution document's tours, stop times, accepted request ids and
+    claimed objective, each checked without an instance."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -543,24 +545,28 @@ def solution_from_json(text: str, inst: Instance) -> Solution:
         for tour in doc["tours"]:
             tours.append(tuple((_json_int(st["request"], "request id"), str(st["kind"]))
                                for st in tour))
-            times.append(tuple(_json_float(st["time"], "stop time") for st in tour))
-        accepted = _accepted_ids(doc)
+            times.append(tuple(_finite(st["time"], "stop time") for st in tour))
+        ids = [_json_int(i, "request id") for i in doc["accepted"]]
+        if len(set(ids)) != len(ids):
+            raise ValueError(f"accepted list repeats a request id: {ids}")
         obj = doc["objective"]
         objective = ObjectiveValue(
-            total=_json_float(obj["total"], "total"),
-            cost=_json_float(obj["f_c"], "f_c"),
-            excess=_json_float(obj["f_e"], "f_e"),
-            max_excess=_json_float(obj["f_emax"], "f_emax"),
+            total=_finite(obj["total"], "total"),
+            cost=_finite(obj["f_c"], "f_c"),
+            excess=_finite(obj["f_e"], "f_e"),
+            max_excess=_finite(obj["f_emax"], "f_emax"),
             denied=_json_int(obj["f_n"], "f_n"))
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
-        raise ParseError(f"solution JSON is missing or mistypes a field: {exc}") from None
-    if not all(math.isfinite(when) for ts in times for when in ts):
-        raise ParseError("solution JSON has a non-finite stop time")
-    if not all(math.isfinite(v) for v in objective.as_json_dict().values()):
-        raise ParseError("solution JSON has a non-finite objective value")
+        raise ParseError("solution JSON has a missing, mistyped or non-finite "
+                         f"field: {exc}") from None
     for tour in tours:
         for rid, kind in tour:
             if kind not in (PICKUP, DROPOFF):
                 raise ParseError(f"stop of request {rid} has unknown kind {kind!r}")
+    return tours, times, frozenset(ids), objective
+
+
+def solution_from_json(text: str, inst: Instance) -> Solution:
+    tours, times, accepted, objective = _read_solution(text)
     return Solution(tours=tuple(tours), schedule=_schedule(tours, times, inst),
                     accepted=accepted, objective=objective)

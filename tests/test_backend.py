@@ -106,6 +106,17 @@ def test_parse_mps_objsense_and_bv():
     assert mip.obj_constant == 0.0
 
 
+def test_parse_mps_reads_every_objsense_word():
+    # one rule for both spellings: the word on its own line below the
+    # header, or on the header line itself
+    for word, minimize in [("MAX", False), ("MAXIMIZE", False), ("max", False),
+                           ("MIN", True), ("MINIMIZE", True)]:
+        for sense in (f"OBJSENSE\n    {word}\n", f"OBJSENSE    {word}\n"):
+            mip = parse_mps(KNAP_MPS.replace("OBJSENSE\n    MAX\n", sense))
+            assert mip.minimize == minimize, sense
+            assert solve_mip(mip).objective == (0.0 if minimize else 5.0), sense
+
+
 def test_parse_mps_bound_types():
     text = """\
 NAME bounds
@@ -191,6 +202,19 @@ ENDATA
      "malformed MPS line 21"),
     ((" UP BND       c              4.0", " UP BND       c              nan"),
      "malformed MPS line 23"),
+    # a section outside the supported set is refused, not skipped
+    (("ENDATA\n", "SOS\n S1 SOS       s1             1\n"
+                  "    s1        a              1.0\nENDATA\n"),
+     "unknown MPS section 'SOS', MPS line 24"),
+    (("ENDATA\n", "QUADOBJ\n    a         a              2.0\nENDATA\n"),
+     "unknown MPS section 'QUADOBJ'"),
+    (("ROWS\n", "OBJNAME\n    COST\nROWS\n"), "unknown MPS section 'OBJNAME'"),
+    (("BOUNDS\n", "RANGE\n    RNG       cap            1.0\nBOUNDS\n"),
+     "unknown MPS section 'RANGE'"),
+    (("ROWS\n", "OBJSENSE\n    MAXIMUM\nROWS\n"),
+     "unknown objective sense 'MAXIMUM', MPS line 4"),
+    ((MIN_MPS[MIN_MPS.index("COLUMNS\n") + 8:MIN_MPS.index("RHS\n")], ""),
+     "declares no columns"),
 ])
 def test_parse_mps_errors(breakage, message):
     old, new = breakage

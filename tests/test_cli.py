@@ -641,12 +641,25 @@ def test_solve_mps_refuses_bad_solver_options(tmp_path, capsys, option, value):
     ("solve-mps", "bad.mps", "NAME bad\nROWS\n N  obj\n G  r\nCOLUMNS\n"
                              "    x  obj  1.0  r  one\nENDATA\n"),
     ("graph", "bad.json", '{"metric": {"coords": {"0": [0, "north"]}}}'),
+    ("solve-mps", "nocols.mps",
+     "ROWS\n N COST\n L c\nCOLUMNS\nRHS\n    RHS c 1\nENDATA\n"),
+    ("solve-mps", "sos.mps", "NAME s\nROWS\n N obj\nCOLUMNS\n    x obj 1\n"
+                             "SOS\n S1 SOS s1 1\n    s1 x 1\nENDATA\n"),
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, command, name, text):
     path = tmp_path / name
     path.write_text(text)
     assert cli.main([command, str(path)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_instance_without_requests_exits_2(tmp_path, instance_file, capsys):
+    doc = json.loads(instance_file.read_text())
+    doc["requests"] = []
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(doc))
+    for command in (["graph"], ["model"], ["solve", "--oracle"]):
+        _refused(capsys, command + [str(path)], "at least one request")
 
 
 def test_nan_time_factor_exits_2(tmp_path, instance_file, capsys):
@@ -701,9 +714,16 @@ def test_compare_table(tmp_path, instance_file, capsys):
     assert out[4].startswith("a.r.")
 
 
+def _solution_doc(**objective):
+    """A complete solution document, as ``compare`` and the library read
+    it: no tours, request 1 accepted, the given objective fields."""
+    return {"tours": [], "accepted": [1],
+            "objective": {"total": 1.0, "f_c": 1.0, "f_e": 1.0, "f_emax": 1.0,
+                          "f_n": 0, **objective}}
+
+
 def test_compare_zero_baseline(tmp_path, capsys):
-    doc = {"objective": {"f_c": 0.0, "f_e": 1.0, "f_emax": 1.0},
-           "accepted": [1]}
+    doc = _solution_doc(f_c=0.0)
     a = tmp_path / "a.json"
     a.write_text(json.dumps(doc))
     assert cli.main(["compare", str(a), str(a)]) == 0
@@ -714,8 +734,7 @@ def test_compare_zero_baseline(tmp_path, capsys):
 
 @pytest.mark.parametrize("value", [float("inf"), float("nan")])
 def test_compare_refuses_a_non_finite_component(tmp_path, capsys, value):
-    doc = {"objective": {"f_c": 1.0, "f_e": 1.0, "f_emax": 1.0},
-           "accepted": [1]}
+    doc = _solution_doc()
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     a.write_text(json.dumps(doc))
     doc["objective"]["f_c"] = value
@@ -725,8 +744,7 @@ def test_compare_refuses_a_non_finite_component(tmp_path, capsys, value):
 
 @pytest.mark.parametrize("key, value", [("f_c", "1.0"), ("f_e", True), ("f_emax", None)])
 def test_compare_refuses_a_non_numeric_component(tmp_path, capsys, key, value):
-    doc = {"objective": {"f_c": 1.0, "f_e": 1, "f_emax": 1.0},
-           "accepted": [1]}
+    doc = _solution_doc(f_e=1)
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     a.write_text(json.dumps(doc))
     assert cli.main(["compare", str(a), str(a)]) == 0
@@ -737,13 +755,38 @@ def test_compare_refuses_a_non_numeric_component(tmp_path, capsys, key, value):
 
 @pytest.mark.parametrize("accepted", ["abc", [1, 1, 1, 1, 1], [1.5], [True]])
 def test_compare_refuses_bad_accepted_ids(tmp_path, capsys, accepted):
-    doc = {"objective": {"f_c": 1.0, "f_e": 1.0, "f_emax": 1.0},
-           "accepted": [1]}
+    doc = _solution_doc()
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     a.write_text(json.dumps(doc))
     doc["accepted"] = accepted
     b.write_text(json.dumps(doc))
     _refused(capsys, ["compare", str(a), str(b)], "request id")
+
+
+@pytest.mark.parametrize("path", [("tours",), ("objective", "total"),
+                                  ("objective", "f_n")])
+def test_compare_refuses_a_partial_document(tmp_path, capsys, path):
+    # compare reads a solution file as the library does: a document
+    # without tours, total or f_n is refused, naming the missing field
+    doc = _solution_doc()
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps(doc))
+    assert cli.main(["compare", str(a), str(a)]) == 0
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    del node[path[-1]]
+    b.write_text(json.dumps(doc))
+    _refused(capsys, ["compare", str(a), str(b)], repr(path[-1]))
+
+
+def test_compare_refuses_a_stop_of_unknown_kind(tmp_path, capsys):
+    doc = _solution_doc()
+    doc["tours"] = [[{"request": 1, "kind": "pickup", "time": 1.0},
+                     {"request": 1, "kind": "banana", "time": 2.0}]]
+    a = tmp_path / "a.json"
+    a.write_text(json.dumps(doc))
+    _refused(capsys, ["compare", str(a), str(a)], "unknown kind 'banana'")
 
 
 def test_compare_bad_file(tmp_path):

@@ -252,6 +252,18 @@ def test_instance_validation():
                  depot_window=(0.0, 100.0), metric=metric)
 
 
+def test_instance_needs_a_request():
+    # as parse_cordeau and GeneratorConfig already refuse n = 0
+    with pytest.raises(DataError, match="at least one request"):
+        Instance(name="a", requests=(), fleet_size=1, capacity=2,
+                 depot_window=(0.0, 100.0), metric=line_metric((0.0, 1.0, 2.0)))
+    doc = json.loads(instance_to_json(generate_synthetic(
+        GeneratorConfig(n=2, capacity=3, seed=0))))
+    doc["requests"] = []
+    with pytest.raises(DataError, match="at least one request"):
+        instance_from_json(json.dumps(doc))
+
+
 @pytest.mark.parametrize("window", [(NAN, 100.0), (0.0, INF)])
 def test_instance_rejects_a_non_finite_depot_window(window):
     with pytest.raises(DataError, match="non-finite depot window"):

@@ -6,15 +6,19 @@ into the parsers instead of failing at the first line; the text parsers
 also get free-form text.
 """
 
+import contextlib
 import copy
+import io
 import json
+import tempfile
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
 from darpkit import (
-    DarpkitError, GeneratorConfig, generate_synthetic, instance_from_json,
-    instance_to_json, oracle_solve, parse_cordeau, parse_mps, solution_from_json,
-    solution_to_json,
+    DarpkitError, DataError, GeneratorConfig, ParseError, cli, generate_synthetic,
+    instance_from_json, instance_to_json, oracle_solve, parse_cordeau, parse_mps,
+    solution_from_json, solution_to_json,
 )
 
 from darpkit.instance import DEPOT_LOCATION, DROPOFF, PICKUP
@@ -148,6 +152,27 @@ def test_instance_json_loads_integer_fields_as_given(text):
 @given(_one_field_replaced(SOLUTION_DOC))
 def test_solution_json_parser_is_total(text):
     _accepts_or_raises_typed(solution_from_json, text, INSTANCE)
+
+
+@PROPERTY
+@given(_one_field_replaced(SOLUTION_DOC))
+def test_compare_refuses_exactly_what_the_solution_reader_refuses(text):
+    # compare reads no instance, so the one difference it may show is the
+    # library's DataError for a request id the instance lacks
+    refused = False
+    try:
+        solution_from_json(text, INSTANCE)
+    except ParseError:
+        refused = True
+    except DataError:
+        pass
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sol.json"
+        path.write_text(text)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["compare", str(path), str(path)])
+    assert code == (2 if refused else 0)
 
 
 @PROPERTY
