@@ -73,8 +73,7 @@ def parse_mps(text: str) -> ParsedMip:
     minimize = True
     obj_row: str | None = None
     free_rows: set[str] = set()
-    row_sense: dict[str, str] = {}
-    row_order: list[str] = []
+    row_sense: dict[str, str] = {}    # in declaration order
     col_names: list[str] = []
     col_index: dict[str, int] = {}
     integer_cols: set[int] = set()
@@ -123,7 +122,6 @@ def parse_mps(text: str) -> ParsedMip:
                         free_rows.add(row)
                 elif sense in ("E", "L", "G"):
                     row_sense[row] = sense
-                    row_order.append(row)
                 else:
                     raise ParseError(f"unknown row sense {sense!r}")
             elif section == "COLUMNS":
@@ -183,8 +181,10 @@ def parse_mps(text: str) -> ParsedMip:
                 if val is not None and math.isnan(val):
                     raise ValueError(fields[3])
                 bounds.append((btype, col, val))
-            elif section is None:
-                raise ParseError("MPS data before any section header")
+            else:
+                where = (f"under {section}, which takes none" if section
+                         else "before any section header")
+                raise ParseError(f"MPS data {where}, MPS line {lineno}: {raw.strip()!r}")
     except (IndexError, ValueError):
         # a missing field, or a non-numeric or non-finite value; the
         # ValueErrors raised above leave the line to this message
@@ -230,7 +230,7 @@ def parse_mps(text: str) -> ParsedMip:
         else:
             raise ParseError(f"unknown bound type {btype!r}")
 
-    row_pos = {row: i for i, row in enumerate(row_order)}.__getitem__
+    row_pos = {row: i for i, row in enumerate(row_sense)}.__getitem__
     data: list[float] = []
     indices: list[int] = []
     indptr = [0]
@@ -241,7 +241,7 @@ def parse_mps(text: str) -> ParsedMip:
     matrix = sparse.csc_array(
         (np.array(data, dtype=float), np.array(indices, dtype=np.int64),
          np.array(indptr, dtype=np.int64)),
-        shape=(len(row_order), ncols))
+        shape=(len(row_sense), ncols))
     matrix.sort_indices()
     obj = np.zeros(ncols)
     for j, val in obj_coefs.items():
@@ -249,9 +249,9 @@ def parse_mps(text: str) -> ParsedMip:
     return ParsedMip(
         name=name, minimize=minimize, col_names=col_names,
         integrality=integrality, lower=lower, upper=upper, obj=obj,
-        obj_constant=-obj_rhs, row_names=list(row_order),
-        row_sense=[row_sense[r] for r in row_order],
-        rhs=np.array([rhs.get(r, 0.0) for r in row_order]),
+        obj_constant=-obj_rhs, row_names=list(row_sense),
+        row_sense=list(row_sense.values()),
+        rhs=np.array([rhs.get(r, 0.0) for r in row_sense]),
         ranges=ranges, matrix=matrix)
 
 

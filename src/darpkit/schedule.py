@@ -74,10 +74,7 @@ class _Prefix:
     def push(self, stop: Stop) -> bool:
         """Append ``stop`` and reschedule; False, and no change, if the
         prefix has no schedule within the windows."""
-        try:
-            loc, early, late, limit = self._stop[stop]
-        except KeyError:
-            raise DataError(f"unknown stop {stop!r}") from None
+        loc, early, late, limit = self._stop[stop]
         times = self.times
         if times:
             prev = self._locs[-1]
@@ -191,29 +188,47 @@ def _tour_times(stops: Sequence[Stop], inst: Instance) -> list[float] | None:
     return prefix.times
 
 
-def _check_structure(stops: Sequence[Stop], inst: Instance):
-    """Raise unless the tour pairs, orders and loads its requests validly."""
+def _tour_faults(stops: Sequence[Stop], inst: Instance):
+    """The faults of a tour's stops in stop order, as (violation kind,
+    stop index or None, magnitude, detail): the one statement of the
+    pairing, precedence and capacity rules.  A fault is a stop of an
+    unknown request or kind (a tour with one is checked for nothing
+    else), a repeated pickup or dropoff, a dropoff before its pickup, a
+    load over capacity or a request never dropped off.
+    """
+    known = inst._memoised("stop_table", _stop_table)
+    unknown = [(k, rid, kind) for k, (rid, kind) in enumerate(stops)
+               if (rid, kind) not in known]
+    for k, rid, kind in unknown:
+        if (rid, PICKUP) not in known:
+            yield "coverage", k, 1.0, f"stop names unknown request {rid}"
+        if kind not in (PICKUP, DROPOFF):
+            yield "pairing", k, 1.0, f"stop of request {rid} has unknown kind {kind!r}"
+    if unknown:
+        return
     state: dict[int, str] = {}
     load = 0
-    for rid, kind in stops:
-        if kind not in (PICKUP, DROPOFF):
-            raise DataError(f"unknown stop kind {kind!r}")
-        seen = state.get(rid)
+    for k, (rid, kind) in enumerate(stops):
+        prior = state.get(rid)
         if kind == PICKUP:
-            if seen is not None:
-                raise DataError(f"request {rid} picked up twice")
+            if prior is not None:
+                yield "pairing", k, 1.0, f"request {rid} picked up twice"
             state[rid] = "on"
-            load += inst.request(rid).q
+            load += inst.requests[rid - 1].q
             if load > inst.capacity:
-                raise DataError(f"load {load} exceeds capacity after picking up {rid}")
+                yield ("capacity", k, float(load - inst.capacity),
+                       f"load {load} exceeds capacity {inst.capacity}")
         else:
-            if seen != "on":
-                raise DataError(f"dropoff of request {rid} without a preceding pickup")
+            if prior is None:
+                yield "precedence", k, 1.0, f"dropoff of {rid} precedes its pickup"
+            elif prior == "off":
+                yield "pairing", k, 1.0, f"request {rid} dropped off twice"
+            else:
+                load -= inst.requests[rid - 1].q
             state[rid] = "off"
-            load -= inst.request(rid).q
-    riding = [rid for rid, st in state.items() if st == "on"]
-    if riding:
-        raise DataError(f"requests {riding} are never dropped off")
+    for rid, st in state.items():
+        if st == "on":
+            yield "pairing", None, 1.0, f"request {rid} is never dropped off"
 
 
 def _tour_cost(stops: Sequence[Stop], inst: Instance) -> float:
@@ -252,9 +267,12 @@ def _schedule(tours: Sequence[Sequence[Stop]],
 
 
 def minimal_schedule(tour: Sequence[Stop], inst: Instance) -> Schedule | None:
-    """Componentwise-minimal schedule of one structurally valid tour."""
+    """Componentwise-minimal schedule of one tour, None if it has none;
+    a tour that breaks a stop rule of :func:`_tour_faults`, the rules the
+    validator checks, raises ``DataError`` naming its first fault."""
     stops = [tuple(st) for st in tour]
-    _check_structure(stops, inst)
+    for _, _, _, detail in _tour_faults(stops, inst):
+        raise DataError(detail)
     times = _tour_times(stops, inst)
     if times is None:
         return None

@@ -40,7 +40,8 @@ from .errors import DataError, InfeasibleError, ParseError, SolutionError
 from .instance import DEPOT_LOCATION, DROPOFF, PICKUP, Instance, _json_float, _json_int
 from .model import MilpModel, ObjectiveSpec, ObjectiveValue, combine_components
 from .schedule import (
-    Schedule, Stop, _Prefix, _schedule, _tour_cost, minimal_schedule,
+    Schedule, Stop, _Prefix, _schedule, _stop_table, _tour_cost, _tour_faults,
+    minimal_schedule,
 )
 
 
@@ -397,23 +398,6 @@ def validate_solution(inst: Instance, sol: Solution,
     if len(sol.tours) > inst.fleet_size:
         flag("fleet", None, None, float(len(sol.tours) - inst.fleet_size),
              f"{len(sol.tours)} tours exceed the fleet of {inst.fleet_size}")
-
-    seen_tour: dict[int, int] = {}
-    unknown_in: set[int] = set()
-    for t, tour in enumerate(sol.tours):
-        for k, (rid, kind) in enumerate(tour):
-            if not 1 <= rid <= inst.n:
-                flag("coverage", t, k, 1.0, f"stop names unknown request {rid}")
-                unknown_in.add(t)
-            if kind not in (PICKUP, DROPOFF):
-                flag("pairing", t, k, 1.0, f"stop of request {rid} has unknown "
-                     f"kind {kind!r}")
-                unknown_in.add(t)
-            if kind == PICKUP:
-                if rid in seen_tour and seen_tour[rid] != t:
-                    flag("pairing", t, None, 1.0,
-                         f"request {rid} appears in tours {seen_tour[rid]} and {t}")
-                seen_tour.setdefault(rid, t)
     served = {rid for tour in sol.tours for rid, _ in tour}
     if served != sol.accepted:
         flag("coverage", None, None, float(len(served ^ sol.accepted)),
@@ -423,76 +407,70 @@ def validate_solution(inst: Instance, sol: Solution,
     if denied and not obj._weights()[3]:
         flag("coverage", None, None, float(len(denied)),
              f"requests {sorted(denied)} are not accepted and denial is off")
+    timed = len(sol.times) == len(sol.tours)
+    if not timed:
+        flag("pairing", None, None, float(abs(len(sol.times) - len(sol.tours))),
+             f"schedule has {len(sol.times)} rows for {len(sol.tours)} tours")
 
+    stop_table = inst._memoised("stop_table", _stop_table)
+    rows, service = inst.metric.time_rows, inst.service
     e0, l0 = inst.depot_window
-    for t, (tour, ts) in enumerate(zip(sol.tours, sol.times)):
-        if t in unknown_in:
-            continue    # per-stop checks need the stop's request and kind
+    first_tour: dict[int, int] = {}
+    known = True    # every stop of the plan has a request and a kind
+    for t, tour in enumerate(sol.tours):
+        for kind, k, magnitude, detail in _tour_faults(tour, inst):
+            flag(kind, t, k, magnitude, detail)
+        for rid, kind in tour:
+            if kind == PICKUP and first_tour.setdefault(rid, t) != t:
+                flag("pairing", t, None, 1.0,
+                     f"request {rid} appears in tours {first_tour[rid]} and {t}")
+        # the time checks need each stop's location and window, and its time
+        entries = [stop_table.get((rid, kind)) for rid, kind in tour]
+        if None in entries:
+            known = False
+        if None in entries or not timed:
+            continue
+        ts = sol.times[t]
         if len(ts) != len(tour):
             flag("pairing", t, None, float(abs(len(ts) - len(tour))),
                  "schedule length disagrees with the stop list")
             continue
-        state: dict[int, str] = {}
-        load = 0
         pick_time: dict[int, float] = {}
-        for k, ((rid, kind), when) in enumerate(zip(tour, ts)):
-            req = inst.request(rid)
-            loc = inst.location(rid, kind)
+        prev = DEPOT_LOCATION
+        for k, ((rid, kind), (loc, e, l, _), when) in enumerate(zip(tour, entries, ts)):
             if kind == PICKUP:
-                if state.get(rid) is not None:
-                    flag("pairing", t, k, 1.0, f"request {rid} picked up twice")
-                state[rid] = "on"
-                load += req.q
-                if load > inst.capacity:
-                    flag("capacity", t, k, float(load - inst.capacity),
-                         f"load {load} exceeds capacity {inst.capacity}")
                 pick_time[rid] = when
-            else:
-                prior = state.get(rid)
-                if prior == "off":
-                    flag("pairing", t, k, 1.0, f"request {rid} dropped off twice")
-                elif prior is None:
-                    flag("precedence", t, k, 1.0,
-                         f"dropoff of {rid} precedes its pickup")
-                else:
-                    load -= req.q
-                    ride = when - pick_time[rid] - req.s
-                    if ride > req.max_ride + _TOL:
-                        flag("ride_time", t, k, ride - req.max_ride,
-                             f"request {rid} rides {ride:.3f}, limit {req.max_ride:.3f}")
-                state[rid] = "off"
+            elif rid in pick_time:
+                req = inst.requests[rid - 1]
+                ride = when - pick_time.pop(rid) - req.s
+                if ride > req.max_ride + _TOL:
+                    flag("ride_time", t, k, ride - req.max_ride,
+                         f"request {rid} rides {ride:.3f}, limit {req.max_ride:.3f}")
             # negated in-range tests, so that a NaN time is out of range
-            e, l = inst.windows[loc]
             if not when >= e - _TOL:
                 flag("window", t, k, e - when,
                      f"stop starts {e - when:.3f} before its window")
             elif not when <= l + _TOL:
                 flag("window", t, k, when - l,
                      f"stop starts {when - l:.3f} after its window")
-        dangling = [rid for rid, st in state.items() if st == "on"]
-        for rid in dangling:
-            flag("pairing", t, None, 1.0, f"request {rid} is never dropped off")
-        # consecutive stops must respect service plus travel separation
-        locs = [inst.location(*stop) for stop in tour]
-        for k in range(len(tour) - 1):
-            a, b = locs[k], locs[k + 1]
-            gap = inst.service[a] + inst.metric.time(a, b)
-            short = ts[k] + gap - ts[k + 1]
-            if short > _TOL:
-                flag("precedence", t, k + 1, short,
-                     f"stop starts {short:.3f} too early for travel and service")
+            # consecutive stops must respect service plus travel separation
+            if k:
+                short = ts[k - 1] + (service[prev] + rows[prev][loc]) - when
+                if short > _TOL:
+                    flag("precedence", t, k, short,
+                         f"stop starts {short:.3f} too early for travel and service")
+            prev = loc
         if tour:
-            depart = ts[0] - inst.metric.time(DEPOT_LOCATION, locs[0])
+            depart = ts[0] - rows[DEPOT_LOCATION][entries[0][0]]
             if depart < e0 - _TOL:
                 flag("duration", t, 0, e0 - depart,
                      f"tour departs {e0 - depart:.3f} before the depot opens")
-            ret = ts[-1] + inst.service[locs[-1]] + inst.metric.time(
-                locs[-1], DEPOT_LOCATION)
+            ret = ts[-1] + service[prev] + rows[prev][DEPOT_LOCATION]
             if ret > l0 + _TOL:
                 flag("duration", t, len(tour) - 1, ret - l0,
                      f"tour returns {ret - l0:.3f} after the depot closes")
 
-    if sol.objective is not None and not unknown_in:
+    if sol.objective is not None and known and timed:
         # the components do not depend on the objective weights, the total
         # is only known under a given objective
         plan = evaluate_objective(inst, sol, obj)
@@ -539,6 +517,7 @@ def _read_solution(text: str) -> tuple[list, list, frozenset[int], ObjectiveValu
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
+    part = "tours"    # the top-level field being read, for the message
     try:
         tours = []
         times = []
@@ -546,9 +525,11 @@ def _read_solution(text: str) -> tuple[list, list, frozenset[int], ObjectiveValu
             tours.append(tuple((_json_int(st["request"], "request id"), str(st["kind"]))
                                for st in tour))
             times.append(tuple(_finite(st["time"], "stop time") for st in tour))
+        part = "accepted"
         ids = [_json_int(i, "request id") for i in doc["accepted"]]
         if len(set(ids)) != len(ids):
             raise ValueError(f"accepted list repeats a request id: {ids}")
+        part = "objective"
         obj = doc["objective"]
         objective = ObjectiveValue(
             total=_finite(obj["total"], "total"),
@@ -558,7 +539,7 @@ def _read_solution(text: str) -> tuple[list, list, frozenset[int], ObjectiveValu
             denied=_json_int(obj["f_n"], "f_n"))
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ParseError("solution JSON has a missing, mistyped or non-finite "
-                         f"field: {exc}") from None
+                         f"field in {part!r}: {exc}") from None
     for tour in tours:
         for rid, kind in tour:
             if kind not in (PICKUP, DROPOFF):

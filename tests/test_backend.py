@@ -215,6 +215,9 @@ ENDATA
      "unknown objective sense 'MAXIMUM', MPS line 4"),
     ((MIN_MPS[MIN_MPS.index("COLUMNS\n") + 8:MIN_MPS.index("RHS\n")], ""),
      "declares no columns"),
+    # a data line under a header that takes none is refused, not skipped
+    (("NAME          tinymin\n", "NAME          tinymin\n    junk  here  1.0\n"),
+     "MPS data under NAME, which takes none, MPS line 3"),
 ])
 def test_parse_mps_errors(breakage, message):
     old, new = breakage

@@ -113,6 +113,14 @@ def test_convert_garbage(tmp_path):
     assert cli.main(["convert", str(src), "-o", str(tmp_path / "x.json")]) == 2
 
 
+def test_convert_header_only_file(tmp_path, capsys):
+    # a header without node rows declares n = -1: refused, not a traceback
+    src = tmp_path / "header.txt"
+    src.write_text("2 0 480 3 30\n")
+    _refused(capsys, ["convert", str(src), "-o", str(tmp_path / "x.json")],
+             "at least one request")
+
+
 def test_graph_stats_text(instance_file, capsys):
     assert cli.main(["graph", str(instance_file)]) == 0
     out = capsys.readouterr().out
@@ -645,6 +653,8 @@ def test_solve_mps_refuses_bad_solver_options(tmp_path, capsys, option, value):
      "ROWS\n N COST\n L c\nCOLUMNS\nRHS\n    RHS c 1\nENDATA\n"),
     ("solve-mps", "sos.mps", "NAME s\nROWS\n N obj\nCOLUMNS\n    x obj 1\n"
                              "SOS\n S1 SOS s1 1\n    s1 x 1\nENDATA\n"),
+    ("solve-mps", "name_data.mps", "NAME s\n    junk  here  1.0\nROWS\n N obj\n"
+                                   "COLUMNS\n    x obj 1\nENDATA\n"),
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, command, name, text):
     path = tmp_path / name

@@ -465,6 +465,8 @@ def test_parse_cordeau_explicit_depot_window(tiny_cordeau_text):
     (lambda ls: ls[:2] + ["1 1.0 2.0 3 0 100 115"] + ls[3:], "positive"),
     (lambda ls: ["inf 4 480 3 30"] + ls[1:], "integer"),
     (lambda ls: ["2 nan 480 3 30"] + ls[1:], "integer"),
+    # a header alone declares n = -1, which Instance's own check never sees
+    (lambda ls: ["2 0 480 3 30"], "at least one request"),
 ])
 def test_parse_cordeau_errors(tiny_cordeau_text, mangle, message):
     lines = tiny_cordeau_text.strip().splitlines()

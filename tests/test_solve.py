@@ -249,6 +249,36 @@ def test_minimal_schedule_rejects_bad_structure(tour):
         minimal_schedule(tour, inst)
 
 
+@pytest.mark.parametrize("tour", [
+    [(1, D), (1, P)],
+    [(1, P), (1, P), (1, D), (1, D)],
+    [(1, P), (1, D), (1, D)],
+    [(1, P)],
+    [(1, P), (2, P), (1, D), (2, D)],
+    [(0, P), (0, D)],
+    [(1, P), (1, "banana")],
+], ids=["order", "twice", "dropped twice", "dangling", "capacity",
+        "unknown request", "unknown kind"])
+def test_minimal_schedule_refuses_the_validators_first_fault(tour):
+    # one statement of the stop rules: minimal_schedule raises with the
+    # detail of the first fault the validator reports for the tour
+    inst = line_instance(
+        "bad", positions=(0.0, 1.0, 2.0, 11.0, 12.0),
+        specs=[
+            {"pickup": (0, 50), "dropoff": (0, 50), "max_ride": 20},
+            {"pickup": (0, 50), "dropoff": (0, 50), "max_ride": 20},
+        ],
+        fleet_size=1, capacity=1, depot_window=(0.0, 100.0))
+    sol = Solution(tours=(tuple(tour),),
+                   schedule=Schedule(times=((),), excess={}, makespans=()),
+                   accepted=frozenset({1, 2}), objective=None)
+    first = next(v for v in validate_solution(inst, sol).violations
+                 if v.tour == 0)
+    with pytest.raises(DataError) as exc:
+        minimal_schedule(tour, inst)
+    assert str(exc.value) == first.detail
+
+
 # ---------------------------------------------------------------------------
 # exact oracle vs an independent brute force
 # ---------------------------------------------------------------------------
@@ -723,6 +753,21 @@ def test_validate_non_finite_numbers():
         assert validate_solution(inst, claimed).kinds() == {"objective"}
 
 
+@pytest.mark.parametrize("rows", [slice(None, -1), slice(None, 0)],
+                         ids=["last row", "every row"])
+def test_validate_needs_one_schedule_row_per_tour(rows):
+    # a tour without a row of times is not left unchecked
+    inst = generate_synthetic(GeneratorConfig(n=3, capacity=3, seed=1))
+    sol = oracle_solve(inst)
+    assert validate_solution(inst, sol).ok
+    short = replace(sol, schedule=replace(sol.schedule, times=sol.times[rows]))
+    report = validate_solution(inst, short)
+    assert [(v.kind, v.tour, v.stop) for v in report.violations] == [
+        ("pairing", None, None)]
+    assert report.violations[0].detail == (
+        f"schedule has {len(short.times)} rows for {len(sol.tours)} tours")
+
+
 def test_validate_coverage_accepted_not_served(pooling_instance):
     sol = Solution(tours=(), schedule=Schedule(times=(), excess={},
                                                makespans=()),
@@ -801,6 +846,18 @@ def test_solution_json_errors(gen_instances):
         solution_from_json("[", gen_instances[0])
     with pytest.raises(ParseError, match="field"):
         solution_from_json("{}", gen_instances[0])
+
+
+@pytest.mark.parametrize("field, value", [
+    ("tours", "none"), ("accepted", 5), ("objective", []),
+])
+def test_solution_json_names_the_mistyped_field(field, value):
+    from darpkit import ParseError
+    inst = generate_synthetic(GeneratorConfig(n=3, capacity=3, seed=1))
+    doc = json.loads(solution_to_json(oracle_solve(inst)))
+    doc[field] = value
+    with pytest.raises(ParseError, match=f"field in '{field}': "):
+        solution_from_json(json.dumps(doc), inst)
 
 
 def test_solution_json_non_numeric_request(gen_instances):
