@@ -8,10 +8,13 @@ path an external solver would.  Only the MPS subset produced by
 RANGES, free rows, MI/PL/FX/FR bounds) is supported; a section outside
 it (SOS, QUADOBJ, OBJNAME, ...) is refused, not skipped.  The first
 ``N`` row is the objective; entries on any later ``N`` row (a free row)
-are read and dropped.
+are read and dropped.  COLUMNS, RHS and RANGES lines share one entry
+reader, and a refused line is named by its number.  :class:`ParsedMip`
+carries each row's two sides, not its MPS syntax, so :func:`solve_mip`
+interprets none.
 
-numpy and scipy are imported inside :func:`parse_mps` and
-:func:`solve_mip`, so importing darpkit, and every command that solves
+numpy and scipy are imported inside :func:`parse_mps` (and scipy in
+:func:`solve_mip`), so importing darpkit, and every command that solves
 nothing, does not pay for loading them.
 """
 
@@ -42,9 +45,8 @@ class ParsedMip:
     obj: np.ndarray
     obj_constant: float
     row_names: list[str]
-    row_sense: list[str]         # E | L | G
-    rhs: np.ndarray
-    ranges: dict[str, float]
+    row_lower: np.ndarray        # -inf where a row has no lower side
+    row_upper: np.ndarray        # inf where a row has no upper side
     matrix: sparse.csc_array     # rows by columns, sorted row indices
 
 
@@ -53,6 +55,35 @@ _SECTIONS = ("NAME", "OBJSENSE", "ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS",
              "ENDATA")
 # OBJSENSE word -> minimize
 _MINIMIZE = {"MIN": True, "MINIMIZE": True, "MAX": False, "MAXIMIZE": False}
+# COLUMNS MARKER tag -> whether the columns after it are integer
+_MARKERS = {"INTORG": True, "INTEND": False}
+
+
+def _entries(fields: list[str], rows: set[str] | dict[str, str]):
+    """The (row, value) pairs of a COLUMNS, RHS or RANGES line, after its
+    first field; ValueError for an odd entry count or a value that is not
+    a finite number, KeyError for a row not in ``rows``."""
+    if len(fields) % 2 == 0:
+        raise ValueError("odd entry count")
+    pairs = iter(fields[1:])
+    for row, val in zip(pairs, pairs):
+        val = float(val)
+        if not math.isfinite(val):
+            raise ValueError(val)
+        if row not in rows:
+            raise KeyError(row)
+        yield row, val
+
+
+def _row_sides(sense: str, b: float, r: float | None) -> tuple[float, float]:
+    """A row's (lower, upper) sides from its sense, RHS ``b`` and RANGES
+    entry ``r`` (None if none): E [b, b], L [-inf, b], G [b, inf]; ``r``
+    opens L to [b - |r|, b], G to [b, b + |r|] and E by r, up or down."""
+    if r is None:
+        return -math.inf if sense == "L" else b, math.inf if sense == "G" else b
+    if sense == "L" or (sense == "E" and r < 0):
+        return b - abs(r), b
+    return b, b + abs(r)
 
 
 def parse_mps(text: str) -> ParsedMip:
@@ -63,8 +94,9 @@ def parse_mps(text: str) -> ParsedMip:
     from the COLUMNS section, which MPS writes column-major: entries that
     repeat a (column, row) pair add up, and a column whose entries are
     split over several places merges into one.  Explicit zeros are kept.
-    The objective sense is MIN, MINIMIZE, MAX or MAXIMIZE, on the OBJSENSE
-    header line or the line below it.  A file needs at least one column.
+    Row sides come from :func:`_row_sides`.  The objective sense is MIN,
+    MINIMIZE, MAX or MAXIMIZE, on the OBJSENSE header line or the line
+    below it.  A file needs at least one column.
     """
     import numpy as np
     from scipy import sparse
@@ -72,8 +104,8 @@ def parse_mps(text: str) -> ParsedMip:
     name = ""
     minimize = True
     obj_row: str | None = None
-    free_rows: set[str] = set()
-    row_sense: dict[str, str] = {}    # in declaration order
+    declared: set[str] = set()    # every row, N rows too
+    row_sense: dict[str, str] = {}    # E, L and G rows in declaration order
     col_names: list[str] = []
     col_index: dict[str, int] = {}
     integer_cols: set[int] = set()
@@ -88,10 +120,9 @@ def parse_mps(text: str) -> ParsedMip:
     in_integer = False
     try:
         for lineno, raw in enumerate(text.splitlines(), start=1):
-            stripped = raw.lstrip()
-            if not stripped or stripped[0] == "*":
-                continue
             fields = raw.split()
+            if not fields or fields[0][0] == "*":
+                continue
             if raw[0] not in " \t":
                 section = fields.pop(0).upper()
                 if section not in _SECTIONS:
@@ -111,23 +142,27 @@ def parse_mps(text: str) -> ParsedMip:
                                      f"MPS line {lineno}")
                 minimize = _MINIMIZE[sense]
             elif section == "ROWS":
-                sense, row = fields[0].upper(), fields[1]
-                if row in row_sense or row in free_rows or row == obj_row:
+                sense, row = fields    # ValueError unless two fields
+                sense = sense.upper()
+                if row in declared:
                     raise ParseError(
                         f"row {row!r} declared twice, MPS line {lineno}")
+                declared.add(row)
                 if sense == "N":
-                    if obj_row is None:
-                        obj_row = row
-                    else:
-                        free_rows.add(row)
+                    # the first N row is the objective, any later one free
+                    obj_row = obj_row or row
                 elif sense in ("E", "L", "G"):
                     row_sense[row] = sense
                 else:
-                    raise ParseError(f"unknown row sense {sense!r}")
+                    raise ParseError(
+                        f"unknown row sense {sense!r}, MPS line {lineno}")
             elif section == "COLUMNS":
                 if len(fields) >= 3 and fields[1].strip("'").upper() == "MARKER":
                     flag = fields[2].strip("'").upper()
-                    in_integer = flag == "INTORG"
+                    if flag not in _MARKERS:
+                        raise ParseError(
+                            f"unknown MARKER tag {flag!r}, MPS line {lineno}")
+                    in_integer = _MARKERS[flag]
                     continue
                 col = fields[0]
                 if col not in col_index:
@@ -138,43 +173,24 @@ def parse_mps(text: str) -> ParsedMip:
                 entries = columns[j]
                 if in_integer:
                     integer_cols.add(j)
-                if len(fields) % 2 == 0:
-                    raise ParseError(f"odd COLUMNS entry count for {col}")
-                pairs = iter(fields[1:])
-                for row, val in zip(pairs, pairs):
-                    val = float(val)
-                    if not math.isfinite(val):
-                        raise ValueError(val)
+                # entries on a free row are read and dropped
+                for row, val in _entries(fields, declared):
                     if row == obj_row:
                         obj_coefs[j] = obj_coefs.get(j, 0.0) + val
                     elif row in row_sense:
                         entries[row] = entries.get(row, 0.0) + val
-                    elif row not in free_rows:
-                        raise ParseError(f"COLUMNS references unknown row {row}")
             elif section == "RHS":
-                pairs = fields[1:]
-                if len(pairs) % 2:
-                    raise ParseError("odd RHS entry count")
-                for pos in range(0, len(pairs), 2):
-                    row, val = pairs[pos], float(pairs[pos + 1])
-                    if not math.isfinite(val):
-                        raise ValueError(val)
+                for row, val in _entries(fields, declared):
                     if row == obj_row:
                         obj_rhs = val
                     elif row in row_sense:
                         rhs[row] = val
-                    elif row not in free_rows:
-                        raise ParseError(f"RHS references unknown row {row}")
             elif section == "RANGES":
-                pairs = fields[1:]
-                for pos in range(0, len(pairs), 2):
-                    row, val = pairs[pos], float(pairs[pos + 1])
-                    if not math.isfinite(val):
-                        raise ValueError(val)
-                    if row not in row_sense:
-                        raise ParseError(f"RANGES references unknown row {row}")
+                for row, val in _entries(fields, row_sense):
                     ranges[row] = val
             elif section == "BOUNDS":
+                if len(fields) > 4:
+                    raise ValueError(raw)
                 btype = fields[0].upper()
                 col = fields[2]
                 val = float(fields[3]) if len(fields) > 3 else None
@@ -189,6 +205,10 @@ def parse_mps(text: str) -> ParsedMip:
         # a missing field, or a non-numeric or non-finite value; the
         # ValueErrors raised above leave the line to this message
         raise ParseError(f"malformed MPS line {lineno}: {raw.strip()!r}") from None
+    except KeyError as exc:
+        # an entry's row, from _entries
+        raise ParseError(f"{section} references unknown row {exc.args[0]}, "
+                         f"MPS line {lineno}") from None
     if obj_row is None:
         raise ParseError("MPS file declares no objective row")
     if not col_names:
@@ -246,13 +266,14 @@ def parse_mps(text: str) -> ParsedMip:
     obj = np.zeros(ncols)
     for j, val in obj_coefs.items():
         obj[j] = val
+    sides = [_row_sides(sense, rhs.get(row, 0.0), ranges.get(row))
+             for row, sense in row_sense.items()]
     return ParsedMip(
         name=name, minimize=minimize, col_names=col_names,
         integrality=integrality, lower=lower, upper=upper, obj=obj,
         obj_constant=-obj_rhs, row_names=list(row_sense),
-        row_sense=list(row_sense.values()),
-        rhs=np.array([rhs.get(r, 0.0) for r in row_sense]),
-        ranges=ranges, matrix=matrix)
+        row_lower=np.array([lo for lo, _ in sides], dtype=float),
+        row_upper=np.array([hi for _, hi in sides], dtype=float), matrix=matrix)
 
 
 @dataclass
@@ -272,6 +293,9 @@ class MilpResult:
     mip_node_count: int | None = None
     mip_dual_bound: float | None = None
 
+
+# scipy.optimize.milp status -> MilpResult.status
+_STATUS = {0: "optimal", 1: "time_limit", 2: "infeasible", 3: "unbounded"}
 
 # HiGHS option that switches its Feasibility Jump heuristic (Luteberget &
 # Sartor 2023) on or off; scipy's ``milp`` passes it to HiGHS unchanged
@@ -314,42 +338,19 @@ def solve_mip(mip: ParsedMip, time_limit: float | None = None,
         raise DataError(f"time limit must be a number >= 0, got {time_limit!r}")
     if not 0 <= mip_gap < math.inf:
         raise DataError(f"MIP gap must be a finite number >= 0, got {mip_gap!r}")
-    import numpy as np
     from scipy import optimize
 
-    sense = np.array(mip.row_sense, dtype="U1")
-    lo = np.where(sense == "L", -math.inf, mip.rhs)
-    hi = np.where(sense == "G", math.inf, mip.rhs)
-    if mip.ranges:
-        pos = {name: i for i, name in enumerate(mip.row_names)}
-        for name, r in mip.ranges.items():
-            i = pos[name]
-            b = mip.rhs[i]
-            if sense[i] == "L":
-                lo[i] = b - abs(r)
-            elif sense[i] == "G":
-                hi[i] = b + abs(r)
-            else:
-                lo[i], hi[i] = (b, b + abs(r)) if r >= 0 else (b - abs(r), b)
     sign = 1.0 if mip.minimize else -1.0
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", message=f".*{_FEASIBILITY_JUMP}")
         res = optimize.milp(
             c=sign * mip.obj,
-            constraints=optimize.LinearConstraint(mip.matrix, lo, hi),
+            constraints=optimize.LinearConstraint(
+                mip.matrix, mip.row_lower, mip.row_upper),
             integrality=mip.integrality,
             bounds=optimize.Bounds(mip.lower, mip.upper),
             options=highs_options(time_limit, mip_gap))
-    if res.status == 0:
-        status = "optimal"
-    elif res.status == 1:
-        status = "time_limit"
-    elif res.status == 2:
-        status = "infeasible"
-    elif res.status == 3:
-        status = "unbounded"
-    else:
-        status = "unknown"
+    status = _STATUS.get(res.status, "unknown")
     gap, nodes, bound = (res.get(key) for key in (
         "mip_gap", "mip_node_count", "mip_dual_bound"))
     stats = {

@@ -74,7 +74,7 @@ class _Prefix:
     def push(self, stop: Stop) -> bool:
         """Append ``stop`` and reschedule; False, and no change, if the
         prefix has no schedule within the windows."""
-        loc, early, late, limit = self._stop[stop]
+        loc, early, late, limit, _ = self._stop[stop]
         times = self.times
         if times:
             prev = self._locs[-1]
@@ -159,15 +159,26 @@ class _Prefix:
 
 
 def _stop_table(inst: Instance) -> dict:
-    """What a schedule step reads of each stop, once per instance: its
-    location, window and negated ride limit (None for a pickup)."""
+    """What the schedule step and the tour rules read of each stop, once
+    per instance: its location, window, negated ride limit (None for a
+    pickup) and request, whose id a key may give as any equal number."""
     stop = {}
     for req in inst.requests:
         stop[req.id, PICKUP] = (inst.location(req.id, PICKUP),
-                                *req.pickup_window, None)
+                                *req.pickup_window, None, req)
         stop[req.id, DROPOFF] = (inst.location(req.id, DROPOFF),
-                                 *req.dropoff_window, -(req.max_ride + req.s))
+                                 *req.dropoff_window, -(req.max_ride + req.s), req)
     return stop
+
+
+def _stop_entries(stops: Sequence[Stop], inst: Instance) -> list[tuple]:
+    """Each stop's :func:`_stop_table` entry; ``DataError`` for a stop of
+    an unknown request or kind."""
+    table = inst._memoised("stop_table", _stop_table)
+    try:
+        return [table[stop] for stop in stops]
+    except KeyError as exc:
+        raise DataError(f"unknown stop {exc.args[0]!r}") from None
 
 
 def _tour_times(stops: Sequence[Stop], inst: Instance) -> list[float] | None:
@@ -209,12 +220,14 @@ def _tour_faults(stops: Sequence[Stop], inst: Instance):
     state: dict[int, str] = {}
     load = 0
     for k, (rid, kind) in enumerate(stops):
+        req = known[rid, kind][4]
+        rid = req.id    # 1, also where the stop says 1.0
         prior = state.get(rid)
         if kind == PICKUP:
             if prior is not None:
                 yield "pairing", k, 1.0, f"request {rid} picked up twice"
             state[rid] = "on"
-            load += inst.requests[rid - 1].q
+            load += req.q
             if load > inst.capacity:
                 yield ("capacity", k, float(load - inst.capacity),
                        f"load {load} exceeds capacity {inst.capacity}")
@@ -224,7 +237,7 @@ def _tour_faults(stops: Sequence[Stop], inst: Instance):
             elif prior == "off":
                 yield "pairing", k, 1.0, f"request {rid} dropped off twice"
             else:
-                load -= inst.requests[rid - 1].q
+                load -= req.q
             state[rid] = "off"
     for rid, st in state.items():
         if st == "on":
@@ -235,19 +248,18 @@ def _tour_cost(stops: Sequence[Stop], inst: Instance) -> float:
     rows = inst.metric.cost_rows
     cost = 0.0
     prev = DEPOT_LOCATION
-    for stop in stops:
-        loc = inst.location(*stop)
-        cost += rows[prev][loc]
-        prev = loc
+    for entry in _stop_entries(stops, inst):
+        cost += rows[prev][entry[0]]
+        prev = entry[0]
     return cost + rows[prev][DEPOT_LOCATION]
 
 
-def _tour_makespan(stops: Sequence[Stop], times: Sequence[float],
+def _tour_makespan(entries: Sequence[tuple], times: Sequence[float],
                    inst: Instance) -> float:
-    if not stops:
+    if not entries:
         return 0.0
-    depart = times[0] - inst.metric.time(DEPOT_LOCATION, inst.location(*stops[0]))
-    last = inst.location(*stops[-1])
+    depart = times[0] - inst.metric.time(DEPOT_LOCATION, entries[0][0])
+    last = entries[-1][0]
     ret = times[-1] + inst.service[last] + inst.metric.time(last, DEPOT_LOCATION)
     return ret - depart
 
@@ -256,14 +268,15 @@ def _schedule(tours: Sequence[Sequence[Stop]],
               times: Sequence[Sequence[float]], inst: Instance) -> Schedule:
     """Per-request dropoff excess and per-tour makespans of timed tours."""
     excess = {}
+    makespans = []
     for stops, ts in zip(tours, times):
-        for (rid, kind), t in zip(stops, ts):
+        entries = _stop_entries(stops, inst)
+        for (_, kind), (_, early, _, _, req), t in zip(stops, entries, ts):
             if kind == DROPOFF:
-                excess[rid] = max(0.0, t - inst.request(rid).dropoff_window[0])
-    makespans = tuple(_tour_makespan(stops, ts, inst)
-                      for stops, ts in zip(tours, times))
+                excess[req.id] = max(0.0, t - early)
+        makespans.append(_tour_makespan(entries, ts, inst))
     return Schedule(times=tuple(tuple(ts) for ts in times), excess=excess,
-                    makespans=makespans)
+                    makespans=tuple(makespans))
 
 
 def minimal_schedule(tour: Sequence[Stop], inst: Instance) -> Schedule | None:

@@ -395,10 +395,17 @@ def validate_solution(inst: Instance, sol: Solution,
     def flag(kind, tour, stop, magnitude, detail):
         found.append(Violation(kind, tour, stop, magnitude, detail))
 
+    stop_table = inst._memoised("stop_table", _stop_table)
+
+    def request_id(rid, kind):
+        # the instance's id of the stop's request: 1 where the stop says 1.0
+        entry = stop_table.get((rid, kind))
+        return entry[4].id if entry else rid
+
     if len(sol.tours) > inst.fleet_size:
         flag("fleet", None, None, float(len(sol.tours) - inst.fleet_size),
              f"{len(sol.tours)} tours exceed the fleet of {inst.fleet_size}")
-    served = {rid for tour in sol.tours for rid, _ in tour}
+    served = {request_id(*stop) for tour in sol.tours for stop in tour}
     if served != sol.accepted:
         flag("coverage", None, None, float(len(served ^ sol.accepted)),
              f"tours serve {sorted(served)}, accepted claims "
@@ -412,7 +419,6 @@ def validate_solution(inst: Instance, sol: Solution,
         flag("pairing", None, None, float(abs(len(sol.times) - len(sol.tours))),
              f"schedule has {len(sol.times)} rows for {len(sol.tours)} tours")
 
-    stop_table = inst._memoised("stop_table", _stop_table)
     rows, service = inst.metric.time_rows, inst.service
     e0, l0 = inst.depot_window
     first_tour: dict[int, int] = {}
@@ -421,6 +427,7 @@ def validate_solution(inst: Instance, sol: Solution,
         for kind, k, magnitude, detail in _tour_faults(tour, inst):
             flag(kind, t, k, magnitude, detail)
         for rid, kind in tour:
+            rid = request_id(rid, kind)
             if kind == PICKUP and first_tour.setdefault(rid, t) != t:
                 flag("pairing", t, None, 1.0,
                      f"request {rid} appears in tours {first_tour[rid]} and {t}")
@@ -437,15 +444,14 @@ def validate_solution(inst: Instance, sol: Solution,
             continue
         pick_time: dict[int, float] = {}
         prev = DEPOT_LOCATION
-        for k, ((rid, kind), (loc, e, l, _), when) in enumerate(zip(tour, entries, ts)):
+        for k, ((_, kind), (loc, e, l, _, req), when) in enumerate(zip(tour, entries, ts)):
             if kind == PICKUP:
-                pick_time[rid] = when
-            elif rid in pick_time:
-                req = inst.requests[rid - 1]
-                ride = when - pick_time.pop(rid) - req.s
+                pick_time[req.id] = when
+            elif req.id in pick_time:
+                ride = when - pick_time.pop(req.id) - req.s
                 if ride > req.max_ride + _TOL:
                     flag("ride_time", t, k, ride - req.max_ride,
-                         f"request {rid} rides {ride:.3f}, limit {req.max_ride:.3f}")
+                         f"request {req.id} rides {ride:.3f}, limit {req.max_ride:.3f}")
             # negated in-range tests, so that a NaN time is out of range
             if not when >= e - _TOL:
                 flag("window", t, k, e - when,
@@ -517,6 +523,8 @@ def _read_solution(text: str) -> tuple[list, list, frozenset[int], ObjectiveValu
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ParseError(f"solution JSON is not a JSON object: {text.strip()[:40]}")
     part = "tours"    # the top-level field being read, for the message
     try:
         tours = []

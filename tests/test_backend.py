@@ -75,8 +75,9 @@ def test_parse_mps_structure():
     assert list(mip.obj) == [2.0, 3.0, 1.0]
     assert mip.obj_constant == 7.5
     assert mip.row_names == ["cap", "floor", "link"]
-    assert mip.row_sense == ["L", "G", "E"]
-    assert list(mip.rhs) == [2.0, 0.5, 1.0]
+    # L is (-inf, rhs), G (rhs, inf) and E (rhs, rhs)
+    assert list(mip.row_lower) == [-math.inf, 0.5, 1.0]
+    assert list(mip.row_upper) == [2.0, math.inf, 1.0]
     dense = mip.matrix.toarray()
     assert dense.tolist() == [[1.0, 1.0, 0.0],
                               [0.0, 0.0, 1.0],
@@ -165,9 +166,9 @@ ENDATA
     (("    RHS       floor          0.5", "    RHS       nope           0.5"),
      "RHS references"),
     (("    a         link           1.0", "    a         link"),
-     "odd COLUMNS"),
+     "malformed MPS line 11"),
     (("    RHS       COST          -7.5", "    RHS       COST"),
-     "odd RHS"),
+     "malformed MPS line 18"),
     ((" UP BND       c              4.0", " XX BND       c              4.0"),
      "unknown bound type"),
     ((" UP BND       c              4.0", " UP BND       zz             4.0"),
@@ -218,6 +219,21 @@ ENDATA
     # a data line under a header that takes none is refused, not skipped
     (("NAME          tinymin\n", "NAME          tinymin\n    junk  here  1.0\n"),
      "MPS data under NAME, which takes none, MPS line 3"),
+    # every refusal of a COLUMNS, RHS or RANGES line names the line
+    (("    a         link           1.0", "    a         nope           1.0"),
+     "COLUMNS references unknown row nope, MPS line 11"),
+    (("    RHS       floor          0.5", "    RHS       nope           0.5"),
+     "RHS references unknown row nope, MPS line 19"),
+    (("BOUNDS\n", "RANGES\n    RNG       nosuchrow      1.0\nBOUNDS\n"),
+     "RANGES references unknown row nosuchrow, MPS line 21"),
+    (("BOUNDS\n", "RANGES\n    RNG       cap\nBOUNDS\n"),
+     "malformed MPS line 21"),
+    # a MARKER tag other than INTORG or INTEND, a third field on a ROWS
+    # line and a fifth on a BOUNDS line are refused, not misread
+    (("'INTORG'", "'INTORGX'"), "unknown MARKER tag 'INTORGX', MPS line 9"),
+    ((" L  cap", " L  cap  extra"), "malformed MPS line 5"),
+    ((" UP BND       c              4.0", " UP BND       c              4.0  5.0"),
+     "malformed MPS line 23"),
 ])
 def test_parse_mps_errors(breakage, message):
     old, new = breakage
@@ -247,7 +263,8 @@ def test_parse_mps_drops_free_rows():
     assert mip.row_names == ref.row_names and mip.col_names == ref.col_names
     assert list(mip.obj) == list(ref.obj)
     assert mip.obj_constant == ref.obj_constant
-    assert list(mip.rhs) == list(ref.rhs)
+    assert list(mip.row_lower) == list(ref.row_lower)
+    assert list(mip.row_upper) == list(ref.row_upper)
     assert mip.matrix.toarray().tolist() == ref.matrix.toarray().tolist()
     assert solve_mip(parse_mps(text)).objective == pytest.approx(10.0)
 
@@ -313,6 +330,40 @@ ENDATA
     assert result.objective == pytest.approx(9.0)
     assert result.assignment["x"] == pytest.approx(6.0)
     assert result.assignment["y"] == pytest.approx(3.0)
+
+
+RANGED_MPS = """\
+NAME ranged
+OBJSENSE    {objsense}
+ROWS
+ N  obj
+ {sense}  r
+COLUMNS
+    x         obj            1.0   r              1.0
+RHS
+    RHS       r             10.0
+RANGES
+    RNG       r             {r}
+BOUNDS
+ UP BND       x            100.0
+ENDATA
+"""
+
+
+@pytest.mark.parametrize("sense, r, sides", [
+    ("L", 4.0, (6.0, 10.0)), ("L", -4.0, (6.0, 10.0)),
+    ("G", 4.0, (10.0, 14.0)), ("G", -4.0, (10.0, 14.0)),
+    ("E", 4.0, (10.0, 14.0)), ("E", -4.0, (6.0, 10.0)),
+])
+def test_parse_mps_range_sides(sense, r, sides):
+    # a range R opens an L row downwards and a G row upwards by |R|, and
+    # widens an E row by R: upwards for R >= 0, downwards for R < 0
+    for objsense, side in (("MIN", sides[0]), ("MAX", sides[1])):
+        mip = parse_mps(RANGED_MPS.format(objsense=objsense, sense=sense, r=r))
+        assert (mip.row_lower.tolist(), mip.row_upper.tolist()) == (
+            [sides[0]], [sides[1]])
+        # the solver reads the sides: x sits on the one the sense pushes to
+        assert solve_mip(mip).objective == pytest.approx(side)
 
 
 def test_solve_infeasible():

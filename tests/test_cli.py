@@ -799,6 +799,14 @@ def test_compare_refuses_a_stop_of_unknown_kind(tmp_path, capsys):
     _refused(capsys, ["compare", str(a), str(a)], "unknown kind 'banana'")
 
 
+@pytest.mark.parametrize("doc", ["[]", "5", '"x"'])
+def test_compare_refuses_a_document_that_is_not_an_object(tmp_path, capsys, doc):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps(_solution_doc()))
+    b.write_text(doc)
+    _refused(capsys, ["compare", str(a), str(b)], "not a JSON object")
+
+
 def test_compare_bad_file(tmp_path):
     a = tmp_path / "a.json"
     a.write_text("{}")

@@ -622,9 +622,11 @@ def test_mps_round_trip(single_request_instance):
         assert mip.name == model.name
         assert mip.col_names == [var.name for var in model.vars]
         assert mip.row_names == [row.name for row in model.rows]
-        assert [s for s in mip.row_sense] == [row.sense for row in model.rows]
         for k, row in enumerate(model.rows):
-            assert mip.rhs[k] == pytest.approx(row.rhs)
+            # E is (rhs, rhs), L (-inf, rhs) and G (rhs, inf)
+            lower = -math.inf if row.sense == "L" else pytest.approx(row.rhs)
+            upper = math.inf if row.sense == "G" else pytest.approx(row.rhs)
+            assert (mip.row_lower[k], mip.row_upper[k]) == (lower, upper)
         for j, var in enumerate(model.vars):
             assert mip.integrality[j] == (1 if var.integer else 0)
             if not var.integer:

@@ -279,6 +279,32 @@ def test_minimal_schedule_refuses_the_validators_first_fault(tour):
     assert str(exc.value) == first.detail
 
 
+def test_integral_float_request_ids_read_as_their_integers():
+    # a plan built in Python may say 1.0 for request 1: every stop's data
+    # comes from the stop table, which finds the request for either, so
+    # both plans get one report and one schedule
+    inst = generate_synthetic(GeneratorConfig(n=3, capacity=3, seed=1))
+    sol = oracle_solve(inst)
+    first = sol.tours[0]
+    for tours in (sol.tours, tuple(t[::-1] for t in sol.tours), (first, first),
+                  (first,)):
+        floats = tuple(tuple((float(rid), kind) for rid, kind in tour)
+                       for tour in tours)
+        report = validate_solution(inst, replace(sol, tours=floats))
+        assert report == validate_solution(inst, replace(sol, tours=tours))
+        assert report.ok == (tours is sol.tours)
+    for tour in sol.tours:
+        floats = [(float(rid), kind) for rid, kind in tour]
+        assert minimal_schedule(floats, inst) == minimal_schedule(tour, inst)
+    # a non-integral id names no request
+    half = ((1.5, P), (1.5, D))
+    report = validate_solution(inst, replace(sol, tours=(*sol.tours, half)))
+    assert any(v.kind == "coverage" and v.detail == "stop names unknown request 1.5"
+               for v in report.violations)
+    with pytest.raises(DataError, match="unknown request 1.5"):
+        minimal_schedule(half, inst)
+
+
 # ---------------------------------------------------------------------------
 # exact oracle vs an independent brute force
 # ---------------------------------------------------------------------------
@@ -858,6 +884,14 @@ def test_solution_json_names_the_mistyped_field(field, value):
     doc[field] = value
     with pytest.raises(ParseError, match=f"field in '{field}': "):
         solution_from_json(json.dumps(doc), inst)
+
+
+@pytest.mark.parametrize("doc", ["[]", "5", '"x"'])
+def test_solution_json_must_be_an_object(doc):
+    from darpkit import ParseError
+    inst = generate_synthetic(GeneratorConfig(n=3, capacity=3, seed=1))
+    with pytest.raises(ParseError, match="solution JSON is not a JSON object"):
+        solution_from_json(doc, inst)
 
 
 def test_solution_json_non_numeric_request(gen_instances):
