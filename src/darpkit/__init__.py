@@ -14,7 +14,7 @@ from .instance import (
     TravelMetric, generate_synthetic, instance_from_json, instance_sha256,
     instance_to_json, parse_cordeau, tighten_time_windows,
 )
-from .schedule import compatible_pairs
+from .schedule import compatible_pairs, minimal_schedule
 from .event_graph import (
     ArcTable, EventGraph, EventNode, arc_count_closed_form,
     build_event_graph, graph_stats, node_count_closed_form, to_dot,
@@ -26,8 +26,8 @@ from .model import (
 )
 from .solve import (
     ORACLE_LIMIT, Schedule, Solution, ValidationReport, Violation,
-    evaluate_objective, import_solution, max_acceptance, minimal_schedule,
-    oracle_solve, solution_from_json, solution_to_json, validate_solution,
+    evaluate_objective, import_solution, max_acceptance, oracle_solve,
+    solution_from_json, solution_to_json, validate_solution,
 )
 from .backend import (
     MilpResult, ParsedMip, parse_mps, read_assignment, solve_mip,

@@ -174,6 +174,9 @@ class Instance:
     :meth:`location` maps a stop to its location.  ``windows`` and
     ``service`` give every location's time window and service duration
     (the depot's window is the depot window, its service 0).
+    ``stop_table`` maps each stop to its location, window start and end,
+    ride limit L_i + s_i (None for a pickup) and request; a key may give
+    the request id as any equal number, such as ``1.0``.
     """
 
     name: str
@@ -184,8 +187,9 @@ class Instance:
     metric: TravelMetric
     windows: tuple[tuple[float, float], ...] = field(init=False, repr=False, compare=False)
     service: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    # values derived from the frozen fields, each computed on first use;
-    # ``replace`` builds a fresh instance with an empty memo
+    stop_table: dict = field(init=False, repr=False, compare=False)
+    # the oracle's stop orders, computed on first use; ``replace`` builds
+    # a fresh instance with an empty memo
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -214,6 +218,11 @@ class Instance:
                            + tuple(r.pickup_window for r in reqs)
                            + tuple(r.dropoff_window for r in reqs))
         object.__setattr__(self, "service", (0.0,) + tuple(r.s for r in reqs) * 2)
+        stops = {}
+        for r in reqs:
+            stops[r.id, PICKUP] = (r.id, *r.pickup_window, None, r)
+            stops[r.id, DROPOFF] = (self.n + r.id, *r.dropoff_window, r.max_ride + r.s, r)
+        object.__setattr__(self, "stop_table", stops)
 
     @property
     def n(self) -> int:
@@ -232,18 +241,16 @@ class Instance:
 
     def location(self, rid: int, kind: str) -> int:
         """Location of a stop: ``rid`` for a pickup, ``n + rid`` for a dropoff."""
-        self.request(rid)   # refuses an unknown id
-        return rid if kind == PICKUP else len(self.requests) + rid
+        return self._stop((rid, kind))[0]
 
-    def _memoised(self, key: str, build):
-        """``build(self)``, computed on the first call with ``key`` and kept
-        for the instance's lifetime; the instance is frozen, so the value
-        never goes stale."""
+    def _stop(self, stop: tuple[int, str]) -> tuple:
+        """The stop's entry of ``stop_table``; ``DataError`` naming the stop
+        for an unknown request or kind."""
         try:
-            return self._memo[key]
-        except KeyError:
-            value = self._memo[key] = build(self)
-            return value
+            return self.stop_table[stop]
+        except (KeyError, TypeError):
+            raise DataError(f"stop {stop!r} names an unknown request or kind; "
+                            f"request ids run 1..{self.n}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,10 @@ extends the prefix's schedule by one step (``_Prefix.push``), and
 each prefix from its parent this way; ``_tour_times`` is the same step
 folded over a whole tour.  The oracle, the assignment import, the
 validator's scoring and the event graph's ride-compatibility test all
-use it, with the same tolerance ``_TIME_EPS`` on upper bounds.
+use it, with the same tolerance ``_TIME_EPS`` on upper bounds.  Every
+stop's location, window, ride limit and request come from
+``Instance.stop_table``; ``_schedule`` reads a timed tour's entries once
+for both its dropoff excess and its makespan.
 """
 
 from __future__ import annotations
@@ -64,11 +67,11 @@ class _Prefix:
         self.inst = inst
         self.stops: list[Stop] = []
         self.times: list[float] = []
-        self._stop = inst._memoised("stop_table", _stop_table)
+        self._stop = inst.stop_table
         self._rows = inst.metric.time_rows
         self._locs: list[int] = []
         self._gaps: list[float] = []    # service plus travel to the next stop
-        self._rides: list[tuple[int, float] | None] = []    # (pickup, -limit)
+        self._rides: list[tuple[int, float] | None] = []    # (pickup, limit)
         self._log: list[Sequence[tuple[int, float]]] = []    # (stop, old time)
 
     def push(self, stop: Stop) -> bool:
@@ -96,7 +99,7 @@ class _Prefix:
         times.append(start)
         self._locs.append(loc)
         self._rides.append(ride)
-        if ride is None or start + limit <= times[ride[0]]:
+        if ride is None or start - limit <= times[ride[0]]:
             self._log.append(())
             return True
         raised: list[tuple[int, float]] = []
@@ -125,7 +128,7 @@ class _Prefix:
                 ride = rides[k]
                 if ride is not None:
                     pick, w = ride
-                    cand = times[k] + w
+                    cand = times[k] - w
                     if cand > times[pick]:
                         raised.append((pick, times[pick]))
                         times[pick] = cand
@@ -158,29 +161,6 @@ class _Prefix:
         return not self.times[-1] > latest + _TIME_EPS
 
 
-def _stop_table(inst: Instance) -> dict:
-    """What the schedule step and the tour rules read of each stop, once
-    per instance: its location, window, negated ride limit (None for a
-    pickup) and request, whose id a key may give as any equal number."""
-    stop = {}
-    for req in inst.requests:
-        stop[req.id, PICKUP] = (inst.location(req.id, PICKUP),
-                                *req.pickup_window, None, req)
-        stop[req.id, DROPOFF] = (inst.location(req.id, DROPOFF),
-                                 *req.dropoff_window, -(req.max_ride + req.s), req)
-    return stop
-
-
-def _stop_entries(stops: Sequence[Stop], inst: Instance) -> list[tuple]:
-    """Each stop's :func:`_stop_table` entry; ``DataError`` for a stop of
-    an unknown request or kind."""
-    table = inst._memoised("stop_table", _stop_table)
-    try:
-        return [table[stop] for stop in stops]
-    except KeyError as exc:
-        raise DataError(f"unknown stop {exc.args[0]!r}") from None
-
-
 def _tour_times(stops: Sequence[Stop], inst: Instance) -> list[float] | None:
     """Componentwise-minimal feasible service starts, or None.
 
@@ -207,7 +187,7 @@ def _tour_faults(stops: Sequence[Stop], inst: Instance):
     else), a repeated pickup or dropoff, a dropoff before its pickup, a
     load over capacity or a request never dropped off.
     """
-    known = inst._memoised("stop_table", _stop_table)
+    known = inst.stop_table
     unknown = [(k, rid, kind) for k, (rid, kind) in enumerate(stops)
                if (rid, kind) not in known]
     for k, rid, kind in unknown:
@@ -248,33 +228,30 @@ def _tour_cost(stops: Sequence[Stop], inst: Instance) -> float:
     rows = inst.metric.cost_rows
     cost = 0.0
     prev = DEPOT_LOCATION
-    for entry in _stop_entries(stops, inst):
+    for entry in map(inst._stop, stops):
         cost += rows[prev][entry[0]]
         prev = entry[0]
     return cost + rows[prev][DEPOT_LOCATION]
 
 
-def _tour_makespan(entries: Sequence[tuple], times: Sequence[float],
-                   inst: Instance) -> float:
-    if not entries:
-        return 0.0
-    depart = times[0] - inst.metric.time(DEPOT_LOCATION, entries[0][0])
-    last = entries[-1][0]
-    ret = times[-1] + inst.service[last] + inst.metric.time(last, DEPOT_LOCATION)
-    return ret - depart
-
-
 def _schedule(tours: Sequence[Sequence[Stop]],
               times: Sequence[Sequence[float]], inst: Instance) -> Schedule:
-    """Per-request dropoff excess and per-tour makespans of timed tours."""
+    """Per-request dropoff excess and per-tour makespans of timed tours;
+    a makespan runs from the depot departure to the return."""
+    rows = inst.metric.time_rows
     excess = {}
     makespans = []
     for stops, ts in zip(tours, times):
-        entries = _stop_entries(stops, inst)
+        entries = list(map(inst._stop, stops))
         for (_, kind), (_, early, _, _, req), t in zip(stops, entries, ts):
             if kind == DROPOFF:
                 excess[req.id] = max(0.0, t - early)
-        makespans.append(_tour_makespan(entries, ts, inst))
+        if not entries:
+            makespans.append(0.0)
+            continue
+        first, last = entries[0][0], entries[-1][0]
+        ret = ts[-1] + inst.service[last] + rows[last][DEPOT_LOCATION]
+        makespans.append(ret - (ts[0] - rows[DEPOT_LOCATION][first]))
     return Schedule(times=tuple(tuple(ts) for ts in times), excess=excess,
                     makespans=tuple(makespans))
 

@@ -22,9 +22,10 @@ components from it.
 Solver assignments (variable name -> value) are decoded back into tours
 by walking the selected arcs from the depot; anything that is not a
 set of depot-anchored simple cycles is rejected, and each decoded tour
-is re-timed to its minimal schedule.  The validator checks
-decoded or constructed solutions directly against the instance and
-reports typed violations instead of raising.
+is re-timed to its minimal schedule once.  The validator checks
+decoded or constructed solutions directly against the instance, reading
+each stop's ``Instance.stop_table`` entry once, and reports typed
+violations instead of raising.
 """
 
 from __future__ import annotations
@@ -40,8 +41,7 @@ from .errors import DataError, InfeasibleError, ParseError, SolutionError
 from .instance import DEPOT_LOCATION, DROPOFF, PICKUP, Instance, _json_float, _json_int
 from .model import MilpModel, ObjectiveSpec, ObjectiveValue, combine_components
 from .schedule import (
-    Schedule, Stop, _Prefix, _schedule, _stop_table, _tour_cost, _tour_faults,
-    minimal_schedule,
+    Schedule, Stop, _Prefix, _schedule, _tour_cost, _tour_faults, _tour_times,
 )
 
 
@@ -141,10 +141,13 @@ def _stop_orders(inst: Instance) -> dict[frozenset, list]:
     """Every time-feasible stop order of one vehicle, by the requests it
     serves, as (stops, times, cost, excess of each dropoff in stop order).
 
-    The search runs once per instance object; each call returns a fresh
-    dict over the same per-block lists, which callers only read.
+    The search runs once per instance object, which is frozen, and is kept
+    in its memo; each call returns a fresh dict over the same per-block
+    lists, which callers only read.
     """
-    return dict(inst._memoised("stop_orders", _search_stop_orders))
+    if "stop_orders" not in inst._memo:
+        inst._memo["stop_orders"] = _search_stop_orders(inst)
+    return dict(inst._memo["stop_orders"])
 
 
 def _search_stop_orders(inst: Instance) -> dict[frozenset, list]:
@@ -276,9 +279,13 @@ def import_solution(model: MilpModel, assignment: Mapping[str, float]) -> Soluti
     with its componentwise-minimal schedule, so the solver's continuous
     times, and their tolerance, never reach the plan; how far they fall
     below it is kept as the solution's ``raw_time_gap``.  A tour without a
-    feasible schedule is rejected.  The objective is recomputed from the
-    re-timed tours; a mismatch beyond 1e-4 against the assignment's own
-    objective value triggers a warning.
+    feasible schedule is rejected.  A decoded tour needs no pass over the
+    stop rules: each event-graph state carries its onboard set, so loads,
+    precedence and the final dropoffs hold by construction, and the
+    served-once check refuses the one fault left, a request picked up
+    again.  The plan's schedule is built once, when it is scored.  The
+    objective is recomputed from the re-timed tours; a mismatch beyond
+    1e-4 against the assignment's own objective value triggers a warning.
     """
     graph = model.graph
     inst = graph.inst
@@ -349,10 +356,10 @@ def import_solution(model: MilpModel, assignment: Mapping[str, float]) -> Soluti
 
     times = []
     for k, tour in enumerate(tours):
-        sched = minimal_schedule(tour, inst)
-        if sched is None:
+        ts = _tour_times(tour, inst)
+        if ts is None:
             raise SolutionError(f"decoded tour {k} has no feasible schedule")
-        times.append(sched.times[0])
+        times.append(ts)
     retimed = [t for ts in times for t in ts]
     try:
         gap = max((t - float(assignment[f"B_{v}"])
@@ -381,6 +388,12 @@ def import_solution(model: MilpModel, assignment: Mapping[str, float]) -> Soluti
 _TOL = 1e-6
 
 
+def _id_order(rid):
+    """Sort key of request ids: numbers by value, then any other id (such
+    as ``"x"``) by its repr, so that no number is compared with text."""
+    return (0, rid) if isinstance(rid, (int, float)) else (1, repr(rid))
+
+
 def validate_solution(inst: Instance, sol: Solution,
                       objective: ObjectiveSpec | None = None) -> ValidationReport:
     """Check a solution directly against the instance semantics.
@@ -395,21 +408,22 @@ def validate_solution(inst: Instance, sol: Solution,
     def flag(kind, tour, stop, magnitude, detail):
         found.append(Violation(kind, tour, stop, magnitude, detail))
 
-    stop_table = inst._memoised("stop_table", _stop_table)
-
-    def request_id(rid, kind):
-        # the instance's id of the stop's request: 1 where the stop says 1.0
-        entry = stop_table.get((rid, kind))
-        return entry[4].id if entry else rid
+    # each stop's stop-table entry (None for an unknown request or kind),
+    # read once, and its request id as the instance has it: 1 where the
+    # stop says 1.0
+    entries = [[inst.stop_table.get((rid, kind)) for rid, kind in tour]
+               for tour in sol.tours]
+    ids = [[entry[4].id if entry else rid for (rid, _), entry in zip(tour, row)]
+           for tour, row in zip(sol.tours, entries)]
 
     if len(sol.tours) > inst.fleet_size:
         flag("fleet", None, None, float(len(sol.tours) - inst.fleet_size),
              f"{len(sol.tours)} tours exceed the fleet of {inst.fleet_size}")
-    served = {request_id(*stop) for tour in sol.tours for stop in tour}
+    served = {rid for tour_ids in ids for rid in tour_ids}
     if served != sol.accepted:
         flag("coverage", None, None, float(len(served ^ sol.accepted)),
-             f"tours serve {sorted(served)}, accepted claims "
-             f"{sorted(sol.accepted)}")
+             f"tours serve {sorted(served, key=_id_order)}, accepted claims "
+             f"{sorted(sol.accepted, key=_id_order)}")
     denied = set(range(1, inst.n + 1)) - sol.accepted
     if denied and not obj._weights()[3]:
         flag("coverage", None, None, float(len(denied)),
@@ -423,19 +437,17 @@ def validate_solution(inst: Instance, sol: Solution,
     e0, l0 = inst.depot_window
     first_tour: dict[int, int] = {}
     known = True    # every stop of the plan has a request and a kind
-    for t, tour in enumerate(sol.tours):
+    for t, (tour, tour_entries, tour_ids) in enumerate(zip(sol.tours, entries, ids)):
         for kind, k, magnitude, detail in _tour_faults(tour, inst):
             flag(kind, t, k, magnitude, detail)
-        for rid, kind in tour:
-            rid = request_id(rid, kind)
+        for (_, kind), rid in zip(tour, tour_ids):
             if kind == PICKUP and first_tour.setdefault(rid, t) != t:
                 flag("pairing", t, None, 1.0,
                      f"request {rid} appears in tours {first_tour[rid]} and {t}")
         # the time checks need each stop's location and window, and its time
-        entries = [stop_table.get((rid, kind)) for rid, kind in tour]
-        if None in entries:
+        if None in tour_entries:
             known = False
-        if None in entries or not timed:
+        if None in tour_entries or not timed:
             continue
         ts = sol.times[t]
         if len(ts) != len(tour):
@@ -444,7 +456,7 @@ def validate_solution(inst: Instance, sol: Solution,
             continue
         pick_time: dict[int, float] = {}
         prev = DEPOT_LOCATION
-        for k, ((_, kind), (loc, e, l, _, req), when) in enumerate(zip(tour, entries, ts)):
+        for k, ((_, kind), (loc, e, l, _, req), when) in enumerate(zip(tour, tour_entries, ts)):
             if kind == PICKUP:
                 pick_time[req.id] = when
             elif req.id in pick_time:
@@ -467,7 +479,7 @@ def validate_solution(inst: Instance, sol: Solution,
                          f"stop starts {short:.3f} too early for travel and service")
             prev = loc
         if tour:
-            depart = ts[0] - rows[DEPOT_LOCATION][entries[0][0]]
+            depart = ts[0] - rows[DEPOT_LOCATION][tour_entries[0][0]]
             if depart < e0 - _TOL:
                 flag("duration", t, 0, e0 - depart,
                      f"tour departs {e0 - depart:.3f} before the depot opens")

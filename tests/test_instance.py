@@ -4,6 +4,7 @@ import math
 import random
 import re
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -412,6 +413,26 @@ def test_instance_stop_tables(stacked_instance):
     assert len(inst.windows) == len(inst.service) == 2 * inst.n + 1
     with pytest.raises(DataError, match="unknown request"):
         inst.location(inst.n + 1, PICKUP)
+    # the stop table: location, window, ride limit L_i + s_i and request
+    assert len(inst.stop_table) == 2 * inst.n
+    for r in inst.requests:
+        for kind, limit in ((PICKUP, None), (DROPOFF, r.max_ride + r.s)):
+            loc = inst.location(r.id, kind)
+            assert inst.stop_table[r.id, kind] == (loc, *inst.windows[loc], limit, r)
+    # an id reads as the number it equals; any other stop names no location
+    assert inst.location(1.0, PICKUP) == 1 and inst.location(1.0, DROPOFF) == inst.n + 1
+    for rid, kind in ((1, "x"), (1, "depot"), ("1", PICKUP), (1.5, DROPOFF), ([1], PICKUP)):
+        with pytest.raises(DataError, match=re.escape(repr((rid, kind)))):
+            inst.location(rid, kind)
+    # the table follows the requests it was built from, and takes no part in
+    # equality or repr
+    first = inst.requests[0]
+    moved = replace(first, pickup_window=tuple(t + 1.0 for t in first.pickup_window))
+    other = replace(inst, requests=(moved, *inst.requests[1:]))
+    assert other.stop_table[1, PICKUP][1:3] == moved.pickup_window != first.pickup_window
+    assert other.stop_table[1, PICKUP][4] is moved
+    assert inst == replace(inst) and inst != other
+    assert "stop_table" not in repr(inst)
 
 
 # ---------------------------------------------------------------------------

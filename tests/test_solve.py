@@ -38,6 +38,20 @@ def test_minimal_schedule_delays_first_pickup(stacked_instance):
     assert sched.makespans[0] == pytest.approx(57.0)  # depart 20, return 77
 
 
+def test_makespans_run_from_departure_to_return():
+    # the oracle plans of the criterion-3 instances, their makespans read
+    # off the stop times and the metric alone
+    for inst in criterion3_instances():
+        sol = oracle_solve(inst, ObjectiveSpec(variant="cost"))
+        for k, (tour, ts) in enumerate(zip(sol.tours, sol.times)):
+            (first, first_kind), (last, last_kind) = tour[0], tour[-1]
+            first_loc = first if first_kind == P else inst.n + first
+            last_loc = last if last_kind == P else inst.n + last
+            depart = ts[0] - inst.metric.time(DEPOT_LOCATION, first_loc)
+            ret = ts[-1] + inst.request(last).s + inst.metric.time(last_loc, DEPOT_LOCATION)
+            assert sol.schedule.makespans[k] == ret - depart, (inst.name, k)
+
+
 def test_minimal_schedule_matches_grid():
     # all data on the 0.01 grid, so the exact minimum lies on grid points
     inst = line_instance(
@@ -303,6 +317,18 @@ def test_integral_float_request_ids_read_as_their_integers():
                for v in report.violations)
     with pytest.raises(DataError, match="unknown request 1.5"):
         minimal_schedule(half, inst)
+    # a timed tour of a non-numeric id is reported too, its id listed after
+    # the numbers
+    text = (("x", P), ("x", D))
+    report = validate_solution(inst, replace(
+        sol, tours=(*sol.tours, text),
+        schedule=replace(sol.schedule, times=(*sol.times, (20.0, 30.0)))))
+    t = len(sol.tours)    # the fleet has no vehicle for the extra tour
+    assert [(v.kind, v.tour, v.stop) for v in report.violations] == [
+        ("fleet", None, None), ("coverage", None, None), ("coverage", t, 0),
+        ("coverage", t, 1)]
+    assert report.violations[1].detail == (
+        "tours serve [1, 2, 3, 'x'], accepted claims [1, 2, 3]")
 
 
 # ---------------------------------------------------------------------------
