@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from array import array
 from functools import cached_property
-from itertools import compress, repeat
+from itertools import chain, compress, count, repeat
 from operator import add, itemgetter, le
 from typing import NamedTuple
 
@@ -52,9 +52,6 @@ DROPOFF_PICKUP = 3
 DROPOFF_DROPOFF = 4
 RETURN_DEPOT = 5
 LEAVE_DEPOT = 6
-
-# arcs buffered in lists before they move to the typed columns
-_CHUNK = 1 << 14
 
 CLASS_NAMES = {
     PICKUP_DROPOFF: "pickup_dropoff",
@@ -196,23 +193,27 @@ class EventGraph:
         return len(self.arcs)
 
 
-def _co_rider_sets(others: list[int], loads: dict[int, int], budget: int,
-                   mates: dict[int, set[int]]) -> list[tuple[int, ...]]:
-    """All subsets of ``others`` with load sum <= budget whose members are
-    pairwise mates, as decreasing tuples."""
-    found = [()]
-    chosen: list[int] = []
+def _onboard_sets(loads: dict[int, int], capacity: int,
+                  mates: dict[int, set[int]]) -> list[tuple[int, ...]]:
+    """Every non-empty set of pairwise mates whose loads sum to at most
+    ``capacity``, once each, as a decreasing tuple of request ids; the
+    tuples come in increasing order."""
+    found = []
 
-    def grow(start: int, slack: int):
-        for pos in range(start, len(others)):
-            j = others[pos]
-            if loads[j] <= slack and mates[j].issuperset(chosen):
-                chosen.append(j)
-                found.append(tuple(chosen[::-1]))
-                grow(pos + 1, slack - loads[j])
-                chosen.pop()
+    def grow(chosen: tuple, candidates: list[int], slack: int):
+        # candidates: ascending, below the last chosen id and mates of all
+        # chosen ones
+        for pos, j in enumerate(candidates):
+            rest = slack - loads[j]
+            if rest >= 0:
+                onboard = chosen + (j,)
+                found.append(onboard)
+                # loads are at least 1: no seat left, no larger set
+                if pos and rest:
+                    grow(onboard, list(filter(mates[j].__contains__,
+                                              candidates[:pos])), rest)
 
-    grow(0, budget)
+    grow((), sorted(loads), capacity)
     return found
 
 
@@ -229,150 +230,142 @@ def build_event_graph(inst: Instance, *, pruned: bool = False) -> EventGraph:
     Rebuilding from an equal instance reproduces identical ids, which
     keeps exported model files and solution imports stable.
 
+    The onboard sets (pairwise mates whose seats fit) are enumerated
+    once: each set gives each member its pickup and dropoff states with
+    the rest on board, and is the set left on board after that pickup.
     A state's heads depend only on the set left on board after its
     event: the pickups of further requests that fit, then the dropoffs
     of everyone on board, and for an empty vehicle the depot first.  So
-    each onboard set gets one head block (head ids and an
-    ``itemgetter`` over the head locations), shared by the pickup
-    states that leave that set on board and the dropoff states that
-    leave it behind; a dropoff state skips its own request's pickup.
-    Each state appends its block as one run to each column; in a pruned
-    graph the arc rule reads the travel times from the metric's time row
-    of the state's location.
+    each onboard set gets one head block, its head ids as an ``array``,
+    shared by the pickup states that leave that set on board and the
+    dropoff states that leave it behind, and each block shape one
+    ``array`` of classes per tail kind.  A state extends each column
+    with its block as one run, and a dropoff state then deletes its own
+    request's pickup.  In a pruned graph the arc rule filters the run,
+    reading the travel times from the metric's time row of the state's
+    location.
     """
     for req in inst.requests:
         if req.direction is None:
             raise DataError("instance must be tightened before building the graph")
     n = inst.n
-    cap = inst.capacity
     loads = {r.id: r.q for r in inst.requests}
-    ids = sorted(loads)
     compatible = compatible_pairs(inst) if pruned else None
     if not pruned:
-        mates = {i: set(ids) - {i} for i in ids}
+        mates = {i: set(loads) - {i} for i in loads}
     else:
-        mates = {i: set() for i in ids}
+        mates = {i: set() for i in loads}
         for i, j in compatible:
             mates[i].add(j)
             mates[j].add(i)
 
-    co_riders = {
-        i: _co_rider_sets(sorted(mates[i]), loads, cap - loads[i], mates)
-        for i in ids
-    }
-
+    # each onboard set gives each member i the pickup state (i, others)
+    # with the rest on board, and is the set on board after that pickup;
+    # as the sets come in increasing order, so do each request's others
+    states = {i: [] for i in loads}
+    for onboard in _onboard_sets(loads, inst.capacity, mates):
+        for p, i in enumerate(onboard):
+            states[i].append((i, onboard[:p] + onboard[p + 1:], onboard))
+    requests, others, after = zip(*chain.from_iterable(states.values()))
+    picks = len(requests)
     nodes = [EventNode(DEPOT, 0, ())]
-    locations = [DEPOT_LOCATION]
-    index = {}          # (location, others) -> state id
-    # others -> (ids, locations) of the pickup states with them, ascending
-    pick_after: dict[tuple, tuple[list, list]] = {}
-    # rank[v]: the position of pickup state v in its pick_after group;
-    # the dropoff states follow in the pickup states' order, so the
-    # dropoff state with pickup state v's request and others is v + picks
-    rank = [0]
-    for loc in range(1, 2 * n + 1):
-        kind, i = (PICKUP, loc) if loc <= n else (DROPOFF, loc - n)
-        for others in sorted(co_riders[i]):
-            index[loc, others] = len(nodes)
-            if kind == PICKUP:
-                heads, locs = pick_after.setdefault(others, ([], []))
-                rank.append(len(heads))
-                heads.append(len(nodes))
-                locs.append(loc)
-            nodes.append(EventNode(kind, i, others))
-            locations.append(loc)
-    picks = len(rank) - 1
+    # made in bulk: tuple.__new__ skips the named tuple's Python-level
+    # constructor
+    nodes += map(tuple.__new__, repeat(EventNode),
+                 zip(repeat(PICKUP), requests, others))
+    nodes += map(tuple.__new__, repeat(EventNode),
+                 zip(repeat(DROPOFF), requests, others))
+    locations = [DEPOT_LOCATION, *requests, *(n + i for i in requests)]
 
-    m = 2 * n + 1
-    # the arc rule's two sides: e + s of each tail, l (plus the tolerance)
-    # of each head
-    ready = [inst.windows[a][0] + inst.service[a] for a in range(m)]
-    late_row = [inst.windows[b][1] + _TIME_EPS for b in range(m)]
-    # (pickup-state, dropoff-state) class lists by block shape (depot,
+    # others -> ids of the pickup states with them, ascending
+    pick_after: dict[tuple, list[int]] = {}
+    # onboard set -> ids of the dropoff states of its members with the
+    # rest on board, by increasing request; the dropoff states follow in
+    # the pickup states' order, so the dropoff state with pickup state
+    # v's request and others is v + picks
+    dropoffs: dict[tuple, list[int]] = {}
+    # own[k]: the position of pickup state k + 1 in the block after its
+    # others, which its dropoff state skips
+    own = []
+    for v, rest, onboard in zip(count(1), others, after):
+        group = pick_after.setdefault(rest, [])
+        # the depot leads the empty vehicle's block
+        own.append(len(group) + (0 if rest else 1))
+        group.append(v)
+        dropoffs.setdefault(onboard, []).append(v + picks)
+
+    if pruned:
+        # the arc rule's two sides: e + s of each tail, l (plus the
+        # tolerance) of each head
+        m = 2 * n + 1
+        ready = [inst.windows[a][0] + inst.service[a] for a in range(m)]
+        late_row = [inst.windows[b][1] + _TIME_EPS for b in range(m)]
+        time_rows = inst.metric.time_rows
+
+    def rule(heads):
+        """The arc rule's data over a block's heads: a getter of their
+        locations and their lates, in a pruned graph only."""
+        if not pruned:
+            return None, None
+        get = _getter([locations[h] for h in heads])
+        return get, get(late_row)
+
+    heads = array("l", pick_after[()])
+    depot = (heads, array("b", [LEAVE_DEPOT]) * len(heads), *rule(heads))
+    # the blocks after each onboard set, for the pickup states that leave
+    # it on board and the dropoff states that leave it behind: the depot
+    # once empty, the pickups of further requests that fit, then the
+    # dropoffs of everyone on board by increasing request
+    pick_blocks, drop_blocks = {}, {}
+    # (pickup-state, dropoff-state) classes by block shape (depot,
     # pickups, dropoffs), shared by every block of that shape
-    shapes: dict[tuple, tuple[list, list]] = {}
-    blocks: dict[tuple, tuple] = {}     # onboard -> head block
-
-    def new_block(onboard):
-        """Make and keep the head block after ``onboard``: (heads, getter,
-        head lates if pruned, pickup-state classes, dropoff-state
-        classes)."""
-        # the block takes the pickup group over; no other block reads it
-        p_heads, p_locs = pick_after.pop(onboard, ([], []))
-        depot = 0 if onboard else 1
-        # dropoffs by increasing request, each leaving the rest on board
-        riders = range(len(onboard) - 1, -1, -1)
-        heads = [0] * depot + p_heads
-        heads += [index[n + onboard[p], onboard[:p] + onboard[p + 1:]]
-                  for p in riders]
-        locs = [DEPOT_LOCATION] * depot + p_locs + [n + onboard[p] for p in riders]
-        shape = (depot, len(p_heads), len(onboard))
+    shapes: dict[tuple, tuple[array, array]] = {}
+    for key in ((), *dropoffs):
+        empty = 0 if key else 1
+        picked = pick_after.pop(key, [])
+        dropped = dropoffs.pop(key, [])
+        shape = (empty, len(picked), len(dropped))
         classes = shapes.get(shape)
         if classes is None:
             k0, k1, k2 = shape
             classes = shapes[shape] = (
-                [PICKUP_PICKUP] * k1 + [PICKUP_DROPOFF] * k2,
-                [RETURN_DEPOT] * k0 + [DROPOFF_PICKUP] * k1
-                + [DROPOFF_DROPOFF] * k2)
-        get = _getter(locs)
-        lates = get(late_row) if pruned else None
-        blocks[onboard] = b = (heads, get, lates, *classes)
-        return b
+                array("b", [PICKUP_PICKUP] * k1 + [PICKUP_DROPOFF] * k2),
+                array("b", [RETURN_DEPOT] * k0 + [DROPOFF_PICKUP] * k1
+                      + [DROPOFF_DROPOFF] * k2))
+        heads = array("l", [0] * empty + picked + dropped)
+        extra = rule(heads)
+        pick_blocks[key] = (heads, classes[0], *extra)
+        drop_blocks[key] = (heads, classes[1], *extra)
 
     arcs = ArcTable()
-    columns = tuple(getattr(arcs, c) for c in ArcTable._COLUMNS)
-    buffers = tail, head, cls = [], [], []
-    time_rows = inst.metric.time_rows
-
-    def flush():
-        for column, buf in zip(columns, buffers):
-            column.fromlist(buf)
-            buf.clear()
-
-    for v, lt in enumerate(locations):
-        # heads in id order: the depot, pickup states, then dropoff states
-        # by increasing request (pickup states precede dropoff states)
-        if v > picks:
-            # the depot once empty, dropoff -> pickup with the same
-            # residual load except the pickup of the request just dropped
-            # off, then dropoff -> dropoff of anyone still on board
-            key = nodes[v].others
-            heads, get, lates, _, classes = blocks.get(key) or new_block(key)
-            # the depot leads the empty vehicle's block
-            own = rank[v - picks] + (0 if key else 1)
-        elif v:
-            # pickup -> pickup of a further request, capacity permitting,
-            # then pickup -> dropoff of anyone on board
-            node = nodes[v]
-            key = tuple(sorted((node.request, *node.others), reverse=True))
-            heads, get, lates, classes, _ = blocks.get(key) or new_block(key)
-            own = None
-        else:
-            heads, locs = pick_after[()]
-            get, classes, own = _getter(locs), [LEAVE_DEPOT] * len(heads), None
-            lates = get(late_row) if pruned else None
-        count = len(heads)
+    tail, head, cls = arcs.tail, arcs.head, arcs.cls
+    run = array("l", [0])
+    # heads in id order: the depot, pickup states, then dropoff states
+    for v, lt, (heads, classes, get, lates), skip in zip(
+            count(), locations,
+            chain([depot], map(pick_blocks.__getitem__, after),
+                  map(drop_blocks.__getitem__, others)),
+            chain(repeat(None, picks + 1), own)):
+        size = len(heads)
         if pruned:
             # the arc rule, e_tail + s_tail + t <= l_head, and no arc back
             # to the state's own pickup
             fits = list(map(le, map(add, repeat(ready[lt]), get(time_rows[lt])),
                             lates))
-            if own is not None:
-                fits[own] = False
-                own = None
+            if skip is not None:
+                fits[skip] = False
+                skip = None
             if not all(fits):
-                count = fits.count(True)
+                size = fits.count(True)
                 heads, classes = compress(heads, fits), compress(classes, fits)
-        start = len(tail)
-        tail += [v] * count
-        head += heads
-        cls += classes
-        if own is not None:
-            own += start
-            del tail[own], head[own], cls[own]
-        if start > _CHUNK:
-            flush()
-    flush()
+        start = len(head)
+        head.extend(heads)
+        cls.extend(classes)
+        if skip is not None:
+            del head[start + skip], cls[start + skip]
+            size -= 1
+        run[0] = v
+        tail.extend(run * size)
     if pruned:
         nodes, locations, arcs = _without_dead_states(nodes, locations, arcs)
     return EventGraph(inst, nodes, locations, arcs, compatible)

@@ -243,6 +243,14 @@ class Instance:
         """Location of a stop: ``rid`` for a pickup, ``n + rid`` for a dropoff."""
         return self._stop((rid, kind))[0]
 
+    def _entry(self, stop: tuple[int, str]) -> tuple | None:
+        """The stop's entry of ``stop_table``; None for an unknown request
+        or kind, also one that cannot be hashed (``([1], "pickup")``)."""
+        try:
+            return self.stop_table.get(stop)
+        except TypeError:
+            return None
+
     def _stop(self, stop: tuple[int, str]) -> tuple:
         """The stop's entry of ``stop_table``; ``DataError`` naming the stop
         for an unknown request or kind."""

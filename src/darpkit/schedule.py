@@ -187,11 +187,11 @@ def _tour_faults(stops: Sequence[Stop], inst: Instance):
     else), a repeated pickup or dropoff, a dropoff before its pickup, a
     load over capacity or a request never dropped off.
     """
-    known = inst.stop_table
-    unknown = [(k, rid, kind) for k, (rid, kind) in enumerate(stops)
-               if (rid, kind) not in known]
+    entries = [inst._entry((rid, kind)) for rid, kind in stops]
+    unknown = [(k, rid, kind) for k, ((rid, kind), entry)
+               in enumerate(zip(stops, entries)) if entry is None]
     for k, rid, kind in unknown:
-        if (rid, PICKUP) not in known:
+        if inst._entry((rid, PICKUP)) is None:
             yield "coverage", k, 1.0, f"stop names unknown request {rid}"
         if kind not in (PICKUP, DROPOFF):
             yield "pairing", k, 1.0, f"stop of request {rid} has unknown kind {kind!r}"
@@ -199,8 +199,8 @@ def _tour_faults(stops: Sequence[Stop], inst: Instance):
         return
     state: dict[int, str] = {}
     load = 0
-    for k, (rid, kind) in enumerate(stops):
-        req = known[rid, kind][4]
+    for k, ((_, kind), entry) in enumerate(zip(stops, entries)):
+        req = entry[4]
         rid = req.id    # 1, also where the stop says 1.0
         prior = state.get(rid)
         if kind == PICKUP:

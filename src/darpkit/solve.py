@@ -388,6 +388,15 @@ def import_solution(model: MilpModel, assignment: Mapping[str, float]) -> Soluti
 _TOL = 1e-6
 
 
+def _hashable(rid):
+    """``rid``, or None if it cannot be hashed (a list, say)."""
+    try:
+        hash(rid)
+    except TypeError:
+        return None
+    return rid
+
+
 def _id_order(rid):
     """Sort key of request ids: numbers by value, then any other id (such
     as ``"x"``) by its repr, so that no number is compared with text."""
@@ -410,16 +419,18 @@ def validate_solution(inst: Instance, sol: Solution,
 
     # each stop's stop-table entry (None for an unknown request or kind),
     # read once, and its request id as the instance has it: 1 where the
-    # stop says 1.0
-    entries = [[inst.stop_table.get((rid, kind)) for rid, kind in tour]
+    # stop says 1.0, None where the stop's id cannot be hashed
+    entries = [[inst._entry((rid, kind)) for rid, kind in tour]
                for tour in sol.tours]
-    ids = [[entry[4].id if entry else rid for (rid, _), entry in zip(tour, row)]
+    ids = [[entry[4].id if entry else _hashable(rid)
+            for (rid, _), entry in zip(tour, row)]
            for tour, row in zip(sol.tours, entries)]
 
     if len(sol.tours) > inst.fleet_size:
         flag("fleet", None, None, float(len(sol.tours) - inst.fleet_size),
              f"{len(sol.tours)} tours exceed the fleet of {inst.fleet_size}")
     served = {rid for tour_ids in ids for rid in tour_ids}
+    served.discard(None)
     if served != sol.accepted:
         flag("coverage", None, None, float(len(served ^ sol.accepted)),
              f"tours serve {sorted(served, key=_id_order)}, accepted claims "
@@ -441,7 +452,8 @@ def validate_solution(inst: Instance, sol: Solution,
         for kind, k, magnitude, detail in _tour_faults(tour, inst):
             flag(kind, t, k, magnitude, detail)
         for (_, kind), rid in zip(tour, tour_ids):
-            if kind == PICKUP and first_tour.setdefault(rid, t) != t:
+            if (kind == PICKUP and rid is not None
+                    and first_tour.setdefault(rid, t) != t):
                 flag("pairing", t, None, 1.0,
                      f"request {rid} appears in tours {first_tour[rid]} and {t}")
         # the time checks need each stop's location and window, and its time

@@ -1,5 +1,8 @@
 import gc
+import hashlib
+import itertools
 import math
+import random
 from dataclasses import replace
 
 import pytest
@@ -11,7 +14,7 @@ from darpkit import (
 )
 from darpkit.event_graph import (
     CLASS_NAMES, DEPOT, DROPOFF, DROPOFF_DROPOFF, DROPOFF_PICKUP, LEAVE_DEPOT,
-    PICKUP, PICKUP_DROPOFF, PICKUP_PICKUP, RETURN_DEPOT,
+    PICKUP, PICKUP_DROPOFF, PICKUP_PICKUP, RETURN_DEPOT, _onboard_sets,
 )
 
 from darpkit.schedule import _Prefix, _tour_times
@@ -205,6 +208,28 @@ def test_counts_match_brute_force_mixed_loads():
         states, transitions = brute_state_space(loads, 6)
         assert graph.node_count == len(states)
         assert graph.arc_count == len(transitions)
+
+
+def test_onboard_sets_match_brute_force():
+    # mixed loads under capacity 6 and a partial mate relation: every set
+    # of pairwise mates that fits comes once, in increasing order
+    rng = random.Random(29)
+    for trial in range(40):
+        n = rng.randint(1, 10)
+        loads = {i: rng.randint(1, 6) for i in range(1, n + 1)}
+        pairs = {(i, j) for i, j in itertools.combinations(loads, 2)
+                 if rng.random() < 0.6}
+        mates = {i: {j for j in loads if (i, j) in pairs or (j, i) in pairs}
+                 for i in loads}
+        found = _onboard_sets(loads, 6, mates)
+        expected = {
+            onboard for size in range(1, n + 1)
+            for onboard in itertools.combinations(sorted(loads, reverse=True), size)
+            if sum(loads[i] for i in onboard) <= 6
+            and all(j in mates[i] for i, j in itertools.combinations(onboard, 2))}
+        assert len(found) == len(set(found)), trial
+        assert set(found) == expected, trial
+        assert found == sorted(found), trial
 
 
 # arc class by (tail kind, head kind), as the module docstring names them
@@ -466,3 +491,29 @@ def test_graph_stats_of_a_pruned_graph(gen_instances):
     stats = graph_stats(build_event_graph(inst, pruned=True))
     # the closed forms describe the complete graph only
     assert "closed_form" not in stats
+
+
+# sha-256 of the complete and pruned graphs of the instances below: a
+# builder rewrite must keep every node, location, arc and compatible pair.
+# The columns enter as lists, since the item size of array("l") depends on
+# the platform
+GRAPH_DIGEST = "7049e23a11cb6d1157d321335caebbf8eb82e72bcd408f1b058855258091cd9a"
+
+
+def test_graphs_stay_identical():
+    insts = [*criterion3_instances()[::5],
+             *(generate_synthetic(GeneratorConfig(n=15, capacity=3, seed=seed))
+               for seed in (1, 2)),
+             *(generate_synthetic(
+                 GeneratorConfig(n=7, capacity=3, seed=seed, area_side=3.0))
+               for seed in range(4))]
+    digest = hashlib.sha256()
+    for inst in insts:
+        for pruned in (False, True):
+            graph = build_event_graph(inst, pruned=pruned)
+            arcs = graph.arcs
+            for part in (graph.nodes, graph.locations, arcs.tail.tolist(),
+                         arcs.head.tolist(), arcs.cls.tolist(),
+                         sorted(graph.compatible) if pruned else None):
+                digest.update(repr(part).encode() + b"\0")
+    assert digest.hexdigest() == GRAPH_DIGEST

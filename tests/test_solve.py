@@ -331,6 +331,33 @@ def test_integral_float_request_ids_read_as_their_integers():
         "tours serve [1, 2, 3, 'x'], accepted claims [1, 2, 3]")
 
 
+def test_a_stop_whose_id_cannot_be_hashed_is_an_unknown_stop():
+    # ([1], "pickup") names no request, as Instance.location says; the
+    # validator reports it and minimal_schedule refuses it, neither raises
+    # TypeError
+    inst = generate_synthetic(GeneratorConfig(n=3, capacity=3, seed=1))
+    sol = oracle_solve(inst)
+    with pytest.raises(DataError, match=r"unknown request"):
+        inst.location([1], P)
+    for t, tour in enumerate(sol.tours):
+        for k in range(len(tour)):
+            bad = (*tour[:k], ([1], P), *tour[k + 1:])
+            tours = (*sol.tours[:t], bad, *sol.tours[t + 1:])
+            report = validate_solution(inst, replace(sol, tours=tours))
+            assert not report.ok
+            assert ("coverage", t, k) in [(v.kind, v.tour, v.stop)
+                                          for v in report.violations]
+            with pytest.raises(DataError, match=r"unknown request \[1\]"):
+                minimal_schedule(bad, inst)
+    # an unhashable kind is an unknown kind
+    tour = sol.tours[0]
+    bad = ((tour[0][0], [P]), *tour[1:])
+    report = validate_solution(inst, replace(sol, tours=(bad, *sol.tours[1:])))
+    assert ("pairing", 0, 0) in [(v.kind, v.tour, v.stop) for v in report.violations]
+    with pytest.raises(DataError, match="unknown kind"):
+        minimal_schedule(bad, inst)
+
+
 # ---------------------------------------------------------------------------
 # exact oracle vs an independent brute force
 # ---------------------------------------------------------------------------
