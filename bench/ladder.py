@@ -16,7 +16,11 @@ the record holds:
 - ``model``: rows, columns and nonzeros of model3 under ``cost``, as the
   solver reads them from the exported MPS text;
 - ``stage_s``: seconds of the pruned graph build, ``build_model``,
-  ``write_mps``, ``parse_mps`` and ``solve_mip``;
+  ``write_mps``, ``parse_mps`` and ``solve_mip``.  The four stages
+  before the solve run ``REPEATS`` times in rounds, each round from a
+  fresh graph, since a graph keeps its adjacency once a model has read
+  it, and each records its median; the solve runs once, on the last
+  round's model;
 - ``solver``: that solve's status, objective, gap, node count and dual
   bound, under a limit of ``TIME_LIMIT_S`` seconds.  The limit is 120 s,
   the bar of the ladder's target, about twice what q=3 n=30 seed 401 takes
@@ -43,6 +47,7 @@ import argparse
 import hashlib
 import json
 import os
+import statistics
 import subprocess
 import sys
 import time
@@ -67,6 +72,7 @@ RUNGS = ((3, 6), (3, 10), (3, 14), (3, 20), (6, 20), (6, 40))
 LONG_RUNGS = ((3, 30), (3, 40))
 SEEDS = (401, 402, 403)
 TIME_LIMIT_S = 120.0
+REPEATS = 5
 
 
 def lp_bound(mip) -> float | None:
@@ -87,25 +93,29 @@ def run_instance(n: int, q: int, seed: int) -> dict:
     """One ladder record: model3 ``cost`` through every stage, then the
     four LP bounds (model3 ``cost`` relaxes the model just solved)."""
     inst = generate_synthetic(GeneratorConfig(n=n, capacity=q, seed=seed))
-    stage_s = {}
-    clock = time.perf_counter()
+    laps: dict[str, list[float]] = {}
 
     def mark(stage: str) -> None:
         nonlocal clock
         now = time.perf_counter()
-        stage_s[stage] = round(now - clock, 6)
+        laps.setdefault(stage, []).append(now - clock)
         clock = now
 
-    graph = build_event_graph(inst, pruned=True)
-    mark("graph")
-    model = build_model(graph, "model3", ObjectiveSpec(variant="cost"))
-    mark("model")
-    text = write_mps(model)
-    mark("write_mps")
-    mip = parse_mps(text)
-    mark("parse_mps")
+    for _ in range(REPEATS):
+        clock = time.perf_counter()
+        graph = build_event_graph(inst, pruned=True)
+        mark("graph")
+        model = build_model(graph, "model3", ObjectiveSpec(variant="cost"))
+        mark("model")
+        text = write_mps(model)
+        mark("write_mps")
+        mip = parse_mps(text)
+        mark("parse_mps")
+    clock = time.perf_counter()
     result = solve_mip(mip, time_limit=TIME_LIMIT_S)
     mark("solve_mip")
+    stage_s = {stage: round(statistics.median(times), 6)
+               for stage, times in laps.items()}
     bounds = {}
     for variant in ("model2", "model3"):
         bounds[variant] = {}

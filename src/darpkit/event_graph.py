@@ -19,14 +19,18 @@ locations, read from the instance's metric where they are used.
 
 With ``pruned=True`` the builder computes the instance's ride-compatible
 request pairs (see :func:`darpkit.schedule.compatible_pairs`) and returns
-the pruned graph instead, which keeps every tour that has a schedule:
+the pruned graph instead, which keeps every tour that has a schedule.
+Its states and arcs are enumerated as the complete graph's are, over
+the compatible pairs in place of all pairs, and then filtered once:
 
-* pair rule: a state exists only when its onboard set, the event's own
-  request included, is a clique of compatible pairs;
-* arc rule: an arc is dropped when ``e_tail + s_tail + t > l_head`` (beyond
-  the schedule tolerance) on the location windows, depot legs included;
-* dead states: every non-depot state without an in-arc or an out-arc is
-  dropped, until none is left.
+* pair rule, inside the enumeration: a state exists only when its
+  onboard set, the event's own request included, is a clique of
+  compatible pairs;
+* arc rule, one mask over the finished arc columns: an arc is dropped
+  when ``e_tail + s_tail + t > l_head`` (beyond the schedule tolerance)
+  on the location windows, depot legs included;
+* dead states, after the mask: every non-depot state without an in-arc
+  or an out-arc is dropped, until none is left.
 
 All three rest on the triangle inequality, which ``Instance`` enforces:
 the stops of two requests taken out of a feasible tour form a feasible
@@ -39,7 +43,6 @@ import math
 from array import array
 from functools import cached_property
 from itertools import chain, compress, count, repeat
-from operator import add, itemgetter, le
 from typing import NamedTuple
 
 from .errors import DataError
@@ -220,9 +223,10 @@ def _onboard_sets(loads: dict[int, int], capacity: int,
 def build_event_graph(inst: Instance, *, pruned: bool = False) -> EventGraph:
     """Build the event graph for a tightened instance.
 
-    The graph is complete unless ``pruned``; then it is pruned by the
-    pair rule over ``compatible_pairs(inst)``, the arc rule and the
-    dead-state pass of the module docstring.
+    The graph is complete unless ``pruned``; then the enumeration runs
+    over the pairs of ``compatible_pairs(inst)`` (the pair rule of the
+    module docstring), and the finished graph goes through the arc-rule
+    mask and the dead-state pass.
 
     Node order is deterministic: the depot first, then nodes sorted by
     (event location, onboard tuple); arcs are made in (tail, head) order.
@@ -241,9 +245,7 @@ def build_event_graph(inst: Instance, *, pruned: bool = False) -> EventGraph:
     dropoff states that leave it behind, and each block shape one
     ``array`` of classes per tail kind.  A state extends each column
     with its block as one run, and a dropoff state then deletes its own
-    request's pickup.  In a pruned graph the arc rule filters the run,
-    reading the travel times from the metric's time row of the state's
-    location.
+    request's pickup.  This one arc loop serves both graph forms.
     """
     for req in inst.requests:
         if req.direction is None:
@@ -294,24 +296,8 @@ def build_event_graph(inst: Instance, *, pruned: bool = False) -> EventGraph:
         group.append(v)
         dropoffs.setdefault(onboard, []).append(v + picks)
 
-    if pruned:
-        # the arc rule's two sides: e + s of each tail, l (plus the
-        # tolerance) of each head
-        m = 2 * n + 1
-        ready = [inst.windows[a][0] + inst.service[a] for a in range(m)]
-        late_row = [inst.windows[b][1] + _TIME_EPS for b in range(m)]
-        time_rows = inst.metric.time_rows
-
-    def rule(heads):
-        """The arc rule's data over a block's heads: a getter of their
-        locations and their lates, in a pruned graph only."""
-        if not pruned:
-            return None, None
-        get = _getter([locations[h] for h in heads])
-        return get, get(late_row)
-
     heads = array("l", pick_after[()])
-    depot = (heads, array("b", [LEAVE_DEPOT]) * len(heads), *rule(heads))
+    depot = (heads, array("b", [LEAVE_DEPOT]) * len(heads))
     # the blocks after each onboard set, for the pickup states that leave
     # it on board and the dropoff states that leave it behind: the depot
     # once empty, the pickups of further requests that fit, then the
@@ -333,74 +319,64 @@ def build_event_graph(inst: Instance, *, pruned: bool = False) -> EventGraph:
                 array("b", [RETURN_DEPOT] * k0 + [DROPOFF_PICKUP] * k1
                       + [DROPOFF_DROPOFF] * k2))
         heads = array("l", [0] * empty + picked + dropped)
-        extra = rule(heads)
-        pick_blocks[key] = (heads, classes[0], *extra)
-        drop_blocks[key] = (heads, classes[1], *extra)
+        pick_blocks[key] = (heads, classes[0])
+        drop_blocks[key] = (heads, classes[1])
 
     arcs = ArcTable()
     tail, head, cls = arcs.tail, arcs.head, arcs.cls
     run = array("l", [0])
     # heads in id order: the depot, pickup states, then dropoff states
-    for v, lt, (heads, classes, get, lates), skip in zip(
-            count(), locations,
+    for v, (heads, classes), skip in zip(
+            count(),
             chain([depot], map(pick_blocks.__getitem__, after),
                   map(drop_blocks.__getitem__, others)),
             chain(repeat(None, picks + 1), own)):
-        size = len(heads)
-        if pruned:
-            # the arc rule, e_tail + s_tail + t <= l_head, and no arc back
-            # to the state's own pickup
-            fits = list(map(le, map(add, repeat(ready[lt]), get(time_rows[lt])),
-                            lates))
-            if skip is not None:
-                fits[skip] = False
-                skip = None
-            if not all(fits):
-                size = fits.count(True)
-                heads, classes = compress(heads, fits), compress(classes, fits)
         start = len(head)
         head.extend(heads)
         cls.extend(classes)
         if skip is not None:
+            # no arc back to the state's own pickup
             del head[start + skip], cls[start + skip]
-            size -= 1
         run[0] = v
-        tail.extend(run * size)
+        tail.extend(run * (len(head) - start))
     if pruned:
-        nodes, locations, arcs = _without_dead_states(nodes, locations, arcs)
+        nodes, locations, arcs = _without_dead_states(
+            nodes, locations, arcs, _arc_rule(inst, locations, arcs))
     return EventGraph(inst, nodes, locations, arcs, compatible)
 
 
-def _getter(locs: list[int]):
-    """``itemgetter(*locs)``, which returns a tuple also for one location."""
-    if len(locs) > 1:
-        return itemgetter(*locs)
-    loc, = locs
-    return lambda row: (row[loc],)
+def _arc_rule(inst: Instance, locations, arcs: ArcTable) -> list[bool]:
+    """Whether each arc meets the arc rule, ``e_tail + s_tail + t <=
+    l_head`` (plus the schedule tolerance) on its end states' locations."""
+    rows = inst.metric.time_rows
+    ready = [early + s for (early, _), s in zip(inst.windows, inst.service)]
+    late = [end + _TIME_EPS for _, end in inst.windows]
+    loc = locations.__getitem__
+    return [ready[a] + rows[a][b] <= late[b]
+            for a, b in zip(map(loc, arcs.tail), map(loc, arcs.head))]
 
 
-def _without_dead_states(nodes, locations, arcs: ArcTable):
-    """Drop non-depot states without an in-arc or an out-arc until none is
-    left; the survivors keep their order and are renumbered.  Returns the
+def _without_dead_states(nodes, locations, arcs: ArcTable, keep: list[bool]):
+    """Keep the arcs that ``keep`` marks, then drop non-depot states
+    without an in-arc or an out-arc, and their arcs, until none is left;
+    the survivors keep their order and are renumbered.  Returns the
     nodes, locations and arc table that remain."""
     columns = [arcs.tail, arcs.head, arcs.cls]
     alive = set(range(len(nodes)))
     while True:
+        columns = [list(compress(column, keep)) for column in columns]
         tail, head = columns[:2]
         dead = alive - set(tail).intersection(head)
         dead.discard(0)
         if not dead:
             break
         alive -= dead
-        fits = [not (t or h) for t, h in zip(map(dead.__contains__, tail),
+        keep = [not (t or h) for t, h in zip(map(dead.__contains__, tail),
                                               map(dead.__contains__, head))]
-        columns = [list(compress(column, fits)) for column in columns]
-    if len(alive) == len(nodes):
-        return nodes, locations, arcs
-    keep = sorted(alive)
-    new_id = dict(zip(keep, range(len(keep)))).__getitem__
+    survivors = sorted(alive)
+    new_id = dict(zip(survivors, count())).__getitem__
     columns[:2] = [map(new_id, column) for column in columns[:2]]
-    return ([nodes[v] for v in keep], [locations[v] for v in keep],
+    return ([nodes[v] for v in survivors], [locations[v] for v in survivors],
             ArcTable(*columns))
 
 

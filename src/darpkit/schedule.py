@@ -179,15 +179,16 @@ def _tour_times(stops: Sequence[Stop], inst: Instance) -> list[float] | None:
     return prefix.times
 
 
-def _tour_faults(stops: Sequence[Stop], inst: Instance):
+def _tour_faults(stops: Sequence[Stop], entries: Sequence[tuple | None],
+                 inst: Instance):
     """The faults of a tour's stops in stop order, as (violation kind,
     stop index or None, magnitude, detail): the one statement of the
-    pairing, precedence and capacity rules.  A fault is a stop of an
-    unknown request or kind (a tour with one is checked for nothing
-    else), a repeated pickup or dropoff, a dropoff before its pickup, a
-    load over capacity or a request never dropped off.
+    pairing, precedence and capacity rules.  ``entries`` holds each
+    stop's ``Instance._entry``, read once by the caller.  A fault is a
+    stop of an unknown request or kind (a tour with one is checked for
+    nothing else), a repeated pickup or dropoff, a dropoff before its
+    pickup, a load over capacity or a request never dropped off.
     """
-    entries = [inst._entry((rid, kind)) for rid, kind in stops]
     unknown = [(k, rid, kind) for k, ((rid, kind), entry)
                in enumerate(zip(stops, entries)) if entry is None]
     for k, rid, kind in unknown:
@@ -261,7 +262,8 @@ def minimal_schedule(tour: Sequence[Stop], inst: Instance) -> Schedule | None:
     a tour that breaks a stop rule of :func:`_tour_faults`, the rules the
     validator checks, raises ``DataError`` naming its first fault."""
     stops = [tuple(st) for st in tour]
-    for _, _, _, detail in _tour_faults(stops, inst):
+    entries = [inst._entry((rid, kind)) for rid, kind in stops]
+    for _, _, _, detail in _tour_faults(stops, entries, inst):
         raise DataError(detail)
     times = _tour_times(stops, inst)
     if times is None:

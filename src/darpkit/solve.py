@@ -449,7 +449,7 @@ def validate_solution(inst: Instance, sol: Solution,
     first_tour: dict[int, int] = {}
     known = True    # every stop of the plan has a request and a kind
     for t, (tour, tour_entries, tour_ids) in enumerate(zip(sol.tours, entries, ids)):
-        for kind, k, magnitude, detail in _tour_faults(tour, inst):
+        for kind, k, magnitude, detail in _tour_faults(tour, tour_entries, inst):
             flag(kind, t, k, magnitude, detail)
         for (_, kind), rid in zip(tour, tour_ids):
             if (kind == PICKUP and rid is not None

@@ -453,8 +453,15 @@ def test_pair_over_capacity_is_refused():
     assert compatible_pairs(inst) == compatible_pairs_reference(inst) == {(1, 3), (2, 3)}
 
 
+def _meets_arc_rule(inst, tail, head):
+    """The arc rule on two locations, e + s + t <= l within 1e-9."""
+    return (inst.windows[tail][0] + inst.service[tail]
+            + inst.metric.time(tail, head) <= inst.windows[head][1] + 1e-9)
+
+
 def test_pruned_graph_is_an_ordered_subgraph(gen_instances):
-    for inst in gen_instances:
+    instances = [*gen_instances, *map(_outbound_evens, gen_instances)]
+    for inst in instances:
         full = build_event_graph(inst)
         pairs = compatible_pairs(inst)
         pruned = build_event_graph(inst, pruned=True)
@@ -468,12 +475,15 @@ def test_pruned_graph_is_an_ordered_subgraph(gen_instances):
         full_arcs = dict(zip(zip(fa.tail, fa.head), fa.cls))
         keys = [(ids[v], ids[w]) for v, w in zip(pa.tail, pa.head)]
         assert keys == sorted(keys)
-        for v, w, cls, key in zip(pa.tail, pa.head, pa.cls, keys):
+        for cls, key in zip(pa.cls, keys):
             assert full_arcs[key] == cls
-            # arc rule
-            tail, head = pruned.locations[v], pruned.locations[w]
-            assert (inst.windows[tail][0] + inst.service[tail]
-                    + inst.metric.time(tail, head) <= inst.windows[head][1] + 1e-9)
+        # complete: the pruned arcs are exactly the full graph's arcs
+        # between survivors that meet the arc rule
+        kept = set(ids)
+        assert keys == [
+            (v, w) for v, w in zip(fa.tail, fa.head)
+            if v in kept and w in kept
+            and _meets_arc_rule(inst, full.locations[v], full.locations[w])]
         for v, node in enumerate(pruned.nodes):
             # pair rule: the onboard set is a clique of compatible pairs
             onboard = sorted({node.request, *node.others} - {0})
