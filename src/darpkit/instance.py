@@ -311,14 +311,10 @@ def parse_cordeau(text: str, name: str = "instance") -> Instance:
     body = rows[1:]
     got = len(body)
     # 2n+1 rows (no terminal depot) or 2n+2 rows (terminal depot present);
-    # published files declare only the 2n request rows, so allow that too.
-    if got == declared and declared % 2 == 1:
-        n = (declared - 1) // 2
-    elif got == declared and declared % 2 == 0:
-        n = (declared - 2) // 2
-    elif got in (declared + 1, declared + 2) and declared % 2 == 0:
-        n = declared // 2
-    else:
+    # the header counts every row, or, as published files do, the 2n
+    # request rows only
+    n = (got - 1) // 2
+    if declared not in (got, 2 * n):
         raise ParseError(
             f"{got} node rows do not match declared node count {declared}")
     if n < 1:

@@ -5,16 +5,18 @@ depth-first search per instance: each prefix is explored once, extends
 its parent's minimal schedule by one schedule step and is pruned once
 that schedule misses a window, and whenever the vehicle is empty the
 prefix is a tour of the requests served so far, recorded with its cost
-and excess.  It then enumerates accepted request sets and set partitions
-into at most fleet-size blocks, and combines the recorded tours of each
-block.  Each tour carries its componentwise-minimal schedule; since
-lowering any service-start never hurts window, ride-time or duration
-slack, that schedule simultaneously minimizes every per-request dropoff
-excess, so scoring it is exact for every supported objective.  The
-oracle shares no code with the MILP formulation beyond the instance data
-and the schedule primitives of :mod:`darpkit.schedule`, which also
-decide which requests the event graph lets ride together.
-``max_acceptance`` runs the same two searches.  Every plan, from the
+and excess.  It then places the requests one at a time, in id order:
+each joins a block, opens one while the fleet has a vehicle left or, if
+the objective prices denial, is denied; a plan combines the recorded
+tours of its blocks.  Each tour carries its componentwise-minimal
+schedule; since lowering any service-start never hurts window, ride-time
+or duration slack, that schedule simultaneously minimizes every
+per-request dropoff excess, so scoring it is exact for every supported
+objective.  The oracle shares no code with the MILP formulation beyond
+the instance data and the schedule primitives of
+:mod:`darpkit.schedule`, which also decide which requests the event
+graph lets ride together.  ``max_acceptance`` runs the same search and
+the same enumeration, with denial always on.  Every plan, from the
 oracle, a decoded assignment or a solution file, is scored by one
 function, which builds the plan's schedule once and reads the objective
 components from it.
@@ -117,26 +119,6 @@ def evaluate_objective(inst: Instance, sol: Solution,
 # exact oracle
 # ---------------------------------------------------------------------------
 
-def _partitions(items: Sequence[int], max_blocks: int):
-    """Set partitions into at most max_blocks blocks, canonically ordered."""
-    blocks: list[list[int]] = []
-
-    def rec(i):
-        if i == len(items):
-            yield [tuple(b) for b in blocks]
-            return
-        for b in blocks:
-            b.append(items[i])
-            yield from rec(i + 1)
-            b.pop()
-        if len(blocks) < max_blocks:
-            blocks.append([items[i]])
-            yield from rec(i + 1)
-            blocks.pop()
-
-    yield from rec(0)
-
-
 def _stop_orders(inst: Instance) -> dict[frozenset, list]:
     """Every time-feasible stop order of one vehicle, by the requests it
     serves, as (stops, times, cost, excess of each dropoff in stop order).
@@ -203,11 +185,6 @@ def _encoding(tours: Iterable[Sequence[Stop]]):
         for tour in tours))
 
 
-def _subsets(ids: Sequence[int]):
-    for mask in range(1 << len(ids)):
-        yield tuple(i for b, i in enumerate(ids) if mask >> b & 1)
-
-
 ORACLE_LIMIT = 6
 
 
@@ -217,14 +194,36 @@ def _check_limit(inst: Instance, limit: int):
             f"oracle is limited to {limit} requests, instance has {inst.n}")
 
 
-def _feasible_partitions(inst: Instance, accepted_sets, orderings):
-    """(accepted, per-block orders) of each partition into at most
-    fleet-size blocks in which every block, as a frozenset, has an order."""
-    for accepted in accepted_sets:
-        for partition in _partitions(accepted, inst.fleet_size):
-            options = [orderings(frozenset(block)) for block in partition]
+def _plans(inst: Instance, orderings, deny: bool):
+    """(accepted, per-block orders) of every plan in which each block, as
+    a frozenset, has an order.
+
+    The requests are placed one at a time, in id order: each joins one of
+    the blocks so far, opens a new block while there are fewer than
+    fleet-size, or, if ``deny`` is set, is denied.  A block is checked
+    only once every request is placed: giving up on a growing block that
+    has no order yet would rest on the triangle inequality, the event
+    graph's own pruning argument, which the oracle is there to check.
+    """
+    ids = [r.id for r in inst.requests]
+
+    def place(i, accepted, blocks):
+        if i == len(ids):
+            options = [orderings(frozenset(block)) for block in blocks]
             if all(options):
                 yield accepted, options
+            return
+        rid = ids[i]
+        served = accepted + (rid,)
+        for k, block in enumerate(blocks):
+            yield from place(i + 1, served,
+                             blocks[:k] + (block + (rid,),) + blocks[k + 1:])
+        if len(blocks) < inst.fleet_size:
+            yield from place(i + 1, served, blocks + ((rid,),))
+        if deny:
+            yield from place(i + 1, accepted, blocks)
+
+    yield from place(0, (), ())
 
 
 def oracle_solve(inst: Instance, objective: ObjectiveSpec | None = None,
@@ -233,12 +232,10 @@ def oracle_solve(inst: Instance, objective: ObjectiveSpec | None = None,
     requests go unserved only if the objective prices denial."""
     _check_limit(inst, limit)
     obj = (objective or ObjectiveSpec()).resolve(inst.n)
-    stop_orders = _stop_orders(inst)
-    ids = [r.id for r in inst.requests]
     best_key = None
     best = None
-    subsets = _subsets(ids) if obj._weights()[3] else [tuple(ids)]
-    for accepted, options in _feasible_partitions(inst, subsets, stop_orders.get):
+    deny = bool(obj._weights()[3])
+    for accepted, options in _plans(inst, _stop_orders(inst).get, deny):
         denied = inst.n - len(accepted)
         for combo in product(*options):
             cost = sum(opt[2] for opt in combo)
@@ -258,12 +255,8 @@ def oracle_solve(inst: Instance, objective: ObjectiveSpec | None = None,
 def max_acceptance(inst: Instance, limit: int = ORACLE_LIMIT) -> int:
     """Largest number of requests any feasible solution can serve."""
     _check_limit(inst, limit)
-    ids = [r.id for r in inst.requests]
-    subsets = sorted(_subsets(ids), key=len, reverse=True)
-    stop_orders = _stop_orders(inst)
-    for accepted, _ in _feasible_partitions(inst, subsets, stop_orders.get):
-        return len(accepted)
-    return 0
+    return max(len(accepted)
+               for accepted, _ in _plans(inst, _stop_orders(inst).get, True))
 
 
 # ---------------------------------------------------------------------------

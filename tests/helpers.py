@@ -7,11 +7,12 @@ so it shares no logic with the package's graph builder.
 
 import functools
 import warnings
+from dataclasses import replace
 from itertools import combinations
 
 from darpkit import (
-    GeneratorConfig, INBOUND, InfeasibleError, Instance, ObjectiveSpec,
-    Request, TravelMetric, generate_synthetic, oracle_solve,
+    GeneratorConfig, INBOUND, OUTBOUND, InfeasibleError, Instance, ObjectiveSpec,
+    Request, TravelMetric, generate_synthetic, oracle_solve, tighten_time_windows,
 )
 from darpkit.instance import DEPOT_LOCATION
 from darpkit.schedule import _tour_times
@@ -269,6 +270,15 @@ def criterion3_instances() -> tuple:
         else:
             raise AssertionError(f"no feasible instance for n={n}, q={q}")
     return tuple(out)
+
+
+def outbound_evens(inst):
+    """``inst`` with every even request outbound: its dropoff window
+    narrowed to 15 from its start, its pickup window derived from it."""
+    reqs = [replace(r, direction=OUTBOUND,
+                    dropoff_window=(r.dropoff_window[0], r.dropoff_window[0] + 15.0))
+            if r.id % 2 == 0 else r for r in inst.requests]
+    return tighten_time_windows(replace(inst, requests=tuple(reqs)))
 
 
 def capture_milp(monkeypatch, warn=()):

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from darpkit import (
-    GeneratorConfig, ObjectiveSpec, Schedule, Solution,
+    OUTBOUND, GeneratorConfig, ObjectiveSpec, Schedule, Solution,
     arc_count_closed_form, build_event_graph, build_model, evaluate_objective,
     generate_synthetic, import_solution, max_acceptance,
     node_count_closed_form, oracle_solve, parse_cordeau, parse_mps, solve_mip,
@@ -23,7 +23,7 @@ from darpkit import (
 )
 from darpkit.event_graph import DROPOFF, PICKUP
 
-from helpers import brute_state_space, criterion3_instances
+from helpers import brute_state_space, criterion3_instances, outbound_evens
 from test_event_graph import (
     EXPECTED_POOLING_ARCS, EXPECTED_POOLING_NODES, _arc_triples,
 )
@@ -147,6 +147,28 @@ def test_criterion_3_oracle_matches_milp(suite):
              f"{len(FIVE_OBJECTIVES)} objectives, max |delta| {worst:.2e}, "
              f"solver-reported within {worst_reported:.2e}"
              + (f", failures {bad[:3]}" if bad else ""))
+
+
+def test_oracle_matches_milp_with_outbound_requests():
+    # the even requests of each instance made outbound, so that model3's
+    # window rows relax by the width of the dropoff window
+    bad = []
+    outbound = 0
+    for inst in map(outbound_evens, criterion3_instances()):
+        outbound += sum(r.direction == OUTBOUND for r in inst.requests)
+        graph = build_event_graph(inst)
+        for name in FIVE_OBJECTIVES:
+            obj = ObjectiveSpec(variant=name)
+            target = oracle_solve(inst, obj).objective.total
+            for variant in VARIANTS:
+                model = build_model(graph, variant, obj)
+                result = solve_mip(parse_mps(write_mps(model)))
+                assert result.status == "optimal", (inst.name, variant, name)
+                total = import_solution(model, result.assignment).objective.total
+                if abs(total - target) > TOL:
+                    bad.append((inst.name, variant, name, total - target))
+    assert outbound == 90
+    assert not bad, bad[:3]
 
 
 def test_evaluate_objective_matches_oracle_exactly(suite):

@@ -10,7 +10,7 @@ import pytest
 from darpkit import (
     OUTBOUND, DataError, GeneratorConfig, arc_count_closed_form,
     build_event_graph, compatible_pairs, generate_synthetic, graph_stats,
-    node_count_closed_form, parse_cordeau, tighten_time_windows, to_dot,
+    node_count_closed_form, parse_cordeau, to_dot,
 )
 from darpkit.event_graph import (
     CLASS_NAMES, DEPOT, DROPOFF, DROPOFF_DROPOFF, DROPOFF_PICKUP, LEAVE_DEPOT,
@@ -21,7 +21,7 @@ from darpkit.schedule import _Prefix, _tour_times
 
 from helpers import (
     brute_state_space, compatible_pairs_reference, criterion3_instances,
-    line_instance, ring_instance,
+    line_instance, outbound_evens, ring_instance,
 )
 
 EXPECTED_POOLING_NODES = {
@@ -393,20 +393,11 @@ def test_pruning_rules_on_a_worked_example():
     assert labels == {"(0,0)", "(1+,0)", "(2+,0)", "(1-,0)", "(2-,0)"}
 
 
-def _outbound_evens(inst):
-    """``inst`` with every even request outbound: its dropoff window
-    narrowed to 15 from its start, its pickup window derived from it."""
-    reqs = [replace(r, direction=OUTBOUND,
-                    dropoff_window=(r.dropoff_window[0], r.dropoff_window[0] + 15.0))
-            if r.id % 2 == 0 else r for r in inst.requests]
-    return tighten_time_windows(replace(inst, requests=tuple(reqs)))
-
-
 def test_compatible_pairs_match_the_four_tour_reference(gen_instances):
     mixed = [ring_instance(6, 3, loads={1: 1, 2: 2, 3: 3, 4: 1, 5: 2, 6: 1}),
              ring_instance(5, 6, loads={1: 4, 2: 2, 3: 3, 4: 6, 5: 1})]
     instances = [*gen_instances, *criterion3_instances(), *mixed]
-    instances += [_outbound_evens(inst) for inst in instances]
+    instances += [outbound_evens(inst) for inst in instances]
     assert any(inst.requests[1].direction == OUTBOUND for inst in instances)
     for inst in instances:
         assert compatible_pairs(inst) == compatible_pairs_reference(inst), inst.name
@@ -460,7 +451,7 @@ def _meets_arc_rule(inst, tail, head):
 
 
 def test_pruned_graph_is_an_ordered_subgraph(gen_instances):
-    instances = [*gen_instances, *map(_outbound_evens, gen_instances)]
+    instances = [*gen_instances, *map(outbound_evens, gen_instances)]
     for inst in instances:
         full = build_event_graph(inst)
         pairs = compatible_pairs(inst)

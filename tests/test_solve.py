@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -165,6 +166,19 @@ def test_dropoff_ride_limit_raises_its_pickup_and_the_chain():
     assert _tour_times(tour, inst) == [15.0, 16.0, 20.0, 21.0]
     assert minimal_schedule(tour, inst).times == ((15.0, 16.0, 20.0, 21.0),)
     assert np.allclose(lp_schedule(tour, inst), [15.0, 16.0, 20.0, 21.0])
+
+
+def test_tour_without_a_return_before_the_depot_closes_has_no_times():
+    # pickup at 1 and dropoff at 2 start on time at 1 and 2, but the
+    # vehicle is back at the depot at 4, after it closes at 3
+    inst = line_instance(
+        "late-return", positions=(0.0, 1.0, 2.0),
+        specs=[{"pickup": (0, 100), "dropoff": (0, 100), "max_ride": 10}],
+        fleet_size=1, capacity=1, depot_window=(0.0, 3.0))
+    prefix = _Prefix(inst)
+    assert prefix.push((1, P)) and prefix.push((1, D))
+    assert prefix.times == [1.0, 2.0] and not prefix.returns_in_time()
+    assert _tour_times([(1, P), (1, D)], inst) is None
 
 
 def test_positive_cycle_through_a_nested_ride_is_infeasible():
@@ -476,6 +490,30 @@ def _conflicting_instance():
         fleet_size=1, capacity=2, depot_window=(0.0, 400.0))
 
 
+# sha-256 of the oracle's plan under all six objectives, and of
+# max_acceptance, for each criterion-3 instance: a rewrite of the
+# enumeration must choose every plan as before.  Times and objective
+# components enter with nine decimals, so that the digest does not hang
+# on the last bit of math.hypot, which may differ between Python versions
+ORACLE_DIGEST = "b022009fd65564dbd00ff2cb4a505eed23311a43d7272f02990ebd2be594fa94"
+SIX_OBJECTIVES = (*FULL_SERVICE_OBJECTIVES, "request_cost_excess")
+
+
+def test_oracle_plans_stay_identical():
+    digest = hashlib.sha256()
+    for inst in criterion3_instances():
+        for name in SIX_OBJECTIVES:
+            sol = oracle_solve(inst, ObjectiveSpec(variant=name))
+            value = sol.objective
+            plan = (sol.tours, [[f"{t:.9f}" for t in ts] for ts in sol.times],
+                    sorted(sol.accepted), value.denied,
+                    [f"{v:.9f}" for v in (value.total, value.cost, value.excess,
+                                          value.max_excess)])
+            digest.update(repr(plan).encode() + b"\0")
+        digest.update(repr(max_acceptance(inst)).encode() + b"\0")
+    assert digest.hexdigest() == ORACLE_DIGEST
+
+
 def test_oracle_infeasible():
     inst = _conflicting_instance()
     with pytest.raises(InfeasibleError):
@@ -488,6 +526,18 @@ def test_max_acceptance():
     sol = oracle_solve(inst, ObjectiveSpec(variant="request_cost_excess",
                                            gamma=1e6))
     assert len(sol.accepted) == 1
+    assert sol.objective.denied == 1
+
+
+def test_max_acceptance_is_zero_when_no_request_can_be_served():
+    # the only pickup lies 50 from the depot and closes at 10
+    inst = line_instance(
+        "unreachable", positions=(0.0, 50.0, 51.0),
+        specs=[{"pickup": (0, 10), "dropoff": (0, 200), "max_ride": 10}],
+        fleet_size=1, capacity=1, depot_window=(0.0, 300.0))
+    assert max_acceptance(inst) == 0
+    sol = oracle_solve(inst, ObjectiveSpec(variant="request_cost_excess"))
+    assert sol.tours == () and sol.accepted == frozenset()
     assert sol.objective.denied == 1
 
 
@@ -594,6 +644,13 @@ def test_import_fractional_binary(pooling_model):
         import_solution(pooling_model, values)
 
 
+def test_import_binary_out_of_range(pooling_model):
+    values = _assignment(pooling_model, [(TOUR_A, TIMES_A), (TOUR_B, TIMES_B)])
+    values["x_0"] = 2.0
+    with pytest.raises(SolutionError, match="x_0 is out of range: 2.0"):
+        import_solution(pooling_model, values)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_import_non_finite_binary(pooling_model, value):
     values = _assignment(pooling_model, [(TOUR_A, TIMES_A), (TOUR_B, TIMES_B)])
@@ -636,6 +693,17 @@ def test_import_double_service(pooling_model):
         (second, (20.0, 30.0, 40.0, 50.0)),
     ])
     with pytest.raises(SolutionError, match="served 2 times"):
+        import_solution(pooling_model, values)
+    # one walk picks request 1 up twice: the served-once check keeps such
+    # a tour from the schedule step, which times each dropoff's ride from
+    # the one pickup of its request
+    again = ["(0,0,0)", "(1+,0,0)", "(1-,0,0)", "(2+,0,0)", "(1+,2,0)",
+             "(1-,2,0)", "(2-,0,0)", "(0,0,0)"]
+    values = _assignment(pooling_model, [
+        (again, (5.0, 10.0, 20.0, 30.0, 40.0, 50.0)),
+        (TOUR_B, TIMES_B),
+    ])
+    with pytest.raises(SolutionError, match="request 1 is served 2 times"):
         import_solution(pooling_model, values)
 
 
