@@ -9,7 +9,8 @@ bundled scipy backend on an exported MPS file) and ``compare``
 
 Every produced artifact gets a run manifest JSON next to it recording
 the command, arguments, input/output hashes and timings.  Exit codes:
-0 success, 1 infeasible or failed validation, 2 usage or parse errors.
+0 success, 1 infeasible or failed validation, 2 usage, parse or file
+errors.
 """
 
 from __future__ import annotations
@@ -420,10 +421,9 @@ def main(argv: list[str] | None = None) -> int:
     except SolutionError as exc:
         print(f"solution error: {exc}", file=sys.stderr)
         return FAILURE
-    except DarpkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except FileNotFoundError as exc:
+    except (DarpkitError, OSError, UnicodeDecodeError) as exc:
+        # a bad input or an unreadable file: a directory, a missing path,
+        # bytes that are not UTF-8
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

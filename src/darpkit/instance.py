@@ -136,6 +136,12 @@ class TravelMetric:
         return a
 
 
+def _require_int(value, field: str):
+    """``DataError`` naming ``field`` unless ``value`` is an int (not a bool)."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise DataError(f"{field} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Request:
     """One transportation request; :meth:`Instance.location` places its stops."""
@@ -149,6 +155,8 @@ class Request:
     direction: str | None = None     # set by tighten_time_windows
 
     def __post_init__(self):
+        _require_int(self.id, "request id")
+        _require_int(self.q, f"request {self.id}: seat demand q")
         times = (self.s, self.max_ride, *self.pickup_window, *self.dropoff_window)
         if not all(map(math.isfinite, times)):
             raise DataError(f"request {self.id}: non-finite window, ride time "
@@ -193,6 +201,8 @@ class Instance:
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _require_int(self.fleet_size, "fleet_size")
+        _require_int(self.capacity, "capacity")
         if self.fleet_size < 1:
             raise DataError("fleet size must be at least 1")
         if self.capacity < 1:
@@ -450,6 +460,10 @@ class GeneratorConfig:
     area_side: float = 5.0
 
     def __post_init__(self):
+        _require_int(self.n, "n")
+        _require_int(self.capacity, "capacity")
+        if self.fleet_size is not None:
+            _require_int(self.fleet_size, "fleet_size")
         if self.n < 1:
             raise DataError("generator needs n >= 1")
         if self.capacity not in (3, 6):

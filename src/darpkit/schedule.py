@@ -49,38 +49,42 @@ class _Prefix:
     travel (the depot departure for a first stop).  A dropoff then reads
     the ride-time limit backwards as a lower bound on its pickup, and any
     raise moves forward along the chain, and back along the ride limits
-    of the dropoffs it reaches, until nothing rises.  The bounds only
-    grow as stops are appended and every step is a monotone function of
-    the times before it, also with rounding, so the times equal the
-    unique least fixpoint of the prefix's bound system, computed from
-    scratch or not.  A prefix is accepted when every stop meets its
-    window end; ``pop`` undoes exactly the raises of the last accepted
-    push.  A positive cycle in the bounds keeps raising; one sweep per
-    stop bounds the rounds, and a push still raising after them is
-    infeasible.
+    of the dropoffs it reaches, until nothing rises (:func:`_settle`).
+    The bounds only grow as stops are appended and every step is a
+    monotone function of the times before it, also with rounding, so the
+    times equal the unique least fixpoint of the prefix's bound system,
+    computed from scratch or not.  A prefix is accepted when every stop
+    meets its window end.  It is a stack: each accepted push keeps its
+    own copy of the times, so ``pop`` leaves those before the push.  A
+    positive cycle in the bounds keeps raising; one sweep per stop bounds
+    the rounds, and a push still raising after them is infeasible.
     """
 
-    __slots__ = ("inst", "stops", "times", "_stop", "_rows", "_locs", "_gaps",
-                 "_rides", "_log")
+    __slots__ = ("inst", "stops", "_stack", "_records", "_stop", "_rows")
 
     def __init__(self, inst: Instance):
         self.inst = inst
         self.stops: list[Stop] = []
-        self.times: list[float] = []
+        self._stack: list[list[float]] = [[]]    # the times, per prefix length
+        # per stop: (location, window end, service plus travel from the
+        # previous stop or None, (pickup index, L_i + s_i) or None)
+        self._records: list[tuple] = []
         self._stop = inst.stop_table
         self._rows = inst.metric.time_rows
-        self._locs: list[int] = []
-        self._gaps: list[float] = []    # service plus travel to the next stop
-        self._rides: list[tuple[int, float] | None] = []    # (pickup, limit)
-        self._log: list[Sequence[tuple[int, float]]] = []    # (stop, old time)
+
+    @property
+    def times(self) -> list[float]:
+        """Service starts of the stops; read only, a push copies them."""
+        return self._stack[-1]
 
     def push(self, stop: Stop) -> bool:
         """Append ``stop`` and reschedule; False, and no change, if the
         prefix has no schedule within the windows."""
         loc, early, late, limit, _ = self._stop[stop]
-        times = self.times
+        times, records = self._stack[-1], self._records
+        gap = None
         if times:
-            prev = self._locs[-1]
+            prev = records[-1][0]
             gap = self.inst.service[prev] + self._rows[prev][loc]
             start = max(early, times[-1] + gap)
         else:
@@ -93,72 +97,57 @@ class _Prefix:
             pickup = (stop[0], PICKUP)
             if pickup in self.stops:
                 ride = (self.stops.index(pickup), limit)
-        if times:
-            self._gaps.append(gap)
-        self.stops.append(stop)
-        times.append(start)
-        self._locs.append(loc)
-        self._rides.append(ride)
-        if ride is None or start - limit <= times[ride[0]]:
-            self._log.append(())
-            return True
-        raised: list[tuple[int, float]] = []
-        self._log.append(raised)
-        windows, locs = self.inst.windows, self._locs
-        if not self._settle(raised) or any(
-                times[k] > windows[locs[k]][1] + _TIME_EPS for k, _ in raised):
-            self.pop()
+        records.append((loc, late, gap, ride))
+        times = [*times, start]
+        # a stop the settle leaves where it was met its window end already
+        if ride is not None and start - limit > times[ride[0]] and (
+                not _settle(times, records) or any(
+                    t > rec[1] + _TIME_EPS for t, rec in zip(times, records))):
+            records.pop()
             return False
+        self.stops.append(stop)
+        self._stack.append(times)
         return True
 
-    def _settle(self, raised: list[tuple[int, float]]) -> bool:
-        """Raise times from the last stop's ride limit to the fixpoint,
-        logging each raise; False on a positive cycle."""
-        times, gaps, rides = self.times, self._gaps, self._rides
-        m = len(times)
-        lo = m - 1
-        for _ in range(m):
-            nxt = m
-            for k in range(lo, m):
-                if k > lo:
-                    cand = times[k - 1] + gaps[k - 1]
-                    if cand > times[k]:
-                        raised.append((k, times[k]))
-                        times[k] = cand
-                ride = rides[k]
-                if ride is not None:
-                    pick, w = ride
-                    cand = times[k] - w
-                    if cand > times[pick]:
-                        raised.append((pick, times[pick]))
-                        times[pick] = cand
-                        nxt = min(nxt, pick)
-            if nxt == m:
-                return True
-            lo = nxt
-        return False
-
     def pop(self):
-        """Remove the last stop and restore the times before its push."""
-        raised = self._log.pop()
-        if raised:
-            for k, old in reversed(raised):
-                self.times[k] = old
+        """Remove the last stop; the times are those before its push."""
         self.stops.pop()
-        self.times.pop()
-        self._locs.pop()
-        self._rides.pop()
-        if self._gaps:
-            self._gaps.pop()
+        self._stack.pop()
+        self._records.pop()
 
     def returns_in_time(self) -> bool:
         """Whether the vehicle reaches the depot before it closes after
         serving the last stop."""
         inst = self.inst
-        last = self._locs[-1]
+        last = self._records[-1][0]
         latest = (inst.depot_window[1] - inst.service[last]
                   - self._rows[last][DEPOT_LOCATION])
         return not self.times[-1] > latest + _TIME_EPS
+
+
+def _settle(times: list[float], records: Sequence[tuple]) -> bool:
+    """Raise ``times`` in place from the last stop's ride limit to the
+    fixpoint of the records' bounds; False on a positive cycle."""
+    m = len(times)
+    lo = m - 1
+    for _ in range(m):
+        nxt = m
+        for k in range(lo, m):
+            _, _, gap, ride = records[k]
+            if k > lo:
+                cand = times[k - 1] + gap
+                if cand > times[k]:
+                    times[k] = cand
+            if ride is not None:
+                pick, w = ride
+                cand = times[k] - w
+                if cand > times[pick]:
+                    times[pick] = cand
+                    nxt = min(nxt, pick)
+        if nxt == m:
+            return True
+        lo = nxt
+    return False
 
 
 def _tour_times(stops: Sequence[Stop], inst: Instance) -> list[float] | None:

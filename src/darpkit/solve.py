@@ -253,10 +253,15 @@ def oracle_solve(inst: Instance, objective: ObjectiveSpec | None = None,
 
 
 def max_acceptance(inst: Instance, limit: int = ORACLE_LIMIT) -> int:
-    """Largest number of requests any feasible solution can serve."""
+    """Largest number of requests any feasible solution can serve; the
+    enumeration stops at the first plan that serves them all."""
     _check_limit(inst, limit)
-    return max(len(accepted)
-               for accepted, _ in _plans(inst, _stop_orders(inst).get, True))
+    best = 0
+    for accepted, _ in _plans(inst, _stop_orders(inst).get, True):
+        best = max(best, len(accepted))
+        if best == inst.n:
+            break
+    return best
 
 
 # ---------------------------------------------------------------------------

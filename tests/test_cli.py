@@ -107,6 +107,26 @@ def test_convert_missing_file(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve-mps", "."],
+    ["graph", "."],
+    ["convert", ".", "-o", "x.json"],
+    ["compare", ".", "."],
+])
+def test_a_directory_for_an_input_file_is_refused(capsys, argv):
+    _refused(capsys, argv, "Is a directory")
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve-mps", "bad.mps"],
+    ["graph", "bad.json"],
+    ["convert", "bad.txt", "-o", "x.json"],
+])
+def test_an_input_file_that_is_not_utf8_is_refused(tmp_path, capsys, argv):
+    (tmp_path / argv[1]).write_bytes(b"\xff\xfe not text\n")
+    _refused(capsys, argv, "can't decode")
+
+
 def test_convert_garbage(tmp_path):
     src = tmp_path / "bad.txt"
     src.write_text("definitely not an instance\n")

@@ -226,6 +226,35 @@ def test_request_rejects_non_finite_values(bad):
         _request(**bad)
 
 
+def _one_request_instance(**overrides):
+    base = dict(name="a", requests=(_request(),), fleet_size=1, capacity=2,
+                depot_window=(0.0, 100.0), metric=line_metric((0.0, 1.0, 2.0)))
+    base.update(overrides)
+    return Instance(**base)
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: _request(id=1.0), "request id"),
+    (lambda: _request(id=True), "request id"),
+    (lambda: _request(q=1.5), "seat demand q"),
+    (lambda: _request(q=True), "seat demand q"),
+    (lambda: _one_request_instance(fleet_size=2.5), "fleet_size"),
+    (lambda: _one_request_instance(fleet_size=True), "fleet_size"),
+    (lambda: _one_request_instance(capacity=2.0), "capacity"),
+    (lambda: GeneratorConfig(n=3.0, capacity=3, seed=0), "n"),
+    (lambda: GeneratorConfig(n=True, capacity=3, seed=0), "n"),
+    (lambda: GeneratorConfig(n=3, capacity=3.0, seed=0), "capacity"),
+    (lambda: GeneratorConfig(n=3, capacity=3, seed=0, fleet_size=2.5), "fleet_size"),
+], ids=["id-float", "id-bool", "q-float", "q-bool", "fleet-float", "fleet-bool",
+        "capacity-float", "gen-n-float", "gen-n-bool", "gen-capacity-float",
+        "gen-fleet-float"])
+def test_integer_fields_refuse_other_types(build, field):
+    # a float or a bool where an int belongs is refused when the object
+    # is made, not later in a build or on reading the exported JSON back
+    with pytest.raises(DataError, match=rf"{field} must be an integer"):
+        build()
+
+
 @pytest.mark.parametrize("rid", [0, -1, 2])
 def test_request_lookup_rejects_unknown_ids(rid):
     inst = Instance(name="a", requests=(_request(),), fleet_size=1,

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import random
 import warnings
 from dataclasses import replace
 
@@ -206,6 +207,40 @@ def test_positive_cycle_through_a_nested_ride_is_infeasible():
         (((1, P), (1, D), (2, P), (2, D)), (1.0, 2.5, 3.0, 4.0)),
         (((2, P), (2, D), (1, P), (1, D)), (2.0, 3.0, 5.0, 6.5)),
     ]
+
+
+def test_prefix_walk_matches_a_fresh_prefix_after_every_step():
+    # a seeded walk of pushes, refused pushes and pops: after each step
+    # the prefix holds the stops and times a fresh prefix fed the same
+    # stops builds, a refused push leaves it as it was, and a pop leaves
+    # the times from before the push
+    steps = raising = refused = 0
+    for q, n, seed in itertools.product((3, 6), (4, 5, 6), range(6)):
+        inst = generate_synthetic(GeneratorConfig(n=n, capacity=q, seed=seed,
+                                                  area_side=3.0))
+        rng = random.Random(seed)
+        prefix = _Prefix(inst)
+        history = []
+        for _ in range(200):
+            stops, times = list(prefix.stops), list(prefix.times)
+            onboard = {i for i, kind in stops if kind == P}
+            onboard -= {i for i, kind in stops if kind == D}
+            candidates = [(i, P) for i in range(1, n + 1) if (i, P) not in stops]
+            candidates += [(i, D) for i in sorted(onboard)]
+            if stops and (not candidates or rng.random() < 0.3):
+                prefix.pop()
+                assert prefix.times == history.pop()
+            elif prefix.push(rng.choice(candidates)):
+                history.append(times)
+                raising += prefix.times[:-1] != times
+            else:
+                refused += 1
+                assert prefix.stops == stops and prefix.times == times
+            fresh = _Prefix(inst)
+            assert all(map(fresh.push, prefix.stops))
+            assert fresh.stops == prefix.stops and fresh.times == prefix.times
+            steps += 1
+    assert steps == 7200 and raising and refused
 
 
 def test_oracle_runs_the_stop_order_search_once_per_instance(monkeypatch):
@@ -527,6 +562,22 @@ def test_max_acceptance():
                                            gamma=1e6))
     assert len(sol.accepted) == 1
     assert sol.objective.denied == 1
+
+
+def test_max_acceptance_stops_at_the_first_plan_that_serves_everyone(monkeypatch):
+    # no plan can accept more than all n, so none is drawn after that
+    plans, drawn = solve_module._plans, []
+
+    def counted(*args):
+        for plan in plans(*args):
+            drawn.append(len(plan[0]))
+            yield plan
+
+    monkeypatch.setattr(solve_module, "_plans", counted)
+    for inst in criterion3_instances():
+        drawn.clear()
+        assert max_acceptance(inst) == inst.n
+        assert drawn.index(inst.n) == len(drawn) - 1
 
 
 def test_max_acceptance_is_zero_when_no_request_can_be_served():
