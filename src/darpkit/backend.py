@@ -8,10 +8,11 @@ path an external solver would.  Only the MPS subset produced by
 RANGES, free rows, MI/PL/FX/FR bounds) is supported; a section outside
 it (SOS, QUADOBJ, OBJNAME, ...) is refused, not skipped.  The first
 ``N`` row is the objective; entries on any later ``N`` row (a free row)
-are read and dropped.  COLUMNS, RHS and RANGES lines share one entry
-reader, and a refused line is named by its number.  :class:`ParsedMip`
-carries each row's two sides, not its MPS syntax, so :func:`solve_mip`
-interprets none.
+are read and dropped.  The file is read in one pass, each line applied
+where it is read: BOUNDS lines through one table of bound types, and
+COLUMNS, RHS and RANGES lines through one entry reader.  Every refused
+line is named by its number.  :class:`ParsedMip` carries each row's two
+sides, not its MPS syntax, so :func:`solve_mip` interprets none.
 
 numpy and scipy are imported inside :func:`parse_mps` (and scipy in
 :func:`solve_mip`), so importing darpkit, and every command that solves
@@ -57,6 +58,16 @@ _SECTIONS = ("NAME", "OBJSENSE", "ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS",
 _MINIMIZE = {"MIN": True, "MINIMIZE": True, "MAX": False, "MAXIMIZE": False}
 # COLUMNS MARKER tag -> whether the columns after it are integer
 _MARKERS = {"INTORG": True, "INTEND": False}
+# BOUNDS type -> (lower, upper, integer): a side is None where the type
+# leaves it, _VALUE where it takes the line's value, else the constant it
+# is set to; integer is whether the type makes the column integer
+_VALUE = "value"
+_BOUNDS = {
+    "LO": (_VALUE, None, False), "UP": (None, _VALUE, False),
+    "FX": (_VALUE, _VALUE, False), "FR": (-math.inf, math.inf, False),
+    "MI": (-math.inf, None, False), "PL": (None, math.inf, False),
+    "BV": (0.0, 1.0, True), "LI": (_VALUE, None, True), "UI": (None, _VALUE, True),
+}
 
 
 def _entries(fields: list[str], rows: set[str] | dict[str, str]):
@@ -87,16 +98,15 @@ def _row_sides(sense: str, b: float, r: float | None) -> tuple[float, float]:
 
 
 def parse_mps(text: str) -> ParsedMip:
-    """Parse MPS text into matrix form.
+    """Parse MPS text into matrix form, applying each line where it is read.
 
     Matrix, objective, RHS and RANGES values must be finite; a bound may be
-    infinite but not NaN.  The matrix is built column by column straight
-    from the COLUMNS section, which MPS writes column-major: entries that
-    repeat a (column, row) pair add up, and a column whose entries are
-    split over several places merges into one.  Explicit zeros are kept.
-    Row sides come from :func:`_row_sides`.  The objective sense is MIN,
-    MINIMIZE, MAX or MAXIMIZE, on the OBJSENSE header line or the line
-    below it.  A file needs at least one column.
+    infinite but not NaN.  Bounds apply in file order, each after the
+    COLUMNS line that declares its column.  Entries that repeat a (column,
+    row) pair add up, a column split over several places merges into one,
+    and explicit zeros are kept.  Row sides come from :func:`_row_sides`.
+    The objective sense is MIN, MINIMIZE, MAX or MAXIMIZE, on the OBJSENSE
+    header line or the line below it.  A file needs at least one column.
     """
     import numpy as np
     from scipy import sparse
@@ -108,12 +118,14 @@ def parse_mps(text: str) -> ParsedMip:
     row_sense: dict[str, str] = {}    # E, L and G rows in declaration order
     col_names: list[str] = []
     col_index: dict[str, int] = {}
-    integer_cols: set[int] = set()
-    columns: list[dict[str, float]] = []    # per column: row -> value
-    obj_coefs: dict[int, float] = {}
+    # per column, one slot each from the COLUMNS line that first names it
+    columns: list[dict[str, float]] = []    # row -> value
+    obj: list[float] = []
+    lower: list[float] = []
+    upper: list[float] = []
+    integer: list[bool] = []
     rhs: dict[str, float] = {}
     ranges: dict[str, float] = {}
-    bounds: list[tuple[str, str, float | None]] = []
     obj_rhs = 0.0
 
     section = None
@@ -169,14 +181,17 @@ def parse_mps(text: str) -> ParsedMip:
                     col_index[col] = len(col_names)
                     col_names.append(col)
                     columns.append({})
+                    obj.append(0.0)
+                    lower.append(0.0)
+                    upper.append(math.inf)
+                    integer.append(False)
                 j = col_index[col]
                 entries = columns[j]
-                if in_integer:
-                    integer_cols.add(j)
+                integer[j] |= in_integer
                 # entries on a free row are read and dropped
                 for row, val in _entries(fields, declared):
                     if row == obj_row:
-                        obj_coefs[j] = obj_coefs.get(j, 0.0) + val
+                        obj[j] += val
                     elif row in row_sense:
                         entries[row] = entries.get(row, 0.0) + val
             elif section == "RHS":
@@ -191,12 +206,30 @@ def parse_mps(text: str) -> ParsedMip:
             elif section == "BOUNDS":
                 if len(fields) > 4:
                     raise ValueError(raw)
-                btype = fields[0].upper()
-                col = fields[2]
+                btype, col = fields[0].upper(), fields[2]
                 val = float(fields[3]) if len(fields) > 3 else None
                 if val is not None and math.isnan(val):
                     raise ValueError(fields[3])
-                bounds.append((btype, col, val))
+                if col not in col_index:
+                    raise ParseError(
+                        (f"BOUNDS references unknown column {col}" if col_names
+                         else "MPS file declares no columns")
+                        + f", MPS line {lineno}")
+                if btype not in _BOUNDS:
+                    raise ParseError(f"unknown bound type {btype!r}, MPS line {lineno}")
+                j = col_index[col]
+                lo, hi, makes_integer = _BOUNDS[btype]
+                if val is None and _VALUE in (lo, hi):
+                    raise ParseError(
+                        f"bound {btype} for {col} needs a value, MPS line {lineno}")
+                for sides, side in ((lower, lo), (upper, hi)):
+                    if side is not None:
+                        sides[j] = val if side is _VALUE else side
+                # classic MPS quirk: a bare negative upper bound opens the
+                # lower side
+                if btype == "UP" and val < 0 and lower[j] == 0.0:
+                    lower[j] = -math.inf
+                integer[j] |= makes_integer
             else:
                 where = (f"under {section}, which takes none" if section
                          else "before any section header")
@@ -214,42 +247,6 @@ def parse_mps(text: str) -> ParsedMip:
     if not col_names:
         raise ParseError("MPS file declares no columns")
 
-    ncols = len(col_names)
-    lower = np.zeros(ncols)
-    upper = np.full(ncols, math.inf)
-    integrality = np.zeros(ncols)
-    for j in integer_cols:
-        integrality[j] = 1
-    for btype, col, val in bounds:
-        if col not in col_index:
-            raise ParseError(f"BOUNDS references unknown column {col}")
-        j = col_index[col]
-        if btype in ("LO", "UP", "FX", "LI", "UI") and val is None:
-            raise ParseError(f"bound {btype} for {col} needs a value")
-        if btype == "LO":
-            lower[j] = val
-        elif btype == "UP":
-            upper[j] = val
-            # classic MPS quirk: a bare negative upper bound opens the lower side
-            if val is not None and val < 0 and lower[j] == 0.0:
-                lower[j] = -math.inf
-        elif btype == "FX":
-            lower[j] = upper[j] = val
-        elif btype == "FR":
-            lower[j], upper[j] = -math.inf, math.inf
-        elif btype == "MI":
-            lower[j] = -math.inf
-        elif btype == "PL":
-            upper[j] = math.inf
-        elif btype == "BV":
-            lower[j], upper[j] = 0.0, 1.0
-            integrality[j] = 1
-        elif btype in ("LI", "UI"):
-            (lower if btype == "LI" else upper)[j] = val
-            integrality[j] = 1
-        else:
-            raise ParseError(f"unknown bound type {btype!r}")
-
     row_pos = {row: i for i, row in enumerate(row_sense)}.__getitem__
     data: list[float] = []
     indices: list[int] = []
@@ -261,16 +258,15 @@ def parse_mps(text: str) -> ParsedMip:
     matrix = sparse.csc_array(
         (np.array(data, dtype=float), np.array(indices, dtype=np.int64),
          np.array(indptr, dtype=np.int64)),
-        shape=(len(row_sense), ncols))
+        shape=(len(row_sense), len(col_names)))
     matrix.sort_indices()
-    obj = np.zeros(ncols)
-    for j, val in obj_coefs.items():
-        obj[j] = val
     sides = [_row_sides(sense, rhs.get(row, 0.0), ranges.get(row))
              for row, sense in row_sense.items()]
     return ParsedMip(
         name=name, minimize=minimize, col_names=col_names,
-        integrality=integrality, lower=lower, upper=upper, obj=obj,
+        integrality=np.array(integer, dtype=float),
+        lower=np.array(lower, dtype=float), upper=np.array(upper, dtype=float),
+        obj=np.array(obj, dtype=float),
         obj_constant=-obj_rhs, row_names=list(row_sense),
         row_lower=np.array([lo for lo, _ in sides], dtype=float),
         row_upper=np.array([hi for _, hi in sides], dtype=float), matrix=matrix)

@@ -20,6 +20,7 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -94,6 +95,8 @@ def _load_instance(path: Path, name: str | None = None,
     # JSON starts with "{"; anything else is read as the plain-text format
     if text.lstrip().startswith("{"):
         inst = instance_from_json(text)
+        if name:
+            inst = replace(inst, name=name)
     else:
         inst = parse_cordeau(text, name=name or path.stem)
     if auto_tighten and any(r.direction is None for r in inst.requests):

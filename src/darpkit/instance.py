@@ -462,6 +462,9 @@ class GeneratorConfig:
     def __post_init__(self):
         _require_int(self.n, "n")
         _require_int(self.capacity, "capacity")
+        # a seed of another type would seed a different instance under the
+        # same name (seed="1" is not seed=1)
+        _require_int(self.seed, "seed")
         if self.fleet_size is not None:
             _require_int(self.fleet_size, "fleet_size")
         if self.n < 1:

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field, replace
 from itertools import product
@@ -268,20 +269,35 @@ def max_acceptance(inst: Instance, limit: int = ORACLE_LIMIT) -> int:
 # decoding solver assignments
 # ---------------------------------------------------------------------------
 
+def _assigned(assignment: Mapping[str, float], name: str) -> float:
+    """``assignment[name]`` as a finite real number; SolutionError naming
+    the variable for any other value (text, None, a bool, NaN or an
+    infinity), KeyError if the assignment has no value for it."""
+    raw = assignment[name]
+    if isinstance(raw, bool) or not isinstance(raw, numbers.Real):
+        raise SolutionError(f"variable {name} has non-numeric value {raw!r}")
+    value = float(raw)
+    if not math.isfinite(value):
+        raise SolutionError(f"variable {name} has non-finite value {value}")
+    return value
+
+
 def import_solution(model: MilpModel, assignment: Mapping[str, float]) -> Solution:
     """Decode a name -> value assignment into tours and validate roundness.
 
     Selected arcs must form depot-anchored simple cycles; isolated
     cycles, revisited states, fractional binaries and double service are
-    rejected.  Only the binaries are read: each decoded tour is re-timed
-    with its componentwise-minimal schedule, so the solver's continuous
-    times, and their tolerance, never reach the plan; how far they fall
-    below it is kept as the solution's ``raw_time_gap``.  A tour without a
-    feasible schedule is rejected.  A decoded tour needs no pass over the
-    stop rules: each event-graph state carries its onboard set, so loads,
-    precedence and the final dropoffs hold by construction, and the
-    served-once check refuses the one fault left, a request picked up
-    again.  The plan's schedule is built once, when it is scored.  The
+    rejected.  Every value read (the binaries, each decoded state's
+    ``B_<v>`` and the objective's columns) must be a finite real number,
+    else SolutionError names the variable.  Only the binaries decide the
+    plan: each decoded tour is re-timed with its componentwise-minimal
+    schedule, so the solver's continuous times, and their tolerance, never
+    reach the plan; how far they fall below it is kept as the solution's
+    ``raw_time_gap``.  A tour without a feasible schedule is rejected.  A
+    decoded tour needs no pass over the stop rules: each event-graph state
+    carries its onboard set, so loads, precedence and the final dropoffs
+    hold by construction, and the served-once check refuses the one fault
+    left, a request picked up again.  The plan's schedule is built once, when it is scored.  The
     objective is recomputed from the re-timed tours; a mismatch beyond
     1e-4 against the assignment's own objective value triggers a warning.
     """
@@ -295,9 +311,7 @@ def import_solution(model: MilpModel, assignment: Mapping[str, float]) -> Soluti
             continue
         if var.name not in assignment:
             raise SolutionError(f"assignment misses variable {var.name}")
-        raw = float(assignment[var.name])
-        if not math.isfinite(raw):
-            raise SolutionError(f"binary {var.name} has non-finite value {raw}")
+        raw = _assigned(assignment, var.name)
         level = round(raw)
         if abs(raw - level) > 1e-6:
             raise SolutionError(f"binary {var.name} has fractional value {raw}")
@@ -360,15 +374,17 @@ def import_solution(model: MilpModel, assignment: Mapping[str, float]) -> Soluti
         times.append(ts)
     retimed = [t for ts in times for t in ts]
     try:
-        gap = max((t - float(assignment[f"B_{v}"])
+        gap = max((t - _assigned(assignment, f"B_{v}")
                    for v, t in zip(states, retimed)), default=0.0)
         gap = max(gap, 0.0)
     except KeyError:
         gap = None
     sol = replace(_scored(inst, tours, times, accepted, model.objective),
                   raw_time_gap=gap)
+    objective_names = [model.vars[idx].name for idx, _ in model.obj_terms]
     try:
-        claimed = model.objective_value(assignment)
+        claimed = model.objective_value(
+            {name: _assigned(assignment, name) for name in objective_names})
     except KeyError:
         claimed = None
     if claimed is not None and abs(claimed - sol.objective.total) > 1e-4:

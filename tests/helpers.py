@@ -11,8 +11,9 @@ from dataclasses import replace
 from itertools import combinations
 
 from darpkit import (
-    GeneratorConfig, INBOUND, OUTBOUND, InfeasibleError, Instance, ObjectiveSpec,
-    Request, TravelMetric, generate_synthetic, oracle_solve, tighten_time_windows,
+    OBJECTIVES, GeneratorConfig, INBOUND, OUTBOUND, InfeasibleError, Instance,
+    ObjectiveSpec, Request, TravelMetric, build_event_graph, build_model,
+    generate_synthetic, oracle_solve, tighten_time_windows,
 )
 from darpkit.instance import DEPOT_LOCATION
 from darpkit.schedule import _tour_times
@@ -270,6 +271,20 @@ def criterion3_instances() -> tuple:
         else:
             raise AssertionError(f"no feasible instance for n={n}, q={q}")
     return tuple(out)
+
+
+def digest_models():
+    """The models the export and parse digests are taken over: every fifth
+    criterion-3 instance and two q=3 n=15 instances, each under both
+    variants and every objective."""
+    insts = [*criterion3_instances()[::5],
+             *(generate_synthetic(GeneratorConfig(n=15, capacity=3, seed=seed))
+               for seed in (1, 2))]
+    for inst in insts:
+        graph = build_event_graph(inst, pruned=True)
+        for variant in ("model2", "model3"):
+            for objective in OBJECTIVES:
+                yield build_model(graph, variant, ObjectiveSpec(variant=objective))
 
 
 def outbound_evens(inst):

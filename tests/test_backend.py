@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -12,7 +13,7 @@ from darpkit import (
 )
 from darpkit.backend import highs_options
 
-from helpers import capture_milp
+from helpers import capture_milp, digest_models
 
 MIN_MPS = """\
 * hand-written fixture, not produced by the exporter
@@ -234,12 +235,47 @@ ENDATA
     ((" L  cap", " L  cap  extra"), "malformed MPS line 5"),
     ((" UP BND       c              4.0", " UP BND       c              4.0  5.0"),
      "malformed MPS line 23"),
+    # every refusal of a BOUNDS line names the line too; a BOUNDS line must
+    # follow the COLUMNS line that declares its column
+    ((" UP BND       c              4.0", " XX BND       c              4.0"),
+     "unknown bound type 'XX', MPS line 23"),
+    ((" UP BND       c              4.0", " UP BND       zz             4.0"),
+     "BOUNDS references unknown column zz, MPS line 23"),
+    ((" UP BND       c              4.0", " LO BND       c"),
+     "bound LO for c needs a value, MPS line 23"),
+    (("COLUMNS\n", "BOUNDS\n UP BND       a              1.0\nCOLUMNS\n"),
+     "MPS file declares no columns, MPS line 9"),
+    (("    c         COST", "BOUNDS\n UP BND       c              4.0\n"
+                            "COLUMNS\n    c         COST"),
+     "BOUNDS references unknown column c, MPS line 16"),
 ])
 def test_parse_mps_errors(breakage, message):
     old, new = breakage
     assert old in MIN_MPS
     with pytest.raises(ParseError, match=message):
         parse_mps(MIN_MPS.replace(old, new))
+
+
+# one digest over every ParsedMip field parsed from the MPS text of each
+# model of the export digest (tests/test_model.py); names, sense and
+# constant go in as repr, arrays as float64 or int64 bytes, so scipy's
+# choice of index dtype does not move it
+PARSE_DIGEST = "07e00d27a142a7241ac0574fe3bf429dd7d9036eda134874b36e92cf73361110"
+
+
+def test_parses_stay_identical():
+    digest = hashlib.sha256()
+    for model in digest_models():
+        mip = parse_mps(write_mps(model))
+        for value in (mip.name, mip.minimize, mip.col_names, mip.obj_constant,
+                      mip.row_names):
+            digest.update(repr(value).encode() + b"\0")
+        for values in (mip.integrality, mip.lower, mip.upper, mip.obj,
+                       mip.row_lower, mip.row_upper, mip.matrix.data):
+            digest.update(np.asarray(values, dtype=np.float64).tobytes())
+        for values in (mip.matrix.indices, mip.matrix.indptr, mip.matrix.shape):
+            digest.update(np.asarray(values, dtype=np.int64).tobytes())
+    assert digest.hexdigest() == PARSE_DIGEST
 
 
 def test_parse_mps_bounds_may_be_infinite():

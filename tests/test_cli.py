@@ -85,6 +85,15 @@ def test_convert_cordeau(tmp_path, tiny_cordeau_text, capsys):
     assert str(src) in manifest["inputs"]
 
 
+def test_convert_renames_a_json_instance(tmp_path, instance_file):
+    out = tmp_path / "renamed.json"
+    assert cli.main(["convert", str(instance_file), "-o", str(out),
+                     "--name", "renamed"]) == 0
+    inst, src = (instance_from_json(p.read_text()) for p in (out, instance_file))
+    assert inst.name == "renamed" and src.name != "renamed"
+    assert inst.requests == src.requests
+
+
 def test_convert_keeps_windows_without_tighten(tmp_path, tiny_cordeau_text):
     src = tmp_path / "tiny.txt"
     src.write_text(tiny_cordeau_text)

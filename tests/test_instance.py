@@ -245,9 +245,12 @@ def _one_request_instance(**overrides):
     (lambda: GeneratorConfig(n=True, capacity=3, seed=0), "n"),
     (lambda: GeneratorConfig(n=3, capacity=3.0, seed=0), "capacity"),
     (lambda: GeneratorConfig(n=3, capacity=3, seed=0, fleet_size=2.5), "fleet_size"),
+    (lambda: GeneratorConfig(n=3, capacity=3, seed="1"), "seed"),
+    (lambda: GeneratorConfig(n=3, capacity=3, seed=True), "seed"),
+    (lambda: GeneratorConfig(n=3, capacity=3, seed=1.0), "seed"),
 ], ids=["id-float", "id-bool", "q-float", "q-bool", "fleet-float", "fleet-bool",
         "capacity-float", "gen-n-float", "gen-n-bool", "gen-capacity-float",
-        "gen-fleet-float"])
+        "gen-fleet-float", "gen-seed-text", "gen-seed-bool", "gen-seed-float"])
 def test_integer_fields_refuse_other_types(build, field):
     # a float or a bool where an int belongs is refused when the object
     # is made, not later in a build or on reading the exported JSON back

@@ -21,7 +21,7 @@ from darpkit.event_graph import (
 from darpkit.model import MilpModel, _assemble
 from darpkit.solve import _stop_orders
 
-from helpers import criterion3_instances, line_instance
+from helpers import criterion3_instances, digest_models, line_instance
 
 
 @pytest.fixture(scope="module")
@@ -683,17 +683,10 @@ EXPORT_DIGEST = "180ea72b6bbf89edc9f77948510b3dc0c0ba94230d0d2ad9c95cf76b05954da
 
 
 def test_exports_stay_byte_identical():
-    insts = [*criterion3_instances()[::5],
-             *(generate_synthetic(GeneratorConfig(n=15, capacity=3, seed=seed))
-               for seed in (1, 2))]
     digest = hashlib.sha256()
-    for inst in insts:
-        graph = build_event_graph(inst, pruned=True)
-        for variant in ("model2", "model3"):
-            for objective in OBJECTIVES:
-                model = build_model(graph, variant, ObjectiveSpec(variant=objective))
-                for text in (write_mps(model), write_lp(model), write_mapping(model)):
-                    digest.update(text.encode() + b"\0")
+    for model in digest_models():
+        for text in (write_mps(model), write_lp(model), write_mapping(model)):
+            digest.update(text.encode() + b"\0")
     assert digest.hexdigest() == EXPORT_DIGEST
 
 

@@ -710,6 +710,27 @@ def test_import_non_finite_binary(pooling_model, value):
         import_solution(pooling_model, values)
 
 
+@pytest.mark.parametrize("objective, name, value", [
+    ("cost", "x_0", "abc"), ("cost", "x_0", None), ("cost", "x_0", True),
+    ("excess", "d_1", "abc"), ("excess", "d_1", math.nan),
+    ("cost", "(1+,0,0)", math.nan), ("cost", "(1+,0,0)", -math.inf),
+], ids=["binary-text", "binary-none", "binary-bool", "objective-text",
+        "objective-nan", "time-nan", "time-minus-inf"])
+def test_import_refuses_values_that_are_not_finite_numbers(
+        pooling_instance, objective, name, value):
+    # a binary, an objective column or a decoded state's time (B_ of the
+    # state labelled ``name``) that is not a finite real number is refused
+    # by name, not turned into a crash, a NaN total or a NaN time gap
+    model = build_model(build_event_graph(pooling_instance), "model2",
+                        ObjectiveSpec(variant=objective))
+    values = _assignment(model, [(TOUR_A, TIMES_A), (TOUR_B, TIMES_B)])
+    if name.startswith("("):
+        name = f"B_{_maps(model.graph)[0][name]}"
+    values[name] = value
+    with pytest.raises(SolutionError, match=rf"variable {name} has non-"):
+        import_solution(model, values)
+
+
 def test_import_dangling_walk(pooling_model):
     values = _assignment(pooling_model, [(TOUR_B[:2], TIMES_B[:1])])
     with pytest.raises(SolutionError, match="expected 1"):
