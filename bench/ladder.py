@@ -6,13 +6,14 @@ Usage, from the repository root:
     python3 bench/ladder.py --side change -o BENCH_<n>.json
 
 Each instance is ``generate_synthetic(GeneratorConfig(n=n, capacity=q,
-seed=seed))`` for every rung (q, n) in ``RUNGS`` and seed in ``SEEDS``,
-plus the rungs in ``LONG_RUNGS`` at the first seed only.  Per instance
-the record holds:
+seed=seed))`` for every rung (q, n) in ``RUNGS`` and then in
+``LONG_RUNGS``, and every seed in ``SEEDS``.  Per instance the record
+holds:
 
 - ``graph``: complete nodes and arcs (the closed forms, which equal the
   complete graph for unit loads; at q=6, n=40 it has 53 million states
-  and is never built) and the pruned graph's nodes and arcs;
+  and is never built), the pruned graph's nodes and arcs, and the number
+  of feasible fragments its fragment rule closed;
 - ``model``: rows, columns and nonzeros of model3 under ``cost``, as the
   solver reads them from the exported MPS text;
 - ``stage_s``: seconds of the pruned graph build, ``build_model``,
@@ -131,7 +132,8 @@ def run_instance(n: int, q: int, seed: int) -> dict:
         "graph": {"complete_nodes": node_count_closed_form(n, q),
                   "complete_arcs": arc_count_closed_form(n, q),
                   "pruned_nodes": graph.node_count,
-                  "pruned_arcs": len(graph.arcs)},
+                  "pruned_arcs": len(graph.arcs),
+                  "fragments": graph.fragments},
         "model": {"rows": len(mip.row_names), "cols": len(mip.col_names),
                   "nnz": int(mip.matrix.nnz)},
         "stage_s": stage_s,
@@ -178,8 +180,7 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
 
-    plan = [(q, n, seed) for q, n in RUNGS for seed in SEEDS]
-    plan += [(q, n, SEEDS[0]) for q, n in LONG_RUNGS]
+    plan = [(q, n, seed) for q, n in (*RUNGS, *LONG_RUNGS) for seed in SEEDS]
     warm_up()
     records = []
     for q, n, seed in plan:

@@ -170,7 +170,8 @@ def cmd_graph(args) -> int:
     stages.mark("pruned")
     stats = graph_stats(graph)
     stats["pruned"] = {"nodes": pruned.node_count, "arcs": pruned.arc_count,
-                       "compatible_pairs": len(pruned.compatible)}
+                       "compatible_pairs": len(pruned.compatible),
+                       "fragments": pruned.fragments}
     stats["build_s"] = stages.total()
     stats["stage_s"] = stages.seconds
     if args.json:

@@ -29,12 +29,21 @@ the compatible pairs in place of all pairs, and then filtered once:
 * arc rule, one mask over the finished arc columns: an arc is dropped
   when ``e_tail + s_tail + t > l_head`` (beyond the schedule tolerance)
   on the location windows, depot legs included;
-* dead states, after the mask: every non-depot state without an in-arc
-  or an out-arc is dropped, until none is left.
+* fragment rule, a second mask over the arcs that pass the arc rule
+  (Rist & Forbes 2021).  A fragment is a stop sequence that starts
+  with a pickup into an empty vehicle and ends at the first dropoff
+  that empties it again.  A loaded arc is kept only when it lies on a
+  fragment that has a schedule alone, from the depot and back; an
+  empty-vehicle arc (a depot leg, or a pickup after an emptying
+  dropoff) only when both its ends lie on such fragments;
+* dead states, after the masks: every non-depot state without an
+  in-arc or an out-arc is dropped, until none is left.
 
-All three rest on the triangle inequality, which ``Instance`` enforces:
-the stops of two requests taken out of a feasible tour form a feasible
-tour, so requests that share a vehicle in any plan are compatible.
+All four rest on the triangle inequality, which ``Instance`` enforces:
+the stops of some requests taken out of a feasible tour form a feasible
+tour.  So requests that share a vehicle in any plan are compatible, and
+each fragment of a feasible tour, since every tour splits into
+fragments, has a schedule alone.
 """
 
 from __future__ import annotations
@@ -47,7 +56,7 @@ from typing import NamedTuple
 
 from .errors import DataError
 from .instance import DEPOT, DEPOT_LOCATION, DROPOFF, PICKUP, Instance
-from .schedule import _TIME_EPS, compatible_pairs
+from .schedule import _TIME_EPS, _Prefix, compatible_pairs
 
 PICKUP_DROPOFF = 1
 PICKUP_PICKUP = 2
@@ -55,6 +64,10 @@ DROPOFF_PICKUP = 3
 DROPOFF_DROPOFF = 4
 RETURN_DEPOT = 5
 LEAVE_DEPOT = 6
+
+# the name of the pruning rules, recorded in a model's sidecar: a pruned
+# graph of other rules numbers its states and arcs otherwise
+PRUNED_FORM = "pruned-fragments"
 
 CLASS_NAMES = {
     PICKUP_DROPOFF: "pickup_dropoff",
@@ -118,16 +131,19 @@ class EventGraph:
     """An event graph: its states and its arc table.
 
     ``compatible`` is None for the complete graph, and the set of
-    ride-compatible request pairs the graph was pruned with otherwise.
+    ride-compatible request pairs the graph was pruned with otherwise;
+    ``fragments`` is None, or the number of feasible fragments.
     ``pickup_nodes``, ``dropoff_nodes``, ``in_arcs``, ``out_arcs``,
     ``class_counts`` and a complete graph's ``pruned_graph`` are built on
     first use.
     """
 
     def __init__(self, inst: Instance, nodes, locations, arcs: ArcTable,
-                 compatible: frozenset | None = None):
+                 compatible: frozenset | None = None,
+                 fragments: int | None = None):
         self.inst = inst
         self.compatible = compatible
+        self.fragments = fragments
         self.nodes: tuple[EventNode, ...] = tuple(nodes)
         self.locations: tuple[int, ...] = tuple(locations)
         self.arcs = arcs
@@ -226,7 +242,9 @@ def build_event_graph(inst: Instance, *, pruned: bool = False) -> EventGraph:
     The graph is complete unless ``pruned``; then the enumeration runs
     over the pairs of ``compatible_pairs(inst)`` (the pair rule of the
     module docstring), and the finished graph goes through the arc-rule
-    mask and the dead-state pass.
+    and fragment-rule masks and the dead-state pass.  A pruned graph
+    records in ``fragments`` how many feasible fragments the fragment
+    rule found.
 
     Node order is deterministic: the depot first, then nodes sorted by
     (event location, onboard tuple); arcs are made in (tail, head) order.
@@ -339,10 +357,12 @@ def build_event_graph(inst: Instance, *, pruned: bool = False) -> EventGraph:
             del head[start + skip], cls[start + skip]
         run[0] = v
         tail.extend(run * (len(head) - start))
+    fragments = None
     if pruned:
-        nodes, locations, arcs = _without_dead_states(
-            nodes, locations, arcs, _arc_rule(inst, locations, arcs))
-    return EventGraph(inst, nodes, locations, arcs, compatible)
+        keep, fragments = _fragment_rule(
+            inst, nodes, arcs, _arc_rule(inst, locations, arcs))
+        nodes, locations, arcs = _without_dead_states(nodes, locations, arcs, keep)
+    return EventGraph(inst, nodes, locations, arcs, compatible, fragments)
 
 
 def _arc_rule(inst: Instance, locations, arcs: ArcTable) -> list[bool]:
@@ -354,6 +374,57 @@ def _arc_rule(inst: Instance, locations, arcs: ArcTable) -> list[bool]:
     loc = locations.__getitem__
     return [ready[a] + rows[a][b] <= late[b]
             for a, b in zip(map(loc, arcs.tail), map(loc, arcs.head))]
+
+
+def _fragment_rule(inst: Instance, nodes, arcs: ArcTable,
+                   keep: list[bool]) -> tuple[list[bool], int]:
+    """Which of the arcs that ``keep`` marks meet the fragment rule, and
+    how many feasible fragments there are.
+
+    One depth-first walk from the depot over the marked arcs, on one
+    :class:`~darpkit.schedule._Prefix`, pushes each head's stop; a push
+    that fails ends the branch, since appending stops never helps.  A
+    stop already on the path is skipped: a request dropped off earlier
+    in the fragment has pickup states that may follow, but a fragment
+    carries each request once.  The walk stops at a dropoff state with
+    no others on board, and when the vehicle then returns in time the
+    path is a feasible fragment, whose arcs (its depot leg included) and
+    states it marks.  An arc out of an emptying dropoff is kept when both
+    its ends are marked; the depot is.
+    """
+    tail, head = arcs.tail, arcs.head
+    out = [[] for _ in nodes]
+    for a in compress(range(len(keep)), keep):
+        out[tail[a]].append(a)
+    stops = [(node.request, node.kind) for node in nodes]
+    closes = [node.kind == DROPOFF and not node.others for node in nodes]
+    marked = [False] * len(nodes)
+    marked[0] = True
+    used = [False] * len(keep)
+    prefix = _Prefix(inst)
+    done, push, pop = prefix.stops, prefix.push, prefix.pop
+    path: list[int] = []
+    fragments = 0
+
+    def walk(v: int):
+        nonlocal fragments
+        for a in out[v]:
+            w = head[a]
+            if stops[w] in done or not push(stops[w]):
+                continue
+            path.append(a)
+            if not closes[w]:
+                walk(w)
+            elif prefix.returns_in_time():
+                fragments += 1
+                for b in path:
+                    used[b] = marked[head[b]] = True
+            path.pop()
+            pop()
+
+    walk(0)
+    return [u or (ok and closes[t] and marked[t] and marked[h])
+            for u, ok, t, h in zip(used, keep, tail, head)], fragments
 
 
 def _without_dead_states(nodes, locations, arcs: ArcTable, keep: list[bool]):

@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import random
 from dataclasses import dataclass, field, replace
 from typing import Mapping
@@ -471,6 +472,10 @@ class GeneratorConfig:
             raise DataError("generator needs n >= 1")
         if self.capacity not in (3, 6):
             raise DataError("generator capacity must be 3 or 6")
+        # a bool is no side (True would place the points on a side of 1)
+        if not isinstance(self.area_side, numbers.Real) or isinstance(
+                self.area_side, bool):
+            raise DataError(f"area_side must be a real number, got {self.area_side!r}")
         # a NaN or infinite side never yields two distinct points
         if not (math.isfinite(self.area_side) and self.area_side > 0):
             raise DataError("area_side must be positive and finite")

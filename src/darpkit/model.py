@@ -50,7 +50,7 @@ from operator import add
 from .errors import DataError, ParseError
 from .event_graph import (
     DROPOFF_DROPOFF, DROPOFF_PICKUP, LEAVE_DEPOT, PICKUP_DROPOFF,
-    PICKUP_PICKUP, RETURN_DEPOT,
+    PICKUP_PICKUP, PRUNED_FORM, RETURN_DEPOT,
     EventGraph, build_event_graph,
 )
 from .instance import DEPOT, INBOUND, PICKUP, Instance, instance_sha256
@@ -545,7 +545,7 @@ def variable_mapping(model: MilpModel) -> dict:
         "model": model.name,
         "instance": model.graph.inst.name,
         "instance_sha256": instance_sha256(model.graph.inst),
-        "graph": "pruned" if model.graph.pruned else "full",
+        "graph": PRUNED_FORM if model.graph.pruned else "full",
         "columns": len(model.vars),
         "variant": model.variant,
         "objective": {
@@ -563,7 +563,8 @@ def write_mapping(model: MilpModel) -> str:
 
 def read_mapping(text: str, inst: Instance) -> MilpModel:
     """The model a sidecar was written for, rebuilt over ``inst``; refused
-    unless the sidecar names this instance's pruned graph and column count."""
+    unless the sidecar names this instance, the graph form ``PRUNED_FORM``
+    and the column count."""
     try:
         doc = json.loads(text)
         objective = ObjectiveSpec(
@@ -574,10 +575,12 @@ def read_mapping(text: str, inst: Instance) -> MilpModel:
         variant = doc["variant"]
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise ParseError(f"mapping sidecar: {exc}") from None
-    if (doc.get("instance_sha256"), doc.get("graph")) != (
-            instance_sha256(inst), "pruned"):
+    if doc.get("instance_sha256") != instance_sha256(inst) or "graph" not in doc:
         raise DataError("mapping sidecar was not written for this instance's "
                         "pruned graph; export the model again")
+    if doc["graph"] != PRUNED_FORM:
+        raise DataError(f"mapping sidecar names the graph form {doc['graph']!r}, "
+                        f"not {PRUNED_FORM!r}; export the model again")
     model = build_model(build_event_graph(inst, pruned=True), variant, objective)
     if doc.get("columns") != len(model.vars):
         raise DataError(f"mapping sidecar lists {doc.get('columns')} columns, the "

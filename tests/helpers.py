@@ -15,6 +15,7 @@ from darpkit import (
     ObjectiveSpec, Request, TravelMetric, build_event_graph, build_model,
     generate_synthetic, oracle_solve, tighten_time_windows,
 )
+from darpkit import event_graph
 from darpkit.instance import DEPOT_LOCATION
 from darpkit.schedule import _tour_times
 
@@ -294,6 +295,15 @@ def outbound_evens(inst):
                     dropoff_window=(r.dropoff_window[0], r.dropoff_window[0] + 15.0))
             if r.id % 2 == 0 else r for r in inst.requests]
     return tighten_time_windows(replace(inst, requests=tuple(reqs)))
+
+
+def pair_and_arc_graph(inst, monkeypatch):
+    """The pruned graph of ``inst`` under the pair and arc rules alone:
+    the fragment rule keeps every arc."""
+    with monkeypatch.context() as patch:
+        patch.setattr(event_graph, "_fragment_rule",
+                      lambda inst, nodes, arcs, keep: (keep, None))
+        return build_event_graph(inst, pruned=True)
 
 
 def capture_milp(monkeypatch, warn=()):

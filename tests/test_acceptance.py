@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from darpkit import (
-    OUTBOUND, GeneratorConfig, ObjectiveSpec, Schedule, Solution,
+    OBJECTIVES, OUTBOUND, GeneratorConfig, ObjectiveSpec, Schedule, Solution,
     arc_count_closed_form, build_event_graph, build_model, evaluate_objective,
     generate_synthetic, import_solution, max_acceptance,
     node_count_closed_form, oracle_solve, parse_cordeau, parse_mps, solve_mip,
@@ -23,7 +23,9 @@ from darpkit import (
 )
 from darpkit.event_graph import DROPOFF, PICKUP
 
-from helpers import brute_state_space, criterion3_instances, outbound_evens
+from helpers import (
+    brute_state_space, criterion3_instances, outbound_evens, pair_and_arc_graph,
+)
 from test_event_graph import (
     EXPECTED_POOLING_ARCS, EXPECTED_POOLING_NODES, _arc_triples,
 )
@@ -168,6 +170,34 @@ def test_oracle_matches_milp_with_outbound_requests():
                 if abs(total - target) > TOL:
                     bad.append((inst.name, variant, name, total - target))
     assert outbound == 90
+    assert not bad, bad[:3]
+
+
+def test_fragment_rule_keeps_every_optimum(monkeypatch):
+    # on a side of 3 the fragment rule cuts states and arcs that the pair
+    # and arc rules keep; on both graphs each variant's optimum under each
+    # objective is the oracle's.  A zero optimum may read 1e-5 off zero
+    # from the solver, hence the absolute tolerances
+    bases = [generate_synthetic(GeneratorConfig(
+        n=n, capacity=3, seed=seed, area_side=3.0))
+        for n, seed in ((6, 3), (6, 6), (7, 3))]
+    bad = []
+    for inst in [*bases, *map(outbound_evens, bases)]:
+        plain = pair_and_arc_graph(inst, monkeypatch)
+        graph = build_event_graph(inst, pruned=True)
+        assert graph.node_count < plain.node_count, inst.name
+        assert graph.arc_count < plain.arc_count, inst.name
+        for name in OBJECTIVES:
+            obj = ObjectiveSpec(variant=name)
+            target = oracle_solve(inst, obj, limit=inst.n).objective.total
+            for g, variant in itertools.product((plain, graph), VARIANTS):
+                model = build_model(g, variant, obj)
+                result = solve_mip(parse_mps(write_mps(model)))
+                assert result.status == "optimal", (inst.name, variant, name)
+                total = import_solution(model, result.assignment).objective.total
+                if abs(total - target) > TOL or abs(result.objective - target) > 5e-5:
+                    bad.append((inst.name, g.fragments, variant, name,
+                                total - target, result.objective - target))
     assert not bad, bad[:3]
 
 

@@ -14,7 +14,7 @@ from darpkit import (
     parse_mps, read_mapping,
 )
 from darpkit import (
-    GeneratorConfig, ObjectiveSpec, build_event_graph, build_model,
+    DataError, GeneratorConfig, ObjectiveSpec, build_event_graph, build_model,
     generate_synthetic, write_mps,
 )
 
@@ -365,7 +365,7 @@ def test_sidecar_names_its_instance_graph_and_columns(tmp_path, instance_file):
     doc = json.loads(sidecar.read_text())
     inst = instance_from_json(instance_file.read_text())
     assert doc["instance_sha256"] == instance_sha256(inst)
-    assert doc["graph"] == "pruned"
+    assert doc["graph"] == "pruned-fragments"
     mps = sidecar.parent / "m.mps"
     assert doc["columns"] == len(parse_mps(mps.read_text()).col_names)
     # the column names describe themselves; the sidecar does not list them
@@ -412,6 +412,22 @@ def test_import_refuses_a_changed_column_count(tmp_path, instance_file, capsys):
     doc["columns"] += 1
     sidecar.write_text(json.dumps(doc))
     _import_fails(instance_file, assign, sidecar, capsys, "columns, the model has")
+
+
+def test_import_refuses_a_sidecar_of_older_pruning_rules(tmp_path,
+                                                        instance_file, capsys):
+    # a sidecar of the graph before the fragment rule numbers other columns,
+    # even where the column count happens to match
+    assign, sidecar = _export_and_solve(instance_file, tmp_path / "m")
+    doc = json.loads(sidecar.read_text())
+    doc["graph"] = "pruned"
+    sidecar.write_text(json.dumps(doc))
+    inst = instance_from_json(instance_file.read_text())
+    with pytest.raises(DataError, match="graph form 'pruned', not "
+                                        "'pruned-fragments'"):
+        read_mapping(sidecar.read_text(), inst)
+    _import_fails(instance_file, assign, sidecar, capsys,
+                  "graph form 'pruned'")
 
 
 def test_import_refuses_a_sidecar_without_its_binding(tmp_path, instance_file,
@@ -519,7 +535,9 @@ def test_graph_reports_the_pruned_graph(instance_file, capsys):
     stats = json.loads(capsys.readouterr().out)
     assert stats["pruned"] == {"nodes": pruned.node_count,
                                "arcs": pruned.arc_count,
-                               "compatible_pairs": len(pruned.compatible)}
+                               "compatible_pairs": len(pruned.compatible),
+                               "fragments": pruned.fragments}
+    assert pruned.fragments > 0
     assert stats["nodes"] == 9    # the complete graph
     line = (f"pruned graph: nodes {pruned.node_count}, arcs {pruned.arc_count}"
             f" ({len(pruned.compatible)} of 1 request pairs can ride together)")

@@ -21,7 +21,7 @@ from darpkit.schedule import _Prefix, _tour_times
 
 from helpers import (
     brute_state_space, compatible_pairs_reference, criterion3_instances,
-    line_instance, outbound_evens, ring_instance,
+    line_instance, outbound_evens, pair_and_arc_graph, ring_instance,
 )
 
 EXPECTED_POOLING_NODES = {
@@ -393,6 +393,66 @@ def test_pruning_rules_on_a_worked_example():
     assert labels == {"(0,0)", "(1+,0)", "(2+,0)", "(1-,0)", "(2-,0)"}
 
 
+def test_fragment_rule_on_a_worked_example(monkeypatch):
+    # on a line, 1+ at 0, 2+ at 1, 1- at 2, 2- at 3, with wide windows and
+    # ride limits of 2.5: of the four tours that carry both, only
+    # 1+ 2+ 1- 2- keeps each ride at 2 (the others ride one request 4).
+    # So (1, 2) is a compatible pair and every arc meets the arc rule, but
+    # the states (1+,2) and (2-,1) lie on no feasible fragment
+    wide = {"pickup": (0, 100), "dropoff": (0, 100), "max_ride": 2.5}
+    inst = line_instance("one-order", positions=(0.0, 0.0, 1.0, 2.0, 3.0),
+                         specs=[wide, wide], fleet_size=1, capacity=2,
+                         depot_window=(0.0, 100.0))
+    assert compatible_pairs(inst) == frozenset({(1, 2)})
+    plain = pair_and_arc_graph(inst, monkeypatch)
+    complete = build_event_graph(inst)
+    assert (plain.nodes, plain.arcs) == (complete.nodes, complete.arcs)
+    graph = build_event_graph(inst, pruned=True)
+    # 1+ 1-, 2+ 2- and 1+ 2+ 1- 2-
+    assert graph.fragments == 3 and complete.fragments is None
+    labels = {node.label(2) for node in graph.nodes}
+    assert {node.label(2) for node in plain.nodes} - labels == {"(1+,2)", "(2-,1)"}
+    assert _arc_triples(plain) - _arc_triples(graph) == {
+        ("(2+,0)", "(1+,2)", "pickup_pickup"),
+        ("(1+,2)", "(1-,2)", "pickup_dropoff"),
+        ("(1+,2)", "(2-,1)", "pickup_dropoff"),
+        ("(2+,1)", "(2-,1)", "pickup_dropoff"),
+        ("(2-,1)", "(1-,0)", "dropoff_dropoff"),
+    }
+    assert _arc_triples(graph) <= _arc_triples(plain)
+    # a pickup after an emptying dropoff joins two feasible fragments
+    assert ("(1-,0)", "(2+,0)", "dropoff_pickup") in _arc_triples(graph)
+
+
+def _fragment_count(n, capacity):
+    """Stop orders of unit-load requests that start with a pickup into an
+    empty vehicle, carry each request once and end when it empties."""
+    def orders(onboard, carried):
+        found = 0
+        if len(onboard) < capacity:
+            for i in set(range(1, n + 1)) - carried:
+                found += orders(onboard | {i}, carried | {i})
+        for i in onboard:
+            found += orders(onboard - {i}, carried) if len(onboard) > 1 else 1
+        return found
+
+    return sum(orders({i}, {i}) for i in range(1, n + 1))
+
+
+def test_fragment_walk_carries_each_request_once():
+    # after 1+ 2+ 1- 3+ 3-, the arc (3-,2) -> (1+,2) leads back to request
+    # 1: the walk skips it, since a fragment picks each request up once.
+    # With windows this wide every such stop order is a feasible fragment
+    wide = {"pickup": (0, 100), "dropoff": (0, 100), "max_ride": 100}
+    inst = line_instance("loose", positions=range(7), specs=[wide] * 3,
+                         fleet_size=1, capacity=2, depot_window=(0.0, 100.0))
+    graph = build_event_graph(inst, pruned=True)
+    complete = build_event_graph(inst)
+    assert (graph.nodes, graph.arcs) == (complete.nodes, complete.arcs)
+    assert _fragment_count(2, 2) == 6
+    assert graph.fragments == _fragment_count(3, 2) == 39
+
+
 def test_compatible_pairs_match_the_four_tour_reference(gen_instances):
     mixed = [ring_instance(6, 3, loads={1: 1, 2: 2, 3: 3, 4: 1, 5: 2, 6: 1}),
              ring_instance(5, 6, loads={1: 4, 2: 2, 3: 3, 4: 6, 5: 1})]
@@ -498,7 +558,7 @@ def test_graph_stats_of_a_pruned_graph(gen_instances):
 # builder rewrite must keep every node, location, arc and compatible pair.
 # The columns enter as lists, since the item size of array("l") depends on
 # the platform
-GRAPH_DIGEST = "7049e23a11cb6d1157d321335caebbf8eb82e72bcd408f1b058855258091cd9a"
+GRAPH_DIGEST = "9802640b66ff7f541d2dcb5e6c7dca7316323bd3a7326bda4b5844355c9c6777"
 
 
 def test_graphs_stay_identical():

@@ -681,9 +681,10 @@ def test_generator_config_validation(bad):
         GeneratorConfig(**base)
 
 
-@pytest.mark.parametrize("side", [math.nan, math.inf])
+@pytest.mark.parametrize("side", [math.nan, math.inf, "5", None, True])
 def test_generator_refuses_a_non_finite_area(side):
-    # such a side never yields two distinct points, so generating would not end
+    # a non-finite side never yields two distinct points, so generating
+    # would not end; text, None and a bool are no side at all
     with pytest.raises(DataError, match="area_side"):
         GeneratorConfig(n=3, capacity=3, seed=1, area_side=side)
 

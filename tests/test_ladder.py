@@ -25,7 +25,7 @@ def test_ladder_record_on_a_toy_rung(ladder):
     rec = ladder.run_instance(4, 3, 401)
     assert (rec["n"], rec["q"], rec["seed"]) == (4, 3, 401)
     assert set(rec["graph"]) == {"complete_nodes", "complete_arcs",
-                                 "pruned_nodes", "pruned_arcs"}
+                                 "pruned_nodes", "pruned_arcs", "fragments"}
     assert 0 < rec["graph"]["pruned_nodes"] <= rec["graph"]["complete_nodes"]
     assert 0 < rec["graph"]["pruned_arcs"] <= rec["graph"]["complete_arcs"]
     assert set(rec["model"]) == {"rows", "cols", "nnz"}

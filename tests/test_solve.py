@@ -799,16 +799,19 @@ def test_import_retimes_solver_tolerance(pooling_instance, pooling_model):
 
 
 def test_import_rejects_unschedulable_tour(pooling_instance):
-    # request 3's dropoff closes at 3.5: each arc of depot, 3+, 3-, depot
-    # passes the arc rule (the depot leg arrives at 2, the pickup's earliest
-    # start 0 plus service 1 plus travel 1 is 2), so the tour survives
-    # pruning, but chained the dropoff cannot start before 2 + 1 + 1 = 4
+    # request 1's pickup closes at 4.  The fragments 3+ 3- and 1+ 1- each
+    # have a schedule alone (1+ at 1), and each arc of depot, 3+, 3-, 1+,
+    # 1-, depot passes the arc rule (3-'s window opens at 0, plus service 1
+    # plus travel sqrt 2 is below 4), so the tour survives pruning, but
+    # chained 3- cannot start before 4, nor 1+ before 5 + sqrt 2
     r1, r2, r3 = pooling_instance.requests
     inst = replace(pooling_instance, requests=(
-        r1, r2, replace(r3, dropoff_window=(0.0, 3.5))))
+        replace(r1, pickup_window=(0.0, 4.0)), r2, r3))
     model = build_model(build_event_graph(inst), "model2",
                         ObjectiveSpec(variant="cost"))
-    values = _assignment(model, [(TOUR_B, TIMES_B)])
+    tour = ["(0,0,0)", "(3+,0,0)", "(3-,0,0)", "(1+,0,0)", "(1-,0,0)",
+            "(0,0,0)"]
+    values = _assignment(model, [(tour, (2.0, 4.0, 6.5, 8.0))])
     with pytest.raises(SolutionError, match="no feasible schedule"):
         import_solution(model, values)
 
