@@ -13,7 +13,8 @@ holds:
 - ``graph``: complete nodes and arcs (the closed forms, which equal the
   complete graph for unit loads; at q=6, n=40 it has 53 million states
   and is never built), the pruned graph's nodes and arcs, and the number
-  of feasible fragments its fragment rule closed;
+  of feasible fragments its fragment rule closed (null when its walk ran
+  out of steps);
 - ``model``: rows, columns and nonzeros of model3 under ``cost``, as the
   solver reads them from the exported MPS text;
 - ``stage_s``: seconds of the pruned graph build, ``build_model``,

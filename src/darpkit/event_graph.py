@@ -35,7 +35,10 @@ the compatible pairs in place of all pairs, and then filtered once:
   that empties it again.  A loaded arc is kept only when it lies on a
   fragment that has a schedule alone, from the depot and back; an
   empty-vehicle arc (a depot leg, or a pickup after an emptying
-  dropoff) only when both its ends lie on such fragments;
+  dropoff) only when both its ends lie on such fragments.  The walk
+  that finds them is exponential in window width and ride limit, so it
+  tries at most ``FRAGMENT_WALK_BUDGET`` pushes; past that the rule
+  keeps every arc, which is still exact, since it only removes arcs;
 * dead states, after the masks: every non-depot state without an
   in-arc or an out-arc is dropped, until none is left.
 
@@ -68,6 +71,12 @@ LEAVE_DEPOT = 6
 # the name of the pruning rules, recorded in a model's sidecar: a pruned
 # graph of other rules numbers its states and arcs otherwise
 PRUNED_FORM = "pruned-fragments"
+
+# the pushes the fragment walk may try, half a second of walk on a 2-core
+# x86-64 host; a generated q=3 n=40 instance takes 15 000 and n=60
+# 116 000, while six requests with loose windows and ride limits
+# already take 2.9 million
+FRAGMENT_WALK_BUDGET = 200_000
 
 CLASS_NAMES = {
     PICKUP_DROPOFF: "pickup_dropoff",
@@ -132,7 +141,8 @@ class EventGraph:
 
     ``compatible`` is None for the complete graph, and the set of
     ride-compatible request pairs the graph was pruned with otherwise;
-    ``fragments`` is None, or the number of feasible fragments.
+    ``fragments`` is the number of feasible fragments, or None for the
+    complete graph and when the fragment walk ran out of pushes.
     ``pickup_nodes``, ``dropoff_nodes``, ``in_arcs``, ``out_arcs``,
     ``class_counts`` and a complete graph's ``pruned_graph`` are built on
     first use.
@@ -244,7 +254,8 @@ def build_event_graph(inst: Instance, *, pruned: bool = False) -> EventGraph:
     module docstring), and the finished graph goes through the arc-rule
     and fragment-rule masks and the dead-state pass.  A pruned graph
     records in ``fragments`` how many feasible fragments the fragment
-    rule found.
+    rule found, or None when its walk ran out of pushes and the rule
+    kept every arc.
 
     Node order is deterministic: the depot first, then nodes sorted by
     (event location, onboard tuple); arcs are made in (tail, head) order.
@@ -376,10 +387,15 @@ def _arc_rule(inst: Instance, locations, arcs: ArcTable) -> list[bool]:
             for a, b in zip(map(loc, arcs.tail), map(loc, arcs.head))]
 
 
+class _OverBudget(Exception):
+    """The fragment walk tried ``FRAGMENT_WALK_BUDGET`` pushes."""
+
+
 def _fragment_rule(inst: Instance, nodes, arcs: ArcTable,
-                   keep: list[bool]) -> tuple[list[bool], int]:
+                   keep: list[bool]) -> tuple[list[bool], int | None]:
     """Which of the arcs that ``keep`` marks meet the fragment rule, and
-    how many feasible fragments there are.
+    how many feasible fragments there are; ``keep`` and None when the
+    walk runs out of pushes.
 
     One depth-first walk from the depot over the marked arcs, on one
     :class:`~darpkit.schedule._Prefix`, pushes each head's stop; a push
@@ -405,12 +421,18 @@ def _fragment_rule(inst: Instance, nodes, arcs: ArcTable,
     done, push, pop = prefix.stops, prefix.push, prefix.pop
     path: list[int] = []
     fragments = 0
+    budget = FRAGMENT_WALK_BUDGET
 
     def walk(v: int):
-        nonlocal fragments
+        nonlocal fragments, budget
         for a in out[v]:
             w = head[a]
-            if stops[w] in done or not push(stops[w]):
+            if stops[w] in done:
+                continue
+            budget -= 1
+            if budget < 0:
+                raise _OverBudget
+            if not push(stops[w]):
                 continue
             path.append(a)
             if not closes[w]:
@@ -422,7 +444,10 @@ def _fragment_rule(inst: Instance, nodes, arcs: ArcTable,
             path.pop()
             pop()
 
-    walk(0)
+    try:
+        walk(0)
+    except _OverBudget:
+        return keep, None
     return [u or (ok and closes[t] and marked[t] and marked[h])
             for u, ok, t, h in zip(used, keep, tail, head)], fragments
 

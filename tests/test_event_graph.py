@@ -9,8 +9,8 @@ import pytest
 
 from darpkit import (
     OUTBOUND, DataError, GeneratorConfig, arc_count_closed_form,
-    build_event_graph, compatible_pairs, generate_synthetic, graph_stats,
-    node_count_closed_form, parse_cordeau, to_dot,
+    build_event_graph, compatible_pairs, event_graph, generate_synthetic,
+    graph_stats, node_count_closed_form, parse_cordeau, to_dot,
 )
 from darpkit.event_graph import (
     CLASS_NAMES, DEPOT, DROPOFF, DROPOFF_DROPOFF, DROPOFF_PICKUP, LEAVE_DEPOT,
@@ -451,6 +451,27 @@ def test_fragment_walk_carries_each_request_once():
     assert (graph.nodes, graph.arcs) == (complete.nodes, complete.arcs)
     assert _fragment_count(2, 2) == 6
     assert graph.fragments == _fragment_count(3, 2) == 39
+
+
+def test_fragment_walk_stops_at_its_budget(monkeypatch):
+    # with windows this loose, six requests close a million fragments:
+    # the walk gives up and the rule keeps every arc of the pair and arc
+    # rules, which stays exact
+    for n in (7, 16):
+        inst = ring_instance(n, 3)
+        graph = build_event_graph(inst, pruned=True)
+        assert graph.fragments is None
+        plain = pair_and_arc_graph(inst, monkeypatch)
+        assert (graph.nodes, graph.arcs) == (plain.nodes, plain.arcs)
+    # four of those requests take 3 812 pushes and close 1 468 fragments
+    inst = ring_instance(4, 3)
+    monkeypatch.setattr(event_graph, "FRAGMENT_WALK_BUDGET", 3812)
+    assert build_event_graph(inst, pruned=True).fragments == 1468
+    monkeypatch.setattr(event_graph, "FRAGMENT_WALK_BUDGET", 3811)
+    graph = build_event_graph(inst, pruned=True)
+    plain = pair_and_arc_graph(inst, monkeypatch)
+    assert graph.fragments is None
+    assert (graph.nodes, graph.arcs) == (plain.nodes, plain.arcs)
 
 
 def test_compatible_pairs_match_the_four_tour_reference(gen_instances):
