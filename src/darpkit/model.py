@@ -44,6 +44,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from operator import add
 
@@ -169,16 +170,16 @@ class Var:
     integer: bool
 
 
-@dataclass(slots=True)
-class Row:
-    name: str
-    sense: str         # E | L | G
-    rhs: float
-    terms: list        # [(var index, coefficient)]
+# one row of the ``MilpModel.rows`` view; terms are [(var index, coefficient)]
+Row = namedtuple("Row", "name sense rhs terms")
 
 
 class MilpModel:
-    """A fully assembled model: variables, rows, objective, bookkeeping."""
+    """A fully assembled model in one sparse matrix form: the columns
+    ``vars``; row k's ``row_names[k]``, ``senses[k]`` (E, L or G) and
+    ``rhs[k]``; the matrix as one entry table of parallel lists
+    ``entry_row``, ``entry_col`` and ``entry_coef`` in row order; the
+    objective ``obj_terms`` plus ``obj_constant``; and the census."""
 
     def __init__(self, graph: EventGraph, variant: str, objective: ObjectiveSpec):
         self.graph = graph
@@ -186,7 +187,8 @@ class MilpModel:
         self.objective = objective
         self.name = f"{graph.inst.name}.{variant}.{objective.variant}"
         self.vars: list[Var] = []
-        self.rows: list[Row] = []
+        self.row_names, self.senses, self.rhs = [], [], []
+        self.entry_row, self.entry_col, self.entry_coef = [], [], []
         self.obj_terms: list = []
         self.obj_constant = 0.0
         self.census: dict = {"variables": dict.fromkeys(_VAR_KINDS, 0),
@@ -200,8 +202,22 @@ class MilpModel:
         return len(self.vars) - 1
 
     def add_row(self, family, name, sense, rhs, terms):
+        """Append a row and its (column, coefficient) terms to the table."""
         self.census["rows"][family] += 1
-        self.rows.append(Row(name, sense, rhs, terms))
+        self.entry_row += [len(self.row_names)] * len(terms)
+        self.entry_col += [idx for idx, _ in terms]
+        self.entry_coef += [coef for _, coef in terms]
+        self.row_names.append(name)
+        self.senses.append(sense)
+        self.rhs.append(rhs)
+
+    @property
+    def rows(self) -> list[Row]:
+        """The rows with their terms, built from the entry table on access."""
+        terms = [[] for _ in self.row_names]
+        for k, idx, coef in zip(self.entry_row, self.entry_col, self.entry_coef):
+            terms[k].append((idx, coef))
+        return list(map(Row, self.row_names, self.senses, self.rhs, terms))
 
     def objective_value(self, values: dict[str, float]) -> float:
         """Evaluate the objective expression on a name -> value map."""
@@ -419,7 +435,7 @@ def _lp_term(coef: float) -> str:
 def write_mps(model: MilpModel) -> str:
     """Serialize to MPS text, 12 significant digits, minimization sense.
 
-    One pass over the rows gathers each column's entries as ready
+    One pass over the entry table gathers each column's entries as ready
     ``  row  value`` strings, each distinct value formatted once; a
     column without entries is declared by a zero objective entry.
     """
@@ -427,12 +443,11 @@ def write_mps(model: MilpModel) -> str:
     columns: list[list[str]] = [[] for _ in model.vars]
     for idx, coef in model.obj_terms:
         columns[idx].append("  COST  " + fmt[coef])
+    tags = [f"  {name}  " for name in model.row_names]
+    for k, idx, coef in zip(model.entry_row, model.entry_col, model.entry_coef):
+        columns[idx].append(tags[k] + fmt[coef])
     out = [f"NAME          {model.name}", "ROWS", " N  COST"]
-    for row in model.rows:
-        out.append(f" {row.sense}  {row.name}")
-        tag = f"  {row.name}  "
-        for idx, coef in row.terms:
-            columns[idx].append(tag + fmt[coef])
+    out += [f" {sense}  {name}" for sense, name in zip(model.senses, model.row_names)]
     out.append("COLUMNS")
     in_int = False
     marker = 0
@@ -457,7 +472,8 @@ def write_mps(model: MilpModel) -> str:
     out.append("RHS")
     if model.obj_constant:
         out.append(f"    RHS  COST  {fmt[-model.obj_constant]}")
-    out += [f"    RHS  {row.name}  {fmt[row.rhs]}" for row in model.rows if row.rhs]
+    out += [f"    RHS  {name}  {fmt[rhs]}"
+            for name, rhs in zip(model.row_names, model.rhs) if rhs]
     out.append("BOUNDS")
     for var in model.vars:
         if var.integer:
@@ -486,10 +502,10 @@ def _lp_expr(parts: list[str]) -> str:
 def write_lp(model: MilpModel) -> str:
     """Serialize to CPLEX-style LP text with the same content as the MPS.
 
-    One pass over the rows writes their terms, each distinct coefficient's
-    signed text formatted once.  A column with LP's default bounds
-    [0, inf) is declared under Bounds only when no term names it, so the
-    file lists every column.
+    One pass over the entry table writes each row's terms, each distinct
+    coefficient's signed text formatted once.  A column with LP's default
+    bounds [0, inf) is declared under Bounds only when no term names it,
+    so the file lists every column.
     """
     fmt = _Formatted(_fmt)
     term = _Formatted(_lp_term)
@@ -501,18 +517,16 @@ def write_lp(model: MilpModel) -> str:
     out.append(" obj: " + _lp_expr(parts))
     out.append("Subject To")
     rel = {"E": "=", "L": "<=", "G": ">="}
-    for row in model.rows:
-        expr = _lp_expr([term[coef] + names[idx] for idx, coef in row.terms])
-        out.append(f" {row.name}: {expr} {rel[row.sense]} {fmt[row.rhs]}")
+    exprs: list[list[str]] = [[] for _ in model.row_names]
+    for k, idx, coef in zip(model.entry_row, model.entry_col, model.entry_coef):
+        exprs[k].append(term[coef] + names[idx])
+    for name, sense, rhs, parts in zip(model.row_names, model.senses,
+                                       model.rhs, exprs):
+        out.append(f" {name}: {_lp_expr(parts)} {rel[sense]} {fmt[rhs]}")
     out.append("Bounds")
-    # the objective names most default-bounded columns; only a rest
-    # that it misses needs the rows' column ids
     unnamed = {j for j, var in enumerate(model.vars) if not var.integer
-               and var.lb == 0.0 and var.ub == math.inf}
-    unnamed.difference_update(idx for idx, _ in model.obj_terms)
-    if unnamed:
-        unnamed.difference_update(
-            {idx for row in model.rows for idx, _ in row.terms})
+               and var.lb == 0.0 and var.ub == math.inf}.difference(
+                   model.entry_col, (idx for idx, _ in model.obj_terms))
     for j, var in enumerate(model.vars):
         if var.integer:
             continue

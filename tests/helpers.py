@@ -288,6 +288,16 @@ def digest_models():
                 yield build_model(graph, variant, ObjectiveSpec(variant=objective))
 
 
+def model_rows(model) -> dict:
+    """Each row of ``model`` by name: its sense, right-hand side and
+    column name -> coefficient in term order, read from the entry table."""
+    rows = {name: (sense, rhs, {}) for name, sense, rhs
+            in zip(model.row_names, model.senses, model.rhs)}
+    for k, idx, coef in zip(model.entry_row, model.entry_col, model.entry_coef):
+        rows[model.row_names[k]][2][model.vars[idx].name] = coef
+    return rows
+
+
 def outbound_evens(inst):
     """``inst`` with every even request outbound: its dropoff window
     narrowed to 15 from its start, its pickup window derived from it."""

@@ -10,7 +10,7 @@ from darpkit import (
     OBJECTIVES, DataError, GeneratorConfig, ObjectiveSpec, ObjectiveValue,
     Schedule, Solution, TravelMetric, build_event_graph, build_model,
     combine_components,
-    compatible_pairs, evaluate_objective, generate_synthetic,
+    compatible_pairs, evaluate_objective, generate_synthetic, import_solution,
     instance_sha256, oracle_solve, parse_mps, read_mapping, solve_mip,
     variable_mapping, write_lp, write_mapping, write_mps,
 )
@@ -18,10 +18,10 @@ from darpkit.event_graph import (
     DROPOFF, DROPOFF_DROPOFF, DROPOFF_PICKUP, LEAVE_DEPOT, PICKUP,
     PICKUP_DROPOFF, PICKUP_PICKUP, RETURN_DEPOT, EventNode,
 )
-from darpkit.model import MilpModel, _assemble
+from darpkit.model import MilpModel, Row, _assemble
 from darpkit.solve import _stop_orders
 
-from helpers import criterion3_instances, digest_models, line_instance
+from helpers import criterion3_instances, digest_models, line_instance, model_rows
 
 
 @pytest.fixture(scope="module")
@@ -92,29 +92,28 @@ def _ride_m(req):
 
 
 def _arc_rows(model):
-    """{arc: (row, the row's coefficient on the arc's x)} over the travel
-    and depot rows (``tt_``, ``dep_``, ``ret_``)."""
+    """{arc: (row name, rhs, the row's coefficient on the arc's x)} over
+    the travel and depot rows (``tt_``, ``dep_``, ``ret_``)."""
     out = {}
-    for row in model.rows:
-        family, _, a = row.name.partition("_")
+    for name, (_, rhs, coef) in model_rows(model).items():
+        family, _, a = name.partition("_")
         if family in ("tt", "dep", "ret"):
-            coef = {model.vars[idx].name: c for idx, c in row.terms}
-            out[int(a)] = (row, coef[f"x_{a}"])
+            out[int(a)] = (name, rhs, coef[f"x_{a}"])
     return out
 
 
 def _ride_coefs(model):
     """{ride row name: (rhs, the row's x coefficients)}."""
-    return {row.name: (row.rhs, [c for idx, c in row.terms
-                                 if model.vars[idx].kind == "x"])
-            for row in model.rows if row.name.startswith("ride_")}
+    return {name: (rhs, [c for col, c in coef.items() if col.startswith("x_")])
+            for name, (_, rhs, coef) in model_rows(model).items()
+            if name.startswith("ride_")}
 
 
 def test_big_m_values(single_request_instance):
     model = build_model(build_event_graph(single_request_instance), "model2",
                         ObjectiveSpec(variant="cost"))
     rows = _arc_rows(model)
-    link = {cls: rows[a][1] for a, cls in enumerate(model.graph.arcs.cls)}
+    link = {cls: rows[a][2] for a, cls in enumerate(model.graph.arcs.cls)}
     # pickup tail closes at 30, dropoff head opens at 20, travel 3
     assert link[PICKUP_DROPOFF] == pytest.approx(30.0 - 20.0 + 2.0 + 3.0)
     # depot tail closes at 200, pickup head opens at 10, travel 1; the
@@ -151,8 +150,8 @@ def test_big_m_floors_at_zero():
     assert all(coefs == [] for _, coefs in ride.values())
     rows = _arc_rows(model)
     assert len(rows) == model.graph.arc_count
-    for row, coef in rows.values():
-        assert (coef <= 0.0) if row.name.startswith("dep_") else (coef >= 0.0)
+    for name, _, coef in rows.values():
+        assert (coef <= 0.0) if name.startswith("dep_") else (coef >= 0.0)
 
 
 @pytest.mark.parametrize("variant", ["model2", "model3"])
@@ -165,9 +164,9 @@ def test_rows_carry_the_exact_big_m(gen_instances, variant):
             rows = _arc_rows(model)
             # every arc travels, leaves or returns to the depot: one row each
             assert sorted(rows) == list(range(graph.arc_count))
-            for a, (row, coef) in rows.items():
+            for a, (name, _, coef) in rows.items():
                 mm = _link_m(graph, a)
-                assert coef == (-mm if row.name.startswith("dep_") else mm)
+                assert coef == (-mm if name.startswith("dep_") else mm)
             ride = _ride_coefs(model)
             for req in inst.requests:
                 mi = _ride_m(req) if variant == "model2" else 0.0
@@ -204,12 +203,12 @@ def test_arc_terms_read_the_metric(gen_instances):
                 f"x_{a}": metric.cost(*end) for a, end in enumerate(ends)}
             rows = _arc_rows(model)
             assert sorted(rows) == list(range(graph.arc_count))
-            for a, (row, _) in rows.items():
+            for a, (name, rhs, _) in rows.items():
                 tail, head = ends[a]
                 t, mm = metric.time(tail, head), _link_m(graph, a)
-                rhs = {"tt": mm - service[tail] - t, "dep": e0 + t - mm,
-                       "ret": l0 - service[tail] - t + mm}
-                assert row.rhs == rhs[row.name.partition("_")[0]]
+                want = {"tt": mm - service[tail] - t, "dep": e0 + t - mm,
+                        "ret": l0 - service[tail] - t + mm}
+                assert rhs == want[name.partition("_")[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +220,8 @@ def _census_by_inspection(model):
     for var in model.vars:
         vars_by_kind[var.kind] = vars_by_kind.get(var.kind, 0) + 1
     rows_by_prefix = {}
-    for row in model.rows:
-        prefix = row.name.split("_")[0]
+    for name in model.row_names:
+        prefix = name.split("_")[0]
         rows_by_prefix[prefix] = rows_by_prefix.get(prefix, 0) + 1
     return vars_by_kind, rows_by_prefix
 
@@ -245,6 +244,30 @@ def test_census_matches_contents(gen_instances, variant):
             grouped[prefix_map[prefix]] = grouped.get(prefix_map[prefix], 0) + count
         for label, count in model.census["rows"].items():
             assert grouped.get(label, 0) == count, (inst.name, label)
+
+
+@pytest.mark.parametrize("variant", ["model2", "model3"])
+def test_rows_view_matches_the_entry_table(gen_instances, monkeypatch, variant):
+    # the view that the benchmark reads gives back every row as it was
+    # added: its name, sense, right-hand side and terms in order
+    added = []
+    add_row = MilpModel.add_row
+
+    def recording(self, family, name, sense, rhs, terms):
+        added.append(Row(name, sense, rhs, list(terms)))
+        add_row(self, family, name, sense, rhs, terms)
+
+    monkeypatch.setattr(MilpModel, "add_row", recording)
+    for inst in gen_instances[:3]:
+        for objective in ("cost_max_excess", "request_cost_excess"):
+            added.clear()
+            model = build_model(build_event_graph(inst), variant,
+                                ObjectiveSpec(variant=objective))
+            assert model.rows == added
+            assert len(model.rows) == len(model.row_names)
+            assert sum(len(row.terms) for row in model.rows) == len(model.entry_coef)
+            assert model.entry_row == sorted(model.entry_row)
+            assert model.rows is not model.rows
 
 
 def test_model_sizes_follow_graph(gen_instances):
@@ -316,13 +339,10 @@ def test_time_bounds_model3(single_request_instance):
 
 
 def _ride_rows(model):
-    """The hub rows keyed by state node: (row, variable name -> coefficient)."""
-    rows = {}
-    for row in model.rows:
-        if row.name.startswith("ride_"):
-            node = int(row.name.split("_")[2])
-            rows[node] = (row, {model.vars[idx].name: c for idx, c in row.terms})
-    return rows
+    """The hub rows keyed by state node: (sense, rhs, variable name ->
+    coefficient)."""
+    return {int(name.split("_")[2]): row for name, row in model_rows(model).items()
+            if name.startswith("ride_")}
 
 
 def test_ride_rows_model2_couple_activation(single_request_instance):
@@ -335,14 +355,14 @@ def test_ride_rows_model2_couple_activation(single_request_instance):
     rows = _ride_rows(model)
     assert sorted(rows) == sorted((v, w))
     # dropoff: B_w + M * in(w) - z_1 <= M
-    row, coef = rows[w]
-    assert row.sense == "L" and row.rhs == pytest.approx(mi)
+    sense, rhs, coef = rows[w]
+    assert sense == "L" and rhs == pytest.approx(mi)
     assert coef.pop(f"B_{w}") == 1.0 and coef.pop("z_1") == -1.0
     assert set(coef) == {f"x_{a}" for a in graph.in_arcs[w]}
     assert all(c == pytest.approx(mi) for c in coef.values())
     # pickup: z_1 - B_v + M * in(v) <= M + L + s
-    row, coef = rows[v]
-    assert row.sense == "L" and row.rhs == pytest.approx(mi + 40.0 + 2.0)
+    sense, rhs, coef = rows[v]
+    assert sense == "L" and rhs == pytest.approx(mi + 40.0 + 2.0)
     assert coef.pop("z_1") == 1.0 and coef.pop(f"B_{v}") == -1.0
     assert set(coef) == {f"x_{a}" for a in graph.in_arcs[v]}
     assert all(c == pytest.approx(mi) for c in coef.values())
@@ -358,18 +378,17 @@ def test_ride_rows_model3_are_plain(single_request_instance):
     w = graph.dropoff_nodes[1][0]
     rows = _ride_rows(model)
     assert sorted(rows) == sorted((v, w))
-    row, coef = rows[w]                  # B_w - z_1 <= 0
-    assert row.sense == "L" and row.rhs == 0.0
-    assert coef == {f"B_{w}": 1.0, "z_1": -1.0}
-    row, coef = rows[v]                  # z_1 - B_v <= L + s
-    assert row.sense == "L" and row.rhs == pytest.approx(42.0)
+    assert rows[w] == ("L", 0.0, {f"B_{w}": 1.0, "z_1": -1.0})  # B_w - z_1 <= 0
+    sense, rhs, coef = rows[v]           # z_1 - B_v <= L + s
+    assert sense == "L" and rhs == pytest.approx(42.0)
     assert coef == {"z_1": 1.0, f"B_{v}": -1.0}
-    wlo = [r for r in model.rows if r.name.startswith("wlo_")]
-    wup = [r for r in model.rows if r.name.startswith("wup_")]
+    every = model_rows(model)
+    wlo = [row for name, row in every.items() if name.startswith("wlo_")]
+    wup = [row for name, row in every.items() if name.startswith("wup_")]
     assert len(wlo) == 1 and len(wup) == 1
     # window width 20 relaxes the pickup lower bound when inactive
-    assert wlo[0].sense == "G" and wlo[0].rhs == pytest.approx(10.0 + 20.0)
-    assert wup[0].sense == "L" and wup[0].rhs == pytest.approx(10.0 + 40.0 + 2.0)
+    assert wlo[0][:2] == ("G", pytest.approx(10.0 + 20.0))
+    assert wup[0][:2] == ("L", pytest.approx(10.0 + 40.0 + 2.0))
 
 
 def _pairwise_ride_rows(model):
@@ -390,16 +409,22 @@ def _pairwise_ride_rows(model):
     return rows
 
 
-def _lp_relaxation(model, rows):
-    """Status and optimum of the LP relaxation over the model's columns."""
-    data, ri, ci, lo, hi = [], [], [], [], []
-    for k, (sense, rhs, terms) in enumerate(rows):
+def _lp_relaxation(model, drop=None, extra=()):
+    """Status and optimum of the LP relaxation over the model's columns:
+    the entry table, with the rows whose name starts with ``drop`` left
+    free, plus the ``extra`` rows (sense, rhs, terms)."""
+    ri, ci, data = (list(model.entry_row), list(model.entry_col),
+                    list(model.entry_coef))
+    rows = [("N" if drop and name.startswith(drop) else sense, rhs)
+            for name, sense, rhs in zip(model.row_names, model.senses, model.rhs)]
+    for sense, rhs, terms in extra:
         for j, coef in terms:
-            ri.append(k)
+            ri.append(len(rows))
             ci.append(j)
             data.append(coef)
-        lo.append(rhs if sense in "EG" else -math.inf)
-        hi.append(rhs if sense in "EL" else math.inf)
+        rows.append((sense, rhs))
+    lo = [rhs if sense in "EG" else -math.inf for sense, rhs in rows]
+    hi = [rhs if sense in "EL" else math.inf for sense, rhs in rows]
     matrix = sparse.csr_matrix((data, (ri, ci)), shape=(len(rows), len(model.vars)))
     c = np.zeros(len(model.vars))
     for j, coef in model.obj_terms:
@@ -425,11 +450,9 @@ def test_hub_rows_keep_the_pairwise_lp_relaxation(criterion3_suite, variant):
         graph = build_event_graph(inst)
         for name in ("cost", "cost_excess"):
             model = build_model(graph, variant, ObjectiveSpec(variant=name))
-            rows = [(row.sense, row.rhs, row.terms) for row in model.rows]
-            hub = _lp_relaxation(model, rows)
-            others = [r for r, row in zip(rows, model.rows)
-                      if not row.name.startswith("ride_")]
-            pairwise = _lp_relaxation(model, others + _pairwise_ride_rows(model))
+            hub = _lp_relaxation(model)
+            pairwise = _lp_relaxation(model, drop="ride_",
+                                      extra=_pairwise_ride_rows(model))
             assert hub[0] == pairwise[0] == 0, (inst.name, name, hub, pairwise)
             assert abs(hub[1] - pairwise[1]) <= 1e-9, (inst.name, name, hub, pairwise)
 
@@ -446,7 +469,7 @@ def test_ride_rows_stay_linear_on_the_export_shape():
     assert model.census["rows"]["ride_time"] == states
     assert model.census["variables"]["z"] == inst.n
     assert graph.arc_count < 1_000
-    assert len(model.rows) < 2_000
+    assert len(model.row_names) < 2_000
 
 
 # ---------------------------------------------------------------------------
@@ -490,8 +513,7 @@ def test_pruning_never_lowers_the_lp_bound(criterion3_suite, variant):
             bounds = []
             for model in (build_model(full, variant, obj),
                           _assemble(full, variant, obj)):
-                rows = [(row.sense, row.rhs, row.terms) for row in model.rows]
-                bounds.append(_lp_relaxation(model, rows))
+                bounds.append(_lp_relaxation(model))
             (status, pruned), (status_full, complete) = bounds
             assert status == status_full == 0, (inst.name, name, bounds)
             assert pruned >= complete - 1e-9, (inst.name, name, bounds)
@@ -545,11 +567,10 @@ def test_travel_link_rows(single_request_instance):
     for a, (v, w, cls) in enumerate(zip(arcs.tail, arcs.head, arcs.cls)):
         if cls != PICKUP_DROPOFF:
             continue
-        row = next(r for r in model.rows if r.name == f"tt_{a}")
+        _, rhs, coef = model_rows(model)[f"tt_{a}"]
         mm = _link_m(model.graph, a)
         time = graph.inst.metric.time(locs[v], locs[w])
-        assert row.rhs == pytest.approx(mm - 2.0 - time)
-        coef = {model.vars[idx].name: c for idx, c in row.terms}
+        assert rhs == pytest.approx(mm - 2.0 - time)
         assert coef[f"x_{a}"] == pytest.approx(mm)
 
 
@@ -621,11 +642,11 @@ def test_mps_round_trip(single_request_instance):
         mip = parse_mps(write_mps(model))
         assert mip.name == model.name
         assert mip.col_names == [var.name for var in model.vars]
-        assert mip.row_names == [row.name for row in model.rows]
-        for k, row in enumerate(model.rows):
+        assert mip.row_names == model.row_names
+        for k, (sense, rhs) in enumerate(zip(model.senses, model.rhs)):
             # E is (rhs, rhs), L (-inf, rhs) and G (rhs, inf)
-            lower = -math.inf if row.sense == "L" else pytest.approx(row.rhs)
-            upper = math.inf if row.sense == "G" else pytest.approx(row.rhs)
+            lower = -math.inf if sense == "L" else pytest.approx(rhs)
+            upper = math.inf if sense == "G" else pytest.approx(rhs)
             assert (mip.row_lower[k], mip.row_upper[k]) == (lower, upper)
         for j, var in enumerate(model.vars):
             assert mip.integrality[j] == (1 if var.integer else 0)
@@ -633,10 +654,11 @@ def test_mps_round_trip(single_request_instance):
                 assert mip.lower[j] == var.lb
                 assert mip.upper[j] == var.ub
         dense = mip.matrix.toarray()
-        for k, row in enumerate(model.rows):
-            for idx, coef in row.terms:
-                assert dense[k, idx] == pytest.approx(coef)
-            assert (dense[k] != 0).sum() == len(row.terms)
+        entries = list(zip(model.entry_row, model.entry_col))
+        assert len(set(entries)) == len(entries)
+        assert list(dense[model.entry_row, model.entry_col]) == pytest.approx(
+            model.entry_coef)
+        assert (dense != 0).sum() == len(entries)
 
 
 def test_mps_objective_constant_round_trip(pooling_instance):
@@ -671,9 +693,31 @@ def test_lp_structure(single_request_instance):
     assert text.splitlines()[0].startswith("\\")
     for section in ("Minimize", "Subject To", "Bounds", "Binaries", "End"):
         assert section in text
-    for row in model.rows:
-        assert f" {row.name}: " in text
+    for name in model.row_names:
+        assert f" {name}: " in text
     assert write_lp(model) == text
+
+
+def test_export_and_import_read_no_rows_view(pooling_instance, monkeypatch):
+    # the model keeps its rows only in the entry table: no Row and no
+    # per-row term list, and the writers and the import never build one
+    def refuse(self):
+        raise AssertionError("the rows view was read")
+
+    monkeypatch.setattr(MilpModel, "rows", property(refuse))
+    graph = build_event_graph(pooling_instance)
+    for variant in ("model2", "model3"):
+        model = build_model(graph, variant,
+                            ObjectiveSpec(variant="request_cost_excess"))
+        text = write_mps(model)
+        write_lp(model)
+        write_mapping(model)
+        result = solve_mip(parse_mps(text))
+        sol = import_solution(model, result.assignment)
+        assert sol.objective.total == pytest.approx(result.objective, abs=1e-6)
+        held = [value for value in vars(model).values() if isinstance(value, list)]
+        assert not any(isinstance(item, (Row, list)) for value in held
+                       for item in value)
 
 
 # one digest over the MPS, LP and sidecar text of every model below, taken
