@@ -25,8 +25,7 @@ request instead of |V_i+| * |V_i-|.
 
 Both variants link consecutive times along each travel arc with big-M
 rows, and tie tour starts and ends to the depot window through per-arc
-rows on the depot connections (the single depot time variable carries
-only its own window).
+rows on the depot connections, so the depot state has no time variable.
 
 Every model is built over the pruned event graph (see
 :mod:`darpkit.event_graph`): states and arcs that no feasible tour can
@@ -257,16 +256,19 @@ def _assemble(graph: EventGraph, variant: str,
     if w_denied:
         p = {r.id: model.add_var("p", r.id, 0.0, 1.0) for r in inst.requests}
     locs = graph.locations
-    B = []
-    for v in range(graph.node_count):
+    # times on the pickup and dropoff states; no row reads a depot time
+    B = {}
+    for v, node in enumerate(graph.nodes):
+        if node.kind == DEPOT:
+            continue
         e, l = inst.windows[locs[v]]
-        if variant == MODEL2 or graph.nodes[v].kind == DEPOT:
+        if variant == MODEL2:
             lb, ub = e, l
-        elif graph.nodes[v].kind == PICKUP:
+        elif node.kind == PICKUP:
             lb, ub = 0.0, l
         else:
             lb, ub = e, math.inf
-        B.append(model.add_var("B", v, lb, ub))
+        B[v] = model.add_var("B", v, lb, ub)
     z = {r.id: model.add_var("z", r.id, -math.inf, math.inf)
          for r in inst.requests}
     d = {}

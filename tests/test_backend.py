@@ -260,7 +260,7 @@ def test_parse_mps_errors(breakage, message):
 # model of the export digest (tests/test_model.py); names, sense and
 # constant go in as repr, arrays as float64 or int64 bytes, so scipy's
 # choice of index dtype does not move it
-PARSE_DIGEST = "c8d0539408990eaea7d6fcf23ced3b8879357b54fe66a683853f8504ffb9801f"
+PARSE_DIGEST = "b337cebb41924cba25d2c072cc0992d18c1bb3405b7d205e9fc6b27c6f58424c"
 
 
 def test_parses_stay_identical():

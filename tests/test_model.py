@@ -270,6 +270,20 @@ def test_rows_view_matches_the_entry_table(gen_instances, monkeypatch, variant):
             assert model.rows is not model.rows
 
 
+@pytest.mark.parametrize("variant", ["model2", "model3"])
+def test_every_column_is_in_a_row_or_the_objective(criterion3_suite, variant):
+    # a column that no row and no objective term reads is dead weight in
+    # every export; the depot's time column was one
+    for inst in criterion3_suite:
+        graph = build_event_graph(inst, pruned=True)
+        for objective in OBJECTIVES:
+            model = build_model(graph, variant, ObjectiveSpec(variant=objective))
+            unread = set(range(len(model.vars))).difference(
+                model.entry_col, (idx for idx, _ in model.obj_terms))
+            assert not unread, (inst.name, objective,
+                                [model.vars[j].name for j in sorted(unread)])
+
+
 def test_model_sizes_follow_graph(gen_instances):
     # the model is sized by the pruned graph it was built over
     inst = gen_instances[1]
@@ -279,7 +293,7 @@ def test_model_sizes_follow_graph(gen_instances):
     assert graph.pruned
     census = model.census
     assert census["variables"]["x"] == graph.arc_count
-    assert census["variables"]["B"] == graph.node_count
+    assert census["variables"]["B"] == graph.node_count - 1   # no depot time
     assert census["variables"]["p"] == 0
     assert census["variables"]["d"] == 0
     assert census["rows"]["flow"] == graph.node_count
@@ -317,10 +331,8 @@ def test_time_bounds_model2(single_request_instance):
         node = graph.nodes[var.ref]
         if node.kind == PICKUP:
             assert (var.lb, var.ub) == (10.0, 30.0)
-        elif node.kind == DROPOFF:
-            assert (var.lb, var.ub) == (20.0, 100.0)
         else:
-            assert (var.lb, var.ub) == (0.0, 200.0)
+            assert node.kind == DROPOFF and (var.lb, var.ub) == (20.0, 100.0)
 
 
 def test_time_bounds_model3(single_request_instance):
@@ -332,10 +344,8 @@ def test_time_bounds_model3(single_request_instance):
         node = graph.nodes[var.ref]
         if node.kind == PICKUP:
             assert (var.lb, var.ub) == (0.0, 30.0)
-        elif node.kind == DROPOFF:
-            assert var.lb == 20.0 and var.ub == math.inf
         else:
-            assert (var.lb, var.ub) == (0.0, 200.0)
+            assert node.kind == DROPOFF and (var.lb, var.ub) == (20.0, math.inf)
 
 
 def _ride_rows(model):
@@ -723,7 +733,7 @@ def test_export_and_import_read_no_rows_view(pooling_instance, monkeypatch):
 # one digest over the MPS, LP and sidecar text of every model below, taken
 # from the writers as they formatted every value with f"{v:.12g}" on its
 # own; change it only with a change that is meant to change the exports
-EXPORT_DIGEST = "0b0ae72460ba42b636305345d9939ae650fccb4e5472e4f895ecaf5c36679aee"
+EXPORT_DIGEST = "0bf9e683bb8f35af4fd8461de75dfa5bb0093ea765e76d7b7c8dae9c7520561f"
 
 
 def test_exports_stay_byte_identical():
@@ -825,6 +835,25 @@ def test_read_mapping_rebuilds_the_model(gen_instances, objective):
     # only the objective that prices denial has acceptance columns
     assert again.census["variables"]["p"] == (
         inst.n if objective == "request_cost_excess" else 0)
+
+
+# the sidecar of synth-q3-n2-s0's model3 under cost as written while the
+# depot state had a time column B_0: one column more than the model has
+OLD_SIDECAR = """{
+  "columns": 14,
+  "graph": "pruned-fragments",
+  "instance": "synth-q3-n2-s0",
+  "instance_sha256": "4b6106848556a435d6657614d8799bca845d81b866691376a6691a3337ad62da",
+  "model": "synth-q3-n2-s0.model3.cost",
+  "objective": {"alpha": 3.0, "beta": 1.2, "gamma": 60.0, "variant": "cost"},
+  "variant": "model3"
+}"""
+
+
+def test_read_mapping_refuses_a_sidecar_with_the_depot_time_column():
+    inst = generate_synthetic(GeneratorConfig(n=2, capacity=3, seed=0))
+    with pytest.raises(DataError, match="lists 14 columns, the model has 13"):
+        read_mapping(OLD_SIDECAR, inst)
 
 
 def test_read_mapping_refuses_another_instance(gen_instances):
