@@ -202,6 +202,9 @@ class Instance:
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # the name heads every exported file and names the default outputs
+        if not (isinstance(self.name, str) and self.name.isprintable() and self.name):
+            raise DataError(f"instance name must be printable text, got {self.name!r}")
         _require_int(self.fleet_size, "fleet_size")
         _require_int(self.capacity, "capacity")
         if self.fleet_size < 1:

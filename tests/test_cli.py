@@ -110,6 +110,15 @@ def test_convert_reads_a_json_instance(tmp_path, instance_file):
     assert out.read_text() == instance_file.read_text()
 
 
+def test_convert_refuses_a_name_with_a_line_break(tmp_path, instance_file, capsys):
+    # the name would split the MPS NAME line: exit 2, no file written
+    out = tmp_path / "x.json"
+    code = cli.main(["convert", str(instance_file), "-o", str(out),
+                     "--name", "two\nlines"])
+    assert code == 2 and not out.exists()
+    assert "instance name must be printable text" in capsys.readouterr().err
+
+
 def test_convert_missing_file(tmp_path, capsys):
     code = cli.main(["convert", str(tmp_path / "absent.txt"),
                      "-o", str(tmp_path / "x.json")])

@@ -748,6 +748,25 @@ def test_instance_json_refuses_a_nan_window(field):
         instance_from_json(text)
 
 
+@pytest.mark.parametrize("name", ["", "two\nlines", "tab\there", "nul\x00"])
+def test_instance_refuses_a_name_that_breaks_the_exports(name):
+    # the MPS and LP writers put the name on their first line, and an
+    # empty name makes the default outputs hidden files
+    inst = generate_synthetic(GeneratorConfig(n=2, capacity=3, seed=1))
+    fields = dict(requests=inst.requests, fleet_size=inst.fleet_size,
+                  capacity=inst.capacity, depot_window=inst.depot_window,
+                  metric=inst.metric)
+    for bad in (name, name.encode()):
+        with pytest.raises(DataError, match="instance name must be printable text"):
+            Instance(name=bad, **fields)
+    doc = json.loads(instance_to_json(inst))
+    doc["name"] = name
+    with pytest.raises(DataError, match="instance name"):
+        instance_from_json(json.dumps(doc))
+    # spaces stay: the text reader names an instance after its file stem
+    assert Instance(name="a2 16 copy", **fields).name == "a2 16 copy"
+
+
 def _set_first_coordinate(doc, value):
     doc["metric"]["coords"]["1"] = value
 
