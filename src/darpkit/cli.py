@@ -95,10 +95,10 @@ def _load_instance(path: Path, name: str | None = None,
     # JSON starts with "{"; anything else is read as the plain-text format
     if text.lstrip().startswith("{"):
         inst = instance_from_json(text)
-        if name:
+        if name is not None:
             inst = replace(inst, name=name)
     else:
-        inst = parse_cordeau(text, name=name or path.stem)
+        inst = parse_cordeau(text, name=path.stem if name is None else name)
     if auto_tighten and any(r.direction is None for r in inst.requests):
         inst = tighten_time_windows(inst)
     return inst

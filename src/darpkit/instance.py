@@ -626,7 +626,7 @@ def instance_from_json(text: str) -> Instance:
                 max_ride=_json_float(r["max_ride"], "max_ride"),
                 direction=r.get("direction")))
         inst = Instance(
-            name=str(doc.get("name", "instance")),
+            name=doc.get("name", "instance"),
             requests=tuple(requests),
             fleet_size=_json_int(doc["fleet_size"], "fleet_size"),
             capacity=_json_int(doc["capacity"], "capacity"),

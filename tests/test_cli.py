@@ -110,12 +110,20 @@ def test_convert_reads_a_json_instance(tmp_path, instance_file):
     assert out.read_text() == instance_file.read_text()
 
 
-def test_convert_refuses_a_name_with_a_line_break(tmp_path, instance_file, capsys):
-    # the name would split the MPS NAME line: exit 2, no file written
+@pytest.mark.parametrize("name", ["two\nlines", ""])
+@pytest.mark.parametrize("source", ["json", "text"])
+def test_convert_refuses_a_name_that_breaks_the_exports(tmp_path, instance_file,
+                                                        tiny_cordeau_text, capsys,
+                                                        name, source):
+    # a line break would split the MPS NAME line, and an empty name is not
+    # taken as no name: exit 2, no file written
+    src = instance_file
+    if source == "text":
+        src = tmp_path / "tiny.txt"
+        src.write_text(tiny_cordeau_text)
     out = tmp_path / "x.json"
-    code = cli.main(["convert", str(instance_file), "-o", str(out),
-                     "--name", "two\nlines"])
-    assert code == 2 and not out.exists()
+    assert cli.main(["convert", str(src), "-o", str(out), "--name", name]) == 2
+    assert not out.exists()
     assert "instance name must be printable text" in capsys.readouterr().err
 
 

@@ -760,9 +760,10 @@ def test_instance_refuses_a_name_that_breaks_the_exports(name):
         with pytest.raises(DataError, match="instance name must be printable text"):
             Instance(name=bad, **fields)
     doc = json.loads(instance_to_json(inst))
-    doc["name"] = name
-    with pytest.raises(DataError, match="instance name"):
-        instance_from_json(json.dumps(doc))
+    for bad in (name, None, 7):
+        doc["name"] = bad
+        with pytest.raises(DataError, match="instance name"):
+            instance_from_json(json.dumps(doc))
     # spaces stay: the text reader names an instance after its file stem
     assert Instance(name="a2 16 copy", **fields).name == "a2 16 copy"
 
