@@ -36,6 +36,9 @@ fall on the criterion-3 instances).
 Objectives: routing cost, total dropoff excess, maximal dropoff excess,
 and weighted combinations; only ``request_cost_excess`` prices denied
 requests, so only it gets per-request acceptance variables.
+
+A model is one sparse matrix (:class:`MilpModel`): row lists and a
+(row, column, coefficient) entry table, which the MPS and LP writers read.
 """
 
 from __future__ import annotations
@@ -174,11 +177,9 @@ Row = namedtuple("Row", "name sense rhs terms")
 
 
 class MilpModel:
-    """A fully assembled model in one sparse matrix form: the columns
-    ``vars``; row k's ``row_names[k]``, ``senses[k]`` (E, L or G) and
-    ``rhs[k]``; the matrix as one entry table of parallel lists
-    ``entry_row``, ``entry_col`` and ``entry_coef`` in row order; the
-    objective ``obj_terms`` plus ``obj_constant``; and the census."""
+    """A fully assembled model in one sparse matrix form: columns ``vars``,
+    row lists ``row_names``, ``senses`` (E, L or G) and ``rhs``, and the entry
+    table ``entry_row``, ``entry_col``, ``entry_coef`` (parallel, row order)."""
 
     def __init__(self, graph: EventGraph, variant: str, objective: ObjectiveSpec):
         self.graph = graph
@@ -201,7 +202,6 @@ class MilpModel:
         return len(self.vars) - 1
 
     def add_row(self, family, name, sense, rhs, terms):
-        """Append a row and its (column, coefficient) terms to the table."""
         self.census["rows"][family] += 1
         self.entry_row += [len(self.row_names)] * len(terms)
         self.entry_col += [idx for idx, _ in terms]
@@ -522,8 +522,7 @@ def write_lp(model: MilpModel) -> str:
     exprs: list[list[str]] = [[] for _ in model.row_names]
     for k, idx, coef in zip(model.entry_row, model.entry_col, model.entry_coef):
         exprs[k].append(term[coef] + names[idx])
-    for name, sense, rhs, parts in zip(model.row_names, model.senses,
-                                       model.rhs, exprs):
+    for name, sense, rhs, parts in zip(model.row_names, model.senses, model.rhs, exprs):
         out.append(f" {name}: {_lp_expr(parts)} {rel[sense]} {fmt[rhs]}")
     out.append("Bounds")
     unnamed = {j for j, var in enumerate(model.vars) if not var.integer
