@@ -203,7 +203,7 @@ class Instance:
 
     def __post_init__(self):
         # the name heads every exported file and names the default outputs
-        if not (isinstance(self.name, str) and self.name.isprintable() and self.name):
+        if not (isinstance(self.name, str) and self.name and self.name.isprintable()):
             raise DataError(f"instance name must be printable text, got {self.name!r}")
         _require_int(self.fleet_size, "fleet_size")
         _require_int(self.capacity, "capacity")
