@@ -14,8 +14,11 @@ Arcs connect states that can follow each other directly and fall into
 six classes: pickup followed by a dropoff, pickup followed by a pickup,
 dropoff followed by a pickup, dropoff followed by a dropoff, return of
 the empty vehicle to the depot, and departure of the empty vehicle to a
-first pickup.  An arc's travel cost and time are those of its end states'
-locations, read from the instance's metric where they are used.
+first pickup.  An arc's class follows from the event kinds of its end
+states, so the arc table stores only the two state ids and the class is
+derived where it is read (:attr:`EventGraph.arc_classes`).  An arc's
+travel cost and time are those of its end states' locations, read from
+the instance's metric where they are used.
 
 With ``pruned=True`` the builder computes the instance's ride-compatible
 request pairs (see :func:`darpkit.schedule.compatible_pairs`) and returns
@@ -53,6 +56,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from collections import Counter
 from functools import cached_property
 from itertools import chain, compress, count, repeat
 from typing import NamedTuple
@@ -87,6 +91,13 @@ CLASS_NAMES = {
     LEAVE_DEPOT: "leave_depot",
 }
 
+# an arc's class by the event kinds of its (tail, head)
+_CLASS_OF = {
+    (PICKUP, DROPOFF): PICKUP_DROPOFF, (PICKUP, PICKUP): PICKUP_PICKUP,
+    (DROPOFF, PICKUP): DROPOFF_PICKUP, (DROPOFF, DROPOFF): DROPOFF_DROPOFF,
+    (DROPOFF, DEPOT): RETURN_DEPOT, (DEPOT, PICKUP): LEAVE_DEPOT,
+}
+
 
 class EventNode(NamedTuple):
     """Vehicle state: last service event plus other requests on board.
@@ -113,19 +124,18 @@ class EventNode(NamedTuple):
 
 
 class ArcTable:
-    """The arcs of an event graph as three typed columns.
+    """The arcs of an event graph as two typed columns.
 
-    ``tail``, ``head`` (state ids) and ``cls`` (arc class) are stdlib
-    arrays, which the cyclic garbage collector does not track, so a large
-    graph costs no collector work.
+    ``tail`` and ``head`` (state ids) are stdlib arrays, which the cyclic
+    garbage collector does not track, so a large graph costs no collector
+    work.
     """
 
-    __slots__ = _COLUMNS = ("tail", "head", "cls")
+    __slots__ = _COLUMNS = ("tail", "head")
 
-    def __init__(self, tail=(), head=(), cls=()):
+    def __init__(self, tail=(), head=()):
         self.tail = array("l", tail)
         self.head = array("l", head)
-        self.cls = array("b", cls)
 
     def __len__(self) -> int:
         return len(self.tail)
@@ -144,8 +154,8 @@ class EventGraph:
     ``fragments`` is the number of feasible fragments, or None for the
     complete graph and when the fragment walk ran out of pushes.
     ``pickup_nodes``, ``dropoff_nodes``, ``in_arcs``, ``out_arcs``,
-    ``class_counts`` and a complete graph's ``pruned_graph`` are built on
-    first use.
+    ``arc_classes``, ``class_counts`` and a complete graph's
+    ``pruned_graph`` are built on first use.
     """
 
     def __init__(self, inst: Instance, nodes, locations, arcs: ArcTable,
@@ -188,9 +198,17 @@ class EventGraph:
         return self._adjacency(self.arcs.tail)
 
     @cached_property
+    def arc_classes(self) -> array:
+        """Each arc's class, read from the event kinds of its end states."""
+        kind = [node.kind for node in self.nodes].__getitem__
+        ends = zip(map(kind, self.arcs.tail), map(kind, self.arcs.head))
+        return array("b", map(_CLASS_OF.__getitem__, ends))
+
+    @cached_property
     def class_counts(self) -> dict[int, int]:
-        """Number of arcs of each class, counted from ``arcs.cls``."""
-        return {c: self.arcs.cls.count(c) for c in CLASS_NAMES}
+        """Number of arcs of each class, counted from ``arc_classes``."""
+        counts = Counter(self.arc_classes)
+        return {c: counts[c] for c in CLASS_NAMES}
 
     def _adjacency(self, ends) -> list[list[int]]:
         lists = [[] for _ in self.nodes]
@@ -271,10 +289,9 @@ def build_event_graph(inst: Instance, *, pruned: bool = False) -> EventGraph:
     of everyone on board, and for an empty vehicle the depot first.  So
     each onboard set gets one head block, its head ids as an ``array``,
     shared by the pickup states that leave that set on board and the
-    dropoff states that leave it behind, and each block shape one
-    ``array`` of classes per tail kind.  A state extends each column
-    with its block as one run, and a dropoff state then deletes its own
-    request's pickup.  This one arc loop serves both graph forms.
+    dropoff states that leave it behind.  A state extends the head
+    column with its block as one run, and a dropoff state then deletes
+    its own request's pickup.  This one arc loop serves both graph forms.
     """
     for req in inst.requests:
         if req.direction is None:
@@ -325,47 +342,28 @@ def build_event_graph(inst: Instance, *, pruned: bool = False) -> EventGraph:
         group.append(v)
         dropoffs.setdefault(onboard, []).append(v + picks)
 
-    heads = array("l", pick_after[()])
-    depot = (heads, array("b", [LEAVE_DEPOT]) * len(heads))
-    # the blocks after each onboard set, for the pickup states that leave
+    depot = array("l", pick_after[()])
+    # the block after each onboard set, for the pickup states that leave
     # it on board and the dropoff states that leave it behind: the depot
     # once empty, the pickups of further requests that fit, then the
     # dropoffs of everyone on board by increasing request
-    pick_blocks, drop_blocks = {}, {}
-    # (pickup-state, dropoff-state) classes by block shape (depot,
-    # pickups, dropoffs), shared by every block of that shape
-    shapes: dict[tuple, tuple[array, array]] = {}
-    for key in ((), *dropoffs):
-        empty = 0 if key else 1
-        picked = pick_after.pop(key, [])
-        dropped = dropoffs.pop(key, [])
-        shape = (empty, len(picked), len(dropped))
-        classes = shapes.get(shape)
-        if classes is None:
-            k0, k1, k2 = shape
-            classes = shapes[shape] = (
-                array("b", [PICKUP_PICKUP] * k1 + [PICKUP_DROPOFF] * k2),
-                array("b", [RETURN_DEPOT] * k0 + [DROPOFF_PICKUP] * k1
-                      + [DROPOFF_DROPOFF] * k2))
-        heads = array("l", [0] * empty + picked + dropped)
-        pick_blocks[key] = (heads, classes[0])
-        drop_blocks[key] = (heads, classes[1])
+    blocks = {key: array("l", ([] if key else [0]) + pick_after.pop(key, [])
+                         + dropoffs.pop(key, []))
+              for key in ((), *dropoffs)}
 
     arcs = ArcTable()
-    tail, head, cls = arcs.tail, arcs.head, arcs.cls
+    tail, head = arcs.tail, arcs.head
     run = array("l", [0])
+    block = blocks.__getitem__
     # heads in id order: the depot, pickup states, then dropoff states
-    for v, (heads, classes), skip in zip(
-            count(),
-            chain([depot], map(pick_blocks.__getitem__, after),
-                  map(drop_blocks.__getitem__, others)),
+    for v, heads, skip in zip(
+            count(), chain([depot], map(block, after), map(block, others)),
             chain(repeat(None, picks + 1), own)):
         start = len(head)
         head.extend(heads)
-        cls.extend(classes)
         if skip is not None:
             # no arc back to the state's own pickup
-            del head[start + skip], cls[start + skip]
+            del head[start + skip]
         run[0] = v
         tail.extend(run * (len(head) - start))
     fragments = None
@@ -457,11 +455,10 @@ def _without_dead_states(nodes, locations, arcs: ArcTable, keep: list[bool]):
     without an in-arc or an out-arc, and their arcs, until none is left;
     the survivors keep their order and are renumbered.  Returns the
     nodes, locations and arc table that remain."""
-    columns = [arcs.tail, arcs.head, arcs.cls]
+    tail, head = arcs.tail, arcs.head
     alive = set(range(len(nodes)))
     while True:
-        columns = [list(compress(column, keep)) for column in columns]
-        tail, head = columns[:2]
+        tail, head = list(compress(tail, keep)), list(compress(head, keep))
         dead = alive - set(tail).intersection(head)
         dead.discard(0)
         if not dead:
@@ -471,9 +468,8 @@ def _without_dead_states(nodes, locations, arcs: ArcTable, keep: list[bool]):
                                               map(dead.__contains__, head))]
     survivors = sorted(alive)
     new_id = dict(zip(survivors, count())).__getitem__
-    columns[:2] = [map(new_id, column) for column in columns[:2]]
     return ([nodes[v] for v in survivors], [locations[v] for v in survivors],
-            ArcTable(*columns))
+            ArcTable(map(new_id, tail), map(new_id, head)))
 
 
 def node_count_closed_form(n: int, capacity: int) -> int:
@@ -524,7 +520,7 @@ def to_dot(g: EventGraph) -> str:
     for v, node in enumerate(g.nodes):
         shape = "doublecircle" if node.kind == DEPOT else "ellipse"
         lines.append(f'  n{v} [label="{node.label(cap)}" shape={shape}];')
-    for tail, head, cls in zip(g.arcs.tail, g.arcs.head, g.arcs.cls):
+    for tail, head, cls in zip(g.arcs.tail, g.arcs.head, g.arc_classes):
         lines.append(f'  n{tail} -> n{head} [label="{CLASS_NAMES[cls]}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

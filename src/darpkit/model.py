@@ -51,11 +51,7 @@ from dataclasses import dataclass, replace
 from operator import add
 
 from .errors import DataError, ParseError
-from .event_graph import (
-    DROPOFF_DROPOFF, DROPOFF_PICKUP, LEAVE_DEPOT, PICKUP_DROPOFF,
-    PICKUP_PICKUP, PRUNED_FORM, RETURN_DEPOT,
-    EventGraph, build_event_graph,
-)
+from .event_graph import PRUNED_FORM, EventGraph, build_event_graph
 from .instance import DEPOT, INBOUND, PICKUP, Instance, instance_sha256
 
 MODEL2 = "model2"
@@ -82,8 +78,6 @@ _WEIGHTS = {
     "cost_max_excess": (1.0, 0.0, "beta", 0.0),
     "request_cost_excess": (1.0, "alpha", 0.0, "gamma"),
 }
-
-_TRAVEL_CLASSES = (PICKUP_DROPOFF, PICKUP_PICKUP, DROPOFF_PICKUP, DROPOFF_DROPOFF)
 
 # census keys: variable kinds and row families, in report order
 _VAR_KINDS = ("x", "p", "B", "z", "d", "dmax")
@@ -311,29 +305,28 @@ def _assemble(graph: EventGraph, variant: str,
                  + service[locs[v]] + t)
              for v, w, t in zip(arcs.tail, arcs.head, times)]
 
-    # consecutive times along a used travel arc:  B_head >= B_tail + s + t
-    for a, (v, w, cls, t, mm) in enumerate(
-            zip(arcs.tail, arcs.head, arcs.cls, times, big_m)):
-        if cls not in _TRAVEL_CLASSES:
-            continue
-        s_tail = service[locs[v]]
-        model.add_row(
-            "travel_link", f"tt_{a}", "L", mm - s_tail - t,
-            [(B[v], 1.0), (B[w], -1.0), (x[a], mm)])
+    # consecutive times along a used arc with neither end at the depot:
+    # B_head >= B_tail + s + t
+    depot = graph.depot_node
+    for a, (v, w, t, mm) in enumerate(zip(arcs.tail, arcs.head, times, big_m)):
+        if v != depot and w != depot:
+            model.add_row(
+                "travel_link", f"tt_{a}", "L", mm - service[locs[v]] - t,
+                [(B[v], 1.0), (B[w], -1.0), (x[a], mm)])
 
-    # tours start no earlier than the depot opens and end before it closes
+    # tours start no earlier than the depot opens and end before it closes;
+    # the arcs out of the depot precede every arc into it
     e0, l0 = inst.depot_window
-    for a, (v, w, cls, t, mm) in enumerate(
-            zip(arcs.tail, arcs.head, arcs.cls, times, big_m)):
-        if cls == LEAVE_DEPOT:
-            model.add_row(
-                "depot_depart", f"dep_{a}", "G", e0 + t - mm,
-                [(B[w], 1.0), (x[a], -mm)])
-        elif cls == RETURN_DEPOT:
-            s_tail = service[locs[v]]
-            model.add_row(
-                "depot_return", f"ret_{a}", "L", l0 - s_tail - t + mm,
-                [(B[v], 1.0), (x[a], mm)])
+    for a in graph.out_arcs[depot]:
+        model.add_row(
+            "depot_depart", f"dep_{a}", "G", e0 + times[a] - big_m[a],
+            [(B[arcs.head[a]], 1.0), (x[a], -big_m[a])])
+    for a in graph.in_arcs[depot]:
+        v = arcs.tail[a]
+        model.add_row(
+            "depot_return", f"ret_{a}", "L",
+            l0 - service[locs[v]] - times[a] + big_m[a],
+            [(B[v], 1.0), (x[a], big_m[a])])
 
     # ride time through the hub z_i:  B_w <= z_i <= B_v + L_i + s_i for
     # every dropoff state w and pickup state v of request i; in model2 a

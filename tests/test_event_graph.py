@@ -67,7 +67,7 @@ def _arc_triples(graph):
     cap, arcs = graph.inst.capacity, graph.arcs
     return {
         (graph.nodes[v].label(cap), graph.nodes[w].label(cap), CLASS_NAMES[cls])
-        for v, w, cls in zip(arcs.tail, arcs.head, arcs.cls)
+        for v, w, cls in zip(arcs.tail, arcs.head, graph.arc_classes)
     }
 
 
@@ -131,17 +131,17 @@ def test_arc_tables_compare_by_columns(gen_instances):
     assert pruned.arcs == build_event_graph(inst, pruned=True).arcs
     assert complete.arcs != pruned.arcs
     changed = build_event_graph(inst).arcs
-    changed.cls[-1] += 1
+    changed.head[-1] += 1
     assert complete.arcs != changed
 
 
 def test_arc_table_keeps_no_travel_data(gen_instances):
-    # two state ids and a class byte per arc: travel costs and times stay
-    # in the metric
+    # two state ids per arc: travel costs and times stay in the metric,
+    # and the class follows from the end states
     for inst in gen_instances:
         for graph in (build_event_graph(inst), build_event_graph(inst, pruned=True)):
             columns = [getattr(graph.arcs, c) for c in graph.arcs.__slots__]
-            assert sum(c.itemsize * len(c) for c in columns) <= 17 * graph.arc_count
+            assert sum(c.itemsize * len(c) for c in columns) <= 16 * graph.arc_count
 
 
 def test_adjacency_is_built_on_first_use(gen_instances):
@@ -149,8 +149,10 @@ def test_adjacency_is_built_on_first_use(gen_instances):
         for graph in (build_event_graph(inst),
                       build_event_graph(inst, pruned=True)):
             assert not ({"pickup_nodes", "dropoff_nodes", "in_arcs", "out_arcs",
-                         "class_counts"} & set(vars(graph)))
+                         "arc_classes", "class_counts"} & set(vars(graph)))
             arcs = graph.arcs
+            # the class is not stored: it follows from the end states' kinds
+            assert arcs.__slots__ == ("tail", "head")
             states = range(graph.node_count)
             for name, kind in (("pickup_nodes", PICKUP), ("dropoff_nodes", DROPOFF)):
                 assert getattr(graph, name) == {
@@ -163,7 +165,12 @@ def test_adjacency_is_built_on_first_use(gen_instances):
             assert graph.out_arcs == [
                 [a for a, u in enumerate(arcs.tail) if u == v] for v in states]
             assert graph.in_arcs is graph.in_arcs
-            assert graph.class_counts == {c: list(arcs.cls).count(c)
+            kinds = [node.kind for node in graph.nodes]
+            assert graph.arc_classes.tolist() == [
+                _CLASS_OF_KINDS[kinds[v], kinds[w]]
+                for v, w in zip(arcs.tail, arcs.head)]
+            assert "arc_classes" in vars(graph)
+            assert graph.class_counts == {c: list(graph.arc_classes).count(c)
                                           for c in CLASS_NAMES}
             assert "class_counts" in vars(graph)
 
@@ -249,7 +256,7 @@ def _assert_matches_brute_force(inst):
     assert len(set(built)) == len(built) and set(built) == states
     arcs = graph.arcs
     triples = [(built[v], built[w], cls)
-               for v, w, cls in zip(arcs.tail, arcs.head, arcs.cls)]
+               for v, w, cls in zip(arcs.tail, arcs.head, graph.arc_classes)]
     expected = [(u, v, _CLASS_OF_KINDS[u[0], v[0]]) for u, v in transitions]
     assert len(set(triples)) == len(triples)
     assert set(triples) == set(expected)
@@ -284,7 +291,7 @@ def test_structural_rules_hold(gen_instances):
         graph = build_event_graph(inst)
         loads = {r.id: r.q for r in inst.requests}
         arcs = graph.arcs
-        for v, w, cls in zip(arcs.tail, arcs.head, arcs.cls):
+        for v, w, cls in zip(arcs.tail, arcs.head, graph.arc_classes):
             tail = graph.nodes[v]
             head = graph.nodes[w]
             if cls == LEAVE_DEPOT:
@@ -544,10 +551,10 @@ def test_pruned_graph_is_an_ordered_subgraph(gen_instances):
         assert ids == sorted(ids) and ids[0] == 0
         assert [full.locations[v] for v in ids] == list(pruned.locations)
         fa, pa = full.arcs, pruned.arcs
-        full_arcs = dict(zip(zip(fa.tail, fa.head), fa.cls))
+        full_arcs = dict(zip(zip(fa.tail, fa.head), full.arc_classes))
         keys = [(ids[v], ids[w]) for v, w in zip(pa.tail, pa.head)]
         assert keys == sorted(keys)
-        for cls, key in zip(pa.cls, keys):
+        for cls, key in zip(pruned.arc_classes, keys):
             assert full_arcs[key] == cls
         # complete: the pruned arcs are exactly the full graph's arcs
         # between survivors that meet the arc rule
@@ -595,7 +602,7 @@ def test_graphs_stay_identical():
             graph = build_event_graph(inst, pruned=pruned)
             arcs = graph.arcs
             for part in (graph.nodes, graph.locations, arcs.tail.tolist(),
-                         arcs.head.tolist(), arcs.cls.tolist(),
+                         arcs.head.tolist(), graph.arc_classes.tolist(),
                          sorted(graph.compatible) if pruned else None):
                 digest.update(repr(part).encode() + b"\0")
     assert digest.hexdigest() == GRAPH_DIGEST

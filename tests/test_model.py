@@ -113,7 +113,7 @@ def test_big_m_values(single_request_instance):
     model = build_model(build_event_graph(single_request_instance), "model2",
                         ObjectiveSpec(variant="cost"))
     rows = _arc_rows(model)
-    link = {cls: rows[a][2] for a, cls in enumerate(model.graph.arcs.cls)}
+    link = {cls: rows[a][2] for a, cls in enumerate(model.graph.arc_classes)}
     # pickup tail closes at 30, dropoff head opens at 20, travel 3
     assert link[PICKUP_DROPOFF] == pytest.approx(30.0 - 20.0 + 2.0 + 3.0)
     # depot tail closes at 200, pickup head opens at 10, travel 1; the
@@ -574,7 +574,8 @@ def test_travel_link_rows(single_request_instance):
     graph = build_event_graph(single_request_instance)
     model = build_model(graph, "model2", ObjectiveSpec(variant="cost"))
     arcs, locs = model.graph.arcs, model.graph.locations
-    for a, (v, w, cls) in enumerate(zip(arcs.tail, arcs.head, arcs.cls)):
+    for a, (v, w, cls) in enumerate(zip(arcs.tail, arcs.head,
+                                        model.graph.arc_classes)):
         if cls != PICKUP_DROPOFF:
             continue
         _, rhs, coef = model_rows(model)[f"tt_{a}"]
