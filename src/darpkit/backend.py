@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import DataError, ParseError
+from .instance import _require_real
 
 if TYPE_CHECKING:
     import numpy as np
@@ -330,6 +331,9 @@ def solve_mip(mip: ParsedMip, time_limit: float | None = None,
     heuristic does too, and ignores it); only warnings that name it are
     silenced, every other warning reaches the caller.
     """
+    if time_limit is not None:
+        _require_real(time_limit, "time limit")
+    _require_real(mip_gap, "MIP gap")
     if time_limit is not None and not time_limit >= 0:
         raise DataError(f"time limit must be a number >= 0, got {time_limit!r}")
     if not 0 <= mip_gap < math.inf:

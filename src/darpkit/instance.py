@@ -69,6 +69,7 @@ class TravelMetric:
         has_matrix = self.cost_matrix is not None or self.time_matrix is not None
         if has_coords == has_matrix:
             raise DataError("metric needs either coordinates or matrices, not both")
+        _require_real(self.time_factor, "time_factor")
         if not math.isfinite(self.time_factor) or self.time_factor <= 0:
             raise DataError("time_factor must be positive and finite")
         if has_matrix:
@@ -86,6 +87,9 @@ class TravelMetric:
             if sorted(self.coords) != list(range(len(self.coords))):
                 raise DataError("coordinates must cover location ids 0..m-1")
             pts = [self.coords[a] for a in range(len(self.coords))]
+            for a, xy in enumerate(pts):
+                for c in xy:
+                    _require_real(c, f"coordinate of location {a}")
             bad = [a for a, xy in enumerate(pts) if not all(map(math.isfinite, xy))]
             if bad:
                 raise DataError(f"non-finite coordinate for location {bad[0]}")
@@ -101,6 +105,9 @@ class TravelMetric:
         m = len(mat)
         if any(len(row) != m for row in mat):
             raise DataError(f"{label} matrix is not square")
+        for a, row in enumerate(mat):
+            for b, value in enumerate(row):
+                _require_real(value, f"{label} entry at ({a}, {b})")
         arr = np.array(mat, dtype=float).reshape(m, m)
         bad = np.argwhere(~np.isfinite(arr))
         if len(bad):
@@ -143,6 +150,13 @@ def _require_int(value, field: str):
         raise DataError(f"{field} must be an integer, got {value!r}")
 
 
+def _require_real(value, field: str):
+    """``DataError`` naming ``field`` unless ``value`` is a real number (not
+    a bool, which would be read as 0 or 1)."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise DataError(f"{field} must be a real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Request:
     """One transportation request; :meth:`Instance.location` places its stops."""
@@ -158,6 +172,12 @@ class Request:
     def __post_init__(self):
         _require_int(self.id, "request id")
         _require_int(self.q, f"request {self.id}: seat demand q")
+        _require_real(self.s, f"request {self.id}: service duration s")
+        _require_real(self.max_ride, f"request {self.id}: max_ride")
+        for which, window in (("pickup", self.pickup_window),
+                              ("dropoff", self.dropoff_window)):
+            for end in window:
+                _require_real(end, f"request {self.id}: {which} window bound")
         times = (self.s, self.max_ride, *self.pickup_window, *self.dropoff_window)
         if not all(map(math.isfinite, times)):
             raise DataError(f"request {self.id}: non-finite window, ride time "
@@ -214,6 +234,8 @@ class Instance:
         if not self.requests:
             raise DataError("instance needs at least one request")
         e0, l0 = self.depot_window
+        _require_real(e0, "depot window start")
+        _require_real(l0, "depot window end")
         if not (math.isfinite(e0) and math.isfinite(l0)):
             raise DataError("non-finite depot window")
         if e0 > l0:
@@ -476,9 +498,7 @@ class GeneratorConfig:
         if self.capacity not in (3, 6):
             raise DataError("generator capacity must be 3 or 6")
         # a bool is no side (True would place the points on a side of 1)
-        if not isinstance(self.area_side, numbers.Real) or isinstance(
-                self.area_side, bool):
-            raise DataError(f"area_side must be a real number, got {self.area_side!r}")
+        _require_real(self.area_side, "area_side")
         # a NaN or infinite side never yields two distinct points
         if not (math.isfinite(self.area_side) and self.area_side > 0):
             raise DataError("area_side must be positive and finite")

@@ -41,7 +41,9 @@ from itertools import product
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DataError, InfeasibleError, ParseError, SolutionError
-from .instance import DEPOT_LOCATION, DROPOFF, PICKUP, Instance, _json_float, _json_int
+from .instance import (
+    DEPOT_LOCATION, DROPOFF, PICKUP, Instance, _json_float, _json_int, _require_int,
+)
 from .model import MilpModel, ObjectiveSpec, ObjectiveValue, combine_components
 from .schedule import (
     Schedule, Stop, _Prefix, _schedule, _tour_cost, _tour_faults, _tour_times,
@@ -190,6 +192,7 @@ ORACLE_LIMIT = 6
 
 
 def _check_limit(inst: Instance, limit: int):
+    _require_int(limit, "oracle limit")
     if inst.n > limit:
         raise DataError(
             f"oracle is limited to {limit} requests, instance has {inst.n}")

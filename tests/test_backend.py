@@ -503,6 +503,21 @@ def test_solve_runs_highs_without_feasibility_jump(monkeypatch, time_limit,
     assert highs_options(time_limit, mip_gap) == expected
 
 
+@pytest.mark.parametrize("time_limit, mip_gap, message", [
+    ("5", 0.0, "time limit must be a real number, got '5'"),
+    (True, 0.0, "time limit must be a real number, got True"),
+    (None, "0", "MIP gap must be a real number, got '0'"),
+    # a bool gap would be read as 100 %, which ends any search at once
+    (None, True, "MIP gap must be a real number, got True"),
+], ids=["text time_limit", "bool time_limit", "text mip_gap", "bool mip_gap"])
+def test_solve_refuses_text_and_bool_arguments(monkeypatch, time_limit,
+                                               mip_gap, message):
+    calls = capture_milp(monkeypatch)
+    with pytest.raises(DataError, match=message):
+        solve_mip(parse_mps(MIN_MPS), time_limit=time_limit, mip_gap=mip_gap)
+    assert calls == []
+
+
 def test_solve_without_feasibility_jump_warns_nothing():
     # n=5, q=3, seed 0 needs a branch-and-bound node under model3 `cost`
     inst = generate_synthetic(GeneratorConfig(n=5, capacity=3, seed=0))

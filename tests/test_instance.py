@@ -179,8 +179,23 @@ UNIT = ((0.0, 1.0), (1.0, 0.0))
      r"non-finite cost entry at \(0, 1\)"),
     (lambda: TravelMetric(cost_matrix=UNIT, time_matrix=((0.0, 1.0), (INF, 0.0))),
      r"non-finite time entry at \(1, 0\)"),
+    # text, None and a bool are no real numbers (a bool would be read as 1)
+    (lambda: TravelMetric(coords={0: (0.0, 0.0)}, time_factor="4"),
+     "time_factor must be a real number, got '4'"),
+    (lambda: TravelMetric(coords={0: (0.0, 0.0)}, time_factor=True),
+     "time_factor must be a real number, got True"),
+    (lambda: TravelMetric(coords={0: (0.0, 0.0), 1: ("1", 0.0)}),
+     "coordinate of location 1 must be a real number, got '1'"),
+    (lambda: TravelMetric(coords={0: (0.0, None)}),
+     "coordinate of location 0 must be a real number, got None"),
+    (lambda: TravelMetric(cost_matrix=((0.0, "1"), (1.0, 0.0)), time_matrix=UNIT),
+     r"cost entry at \(0, 1\) must be a real number, got '1'"),
+    (lambda: TravelMetric(cost_matrix=UNIT, time_matrix=((0.0, 1.0), (True, 0.0))),
+     r"time entry at \(1, 0\) must be a real number, got True"),
 ], ids=["nan time_factor", "inf time_factor", "nan coordinate",
-        "inf coordinate", "nan cost", "inf time"])
+        "inf coordinate", "nan cost", "inf time", "text time_factor",
+        "bool time_factor", "text coordinate", "None coordinate", "text cost",
+        "bool time"])
 def test_metric_rejects_non_finite_values(build, message):
     with pytest.raises(DataError, match=message):
         build()
@@ -211,18 +226,27 @@ def test_request_validation(bad):
         _request(**bad)
 
 
-@pytest.mark.parametrize("bad", [
-    {"pickup_window": (NAN, 10.0)},
-    {"pickup_window": (0.0, INF)},
-    {"dropoff_window": (0.0, NAN)},
-    {"dropoff_window": (-INF, 10.0)},
-    {"max_ride": NAN},
-    {"max_ride": INF},
-    {"s": NAN},
-    {"s": INF},
-])
-def test_request_rejects_non_finite_values(bad):
-    with pytest.raises(DataError, match="non-finite"):
+@pytest.mark.parametrize("bad, message", [
+    ({"pickup_window": (NAN, 10.0)}, "non-finite"),
+    ({"pickup_window": (0.0, INF)}, "non-finite"),
+    ({"dropoff_window": (0.0, NAN)}, "non-finite"),
+    ({"dropoff_window": (-INF, 10.0)}, "non-finite"),
+    ({"max_ride": NAN}, "non-finite"),
+    ({"max_ride": INF}, "non-finite"),
+    ({"s": NAN}, "non-finite"),
+    ({"s": INF}, "non-finite"),
+    # text, None and a bool are no real numbers (a bool would be read as 1)
+    ({"s": "1"}, "service duration s must be a real number, got '1'"),
+    ({"s": True}, "service duration s must be a real number, got True"),
+    ({"max_ride": None}, "max_ride must be a real number, got None"),
+    ({"pickup_window": ("0", 20.0)},
+     "pickup window bound must be a real number, got '0'"),
+    ({"dropoff_window": (0.0, False)},
+     "dropoff window bound must be a real number, got False"),
+], ids=[*(f"bad{k}" for k in range(8)), "text s", "bool s", "None max_ride",
+        "text pickup window", "bool dropoff window"])
+def test_request_rejects_non_finite_values(bad, message):
+    with pytest.raises(DataError, match=message):
         _request(**bad)
 
 
@@ -297,9 +321,16 @@ def test_instance_needs_a_request():
         instance_from_json(json.dumps(doc))
 
 
-@pytest.mark.parametrize("window", [(NAN, 100.0), (0.0, INF)])
-def test_instance_rejects_a_non_finite_depot_window(window):
-    with pytest.raises(DataError, match="non-finite depot window"):
+@pytest.mark.parametrize("window, message", [
+    ((NAN, 100.0), "non-finite depot window"),
+    ((0.0, INF), "non-finite depot window"),
+    # text, None and a bool are no real numbers (a bool would be read as 1)
+    (("0", 150.0), "depot window start must be a real number, got '0'"),
+    ((True, 150.0), "depot window start must be a real number, got True"),
+    ((0.0, None), "depot window end must be a real number, got None"),
+], ids=["window0", "window1", "text start", "bool start", "None end"])
+def test_instance_rejects_a_non_finite_depot_window(window, message):
+    with pytest.raises(DataError, match=message):
         Instance(name="a", requests=(_request(),), fleet_size=1, capacity=2,
                  depot_window=window,
                  metric=line_metric((0.0, 1.0, 2.0)))

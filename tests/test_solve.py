@@ -611,6 +611,16 @@ def test_oracle_limit_guard(gen_instances):
         max_acceptance(gen_instances[0], limit=1)
 
 
+@pytest.mark.parametrize("limit", ["7", 7.0, True])
+def test_oracle_limit_must_be_an_integer(gen_instances, limit):
+    # text would fail the comparison with a bare TypeError, and a bool
+    # would be read as a limit of one request
+    for search in (oracle_solve, max_acceptance):
+        with pytest.raises(DataError,
+                           match=rf"oracle limit must be an integer, got {limit!r}"):
+            search(gen_instances[0], limit=limit)
+
+
 # ---------------------------------------------------------------------------
 # decoding solver assignments
 # ---------------------------------------------------------------------------
