@@ -131,7 +131,7 @@ class ArcTable:
     work.
     """
 
-    __slots__ = _COLUMNS = ("tail", "head")
+    __slots__ = ("tail", "head")
 
     def __init__(self, tail=(), head=()):
         self.tail = array("l", tail)
@@ -143,7 +143,7 @@ class ArcTable:
     def __eq__(self, other):
         if not isinstance(other, ArcTable):
             return NotImplemented
-        return all(getattr(self, c) == getattr(other, c) for c in self._COLUMNS)
+        return self.tail == other.tail and self.head == other.head
 
 
 class EventGraph:
@@ -347,8 +347,8 @@ def build_event_graph(inst: Instance, *, pruned: bool = False) -> EventGraph:
     # it on board and the dropoff states that leave it behind: the depot
     # once empty, the pickups of further requests that fit, then the
     # dropoffs of everyone on board by increasing request
-    blocks = {key: array("l", ([] if key else [0]) + pick_after.pop(key, [])
-                         + dropoffs.pop(key, []))
+    blocks = {key: array("l", ([] if key else [0]) + pick_after.get(key, [])
+                         + dropoffs.get(key, []))
               for key in ((), *dropoffs)}
 
     arcs = ArcTable()

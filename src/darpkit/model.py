@@ -23,9 +23,10 @@ gives back the pairwise big-M row), so the feasible times and the LP
 relaxation are unchanged while the family has |V_i+| + |V_i-| rows per
 request instead of |V_i+| * |V_i-|.
 
-Both variants link consecutive times along each travel arc with big-M
-rows, and tie tour starts and ends to the depot window through per-arc
-rows on the depot connections, so the depot state has no time variable.
+Both variants link consecutive times along each arc between two
+non-depot states with big-M rows, and tie tour starts and ends to the
+depot window through per-arc rows on the arcs out of and into the depot,
+so the depot state has no time variable.
 
 Every model is built over the pruned event graph (see
 :mod:`darpkit.event_graph`): states and arcs that no feasible tour can
@@ -291,8 +292,9 @@ def _assemble(graph: EventGraph, variant: str,
             model.add_row("serve", f"serve_{req.id}", "E", 1.0, terms)
 
     # at most |K| vehicles leave the depot
+    depot = graph.depot_node
     model.add_row("fleet", "fleet", "L", float(inst.fleet_size),
-                  [(x[a], 1.0) for a in graph.out_arcs[graph.depot_node]])
+                  [(x[a], 1.0) for a in graph.out_arcs[depot]])
 
     # each arc's travel time, and its big-M, which relaxes its travel or
     # depot row below when the arc is unused: l_tail - e_head + s_tail + t,
@@ -307,15 +309,13 @@ def _assemble(graph: EventGraph, variant: str,
 
     # consecutive times along a used arc with neither end at the depot:
     # B_head >= B_tail + s + t
-    depot = graph.depot_node
     for a, (v, w, t, mm) in enumerate(zip(arcs.tail, arcs.head, times, big_m)):
         if v != depot and w != depot:
             model.add_row(
                 "travel_link", f"tt_{a}", "L", mm - service[locs[v]] - t,
                 [(B[v], 1.0), (B[w], -1.0), (x[a], mm)])
 
-    # tours start no earlier than the depot opens and end before it closes;
-    # the arcs out of the depot precede every arc into it
+    # tours start no earlier than the depot opens and end before it closes
     e0, l0 = inst.depot_window
     for a in graph.out_arcs[depot]:
         model.add_row(
