@@ -153,7 +153,9 @@ def _require_int(value, field: str):
 def _require_real(value, field: str):
     """``DataError`` naming ``field`` unless ``value`` is a real number (not
     a bool, which would be read as 0 or 1)."""
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+    # a float, nearly every value, skips the slower abstract-class check
+    if type(value) is not float and (
+            not isinstance(value, numbers.Real) or isinstance(value, bool)):
         raise DataError(f"{field} must be a real number, got {value!r}")
 
 
