@@ -59,6 +59,7 @@ from array import array
 from collections import Counter
 from functools import cached_property
 from itertools import chain, compress, count, repeat
+from operator import getitem
 from typing import NamedTuple
 
 from .errors import DataError
@@ -91,12 +92,13 @@ CLASS_NAMES = {
     LEAVE_DEPOT: "leave_depot",
 }
 
-# an arc's class by the event kinds of its (tail, head)
-_CLASS_OF = {
-    (PICKUP, DROPOFF): PICKUP_DROPOFF, (PICKUP, PICKUP): PICKUP_PICKUP,
-    (DROPOFF, PICKUP): DROPOFF_PICKUP, (DROPOFF, DROPOFF): DROPOFF_DROPOFF,
-    (DROPOFF, DEPOT): RETURN_DEPOT, (DEPOT, PICKUP): LEAVE_DEPOT,
-}
+# each event kind's code, and the class table: the row of the tail's
+# code, at the column of the head's code, holds the arc's class (None
+# where no arc runs)
+_KIND_CODE = {DEPOT: 0, PICKUP: 1, DROPOFF: 2}
+_CLASS_TABLE = ((None, LEAVE_DEPOT, None),
+                (None, PICKUP_PICKUP, PICKUP_DROPOFF),
+                (RETURN_DEPOT, DROPOFF_PICKUP, DROPOFF_DROPOFF))
 
 
 class EventNode(NamedTuple):
@@ -200,9 +202,12 @@ class EventGraph:
     @cached_property
     def arc_classes(self) -> array:
         """Each arc's class, read from the event kinds of its end states."""
-        kind = [node.kind for node in self.nodes].__getitem__
-        ends = zip(map(kind, self.arcs.tail), map(kind, self.arcs.head))
-        return array("b", map(_CLASS_OF.__getitem__, ends))
+        # one kind code and one table row per state; an arc reads its
+        # tail's row at its head's code
+        code = [_KIND_CODE[node.kind] for node in self.nodes]
+        row = [_CLASS_TABLE[c] for c in code]
+        return array("b", map(getitem, map(row.__getitem__, self.arcs.tail),
+                              map(code.__getitem__, self.arcs.head)))
 
     @cached_property
     def class_counts(self) -> dict[int, int]:

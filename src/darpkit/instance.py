@@ -88,6 +88,7 @@ class TravelMetric:
                 raise DataError("coordinates must cover location ids 0..m-1")
             pts = [self.coords[a] for a in range(len(self.coords))]
             for a, xy in enumerate(pts):
+                _require_pair(xy, f"coordinates of location {a}")
                 for c in xy:
                     _require_real(c, f"coordinate of location {a}")
             bad = [a for a, xy in enumerate(pts) if not all(map(math.isfinite, xy))]
@@ -150,6 +151,15 @@ def _require_int(value, field: str):
         raise DataError(f"{field} must be an integer, got {value!r}")
 
 
+def _require_pair(value, field: str):
+    """``DataError`` naming ``field`` unless ``value`` unpacks into two
+    items, such as a window ``(e, l)`` or coordinates ``(x, y)``."""
+    try:
+        _, _ = value
+    except (TypeError, ValueError):
+        raise DataError(f"{field} must be a pair, got {value!r}") from None
+
+
 def _require_real(value, field: str):
     """``DataError`` naming ``field`` unless ``value`` is a real number (not
     a bool, which would be read as 0 or 1)."""
@@ -178,6 +188,7 @@ class Request:
         _require_real(self.max_ride, f"request {self.id}: max_ride")
         for which, window in (("pickup", self.pickup_window),
                               ("dropoff", self.dropoff_window)):
+            _require_pair(window, f"request {self.id}: {which} window")
             for end in window:
                 _require_real(end, f"request {self.id}: {which} window bound")
         times = (self.s, self.max_ride, *self.pickup_window, *self.dropoff_window)
@@ -235,6 +246,7 @@ class Instance:
             raise DataError("vehicle capacity must be at least 1")
         if not self.requests:
             raise DataError("instance needs at least one request")
+        _require_pair(self.depot_window, "depot window")
         e0, l0 = self.depot_window
         _require_real(e0, "depot window start")
         _require_real(l0, "depot window end")

@@ -23,10 +23,11 @@ gives back the pairwise big-M row), so the feasible times and the LP
 relaxation are unchanged while the family has |V_i+| + |V_i-| rows per
 request instead of |V_i+| * |V_i-|.
 
-Both variants link consecutive times along each arc between two
-non-depot states with big-M rows, and tie tour starts and ends to the
-depot window through per-arc rows on the arcs out of and into the depot,
-so the depot state has no time variable.
+Both variants link consecutive times along every arc with one big-M
+travel row.  The depot state has no time variable: on an arc out of the
+depot the depot window's start stands in for the tail's time, on an arc
+into it the window's end for the head's time, so the same row starts
+tours no earlier than the depot opens and ends them before it closes.
 
 Every model is built over the pruned event graph (see
 :mod:`darpkit.event_graph`): states and arcs that no feasible tour can
@@ -82,9 +83,8 @@ _WEIGHTS = {
 
 # census keys: variable kinds and row families, in report order
 _VAR_KINDS = ("x", "p", "B", "z", "d", "dmax")
-_ROW_FAMILIES = ("flow", "serve", "fleet", "travel_link", "depot_depart",
-                 "depot_return", "ride_time", "window_activation", "excess",
-                 "excess_max")
+_ROW_FAMILIES = ("flow", "serve", "fleet", "travel_link", "ride_time",
+                 "window_activation", "excess", "excess_max")
 
 
 @dataclass(frozen=True)
@@ -296,37 +296,26 @@ def _assemble(graph: EventGraph, variant: str,
     model.add_row("fleet", "fleet", "L", float(inst.fleet_size),
                   [(x[a], 1.0) for a in graph.out_arcs[depot]])
 
-    # each arc's travel time, and its big-M, which relaxes its travel or
-    # depot row below when the arc is unused: l_tail - e_head + s_tail + t,
-    # its exact bound, floored at 0
+    # consecutive times along each used arc: B_head >= B_tail + s_tail + t,
+    # relaxed when the arc is unused by its big-M l_tail - e_head + s_tail
+    # + t, its exact bound, floored at 0.  The depot has no time column: on
+    # an arc out of it the depot's opening e0 stands in for B_tail, on an
+    # arc into it the depot's closing l0 for B_head
     arcs = graph.arcs
     windows, service = inst.windows, inst.service
     time_rows = inst.metric.time_rows
-    times = [time_rows[locs[v]][locs[w]] for v, w in zip(arcs.tail, arcs.head)]
-    big_m = [max(0.0, windows[locs[v]][1] - windows[locs[w]][0]
-                 + service[locs[v]] + t)
-             for v, w, t in zip(arcs.tail, arcs.head, times)]
-
-    # consecutive times along a used arc with neither end at the depot:
-    # B_head >= B_tail + s + t
-    for a, (v, w, t, mm) in enumerate(zip(arcs.tail, arcs.head, times, big_m)):
-        if v != depot and w != depot:
-            model.add_row(
-                "travel_link", f"tt_{a}", "L", mm - service[locs[v]] - t,
-                [(B[v], 1.0), (B[w], -1.0), (x[a], mm)])
-
-    # tours start no earlier than the depot opens and end before it closes
     e0, l0 = inst.depot_window
-    for a in graph.out_arcs[depot]:
-        model.add_row(
-            "depot_depart", f"dep_{a}", "G", e0 + times[a] - big_m[a],
-            [(B[arcs.head[a]], 1.0), (x[a], -big_m[a])])
-    for a in graph.in_arcs[depot]:
-        v = arcs.tail[a]
-        model.add_row(
-            "depot_return", f"ret_{a}", "L",
-            l0 - service[locs[v]] - times[a] + big_m[a],
-            [(B[v], 1.0), (x[a], big_m[a])])
+    for a, (v, w) in enumerate(zip(arcs.tail, arcs.head)):
+        tail, head = locs[v], locs[w]
+        s, t = service[tail], time_rows[tail][head]
+        mm = max(0.0, windows[tail][1] - windows[head][0] + s + t)
+        if v == depot:
+            rhs, terms = mm - s - t - e0, [(B[w], -1.0), (x[a], mm)]
+        elif w == depot:
+            rhs, terms = mm - s - t + l0, [(B[v], 1.0), (x[a], mm)]
+        else:
+            rhs, terms = mm - s - t, [(B[v], 1.0), (B[w], -1.0), (x[a], mm)]
+        model.add_row("travel_link", f"tt_{a}", "L", rhs, terms)
 
     # ride time through the hub z_i:  B_w <= z_i <= B_v + L_i + s_i for
     # every dropoff state w and pickup state v of request i; in model2 a

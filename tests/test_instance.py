@@ -192,10 +192,15 @@ UNIT = ((0.0, 1.0), (1.0, 0.0))
      r"cost entry at \(0, 1\) must be a real number, got '1'"),
     (lambda: TravelMetric(cost_matrix=UNIT, time_matrix=((0.0, 1.0), (True, 0.0))),
      r"time entry at \(1, 0\) must be a real number, got True"),
+    # coordinates are a pair
+    (lambda: TravelMetric(coords={0: (0.0,), 1: (1.0, 1.0)}),
+     r"coordinates of location 0 must be a pair, got \(0.0,\)"),
+    (lambda: TravelMetric(coords={0: 0.0, 1: (1.0, 1.0)}),
+     "coordinates of location 0 must be a pair, got 0.0"),
 ], ids=["nan time_factor", "inf time_factor", "nan coordinate",
         "inf coordinate", "nan cost", "inf time", "text time_factor",
         "bool time_factor", "text coordinate", "None coordinate", "text cost",
-        "bool time"])
+        "bool time", "one coordinate", "number coordinates"])
 def test_metric_rejects_non_finite_values(build, message):
     with pytest.raises(DataError, match=message):
         build()
@@ -243,8 +248,14 @@ def test_request_validation(bad):
      "pickup window bound must be a real number, got '0'"),
     ({"dropoff_window": (0.0, False)},
      "dropoff window bound must be a real number, got False"),
+    # a window is a pair
+    ({"pickup_window": (0.0, 10.0, 20.0)},
+     r"pickup window must be a pair, got \(0.0, 10.0, 20.0\)"),
+    ({"pickup_window": 5.0}, "pickup window must be a pair, got 5.0"),
+    ({"dropoff_window": (10.0,)}, r"dropoff window must be a pair, got \(10.0,\)"),
 ], ids=[*(f"bad{k}" for k in range(8)), "text s", "bool s", "None max_ride",
-        "text pickup window", "bool dropoff window"])
+        "text pickup window", "bool dropoff window", "triple pickup window",
+        "number pickup window", "single dropoff window"])
 def test_request_rejects_non_finite_values(bad, message):
     with pytest.raises(DataError, match=message):
         _request(**bad)
@@ -328,7 +339,11 @@ def test_instance_needs_a_request():
     (("0", 150.0), "depot window start must be a real number, got '0'"),
     ((True, 150.0), "depot window start must be a real number, got True"),
     ((0.0, None), "depot window end must be a real number, got None"),
-], ids=["window0", "window1", "text start", "bool start", "None end"])
+    # a window is a pair
+    ((0.0,), r"depot window must be a pair, got \(0.0,\)"),
+    (3.0, "depot window must be a pair, got 3.0"),
+], ids=["window0", "window1", "text start", "bool start", "None end",
+        "single window", "number window"])
 def test_instance_rejects_a_non_finite_depot_window(window, message):
     with pytest.raises(DataError, match=message):
         Instance(name="a", requests=(_request(),), fleet_size=1, capacity=2,

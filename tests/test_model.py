@@ -15,8 +15,7 @@ from darpkit import (
     variable_mapping, write_lp, write_mapping, write_mps,
 )
 from darpkit.event_graph import (
-    DROPOFF, DROPOFF_DROPOFF, DROPOFF_PICKUP, LEAVE_DEPOT, PICKUP,
-    PICKUP_DROPOFF, PICKUP_PICKUP, RETURN_DEPOT, EventNode,
+    DROPOFF, LEAVE_DEPOT, PICKUP, PICKUP_DROPOFF, RETURN_DEPOT, EventNode,
 )
 from darpkit.model import MilpModel, Row, _assemble
 from darpkit.solve import _stop_orders
@@ -92,13 +91,13 @@ def _ride_m(req):
 
 
 def _arc_rows(model):
-    """{arc: (row name, rhs, the row's coefficient on the arc's x)} over
-    the travel and depot rows (``tt_``, ``dep_``, ``ret_``)."""
+    """{arc: (rhs, the row's coefficient on the arc's x)} over the travel
+    rows ``tt_<arc>``."""
     out = {}
     for name, (_, rhs, coef) in model_rows(model).items():
         family, _, a = name.partition("_")
-        if family in ("tt", "dep", "ret"):
-            out[int(a)] = (name, rhs, coef[f"x_{a}"])
+        if family == "tt":
+            out[int(a)] = (rhs, coef[f"x_{a}"])
     return out
 
 
@@ -113,12 +112,11 @@ def test_big_m_values(single_request_instance):
     model = build_model(build_event_graph(single_request_instance), "model2",
                         ObjectiveSpec(variant="cost"))
     rows = _arc_rows(model)
-    link = {cls: rows[a][2] for a, cls in enumerate(model.graph.arc_classes)}
+    link = {cls: rows[a][1] for a, cls in enumerate(model.graph.arc_classes)}
     # pickup tail closes at 30, dropoff head opens at 20, travel 3
     assert link[PICKUP_DROPOFF] == pytest.approx(30.0 - 20.0 + 2.0 + 3.0)
-    # depot tail closes at 200, pickup head opens at 10, travel 1; the
-    # departure row is a >= row, so its x coefficient is -M
-    assert link[LEAVE_DEPOT] == pytest.approx(-(200.0 - 10.0 + 0.0 + 1.0))
+    # depot tail closes at 200, pickup head opens at 10, travel 1
+    assert link[LEAVE_DEPOT] == pytest.approx(200.0 - 10.0 + 0.0 + 1.0)
     # dropoff tail closes at 100, depot head opens at 0, travel 4
     assert link[RETURN_DEPOT] == pytest.approx(100.0 - 0.0 + 2.0 + 4.0)
     # dropoff window end 100, pickup start 10, ride limit 40, service 2
@@ -150,8 +148,7 @@ def test_big_m_floors_at_zero():
     assert all(coefs == [] for _, coefs in ride.values())
     rows = _arc_rows(model)
     assert len(rows) == model.graph.arc_count
-    for name, _, coef in rows.values():
-        assert (coef <= 0.0) if name.startswith("dep_") else (coef >= 0.0)
+    assert all(coef >= 0.0 for _, coef in rows.values())
 
 
 @pytest.mark.parametrize("variant", ["model2", "model3"])
@@ -162,11 +159,10 @@ def test_rows_carry_the_exact_big_m(gen_instances, variant):
                       build_model(complete, variant)):
             graph = model.graph
             rows = _arc_rows(model)
-            # every arc travels, leaves or returns to the depot: one row each
+            # one travel row per arc, depot legs included
             assert sorted(rows) == list(range(graph.arc_count))
-            for a, (name, _, coef) in rows.items():
-                mm = _link_m(graph, a)
-                assert coef == (-mm if name.startswith("dep_") else mm)
+            for a, (_, coef) in rows.items():
+                assert coef == _link_m(graph, a)
             ride = _ride_coefs(model)
             for req in inst.requests:
                 mi = _ride_m(req) if variant == "model2" else 0.0
@@ -203,12 +199,17 @@ def test_arc_terms_read_the_metric(gen_instances):
                 f"x_{a}": metric.cost(*end) for a, end in enumerate(ends)}
             rows = _arc_rows(model)
             assert sorted(rows) == list(range(graph.arc_count))
-            for a, (name, rhs, _) in rows.items():
+            # the depot window stands in for the depot's time: e0 for a
+            # tail at the depot, l0 for a head there
+            for a, (rhs, _) in rows.items():
                 tail, head = ends[a]
                 t, mm = metric.time(tail, head), _link_m(graph, a)
-                want = {"tt": mm - service[tail] - t, "dep": e0 + t - mm,
-                        "ret": l0 - service[tail] - t + mm}
-                assert rhs == want[name.partition("_")[0]]
+                want = mm - service[tail] - t
+                if tail == 0:
+                    want -= e0
+                if head == 0:
+                    want += l0
+                assert rhs == want
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +230,7 @@ def _census_by_inspection(model):
 @pytest.mark.parametrize("variant", ["model2", "model3"])
 def test_census_matches_contents(gen_instances, variant):
     prefix_map = {"flow": "flow", "serve": "serve", "fleet": "fleet",
-                  "tt": "travel_link", "dep": "depot_depart",
-                  "ret": "depot_return", "ride": "ride_time",
+                  "tt": "travel_link", "ride": "ride_time",
                   "wlo": "window_activation", "wup": "window_activation",
                   "ex": "excess", "dmx": "excess_max"}
     for inst in gen_instances[:4]:
@@ -299,11 +299,7 @@ def test_model_sizes_follow_graph(gen_instances):
     assert census["rows"]["flow"] == graph.node_count
     assert census["rows"]["serve"] == inst.n
     assert census["rows"]["fleet"] == 1
-    travel = sum(graph.class_counts[c] for c in
-                 (PICKUP_DROPOFF, PICKUP_PICKUP, DROPOFF_PICKUP, DROPOFF_DROPOFF))
-    assert census["rows"]["travel_link"] == travel
-    assert census["rows"]["depot_depart"] == graph.class_counts[LEAVE_DEPOT]
-    assert census["rows"]["depot_return"] == graph.class_counts[RETURN_DEPOT]
+    assert census["rows"]["travel_link"] == graph.arc_count
     active = sum(len(graph.pickup_nodes[i]) + len(graph.dropoff_nodes[i])
                  for i in range(1, inst.n + 1))
     assert census["variables"]["z"] == inst.n
@@ -571,18 +567,24 @@ def test_pruned_graph_keeps_the_optimum(seed, optimum):
 
 
 def test_travel_link_rows(single_request_instance):
+    # worked example: depot 0 at 0 with window [0, 200], pickup at 1
+    # with window [10, 30], dropoff at 4 with window [20, 100], service 2.
+    # Each arc's row is B_tail - B_head + M x <= M - s_tail - t, with the
+    # depot window's start in place of B_tail and its end in place of B_head
     graph = build_event_graph(single_request_instance)
     model = build_model(graph, "model2", ObjectiveSpec(variant="cost"))
-    arcs, locs = model.graph.arcs, model.graph.locations
-    for a, (v, w, cls) in enumerate(zip(arcs.tail, arcs.head,
-                                        model.graph.arc_classes)):
-        if cls != PICKUP_DROPOFF:
-            continue
-        _, rhs, coef = model_rows(model)[f"tt_{a}"]
-        mm = _link_m(model.graph, a)
-        time = graph.inst.metric.time(locs[v], locs[w])
-        assert rhs == pytest.approx(mm - 2.0 - time)
-        assert coef[f"x_{a}"] == pytest.approx(mm)
+    # states: 0 the depot, 1 the pickup, 2 the dropoff
+    assert list(zip(model.graph.arcs.tail, model.graph.arcs.head)) == [
+        (0, 1), (1, 2), (2, 0)]
+    rows = model_rows(model)
+    assert {name: row for name, row in rows.items() if name.startswith("tt_")} == {
+        # M = 200 - 10 + 0 + 1: -B_1 + 191 x_0 <= 191 - 0 - 1 - 0
+        "tt_0": ("L", 190.0, {"B_1": -1.0, "x_0": 191.0}),
+        # M = 30 - 20 + 2 + 3: B_1 - B_2 + 15 x_1 <= 15 - 2 - 3
+        "tt_1": ("L", 10.0, {"B_1": 1.0, "B_2": -1.0, "x_1": 15.0}),
+        # M = 100 - 0 + 2 + 4: B_2 + 106 x_2 <= 106 - 2 - 4 + 200
+        "tt_2": ("L", 300.0, {"B_2": 1.0, "x_2": 106.0}),
+    }
 
 
 def test_objective_terms_and_constant(pooling_instance):
@@ -734,7 +736,7 @@ def test_export_and_import_read_no_rows_view(pooling_instance, monkeypatch):
 # one digest over the MPS, LP and sidecar text of every model below, taken
 # from the writers as they formatted every value with f"{v:.12g}" on its
 # own; change it only with a change that is meant to change the exports
-EXPORT_DIGEST = "0bf9e683bb8f35af4fd8461de75dfa5bb0093ea765e76d7b7c8dae9c7520561f"
+EXPORT_DIGEST = "2ebf658a6efb8c30069d07fe891fb82a7c6369c5c3a871d399c27f9e0cf7975c"
 
 
 def test_exports_stay_byte_identical():
